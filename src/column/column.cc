@@ -1,5 +1,7 @@
 #include "column/column.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 #include "util/simd.h"
 
@@ -187,11 +189,38 @@ Status Column::AppendValue(const Value& v) {
                               " to column of type " + DataTypeName(type_));
 }
 
+void Column::SetValidity(std::vector<uint8_t> valid) {
+  DC_DCHECK(valid.size() == size());
+  Detach(/*compact=*/true);
+  if (std::find(valid.begin(), valid.end(), 0) == valid.end()) {
+    valid_.reset();
+    return;
+  }
+  std::visit(
+      [&](auto& b) {
+        using T = typename std::decay_t<decltype(b)>::element_type::value_type;
+        for (size_t i = 0; i < valid.size(); ++i) {
+          if (valid[i] == 0) (*b)[i] = T();
+        }
+      },
+      data_);
+  valid_ = std::make_shared<std::vector<uint8_t>>(std::move(valid));
+}
+
 Status Column::AppendColumn(const Column& other) {
   if (other.type_ != type_) {
     return Status::TypeMismatch(std::string("append type mismatch: ") +
                                 DataTypeName(other.type_) + " vs " +
                                 DataTypeName(type_));
+  }
+  if (other.empty()) return Status::OK();
+  if (empty()) {
+    // Zero-copy fan-out: share the source's buffers (and its head offset)
+    // exactly as a snapshot copy would.
+    data_ = other.data_;
+    valid_ = other.valid_;
+    head_ = other.head_;
+    return Status::OK();
   }
   Detach(false);
   if (other.has_nulls()) EnsureValidity();

@@ -129,7 +129,17 @@ class Column {
   /// int->double is applied; anything else mismatched is an error.
   Status AppendValue(const Value& v);
 
-  /// Appends all rows of `other` (same type required).
+  /// Replaces the validity of the live rows with `valid` (one byte per
+  /// row, 1 = valid; size() entries). The value slot of every null row is
+  /// reset to the zero/empty placeholder AppendNull writes, and a vector
+  /// without a zero leaves the column with no validity at all — so a bulk
+  /// kernel that writes its values first and its validity last produces
+  /// the same column as the row-at-a-time appends would.
+  void SetValidity(std::vector<uint8_t> valid);
+
+  /// Appends all rows of `other` (same type required). Appending into an
+  /// empty column adopts `other`'s buffers copy-on-write (a refcount bump,
+  /// as for a snapshot); the first mutation on either side detaches.
   Status AppendColumn(const Column& other);
   /// Appends the selected rows of `other`.
   Status AppendColumnRows(const Column& other, const SelVector& sel);

@@ -57,6 +57,18 @@ Status Table::AppendTable(const Table& other) {
   if (other.num_columns() != num_columns()) {
     return Status::TypeMismatch("appending table with different arity");
   }
+  // Check every type before touching any column, so a mismatch leaves the
+  // table aligned. Into an empty table each column then adopts the
+  // source's buffers (Column::AppendColumn): a fan-out to many baskets
+  // costs O(#columns) refcount bumps per basket, not a copy per basket.
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    if (columns_[i].type() != other.columns_[i].type()) {
+      return Status::TypeMismatch(
+          std::string("append type mismatch in column ") + std::to_string(i) +
+          ": " + DataTypeName(other.columns_[i].type()) + " vs " +
+          DataTypeName(columns_[i].type()));
+    }
+  }
   for (size_t i = 0; i < columns_.size(); ++i) {
     RETURN_NOT_OK(columns_[i].AppendColumn(other.columns_[i]));
   }

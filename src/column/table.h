@@ -44,7 +44,9 @@ class Table {
   Status AppendRow(const Row& row);
   /// Appends all rows of `other`; schemas must be type-compatible
   /// (same column count and types; names are not required to match, as
-  /// operator outputs are matched positionally).
+  /// operator outputs are matched positionally). Into a table with no
+  /// rows this adopts `other`'s column buffers copy-on-write, like a
+  /// snapshot copy; either side's first mutation detaches.
   Status AppendTable(const Table& other);
   /// Appends the selected rows of `other`.
   Status AppendTableRows(const Table& other, const SelVector& sel);

@@ -132,12 +132,15 @@ Result<size_t> Basket::Append(const Table& tuples, Micros now) {
                                 " user columns, got " +
                                 std::to_string(tuples.num_columns()));
   }
+  // The user columns share the caller's buffers (AppendColumn into an
+  // empty column adopts them), so widening copies nothing but the stamp.
   Table widened(schema_);
   for (size_t c = 0; c < tuples.num_columns(); ++c) {
     RETURN_NOT_OK(widened.column(c).AppendColumn(tuples.column(c)));
   }
-  Column& ts = widened.column(widened.num_columns() - 1);
-  for (size_t i = 0; i < tuples.num_rows(); ++i) ts.AppendInt(now);
+  widened.column(widened.num_columns() - 1)
+      .ints()
+      .assign(tuples.num_rows(), now);
   return AppendAligned(widened, now);
 }
 

@@ -77,8 +77,12 @@ Result<Table> BasketExpression::EvaluateSnapshot(const Table& data,
     }
   }
 
-  // 3. Materialize the result before mutating the basket.
-  Table result = data.Take(selected);
+  // 3. Materialize the result before mutating the basket. A window that
+  // keeps every row in arrival order is the snapshot itself: share it
+  // instead of gathering a copy.
+  const bool whole = order_by_.empty() && !top_n_.has_value() &&
+                     selected.size() == data.num_rows();
+  Table result = whole ? data : data.Take(selected);
 
   // 4. Consumption side effect (indices refer to the snapshot; for the
   // row-targeted policies the lock held by Evaluate since the snapshot

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <optional>
+#include <type_traits>
 
 #include "ops/kernels.h"
 #include "util/logging.h"
@@ -12,6 +13,95 @@
 namespace datacell {
 
 namespace {
+
+// Checked int64 arithmetic, shared by constant folding and the vector
+// kernels: writes `a op b` to *out and returns false when the result is
+// SQL NULL — a zero divisor, or a result int64 cannot hold (+ - *
+// overflow, INT64_MIN / -1, INT64_MIN % -1). Never traps, never UB.
+template <BinaryOp kOp>
+inline bool CheckedInt(int64_t a, int64_t b, int64_t* out) {
+  if constexpr (kOp == BinaryOp::kAdd) {
+    return !__builtin_add_overflow(a, b, out);
+  } else if constexpr (kOp == BinaryOp::kSub) {
+    return !__builtin_sub_overflow(a, b, out);
+  } else if constexpr (kOp == BinaryOp::kMul) {
+    return !__builtin_mul_overflow(a, b, out);
+  } else {
+    const bool ok = b != 0 && !(b == -1 && a == INT64_MIN);
+    const int64_t d = ok ? b : 1;
+    *out = kOp == BinaryOp::kDiv ? a / d : a % d;
+    return ok;
+  }
+}
+
+// Unary minus and abs, checked the same way: only INT64_MIN has no
+// int64 result.
+bool NegateInt(int64_t x, int64_t* out) {
+  return CheckedInt<BinaryOp::kSub>(0, x, out);
+}
+
+bool AbsInt(int64_t x, int64_t* out) {
+  if (x >= 0) {
+    *out = x;
+    return true;
+  }
+  return NegateInt(x, out);
+}
+
+template <BinaryOp kOp>
+using OpTag = std::integral_constant<BinaryOp, kOp>;
+
+// Calls f(OpTag<op>{}) for a runtime arithmetic op, so each kernel loop is
+// instantiated per op with the switch outside it.
+template <typename F>
+Status WithArithOp(BinaryOp op, F&& f) {
+  switch (op) {
+    case BinaryOp::kAdd:
+      f(OpTag<BinaryOp::kAdd>{});
+      return Status::OK();
+    case BinaryOp::kSub:
+      f(OpTag<BinaryOp::kSub>{});
+      return Status::OK();
+    case BinaryOp::kMul:
+      f(OpTag<BinaryOp::kMul>{});
+      return Status::OK();
+    case BinaryOp::kDiv:
+      f(OpTag<BinaryOp::kDiv>{});
+      return Status::OK();
+    case BinaryOp::kMod:
+      f(OpTag<BinaryOp::kMod>{});
+      return Status::OK();
+    default:
+      return Status::Internal("not an arithmetic op");
+  }
+}
+
+// As WithArithOp, for the comparison ops.
+template <typename F>
+Status WithCompareOp(BinaryOp op, F&& f) {
+  switch (op) {
+    case BinaryOp::kEq:
+      f(OpTag<BinaryOp::kEq>{});
+      return Status::OK();
+    case BinaryOp::kNe:
+      f(OpTag<BinaryOp::kNe>{});
+      return Status::OK();
+    case BinaryOp::kLt:
+      f(OpTag<BinaryOp::kLt>{});
+      return Status::OK();
+    case BinaryOp::kLe:
+      f(OpTag<BinaryOp::kLe>{});
+      return Status::OK();
+    case BinaryOp::kGt:
+      f(OpTag<BinaryOp::kGt>{});
+      return Status::OK();
+    case BinaryOp::kGe:
+      f(OpTag<BinaryOp::kGe>{});
+      return Status::OK();
+    default:
+      return Status::Internal("not a comparison");
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Constant evaluation
@@ -26,23 +116,13 @@ Result<Value> ConstBinary(BinaryOp op, const Value& l, const Value& r) {
     case BinaryOp::kDiv:
     case BinaryOp::kMod: {
       if (l.is_int() && r.is_int()) {
-        int64_t a = l.int_value(), b = r.int_value();
-        switch (op) {
-          case BinaryOp::kAdd:
-            return Value(a + b);
-          case BinaryOp::kSub:
-            return Value(a - b);
-          case BinaryOp::kMul:
-            return Value(a * b);
-          case BinaryOp::kDiv:
-            if (b == 0) return Value::Null();
-            return Value(a / b);
-          case BinaryOp::kMod:
-            if (b == 0) return Value::Null();
-            return Value(a % b);
-          default:
-            break;
-        }
+        int64_t v = 0;
+        bool ok = false;
+        RETURN_NOT_OK(WithArithOp(op, [&](auto tag) {
+          constexpr BinaryOp kOp = decltype(tag)::value;
+          ok = CheckedInt<kOp>(l.int_value(), r.int_value(), &v);
+        }));
+        return ok ? Value(v) : Value::Null();
       }
       ASSIGN_OR_RETURN(double a, l.AsDouble());
       ASSIGN_OR_RETURN(double b, r.AsDouble());
@@ -136,7 +216,10 @@ Result<Value> EvalConst(const Expr& expr, const EvalContext& ctx) {
         if (!v.is_bool()) return Status::TypeMismatch("NOT on non-bool");
         return Value(!v.bool_value());
       }
-      if (v.is_int()) return Value(-v.int_value());
+      if (v.is_int()) {
+        int64_t neg = 0;
+        return NegateInt(v.int_value(), &neg) ? Value(neg) : Value::Null();
+      }
       if (v.is_double()) return Value(-v.double_value());
       return Status::TypeMismatch("unary minus on non-numeric");
     }
@@ -150,7 +233,8 @@ Result<Value> EvalConst(const Expr& expr, const EvalContext& ctx) {
       if (expr.func == "abs" && args.size() == 1) {
         if (args[0].is_null()) return Value::Null();
         if (args[0].is_int()) {
-          return Value(static_cast<int64_t>(std::llabs(args[0].int_value())));
+          int64_t abs = 0;
+          return AbsInt(args[0].int_value(), &abs) ? Value(abs) : Value::Null();
         }
         if (args[0].is_double()) return Value(std::fabs(args[0].double_value()));
         return Status::TypeMismatch("abs on non-numeric");
@@ -211,17 +295,27 @@ class Handle {
 Result<Handle> EvalRec(const Table& table, const Expr& expr,
                        const EvalContext& ctx);
 
-// Broadcasts a constant to an n-row column. Type is derived from the value;
-// integer constants become kInt64.
-Result<Column> Broadcast(const Value& v, size_t n) {
-  DataType t = DataType::kInt64;
-  if (v.is_double()) t = DataType::kDouble;
-  if (v.is_bool()) t = DataType::kBool;
-  if (v.is_string()) t = DataType::kString;
-  Column c(t);
-  for (size_t i = 0; i < n; ++i) {
-    RETURN_NOT_OK(c.AppendValue(v));
+// Broadcasts a constant to an n-row column in one fill. Type is derived
+// from the value; integer constants (and NULL) become kInt64.
+Column Broadcast(const Value& v, size_t n) {
+  if (v.is_double()) {
+    Column c(DataType::kDouble);
+    c.doubles().assign(n, v.double_value());
+    return c;
   }
+  if (v.is_bool()) {
+    Column c(DataType::kBool);
+    c.bools().assign(n, v.bool_value() ? 1 : 0);
+    return c;
+  }
+  if (v.is_string()) {
+    Column c(DataType::kString);
+    c.strings().assign(n, v.string_value());
+    return c;
+  }
+  Column c(DataType::kInt64);
+  c.ints().assign(n, v.is_int() ? v.int_value() : 0);
+  if (v.is_null()) c.SetValidity(std::vector<uint8_t>(n, 0));
   return c;
 }
 
@@ -232,9 +326,91 @@ inline double NumAt(const Column& c, size_t i) {
 }
 
 bool BothInt(const Column& a, const Column& b) {
-  return a.type() != DataType::kDouble && b.type() != DataType::kDouble &&
-         a.type() != DataType::kString && b.type() != DataType::kString &&
-         a.type() != DataType::kBool && b.type() != DataType::kBool;
+  return IsIntegerPhysical(a.type()) && IsIntegerPhysical(b.type());
+}
+
+// Validity bytes of a column's live rows, empty when it has no nulls.
+std::vector<uint8_t> ValidityOf(const Column& c) {
+  const uint8_t* v = c.raw_validity();
+  if (v == nullptr) return {};
+  return std::vector<uint8_t>(v, v + c.size());
+}
+
+// Validity of a binary kernel's output before the kernel's own NULLs: the
+// AND of both inputs' validity bytes, empty when neither has nulls.
+std::vector<uint8_t> AndValidity(const Column& l, const Column& r) {
+  const uint8_t* a = l.raw_validity();
+  const uint8_t* b = r.raw_validity();
+  if (a == nullptr) return ValidityOf(r);
+  if (b == nullptr) return ValidityOf(l);
+  const size_t n = l.size();
+  std::vector<uint8_t> v(n);
+  for (size_t i = 0; i < n; ++i) v[i] = a[i] & b[i];
+  return v;
+}
+
+// Marks the rows where `ok(i)` is false invalid, materializing the
+// validity on first use. Only runs once a kernel saw such a row.
+template <typename Ok>
+void ClearInvalidRows(size_t n, std::vector<uint8_t>* valid, Ok ok) {
+  if (valid->empty()) valid->assign(n, 1);
+  for (size_t i = 0; i < n; ++i) {
+    if (!ok(i)) (*valid)[i] = 0;
+  }
+}
+
+// Calls f(a, b) with the typed data of two numeric columns (int64 or
+// double each), so a kernel is instantiated per operand-type pairing.
+template <typename F>
+Status WithNumericPair(const Column& l, const Column& r, F&& f) {
+  const bool ld = l.type() == DataType::kDouble;
+  const bool rd = r.type() == DataType::kDouble;
+  if (ld && rd) return f(l.doubles().data(), r.doubles().data());
+  if (ld) return f(l.doubles().data(), r.ints().data());
+  if (rd) return f(l.ints().data(), r.doubles().data());
+  return f(l.ints().data(), r.ints().data());
+}
+
+// One int64 arithmetic kernel: values for every row (NULL rows included,
+// their slots are reset by SetValidity), then a second pass only when some
+// row overflowed or divided by zero.
+template <BinaryOp kOp>
+void IntArith(const int64_t* a, const int64_t* b, size_t n, int64_t* o,
+              std::vector<uint8_t>* valid) {
+  bool all_ok = true;
+  for (size_t i = 0; i < n; ++i) all_ok &= CheckedInt<kOp>(a[i], b[i], &o[i]);
+  if (all_ok) return;
+  ClearInvalidRows(n, valid, [&](size_t i) {
+    int64_t scratch = 0;
+    return CheckedInt<kOp>(a[i], b[i], &scratch);
+  });
+}
+
+// One double arithmetic kernel over any pairing of int64/double inputs.
+// A zero divisor yields NULL; the division itself runs on a divisor of 1
+// so no row ever divides by zero.
+template <BinaryOp kOp, typename A, typename B>
+void F64Arith(const A* a, const B* b, size_t n, double* o,
+              std::vector<uint8_t>* valid) {
+  bool zero = false;
+  for (size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(a[i]);
+    const double y = static_cast<double>(b[i]);
+    if constexpr (kOp == BinaryOp::kAdd) {
+      o[i] = x + y;
+    } else if constexpr (kOp == BinaryOp::kSub) {
+      o[i] = x - y;
+    } else if constexpr (kOp == BinaryOp::kMul) {
+      o[i] = x * y;
+    } else {
+      zero |= y == 0;
+      const double d = y == 0 ? 1.0 : y;
+      o[i] = kOp == BinaryOp::kDiv ? x / d : std::fmod(x, d);
+    }
+  }
+  if (!zero) return;
+  ClearInvalidRows(n, valid,
+                   [&](size_t i) { return static_cast<double>(b[i]) != 0; });
 }
 
 Result<Column> EvalArith(BinaryOp op, const Column& l, const Column& r) {
@@ -242,91 +418,32 @@ Result<Column> EvalArith(BinaryOp op, const Column& l, const Column& r) {
   if (!IsNumeric(l.type()) || !IsNumeric(r.type())) {
     return Status::TypeMismatch("arithmetic on non-numeric columns");
   }
-  const bool any_null = l.has_nulls() || r.has_nulls();
+  std::vector<uint8_t> valid = AndValidity(l, r);
   if (BothInt(l, r)) {
     DataType out_t = (l.type() == DataType::kTimestamp ||
                       r.type() == DataType::kTimestamp)
                          ? DataType::kTimestamp
                          : DataType::kInt64;
     Column out(out_t);
-    out.ints().reserve(n);
-    const auto& a = l.ints();
-    const auto& b = r.ints();
-    for (size_t i = 0; i < n; ++i) {
-      if (any_null && (!l.IsValid(i) || !r.IsValid(i))) {
-        out.AppendNull();
-        continue;
-      }
-      int64_t v = 0;
-      switch (op) {
-        case BinaryOp::kAdd:
-          v = a[i] + b[i];
-          break;
-        case BinaryOp::kSub:
-          v = a[i] - b[i];
-          break;
-        case BinaryOp::kMul:
-          v = a[i] * b[i];
-          break;
-        case BinaryOp::kDiv:
-          if (b[i] == 0) {
-            out.AppendNull();
-            continue;
-          }
-          v = a[i] / b[i];
-          break;
-        case BinaryOp::kMod:
-          if (b[i] == 0) {
-            out.AppendNull();
-            continue;
-          }
-          v = a[i] % b[i];
-          break;
-        default:
-          return Status::Internal("not an arithmetic op");
-      }
-      out.AppendInt(v);
-    }
+    std::vector<int64_t>& o = out.ints();
+    o.resize(n);
+    const int64_t* a = l.ints().data();
+    const int64_t* b = r.ints().data();
+    RETURN_NOT_OK(WithArithOp(op, [&](auto tag) {
+      IntArith<decltype(tag)::value>(a, b, n, o.data(), &valid);
+    }));
+    if (!valid.empty()) out.SetValidity(std::move(valid));
     return out;
   }
   Column out(DataType::kDouble);
-  out.doubles().reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (any_null && (!l.IsValid(i) || !r.IsValid(i))) {
-      out.AppendNull();
-      continue;
-    }
-    double a = NumAt(l, i), b = NumAt(r, i);
-    double v = 0;
-    switch (op) {
-      case BinaryOp::kAdd:
-        v = a + b;
-        break;
-      case BinaryOp::kSub:
-        v = a - b;
-        break;
-      case BinaryOp::kMul:
-        v = a * b;
-        break;
-      case BinaryOp::kDiv:
-        if (b == 0) {
-          out.AppendNull();
-          continue;
-        }
-        v = a / b;
-        break;
-      case BinaryOp::kMod:
-        if (b == 0) {
-          out.AppendNull();
-          continue;
-        }
-        v = std::fmod(a, b);
-        break;
-      default:
-        return Status::Internal("not an arithmetic op");
-    }
-    out.AppendDouble(v);
-  }
+  std::vector<double>& o = out.doubles();
+  o.resize(n);
+  RETURN_NOT_OK(WithNumericPair(l, r, [&](const auto* a, const auto* b) {
+    return WithArithOp(op, [&](auto tag) {
+      F64Arith<decltype(tag)::value>(a, b, n, o.data(), &valid);
+    });
+  }));
+  if (!valid.empty()) out.SetValidity(std::move(valid));
   return out;
 }
 
@@ -368,36 +485,143 @@ bool CmpMatches(BinaryOp op, int cmp) {
   }
 }
 
+// CmpMatches over CompareRow's numeric three-way result, written as the
+// predicate it reduces to: a NaN on either side compares "equal", exactly
+// as the row-at-a-time -1/0/+1 compare decides.
+template <BinaryOp kOp>
+inline bool NumMatches(double x, double y) {
+  if constexpr (kOp == BinaryOp::kEq) return !(x < y) && !(x > y);
+  if constexpr (kOp == BinaryOp::kNe) return x < y || x > y;
+  if constexpr (kOp == BinaryOp::kLt) return x < y;
+  if constexpr (kOp == BinaryOp::kLe) return !(x > y);
+  if constexpr (kOp == BinaryOp::kGt) return x > y;
+  return !(x < y);  // kGe
+}
+
+// Numeric compare kernel; int64 inputs compare through double, as
+// CompareRow does.
+template <BinaryOp kOp, typename A, typename B>
+void NumCompare(const A* a, const B* b, size_t n, uint8_t* o) {
+  for (size_t i = 0; i < n; ++i) {
+    o[i] = NumMatches<kOp>(static_cast<double>(a[i]),
+                           static_cast<double>(b[i]));
+  }
+}
+
 Result<Column> EvalCompare(BinaryOp op, const Column& l, const Column& r) {
   const size_t n = l.size();
-  Column out(DataType::kBool);
-  out.bools().reserve(n);
-  const bool any_null = l.has_nulls() || r.has_nulls();
-  for (size_t i = 0; i < n; ++i) {
-    if (any_null && (!l.IsValid(i) || !r.IsValid(i))) {
-      // SQL: comparison with NULL is unknown; we fold unknown to false.
-      out.AppendBool(false);
-      continue;
+  const std::vector<uint8_t> valid = AndValidity(l, r);
+  const bool ls = l.type() == DataType::kString;
+  const bool rs = r.type() == DataType::kString;
+  const bool lb = l.type() == DataType::kBool;
+  const bool rb = r.type() == DataType::kBool;
+  const bool compatible = ls == rs && (ls || lb == rb);
+  if (!compatible) {
+    // Incompatible types fail on the first row where both sides are
+    // non-NULL; a batch without one compares to all-false.
+    const bool any_row = valid.empty()
+                             ? n > 0
+                             : std::find(valid.begin(), valid.end(), 1) !=
+                                   valid.end();
+    if (any_row) {
+      return Status::TypeMismatch(ls || rs ? "comparing string with non-string"
+                                           : "comparing bool with non-bool");
     }
-    ASSIGN_OR_RETURN(int cmp, CompareRow(l, i, r, i));
-    out.AppendBool(CmpMatches(op, cmp));
+  }
+  Column out(DataType::kBool);
+  std::vector<uint8_t>& o = out.bools();
+  o.resize(n);
+  if (!compatible) {
+    // All rows NULL on one side: nothing matches.
+  } else if (ls) {
+    const auto a = l.strings();
+    const auto b = r.strings();
+    for (size_t i = 0; i < n; ++i) o[i] = CmpMatches(op, a[i].compare(b[i]));
+  } else if (lb) {
+    const uint8_t* a = l.bools().data();
+    const uint8_t* b = r.bools().data();
+    for (size_t i = 0; i < n; ++i) {
+      o[i] = CmpMatches(op, static_cast<int>(a[i]) - static_cast<int>(b[i]));
+    }
+  } else {
+    RETURN_NOT_OK(WithNumericPair(l, r, [&](const auto* a, const auto* b) {
+      return WithCompareOp(
+          op, [&](auto tag) {
+            NumCompare<decltype(tag)::value>(a, b, n, o.data());
+          });
+    }));
+  }
+  // SQL: comparison with NULL is unknown; we fold unknown to false.
+  if (!valid.empty()) {
+    for (size_t i = 0; i < n; ++i) o[i] &= valid[i];
   }
   return out;
+}
+
+// Bool column as 0/1 bytes with NULL rows read as false.
+std::vector<uint8_t> TruthOf(const Column& c) {
+  const size_t n = c.size();
+  const uint8_t* a = c.bools().data();
+  const uint8_t* v = c.raw_validity();
+  std::vector<uint8_t> t(n);
+  for (size_t i = 0; i < n; ++i) {
+    t[i] = static_cast<uint8_t>((a[i] != 0) & (v == nullptr || v[i] != 0));
+  }
+  return t;
 }
 
 Result<Column> EvalLogical(BinaryOp op, const Column& l, const Column& r) {
   if (l.type() != DataType::kBool || r.type() != DataType::kBool) {
     return Status::TypeMismatch("logical op on non-bool columns");
   }
+  // Null booleans participate as false.
+  const std::vector<uint8_t> a = TruthOf(l);
+  const std::vector<uint8_t> b = TruthOf(r);
   const size_t n = l.size();
   Column out(DataType::kBool);
-  out.bools().reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    // Null booleans participate as false.
-    bool a = l.IsValid(i) && l.bools()[i] != 0;
-    bool b = r.IsValid(i) && r.bools()[i] != 0;
-    out.AppendBool(op == BinaryOp::kAnd ? (a && b) : (a || b));
+  std::vector<uint8_t>& o = out.bools();
+  o.resize(n);
+  if (op == BinaryOp::kAnd) {
+    for (size_t i = 0; i < n; ++i) o[i] = a[i] & b[i];
+  } else {
+    for (size_t i = 0; i < n; ++i) o[i] = a[i] | b[i];
   }
+  return out;
+}
+
+// Unary int64 kernel: `f(x, &out)` returns false where the result is NULL
+// (it does not fit int64). NULL inputs stay NULL.
+template <typename F>
+Column IntUnary(const Column& c, F f) {
+  const size_t n = c.size();
+  Column out(c.type());
+  std::vector<int64_t>& o = out.ints();
+  o.resize(n);
+  const int64_t* a = c.ints().data();
+  std::vector<uint8_t> valid = ValidityOf(c);
+  bool all_ok = true;
+  for (size_t i = 0; i < n; ++i) all_ok &= f(a[i], &o[i]);
+  if (!all_ok) {
+    ClearInvalidRows(n, &valid, [&](size_t i) {
+      int64_t scratch = 0;
+      return f(a[i], &scratch);
+    });
+  }
+  if (!valid.empty()) out.SetValidity(std::move(valid));
+  return out;
+}
+
+// Unary double kernel; NULL inputs stay NULL.
+template <typename F>
+Column F64Unary(const Column& c, F f) {
+  const size_t n = c.size();
+  Column out(DataType::kDouble);
+  std::vector<double>& o = out.doubles();
+  o.resize(n);
+  const double* a = c.doubles().data();
+  for (size_t i = 0; i < n; ++i) o[i] = f(a[i]);
+  std::vector<uint8_t> valid = ValidityOf(c);
+  if (!valid.empty()) out.SetValidity(std::move(valid));
   return out;
 }
 
@@ -417,27 +641,9 @@ Result<Column> EvalCall(const Table& table, const Expr& expr,
   if (expr.func == "abs" && args.size() == 1) {
     Column& a = args[0];
     if (a.type() == DataType::kDouble) {
-      Column out(DataType::kDouble);
-      for (size_t i = 0; i < n; ++i) {
-        if (!a.IsValid(i)) {
-          out.AppendNull();
-        } else {
-          out.AppendDouble(std::fabs(a.doubles()[i]));
-        }
-      }
-      return out;
+      return F64Unary(a, [](double x) { return std::fabs(x); });
     }
-    if (IsIntegerPhysical(a.type())) {
-      Column out(a.type());
-      for (size_t i = 0; i < n; ++i) {
-        if (!a.IsValid(i)) {
-          out.AppendNull();
-        } else {
-          out.AppendInt(std::llabs(a.ints()[i]));
-        }
-      }
-      return out;
-    }
+    if (IsIntegerPhysical(a.type())) return IntUnary(a, AbsInt);
     return Status::TypeMismatch("abs on non-numeric column");
   }
   if (expr.func == "length" && args.size() == 1) {
@@ -445,13 +651,12 @@ Result<Column> EvalCall(const Table& table, const Expr& expr,
       return Status::TypeMismatch("length on non-string column");
     }
     Column out(DataType::kInt64);
-    for (size_t i = 0; i < n; ++i) {
-      if (!args[0].IsValid(i)) {
-        out.AppendNull();
-      } else {
-        out.AppendInt(static_cast<int64_t>(args[0].strings()[i].size()));
-      }
-    }
+    std::vector<int64_t>& o = out.ints();
+    o.resize(n);
+    const auto s = args[0].strings();
+    for (size_t i = 0; i < n; ++i) o[i] = static_cast<int64_t>(s[i].size());
+    std::vector<uint8_t> valid = ValidityOf(args[0]);
+    if (!valid.empty()) out.SetValidity(std::move(valid));
     return out;
   }
   if ((expr.func == "least" || expr.func == "greatest") && args.size() == 2) {
@@ -502,18 +707,15 @@ Result<Column> EvalCall(const Table& table, const Expr& expr,
 Result<Handle> EvalRec(const Table& table, const Expr& expr,
                        const EvalContext& ctx) {
   switch (expr.kind) {
-    case ExprKind::kLiteral: {
-      ASSIGN_OR_RETURN(Column c, Broadcast(expr.literal, table.num_rows()));
-      return Handle(std::move(c));
-    }
+    case ExprKind::kLiteral:
+      return Handle(Broadcast(expr.literal, table.num_rows()));
     case ExprKind::kColumnRef: {
       int idx = table.schema().FindField(expr.column);
       if (idx >= 0) return Handle(&table.column(static_cast<size_t>(idx)));
       if (ctx.variables != nullptr) {
         auto it = ctx.variables->find(expr.column);
         if (it != ctx.variables->end()) {
-          ASSIGN_OR_RETURN(Column c, Broadcast(it->second, table.num_rows()));
-          return Handle(std::move(c));
+          return Handle(Broadcast(it->second, table.num_rows()));
         }
       }
       return Status::BindError("unknown column '" + expr.column + "'");
@@ -550,43 +752,24 @@ Result<Handle> EvalRec(const Table& table, const Expr& expr,
     case ExprKind::kUnary: {
       ASSIGN_OR_RETURN(Handle v, EvalRec(table, *expr.children[0], ctx));
       const Column& c = v.get();
-      const size_t n = c.size();
       if (expr.uop == UnaryOp::kNot) {
         if (c.type() != DataType::kBool) {
           return Status::TypeMismatch("NOT on non-bool column");
         }
+        const size_t n = c.size();
         Column out(DataType::kBool);
-        for (size_t i = 0; i < n; ++i) {
-          if (!c.IsValid(i)) {
-            out.AppendNull();
-          } else {
-            out.AppendBool(c.bools()[i] == 0);
-          }
-        }
+        std::vector<uint8_t>& o = out.bools();
+        o.resize(n);
+        const uint8_t* a = c.bools().data();
+        for (size_t i = 0; i < n; ++i) o[i] = a[i] == 0;
+        std::vector<uint8_t> valid = ValidityOf(c);
+        if (!valid.empty()) out.SetValidity(std::move(valid));
         return Handle(std::move(out));
       }
       if (c.type() == DataType::kDouble) {
-        Column out(DataType::kDouble);
-        for (size_t i = 0; i < n; ++i) {
-          if (!c.IsValid(i)) {
-            out.AppendNull();
-          } else {
-            out.AppendDouble(-c.doubles()[i]);
-          }
-        }
-        return Handle(std::move(out));
+        return Handle(F64Unary(c, [](double x) { return -x; }));
       }
-      if (IsIntegerPhysical(c.type())) {
-        Column out(c.type());
-        for (size_t i = 0; i < n; ++i) {
-          if (!c.IsValid(i)) {
-            out.AppendNull();
-          } else {
-            out.AppendInt(-c.ints()[i]);
-          }
-        }
-        return Handle(std::move(out));
-      }
+      if (IsIntegerPhysical(c.type())) return Handle(IntUnary(c, NegateInt));
       return Status::TypeMismatch("unary minus on non-numeric column");
     }
     case ExprKind::kCall: {
@@ -596,10 +779,15 @@ Result<Handle> EvalRec(const Table& table, const Expr& expr,
     case ExprKind::kIsNull: {
       ASSIGN_OR_RETURN(Handle v, EvalRec(table, *expr.children[0], ctx));
       const Column& c = v.get();
+      const uint8_t* valid = c.raw_validity();
       Column out(DataType::kBool);
-      for (size_t i = 0; i < c.size(); ++i) {
-        bool isnull = !c.IsValid(i);
-        out.AppendBool(expr.negated ? !isnull : isnull);
+      // IS NOT NULL is the validity itself; IS NULL its complement.
+      std::vector<uint8_t>& o = out.bools();
+      o.assign(c.size(), expr.negated ? 1 : 0);
+      if (valid != nullptr) {
+        for (size_t i = 0; i < o.size(); ++i) {
+          o[i] = static_cast<uint8_t>((valid[i] != 0) == expr.negated);
+        }
       }
       return Handle(std::move(out));
     }

@@ -1,5 +1,7 @@
 #include "ops/aggregate.h"
 
+#include <cstdint>
+#include <type_traits>
 #include <unordered_map>
 
 #include "ops/kernels.h"
@@ -9,15 +11,6 @@
 namespace datacell::ops {
 
 namespace {
-
-// Accumulator for one (group, aggregate) pair.
-struct AggState {
-  int64_t count = 0;
-  int64_t isum = 0;
-  double dsum = 0;
-  Value min;
-  Value max;
-};
 
 // Encodes one row of the group-key columns into a byte string (same scheme
 // as the join; nulls are encoded explicitly so NULL groups exist).
@@ -95,6 +88,275 @@ void UpdateMinMax(const Column& col, uint32_t row, Value* min, Value* max) {
   MergeMinMax(col.GetValue(row), min, max);
 }
 
+// Group ids for a single int64/timestamp key: an open-addressing table
+// keyed by the raw int64 (linear probing, Fibonacci hash, kept at most
+// half full), with NULL as a group of its own. Ids are handed out in
+// first-seen order, exactly as the encoded-key map does. The table starts
+// at twice the row count, capped at 2^16 slots, so a batch of mostly
+// distinct keys never rehashes and a large batch of few keys stays small.
+void AssignIntGroups(const Column& key, uint32_t* row_group,
+                     std::vector<uint32_t>* group_rep) {
+  constexpr uint32_t kEmpty = UINT32_MAX;
+  const size_t n = key.size();
+  const int64_t* k = key.ints().data();
+  const uint8_t* valid = key.raw_validity();
+  int bits = 4;
+  while (bits < 16 && (size_t{1} << bits) < 2 * n) ++bits;
+  std::vector<int64_t> keys(size_t{1} << bits);
+  std::vector<uint32_t> gids(size_t{1} << bits, kEmpty);
+  auto home = [](int64_t v, int b) {
+    return static_cast<size_t>((static_cast<uint64_t>(v) * simd::kHashMul) >>
+                               (64 - b));
+  };
+  auto grow = [&] {
+    std::vector<int64_t> old_keys = std::move(keys);
+    std::vector<uint32_t> old_gids = std::move(gids);
+    ++bits;
+    keys.assign(size_t{1} << bits, 0);
+    gids.assign(size_t{1} << bits, kEmpty);
+    const size_t mask = gids.size() - 1;
+    for (size_t s = 0; s < old_gids.size(); ++s) {
+      if (old_gids[s] == kEmpty) continue;
+      size_t h = home(old_keys[s], bits);
+      while (gids[h] != kEmpty) h = (h + 1) & mask;
+      keys[h] = old_keys[s];
+      gids[h] = old_gids[s];
+    }
+  };
+  uint32_t next_gid = 0;
+  uint32_t null_gid = kEmpty;
+  size_t keyed = 0;  // non-NULL groups, i.e. occupied slots
+  for (uint32_t i = 0; i < n; ++i) {
+    if (valid != nullptr && valid[i] == 0) {
+      if (null_gid == kEmpty) {
+        null_gid = next_gid++;
+        group_rep->push_back(i);
+      }
+      row_group[i] = null_gid;
+      continue;
+    }
+    const int64_t v = k[i];
+    const size_t mask = gids.size() - 1;
+    for (size_t h = home(v, bits);; h = (h + 1) & mask) {
+      if (gids[h] == kEmpty) {
+        keys[h] = v;
+        gids[h] = next_gid;
+        row_group[i] = next_gid++;
+        group_rep->push_back(i);
+        if (++keyed * 2 > gids.size()) grow();
+        break;
+      }
+      if (keys[h] == v) {
+        row_group[i] = gids[h];
+        break;
+      }
+    }
+  }
+}
+
+// Group ids for any other key list: the encoded-key map.
+void AssignEncodedGroups(const std::vector<Column>& key_cols,
+                         uint32_t* row_group,
+                         std::vector<uint32_t>* group_rep) {
+  const size_t n = key_cols.empty() ? 0 : key_cols[0].size();
+  std::unordered_map<std::string, uint32_t> group_ids;
+  std::string buf;
+  for (uint32_t i = 0; i < n; ++i) {
+    EncodeGroupKey(key_cols, i, &buf);
+    auto [it, inserted] =
+        group_ids.emplace(buf, static_cast<uint32_t>(group_rep->size()));
+    if (inserted) group_rep->push_back(i);
+    row_group[i] = it->second;
+  }
+}
+
+// The per-group folds below are shared by every group-id scheme. Each
+// runs one typed loop over the rows and returns the finished output
+// column; NULL arguments are skipped, and a group that folded nothing
+// outputs NULL (counts output 0).
+
+// count(*) when `valid` is null, count(x) otherwise.
+Column CountGroups(const uint8_t* valid, const std::vector<uint32_t>& rg,
+                   size_t groups) {
+  Column out(DataType::kInt64);
+  std::vector<int64_t>& count = out.ints();
+  count.assign(groups, 0);
+  if (valid == nullptr) {
+    for (uint32_t g : rg) ++count[g];
+  } else {
+    for (size_t i = 0; i < rg.size(); ++i) count[rg[i]] += valid[i] != 0;
+  }
+  return out;
+}
+
+// Validity of a group fold's output: groups that folded a value.
+std::vector<uint8_t> Folded(const std::vector<int64_t>& count) {
+  std::vector<uint8_t> seen(count.size());
+  for (size_t g = 0; g < count.size(); ++g) seen[g] = count[g] > 0;
+  return seen;
+}
+
+// sum over int64: wraps mod 2^64 (through uint64, never signed-overflow
+// UB), like the global SIMD fold.
+Column SumIntGroups(const Column& arg, const std::vector<uint32_t>& rg,
+                   size_t groups) {
+  const int64_t* x = arg.ints().data();
+  const uint8_t* valid = arg.raw_validity();
+  std::vector<uint64_t> sum(groups, 0);
+  std::vector<int64_t> count(groups, 0);
+  for (size_t i = 0; i < rg.size(); ++i) {
+    const bool ok = valid == nullptr || valid[i] != 0;
+    sum[rg[i]] += ok ? static_cast<uint64_t>(x[i]) : 0;
+    count[rg[i]] += ok;
+  }
+  Column out(DataType::kInt64);
+  std::vector<int64_t>& o = out.ints();
+  o.resize(groups);
+  for (size_t g = 0; g < groups; ++g) o[g] = static_cast<int64_t>(sum[g]);
+  out.SetValidity(Folded(count));
+  return out;
+}
+
+// sum over double, or avg over either numeric type (the double running
+// sum of the values, divided by their count).
+template <typename T>
+Column SumF64Groups(const T* x, const uint8_t* valid,
+                    const std::vector<uint32_t>& rg, size_t groups,
+                    bool avg) {
+  Column out(DataType::kDouble);
+  std::vector<double>& sum = out.doubles();
+  sum.assign(groups, 0);
+  std::vector<int64_t> count(groups, 0);
+  for (size_t i = 0; i < rg.size(); ++i) {
+    if (valid != nullptr && valid[i] == 0) continue;
+    sum[rg[i]] += static_cast<double>(x[i]);
+    ++count[rg[i]];
+  }
+  if (avg) {
+    for (size_t g = 0; g < groups; ++g) {
+      if (count[g] > 0) sum[g] /= static_cast<double>(count[g]);
+    }
+  }
+  out.SetValidity(Folded(count));
+  return out;
+}
+
+// min/max in the argument's own type: int64 compares exactly, double by
+// `<` (a leading NaN sticks), strings lexicographically, false < true.
+template <typename T, typename View>
+Column MinMaxGroups(const Column& arg, View x, const std::vector<uint32_t>& rg,
+                    size_t groups, bool want_max) {
+  const uint8_t* valid = arg.raw_validity();
+  std::vector<T> best(groups);
+  std::vector<int64_t> count(groups, 0);
+  for (size_t i = 0; i < rg.size(); ++i) {
+    if (valid != nullptr && valid[i] == 0) continue;
+    const uint32_t g = rg[i];
+    if (count[g]++ == 0 || (want_max ? best[g] < x[i] : x[i] < best[g])) {
+      best[g] = x[i];
+    }
+  }
+  Column out(arg.type());
+  if constexpr (std::is_same_v<T, int64_t>) {
+    out.ints() = std::move(best);
+  } else if constexpr (std::is_same_v<T, double>) {
+    out.doubles() = std::move(best);
+  } else if constexpr (std::is_same_v<T, uint8_t>) {
+    out.bools() = std::move(best);
+  } else {
+    out.strings() = std::move(best);
+  }
+  out.SetValidity(Folded(count));
+  return out;
+}
+
+Result<Column> FoldGroups(const AggItem& item, const Column& arg,
+                          const std::vector<uint32_t>& rg, size_t groups) {
+  const bool want_max = item.func == AggFunc::kMax;
+  switch (item.func) {
+    case AggFunc::kCountStar:
+      return CountGroups(nullptr, rg, groups);
+    case AggFunc::kCount:
+      return CountGroups(arg.raw_validity(), rg, groups);
+    case AggFunc::kSum:
+    case AggFunc::kAvg: {
+      const bool avg = item.func == AggFunc::kAvg;
+      if (arg.type() == DataType::kDouble) {
+        return SumF64Groups(arg.doubles().data(), arg.raw_validity(), rg,
+                            groups, avg);
+      }
+      if (!avg) return SumIntGroups(arg, rg, groups);
+      return SumF64Groups(arg.ints().data(), arg.raw_validity(), rg, groups,
+                          /*avg=*/true);
+    }
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      switch (arg.type()) {
+        case DataType::kInt64:
+        case DataType::kTimestamp:
+          return MinMaxGroups<int64_t>(arg, arg.ints(), rg, groups, want_max);
+        case DataType::kDouble:
+          return MinMaxGroups<double>(arg, arg.doubles(), rg, groups, want_max);
+        case DataType::kBool:
+          return MinMaxGroups<uint8_t>(arg, arg.bools(), rg, groups, want_max);
+        case DataType::kString:
+          return MinMaxGroups<std::string>(arg, arg.strings(), rg, groups,
+                                           want_max);
+      }
+      break;
+  }
+  return Status::Internal("unreachable");
+}
+
+// One-row output (of type `out_t`) of a global aggregate over a numeric
+// argument, from the columnar fold kernel: morsel-gridded SIMD
+// count/sum/min/max with partials merged in morsel order (DESIGN.md §12).
+// Int avg derives from the exact integer sum.
+Column FoldGlobalNumeric(const AggItem& item, const Column& arg,
+                         DataType out_t) {
+  const simd::FoldState f = kern::FoldNumeric(arg);
+  const bool is_double = arg.type() == DataType::kDouble;
+  const int64_t count = static_cast<int64_t>(f.count);
+  const bool want_max = item.func == AggFunc::kMax;
+  Column out(out_t);
+  switch (item.func) {
+    case AggFunc::kCountStar:
+    case AggFunc::kCount:
+      out.AppendInt(count);
+      break;
+    case AggFunc::kSum:
+      if (count == 0) {
+        out.AppendNull();
+      } else if (is_double) {
+        out.AppendDouble(f.dsum);
+      } else {
+        out.AppendInt(static_cast<int64_t>(f.isum));
+      }
+      break;
+    case AggFunc::kAvg:
+      if (count == 0) {
+        out.AppendNull();
+      } else {
+        const double sum = is_double ? f.dsum
+                                     : static_cast<double>(
+                                           static_cast<int64_t>(f.isum));
+        out.AppendDouble(sum / static_cast<double>(count));
+      }
+      break;
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      if (!f.seen) {
+        out.AppendNull();
+      } else if (is_double) {
+        out.AppendDouble(want_max ? f.dmax : f.dmin);
+      } else {
+        out.AppendInt(want_max ? f.imax : f.imin);
+      }
+      break;
+  }
+  return out;
+}
+
 }  // namespace
 
 Result<AggFunc> AggFuncFromName(const std::string& name, bool star) {
@@ -137,143 +399,45 @@ Result<Table> Aggregate(const Table& table, const std::vector<GroupItem>& groups
     arg_cols.push_back(std::move(c));
   }
 
-  // Group id per input row; group 0..k-1 in first-seen order.
-  std::unordered_map<std::string, uint32_t> group_ids;
-  std::vector<uint32_t> row_group(n);
+  // Group id per input row; groups 0..k-1 in first-seen order. Only this
+  // step depends on the key: a single integer key probes an int64 table,
+  // any other key list the encoded-key map.
+  std::vector<uint32_t> row_group(n, 0);
   std::vector<uint32_t> group_rep;  // representative row per group
-  std::string buf;
-  if (groups.empty()) {
-    group_ids.emplace("", 0);
-    if (n > 0) group_rep.push_back(0);
-    for (size_t i = 0; i < n; ++i) row_group[i] = 0;
-  } else {
-    for (uint32_t i = 0; i < n; ++i) {
-      EncodeGroupKey(key_cols, i, &buf);
-      auto [it, inserted] =
-          group_ids.emplace(buf, static_cast<uint32_t>(group_rep.size()));
-      if (inserted) group_rep.push_back(i);
-      row_group[i] = it->second;
-    }
+  if (groups.size() == 1 && IsIntegerPhysical(key_cols[0].type())) {
+    AssignIntGroups(key_cols[0], row_group.data(), &group_rep);
+  } else if (!groups.empty()) {
+    AssignEncodedGroups(key_cols, row_group.data(), &group_rep);
   }
   const size_t num_groups = groups.empty() ? 1 : group_rep.size();
 
-  // Fold.
-  std::vector<std::vector<AggState>> states(
-      aggs.size(), std::vector<AggState>(num_groups));
+  // Output: group columns (the representative rows' keys), then one folded
+  // column per aggregate.
+  Schema out_schema;
+  std::vector<Column> out_cols;
+  out_cols.reserve(groups.size() + aggs.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    RETURN_NOT_OK(out_schema.AddField({groups[g].name, key_cols[g].type()}));
+    out_cols.push_back(key_cols[g].Take(group_rep));
+  }
   for (size_t a = 0; a < aggs.size(); ++a) {
     const AggItem& item = aggs[a];
     const Column& arg = arg_cols[a];
-    auto& st = states[a];
-    // Global (ungrouped) aggregates over numeric arguments go through the
-    // columnar fold kernel: morsel-gridded SIMD count/sum/min/max with
-    // partials merged in morsel order (DESIGN.md §12). Int min/max compare
-    // exactly here (the boxed path compares int64 as double); int avg
-    // derives from the exact integer sum.
-    if (groups.empty() && item.func == AggFunc::kCountStar) {
-      st[0].count = static_cast<int64_t>(n);
+    DataType arg_t =
+        item.func == AggFunc::kCountStar ? DataType::kInt64 : arg.type();
+    ASSIGN_OR_RETURN(DataType out_t, AggOutputType(item.func, arg_t));
+    RETURN_NOT_OK(out_schema.AddField({item.name, out_t}));
+    if (groups.empty() && item.func != AggFunc::kCountStar &&
+        IsNumeric(arg.type())) {
+      out_cols.push_back(FoldGlobalNumeric(item, arg, out_t));
       continue;
     }
-    if (groups.empty() && IsNumeric(arg.type())) {
-      const simd::FoldState f = kern::FoldNumeric(arg);
-      AggState& s = st[0];
-      s.count = static_cast<int64_t>(f.count);
-      if (arg.type() == DataType::kDouble) {
-        s.dsum = f.dsum;
-        if (f.seen) {
-          s.min = Value(f.dmin);
-          s.max = Value(f.dmax);
-        }
-      } else {
-        s.isum = static_cast<int64_t>(f.isum);
-        s.dsum = static_cast<double>(s.isum);
-        if (f.seen) {
-          s.min = Value(f.imin);
-          s.max = Value(f.imax);
-        }
-      }
-      continue;
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      AggState& s = st[row_group[i]];
-      if (item.func == AggFunc::kCountStar) {
-        ++s.count;
-        continue;
-      }
-      if (!arg.IsValid(i)) continue;
-      switch (item.func) {
-        case AggFunc::kCount:
-          ++s.count;
-          break;
-        case AggFunc::kSum:
-        case AggFunc::kAvg:
-          ++s.count;
-          if (arg.type() == DataType::kDouble) {
-            s.dsum += arg.doubles()[i];
-          } else {
-            s.isum += arg.ints()[i];
-            s.dsum += static_cast<double>(arg.ints()[i]);
-          }
-          break;
-        case AggFunc::kMin:
-        case AggFunc::kMax:
-          ++s.count;
-          UpdateMinMax(arg, i, &s.min, &s.max);
-          break;
-        case AggFunc::kCountStar:
-          break;
-      }
-    }
-  }
-
-  // Assemble output schema: group columns then aggregate columns.
-  Schema out_schema;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    RETURN_NOT_OK(out_schema.AddField({groups[g].name, key_cols[g].type()}));
-  }
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    DataType arg_t = aggs[a].func == AggFunc::kCountStar ? DataType::kInt64
-                                                         : arg_cols[a].type();
-    ASSIGN_OR_RETURN(DataType out_t, AggOutputType(aggs[a].func, arg_t));
-    RETURN_NOT_OK(out_schema.AddField({aggs[a].name, out_t}));
+    ASSIGN_OR_RETURN(Column c, FoldGroups(item, arg, row_group, num_groups));
+    out_cols.push_back(std::move(c));
   }
   Table out(out_schema);
-
-  for (size_t g = 0; g < num_groups; ++g) {
-    Row row;
-    row.reserve(groups.size() + aggs.size());
-    for (size_t k = 0; k < groups.size(); ++k) {
-      row.push_back(key_cols[k].GetValue(group_rep[g]));
-    }
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      const AggState& s = states[a][g];
-      switch (aggs[a].func) {
-        case AggFunc::kCountStar:
-        case AggFunc::kCount:
-          row.push_back(Value(s.count));
-          break;
-        case AggFunc::kSum:
-          if (s.count == 0) {
-            row.push_back(Value::Null());
-          } else if (arg_cols[a].type() == DataType::kDouble) {
-            row.push_back(Value(s.dsum));
-          } else {
-            row.push_back(Value(s.isum));
-          }
-          break;
-        case AggFunc::kAvg:
-          row.push_back(s.count == 0
-                            ? Value::Null()
-                            : Value(s.dsum / static_cast<double>(s.count)));
-          break;
-        case AggFunc::kMin:
-          row.push_back(s.min);
-          break;
-        case AggFunc::kMax:
-          row.push_back(s.max);
-          break;
-      }
-    }
-    RETURN_NOT_OK(out.AppendRow(row));
+  for (size_t c = 0; c < out_cols.size(); ++c) {
+    RETURN_NOT_OK(out.column(c).AppendColumn(out_cols[c]));
   }
   return out;
 }
@@ -302,7 +466,8 @@ Status RunningAggregate::Update(const Column& column) {
     } else {
       const int64_t batch = static_cast<int64_t>(f.isum);
       if (func_ == AggFunc::kSum || func_ == AggFunc::kAvg) {
-        isum_ += batch;
+        isum_ = static_cast<int64_t>(static_cast<uint64_t>(isum_) +
+                                     static_cast<uint64_t>(batch));
         sum_ += static_cast<double>(batch);
       } else if (func_ == AggFunc::kMin || func_ == AggFunc::kMax) {
         MergeMinMax(Value(f.imin), &min_, &max_);

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "expr/eval.h"
 #include "expr/expr.h"
 
@@ -332,6 +338,307 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, PredicateEquivalenceTest,
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5),
                        ::testing::Values(0, 10, 50, 99, 100)));
+
+
+// --- Bulk kernels against a row-at-a-time reference -------------------------
+
+constexpr int64_t kMin64 = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMax64 = std::numeric_limits<int64_t>::max();
+
+// One row of a binary arithmetic op, computed the slow way: exact 128-bit
+// integer arithmetic (NULL when the result leaves int64), IEEE doubles
+// otherwise; NULL operands and zero divisors give NULL.
+Value RefArith(BinaryOp op, const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return Value::Null();
+  if (a.is_int() && b.is_int()) {
+    const __int128 x = a.int_value(), y = b.int_value();
+    __int128 r = 0;
+    switch (op) {
+      case BinaryOp::kAdd: r = x + y; break;
+      case BinaryOp::kSub: r = x - y; break;
+      case BinaryOp::kMul: r = x * y; break;
+      case BinaryOp::kDiv:
+        if (y == 0) return Value::Null();
+        r = x / y;
+        break;
+      default:
+        if (y == 0 || (x == kMin64 && y == -1)) return Value::Null();
+        r = x % y;
+        break;
+    }
+    if (r < kMin64 || r > kMax64) return Value::Null();
+    return Value(static_cast<int64_t>(r));
+  }
+  const double x = *a.AsDouble(), y = *b.AsDouble();
+  switch (op) {
+    case BinaryOp::kAdd: return Value(x + y);
+    case BinaryOp::kSub: return Value(x - y);
+    case BinaryOp::kMul: return Value(x * y);
+    case BinaryOp::kDiv: return y == 0 ? Value::Null() : Value(x / y);
+    default: return y == 0 ? Value::Null() : Value(std::fmod(x, y));
+  }
+}
+
+// One row of a comparison: NULL folds to false; numbers compare as
+// doubles through a -1/0/+1 three-way compare, strings lexicographically.
+Value RefCompare(BinaryOp op, const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return Value(false);
+  int cmp = 0;
+  if (a.is_string()) {
+    cmp = a.string_value().compare(b.string_value());
+  } else {
+    const double x = *a.AsDouble(), y = *b.AsDouble();
+    cmp = x < y ? -1 : (x > y ? 1 : 0);
+  }
+  switch (op) {
+    case BinaryOp::kEq: return Value(cmp == 0);
+    case BinaryOp::kNe: return Value(cmp != 0);
+    case BinaryOp::kLt: return Value(cmp < 0);
+    case BinaryOp::kLe: return Value(cmp <= 0);
+    case BinaryOp::kGt: return Value(cmp > 0);
+    default: return Value(cmp >= 0);
+  }
+}
+
+// Columns are byte-identical: type, rows, validity bytes and every value
+// slot, including the zero placeholder under a NULL.
+void ExpectSameColumn(const Column& got, const Column& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.type(), want.type()) << what;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  ASSERT_EQ(got.has_nulls(), want.has_nulls()) << what;
+  const size_t n = got.size();
+  if (n == 0) return;
+  if (got.has_nulls()) {
+    EXPECT_EQ(std::memcmp(got.raw_validity(), want.raw_validity(), n), 0)
+        << what;
+  }
+  switch (got.type()) {
+    case DataType::kInt64:
+    case DataType::kTimestamp:
+      EXPECT_TRUE(got.ints() == want.ints()) << what;
+      break;
+    case DataType::kDouble:
+      EXPECT_EQ(std::memcmp(got.doubles().data(), want.doubles().data(),
+                            n * sizeof(double)),
+                0)
+          << what;
+      break;
+    case DataType::kBool:
+      EXPECT_TRUE(got.bools() == want.bools()) << what;
+      break;
+    case DataType::kString:
+      EXPECT_TRUE(got.strings() == want.strings()) << what;
+      break;
+  }
+}
+
+// int, int with NULLs, double, double with NULLs, timestamp; zeros,
+// negatives and the int64 edges included.
+Table KernelTable() {
+  Table t(Schema({{"i", DataType::kInt64},
+                  {"in", DataType::kInt64},
+                  {"d", DataType::kDouble},
+                  {"dn", DataType::kDouble},
+                  {"ts", DataType::kTimestamp},
+                  {"s", DataType::kString}}));
+  const std::vector<int64_t> ints = {0, 1, -1, 7, -13, 1000, kMax64, kMin64,
+                                     kMin64 + 1, 3037000500, 42, -2};
+  const std::vector<double> dbls = {0.0, 1.5, -2.25, 7.0, -0.0, 1e300,
+                                    -1e-300, 3.0, 0.5, 100.0, -7.5, 2.0};
+  const char* strs[] = {"a", "b", "", "abc", "b", "z", "a", "x", "y",
+                        "b", "ab", "c"};
+  for (size_t r = 0; r < ints.size(); ++r) {
+    const bool null_row = r % 3 == 1;
+    EXPECT_TRUE(t.AppendRow({Value(ints[r]),
+                             null_row ? Value::Null() : Value(ints[r] / 3),
+                             Value(dbls[r]),
+                             null_row ? Value::Null() : Value(dbls[r] * 2),
+                             Value(ints[r] / 1000), Value(strs[r])})
+                    .ok());
+  }
+  return t;
+}
+
+// Evaluates `op` over (lhs, rhs) with EvalScalar and compares it with the
+// reference applied to each row's operand values.
+void CheckAgainstReference(const Table& t, BinaryOp op, const ExprPtr& lhs,
+                           const ExprPtr& rhs) {
+  EvalContext ctx;
+  const ExprPtr e = Expr::Bin(op, lhs, rhs);
+  const std::string what = e->ToString();
+  auto got = EvalScalar(t, *e, ctx);
+  ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+  auto l = EvalScalar(t, *lhs, ctx);
+  auto r = EvalScalar(t, *rhs, ctx);
+  ASSERT_TRUE(l.ok() && r.ok()) << what;
+  const bool cmp = op >= BinaryOp::kEq && op <= BinaryOp::kGe;
+  Column want(got->type());
+  for (size_t i = 0; i < t.num_rows(); ++i) {
+    const Value a = l->GetValue(i), b = r->GetValue(i);
+    const Value v = cmp ? RefCompare(op, a, b) : RefArith(op, a, b);
+    ASSERT_TRUE(want.AppendValue(v).ok()) << what;
+  }
+  ExpectSameColumn(*got, want, what);
+}
+
+TEST(BulkKernelTest, ArithmeticMatchesRowAtATimeReference) {
+  const Table t = KernelTable();
+  const std::vector<ExprPtr> cols = {Expr::Col("i"), Expr::Col("in"),
+                                     Expr::Col("d"), Expr::Col("dn"),
+                                     Expr::Col("ts")};
+  const std::vector<ExprPtr> lits = {Expr::Lit(3),         Expr::Lit(0),
+                                     Expr::Lit(-1),        Expr::Lit(kMax64),
+                                     Expr::Lit(2.5),       Expr::Lit(0.0),
+                                     Expr::Lit(Value::Null())};
+  for (BinaryOp op : {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul,
+                      BinaryOp::kDiv, BinaryOp::kMod}) {
+    for (const ExprPtr& c : cols) {
+      for (const ExprPtr& k : lits) {
+        CheckAgainstReference(t, op, c, k);  // literal on the right
+        CheckAgainstReference(t, op, k, c);  // literal on the left
+      }
+      for (const ExprPtr& c2 : cols) CheckAgainstReference(t, op, c, c2);
+    }
+  }
+}
+
+TEST(BulkKernelTest, ComparisonMatchesRowAtATimeReference) {
+  const Table t = KernelTable();
+  const std::vector<ExprPtr> cols = {Expr::Col("i"), Expr::Col("in"),
+                                     Expr::Col("d"), Expr::Col("dn"),
+                                     Expr::Col("ts")};
+  const std::vector<ExprPtr> lits = {Expr::Lit(7), Expr::Lit(0),
+                                     Expr::Lit(kMin64), Expr::Lit(1.5),
+                                     Expr::Lit(-0.0), Expr::Lit(Value::Null())};
+  for (BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                      BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe}) {
+    for (const ExprPtr& c : cols) {
+      for (const ExprPtr& k : lits) {
+        CheckAgainstReference(t, op, c, k);
+        CheckAgainstReference(t, op, k, c);
+      }
+      for (const ExprPtr& c2 : cols) CheckAgainstReference(t, op, c, c2);
+    }
+    CheckAgainstReference(t, op, Expr::Col("s"), Expr::Lit("b"));
+    CheckAgainstReference(t, op, Expr::Lit("b"), Expr::Col("s"));
+  }
+}
+
+// A NaN compares "equal" to everything, as the -1/0/+1 row compare said.
+TEST(BulkKernelTest, NaNComparesAsTheThreeWayCompareDid) {
+  Table t(Schema({{"d", DataType::kDouble}, {"i", DataType::kInt64}}));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(t.AppendRow({Value(nan), Value(1)}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(1.0), Value(2)}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(-nan), Value::Null()}).ok());
+  for (BinaryOp op : {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                      BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe}) {
+    CheckAgainstReference(t, op, Expr::Col("d"), Expr::Lit(1.0));
+    CheckAgainstReference(t, op, Expr::Lit(nan), Expr::Col("i"));
+    CheckAgainstReference(t, op, Expr::Col("d"), Expr::Col("i"));
+  }
+}
+
+TEST(BulkKernelTest, ComparingIncompatibleTypesFailsOnlyOnARealRow) {
+  EvalContext ctx;
+  const ExprPtr e = Expr::Bin(BinaryOp::kEq, Expr::Col("s"), Expr::Lit(1));
+  EXPECT_EQ(EvalScalar(KernelTable(), *e, ctx).status().code(),
+            StatusCode::kTypeMismatch);
+  // No row with both sides non-NULL: nothing to compare, all false.
+  Table empty(KernelTable().schema());
+  auto r = EvalScalar(empty, *e, ctx);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->size(), 0u);
+  const ExprPtr null_rhs =
+      Expr::Bin(BinaryOp::kEq, Expr::Col("s"), Expr::Lit(Value::Null()));
+  r = EvalScalar(KernelTable(), *null_rhs, ctx);
+  ASSERT_TRUE(r.ok());
+  for (size_t i = 0; i < r->size(); ++i) EXPECT_EQ(r->bools()[i], 0);
+}
+
+TEST(BulkKernelTest, BroadcastLiteralIsOneTypedColumn) {
+  const Table t = KernelTable();
+  EvalContext ctx;
+  auto c = EvalScalar(t, *Expr::Lit(5), ctx);
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(c->type(), DataType::kInt64);
+  EXPECT_TRUE(c->ints() == std::vector<int64_t>(t.num_rows(), 5));
+  EXPECT_FALSE(c->has_nulls());
+  c = EvalScalar(t, *Expr::Lit(Value::Null()), ctx);
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(c->has_nulls());
+  for (size_t i = 0; i < c->size(); ++i) EXPECT_FALSE(c->IsValid(i));
+  c = EvalScalar(t, *Expr::Lit("q"), ctx);
+  ASSERT_TRUE(c.ok());
+  EXPECT_TRUE(c->strings() == std::vector<std::string>(t.num_rows(), "q"));
+}
+
+// --- Integer overflow -------------------------------------------------------
+
+TEST(EvalConstTest, IntegerOverflowIsNull) {
+  EvalContext ctx;
+  auto eval = [&](BinaryOp op, int64_t a, int64_t b) {
+    return *EvalConst(*Expr::Bin(op, Expr::Lit(a), Expr::Lit(b)), ctx);
+  };
+  EXPECT_TRUE(eval(BinaryOp::kAdd, kMax64, 1).is_null());
+  EXPECT_TRUE(eval(BinaryOp::kSub, kMin64, 1).is_null());
+  EXPECT_TRUE(eval(BinaryOp::kMul, kMax64, 2).is_null());
+  EXPECT_TRUE(eval(BinaryOp::kDiv, kMin64, -1).is_null());
+  EXPECT_TRUE(eval(BinaryOp::kMod, kMin64, -1).is_null());
+  EXPECT_EQ(eval(BinaryOp::kAdd, kMax64, -1), Value(kMax64 - 1));
+  EXPECT_EQ(eval(BinaryOp::kDiv, kMin64, 1), Value(kMin64));
+  EXPECT_EQ(eval(BinaryOp::kMod, kMin64, 2), Value(int64_t{0}));
+  auto neg = EvalConst(*Expr::Un(UnaryOp::kNeg, Expr::Lit(kMin64)), ctx);
+  EXPECT_TRUE(neg->is_null());
+  auto abs = EvalConst(*Expr::Call("abs", {Expr::Lit(kMin64)}), ctx);
+  EXPECT_TRUE(abs->is_null());
+}
+
+// The vector kernels and constant folding agree row by row on every
+// overflowing and non-overflowing int64 case.
+TEST(BulkKernelTest, OverflowMatchesConstantFolding) {
+  const Table t = KernelTable();
+  EvalContext ctx;
+  const std::vector<int64_t> ks = {1, -1, 2, 0, kMax64, kMin64, 3037000500};
+  for (BinaryOp op : {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul,
+                      BinaryOp::kDiv, BinaryOp::kMod}) {
+    for (int64_t k : ks) {
+      for (bool lit_left : {false, true}) {
+        const ExprPtr col = Expr::Col("i");
+        const ExprPtr lit = Expr::Lit(k);
+        const ExprPtr e =
+            lit_left ? Expr::Bin(op, lit, col) : Expr::Bin(op, col, lit);
+        auto got = EvalScalar(t, *e, ctx);
+        ASSERT_TRUE(got.ok()) << e->ToString();
+        for (size_t i = 0; i < t.num_rows(); ++i) {
+          const ExprPtr a = Expr::Lit(t.column(0).ints()[i]);
+          const ExprPtr folded_expr =
+              lit_left ? Expr::Bin(op, lit, a) : Expr::Bin(op, a, lit);
+          auto folded = EvalConst(*folded_expr, ctx);
+          ASSERT_TRUE(folded.ok());
+          EXPECT_EQ(got->GetValue(i), *folded)
+              << folded_expr->ToString() << " row " << i;
+        }
+      }
+    }
+  }
+  // Unary minus and abs: INT64_MIN has no int64 negation.
+  for (const ExprPtr& e :
+       {Expr::Un(UnaryOp::kNeg, Expr::Col("i")),
+        Expr::Call("abs", {Expr::Col("i")})}) {
+    auto got = EvalScalar(t, *e, ctx);
+    ASSERT_TRUE(got.ok());
+    for (size_t i = 0; i < t.num_rows(); ++i) {
+      const ExprPtr folded_expr =
+          e->kind == ExprKind::kUnary
+              ? Expr::Un(UnaryOp::kNeg, Expr::Lit(t.column(0).ints()[i]))
+              : Expr::Call("abs", {Expr::Lit(t.column(0).ints()[i])});
+      EXPECT_EQ(got->GetValue(i), *EvalConst(*folded_expr, ctx))
+          << folded_expr->ToString();
+    }
+  }
+}
 
 }  // namespace
 }  // namespace datacell

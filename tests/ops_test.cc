@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <thread>
 
 #include "ops/aggregate.h"
@@ -460,6 +462,165 @@ TEST(AggregateTest, NullGroupKeysFormAGroup) {
   // First-seen order: the NULL group first with sum 4.
   EXPECT_TRUE(out->GetRow(0)[0].is_null());
   EXPECT_EQ(out->GetRow(0)[1], Value(int64_t{4}));
+}
+
+// --- Integer-key group ids vs the encoded-key map ----------------------------
+
+// Grouping on `k` alone takes the int64 group-id table; grouping on `k`
+// plus a constant takes the encoded-key map over the same rows. Every
+// output column but the constant must be byte-identical.
+void ExpectIntKeyMatchesEncodedKey(const Table& t,
+                                   const std::vector<AggItem>& aggs) {
+  EvalContext ctx;
+  auto fast = ops::Aggregate(t, {{Expr::Col("k"), "k"}}, aggs, ctx);
+  auto slow = ops::Aggregate(
+      t, {{Expr::Col("k"), "k"}, {Expr::Lit(1), "one"}}, aggs, ctx);
+  ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+  ASSERT_TRUE(slow.ok()) << slow.status().ToString();
+  ASSERT_EQ(fast->num_rows(), slow->num_rows());
+  ASSERT_EQ(fast->num_columns() + 1, slow->num_columns());
+  for (size_t c = 0; c < fast->num_columns(); ++c) {
+    const Column& f = fast->column(c);
+    const Column& s = slow->column(c == 0 ? 0 : c + 1);
+    ASSERT_EQ(f.type(), s.type()) << "column " << c;
+    ASSERT_EQ(f.has_nulls(), s.has_nulls()) << "column " << c;
+    for (size_t r = 0; r < f.size(); ++r) {
+      EXPECT_EQ(f.GetValue(r), s.GetValue(r)) << "column " << c << " row " << r;
+    }
+    if (f.type() == DataType::kDouble && f.size() > 0) {
+      EXPECT_EQ(std::memcmp(f.doubles().data(), s.doubles().data(),
+                            f.size() * sizeof(double)),
+                0);
+    }
+  }
+}
+
+std::vector<AggItem> AllAggs() {
+  return {{AggFunc::kCountStar, nullptr, "n"},
+          {AggFunc::kCount, Expr::Col("v"), "c"},
+          {AggFunc::kSum, Expr::Col("v"), "s"},
+          {AggFunc::kAvg, Expr::Col("v"), "a"},
+          {AggFunc::kMin, Expr::Col("v"), "lo"},
+          {AggFunc::kMax, Expr::Col("v"), "hi"},
+          {AggFunc::kSum, Expr::Col("d"), "sd"},
+          {AggFunc::kMin, Expr::Col("d"), "lod"},
+          {AggFunc::kMax, Expr::Col("name"), "hin"}};
+}
+
+Table KeyedRows(DataType key_type, size_t n, uint64_t seed) {
+  Table t(Schema({{"k", key_type},
+                  {"v", DataType::kInt64},
+                  {"d", DataType::kDouble},
+                  {"name", DataType::kString}}));
+  Random rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    // Keys spread over a few thousand values (negative ones and the int64
+    // edges too) so the table grows and probes collide; ~1 in 9 keys and
+    // ~1 in 7 arguments NULL.
+    Value k = Value(static_cast<int64_t>(rng.Uniform(5000)) - 2500);
+    if (i % 9 == 4) k = Value::Null();
+    if (i % 101 == 3) k = Value(std::numeric_limits<int64_t>::min());
+    if (i % 103 == 5) k = Value(std::numeric_limits<int64_t>::max());
+    const Value v =
+        i % 7 == 2 ? Value::Null()
+                   : Value(static_cast<int64_t>(rng.Uniform(1000)) - 500);
+    EXPECT_TRUE(t.AppendRow({k, v, Value(static_cast<double>(i % 13) * 0.25),
+                             Value("n" + std::to_string(i % 17))})
+                    .ok());
+  }
+  return t;
+}
+
+TEST(IntKeyGroupByTest, MatchesEncodedKeyPath) {
+  for (DataType kt : {DataType::kInt64, DataType::kTimestamp}) {
+    ExpectIntKeyMatchesEncodedKey(KeyedRows(kt, 20000, 11), AllAggs());
+  }
+}
+
+// More distinct keys than the table's initial 2^16 slots hold at half
+// load: the table grows (twice) mid-batch and keeps every id.
+TEST(IntKeyGroupByTest, ManyDistinctKeysGrowTheTable) {
+  Table t(Schema({{"k", DataType::kInt64},
+                  {"v", DataType::kInt64},
+                  {"d", DataType::kDouble},
+                  {"name", DataType::kString}}));
+  for (int64_t i = 0; i < 70000; ++i) {
+    // Strided keys with repeats, so later rows hit groups made before a
+    // grow.
+    const int64_t k = (i % 50000) * 7919 - 123456789;
+    ASSERT_TRUE(
+        t.AppendRow({Value(k), Value(i), Value(0.5), Value("x")}).ok());
+  }
+  ExpectIntKeyMatchesEncodedKey(t, AllAggs());
+}
+
+TEST(IntKeyGroupByTest, EmptyInput) {
+  ExpectIntKeyMatchesEncodedKey(KeyedRows(DataType::kInt64, 0, 1), AllAggs());
+  EvalContext ctx;
+  auto out = ops::Aggregate(KeyedRows(DataType::kInt64, 0, 1),
+                            {{Expr::Col("k"), "k"}}, AllAggs(), ctx);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->num_rows(), 0u);
+  EXPECT_EQ(out->num_columns(), 1 + AllAggs().size());
+}
+
+TEST(IntKeyGroupByTest, FirstSeenOrderNullGroupAndNullArguments) {
+  Table t(Schema({{"k", DataType::kInt64},
+                  {"v", DataType::kInt64},
+                  {"d", DataType::kDouble},
+                  {"name", DataType::kString}}));
+  const std::vector<Row> rows = {
+      {Value(30), Value(1), Value(0.5), Value("b")},
+      {Value::Null(), Value(2), Value(1.5), Value("a")},
+      {Value(-4), Value::Null(), Value::Null(), Value::Null()},
+      {Value(30), Value(4), Value(2.5), Value("c")},
+      {Value::Null(), Value::Null(), Value(3.5), Value("z")},
+      {Value(7), Value(8), Value(4.5), Value("a")}};
+  for (const Row& r : rows) ASSERT_TRUE(t.AppendRow(r).ok());
+  ExpectIntKeyMatchesEncodedKey(t, AllAggs());
+
+  EvalContext ctx;
+  auto out = ops::Aggregate(t, {{Expr::Col("k"), "k"}}, AllAggs(), ctx);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->num_rows(), 4u);
+  // Keys in first-seen order, the NULL key a group of its own.
+  EXPECT_EQ(out->GetRow(0)[0], Value(30));
+  EXPECT_TRUE(out->GetRow(1)[0].is_null());
+  EXPECT_EQ(out->GetRow(2)[0], Value(-4));
+  EXPECT_EQ(out->GetRow(3)[0], Value(7));
+  // Group 30: count(*) 2, count(v) 2, sum 5, avg 2.5, min 1, max 4.
+  const Row g30 = out->GetRow(0);
+  EXPECT_EQ(g30[1], Value(int64_t{2}));
+  EXPECT_EQ(g30[2], Value(int64_t{2}));
+  EXPECT_EQ(g30[3], Value(int64_t{5}));
+  EXPECT_EQ(g30[4], Value(2.5));
+  EXPECT_EQ(g30[5], Value(int64_t{1}));
+  EXPECT_EQ(g30[6], Value(int64_t{4}));
+  EXPECT_EQ(g30[9], Value("c"));
+  // NULL group: the NULL argument is skipped.
+  const Row gnull = out->GetRow(1);
+  EXPECT_EQ(gnull[1], Value(int64_t{2}));
+  EXPECT_EQ(gnull[2], Value(int64_t{1}));
+  EXPECT_EQ(gnull[3], Value(int64_t{2}));
+  EXPECT_EQ(gnull[7], Value(5.0));
+  // Group -4 folded only NULL arguments: count 0, everything else NULL.
+  const Row gm4 = out->GetRow(2);
+  EXPECT_EQ(gm4[1], Value(int64_t{1}));
+  EXPECT_EQ(gm4[2], Value(int64_t{0}));
+  for (size_t c = 3; c < gm4.size(); ++c) EXPECT_TRUE(gm4[c].is_null()) << c;
+}
+
+TEST(IntKeyGroupByTest, IntegerSumWrapsInsteadOfOverflowing) {
+  Table t(Schema({{"k", DataType::kInt64}, {"v", DataType::kInt64}}));
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  ASSERT_TRUE(t.AppendRow({Value(1), Value(max)}).ok());
+  ASSERT_TRUE(t.AppendRow({Value(1), Value(2)}).ok());
+  EvalContext ctx;
+  auto out = ops::Aggregate(t, {{Expr::Col("k"), "k"}},
+                            {{AggFunc::kSum, Expr::Col("v"), "s"}}, ctx);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->GetRow(0)[1],
+            Value(std::numeric_limits<int64_t>::min() + 1));
 }
 
 TEST(DeleteTest, DeleteWhere) {

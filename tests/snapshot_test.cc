@@ -6,13 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "column/column.h"
 #include "column/table.h"
 #include "core/basket.h"
 #include "core/basket_expression.h"
+#include "storage/pager.h"
 
 namespace datacell {
 namespace {
@@ -322,6 +327,185 @@ TEST(BasketSnapshotTest, TopNBatchDoesNotConsumeUnderfilledWindow) {
   EXPECT_EQ(full->num_rows(), 5u);
   EXPECT_EQ(full->column(0).ints()[0], 6);
   EXPECT_EQ(b->size(), 0u);
+}
+
+
+// --- Zero-copy fan-out: appends into an empty table adopt the buffers ------
+
+Table MixedBatch(int64_t first, size_t n) {
+  Table t(Schema({{"v", DataType::kInt64}, {"s", DataType::kString}}));
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t v = first + static_cast<int64_t>(i);
+    EXPECT_TRUE(t.AppendRow({i % 4 == 3 ? Value::Null() : Value(v),
+                             Value("s" + std::to_string(v))})
+                    .ok());
+  }
+  return t;
+}
+
+bool SharesAllColumns(const Table& a, const Table& b) {
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    if (!a.column(c).SharesStorageWith(b.column(c))) return false;
+  }
+  return true;
+}
+
+std::vector<Row> Rows(const Table& t) {
+  std::vector<Row> rows;
+  for (size_t i = 0; i < t.num_rows(); ++i) rows.push_back(t.GetRow(i));
+  return rows;
+}
+
+TEST(AdoptTest, AppendIntoEmptyTableSharesUntilEitherSideMutates) {
+  Table src = MixedBatch(0, 10);
+  const std::vector<Row> before = Rows(src);
+
+  // A second append detaches the destination; the source is unchanged.
+  Table dst(src.schema());
+  ASSERT_TRUE(dst.AppendTable(src).ok());
+  EXPECT_TRUE(SharesAllColumns(dst, src));
+  ASSERT_TRUE(dst.AppendTable(src).ok());
+  EXPECT_FALSE(dst.column(0).SharesStorageWith(src.column(0)));
+  EXPECT_EQ(dst.num_rows(), 20u);
+  EXPECT_EQ(Rows(src), before);
+
+  // An erase on the adopting side detaches it.
+  Table erased(src.schema());
+  ASSERT_TRUE(erased.AppendTable(src).ok());
+  ASSERT_TRUE(erased.EraseRows({1, 4}).ok());
+  EXPECT_FALSE(erased.column(1).SharesStorageWith(src.column(1)));
+  EXPECT_EQ(erased.num_rows(), 8u);
+  EXPECT_EQ(Rows(src), before);
+
+  // Mutating the source leaves every adopter as it was.
+  Table kept(src.schema());
+  ASSERT_TRUE(kept.AppendTable(src).ok());
+  ASSERT_TRUE(src.AppendRow({Value(99), Value("late")}).ok());
+  ASSERT_TRUE(src.EraseRows({0, 2}).ok());
+  EXPECT_FALSE(kept.column(0).SharesStorageWith(src.column(0)));
+  EXPECT_EQ(Rows(kept), before);
+}
+
+TEST(AdoptTest, AdoptedHeadOffsetShowsLiveRowsOnly) {
+  Column src = IntColumn(0, 100);
+  src.ErasePrefix(30);
+  Column dst(DataType::kInt64);
+  ASSERT_TRUE(dst.AppendColumn(src).ok());
+  EXPECT_TRUE(dst.SharesStorageWith(src));
+  ASSERT_EQ(dst.size(), 70u);
+  EXPECT_EQ(dst.ints()[0], 30);
+  // A mismatched type neither adopts nor appends.
+  Column dbl(DataType::kDouble);
+  EXPECT_FALSE(dbl.AppendColumn(src).ok());
+  EXPECT_TRUE(dbl.empty());
+}
+
+TEST(AdoptTest, TypeMismatchLeavesTableAligned) {
+  Table dst(Schema({{"v", DataType::kInt64}, {"s", DataType::kInt64}}));
+  EXPECT_FALSE(dst.AppendTable(MixedBatch(0, 3)).ok());
+  EXPECT_EQ(dst.column(0).size(), 0u);
+  EXPECT_EQ(dst.column(1).size(), 0u);
+}
+
+TEST(AdoptTest, FanOutToBasketsSharesOneBufferUntilEachMutates) {
+  const Table batch = MixedBatch(0, 8);
+  const std::vector<Row> before = Rows(batch);
+  const Schema schema = batch.schema();
+  auto a = std::make_shared<core::Basket>("a", schema, false);
+  auto b = std::make_shared<core::Basket>("b", schema, false);
+  auto c = std::make_shared<core::Basket>("c", schema, false);
+  for (const auto& basket : {a, b, c}) {
+    ASSERT_TRUE(basket->AppendAligned(batch, 0).ok());
+    EXPECT_TRUE(SharesAllColumns(basket->Peek(), batch));
+  }
+  ASSERT_TRUE(a->AppendAligned(MixedBatch(100, 2), 0).ok());
+  ASSERT_TRUE(b->EraseRows({0, 5}).ok());
+  c->Clear();
+  EXPECT_EQ(a->size(), 10u);
+  EXPECT_EQ(b->size(), 6u);
+  EXPECT_EQ(c->size(), 0u);
+  EXPECT_EQ(Rows(batch), before);
+  const Table a_rows = a->Peek();
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(a_rows.GetRow(i), before[i]);
+  }
+  EXPECT_EQ(b->Peek().GetRow(0), before[1]);
+}
+
+TEST(AdoptTest, ArrivalStampedAppendSharesUserColumns) {
+  const Table batch = MixedBatch(0, 5);
+  core::Basket basket("s", batch.schema(), /*add_arrival_ts=*/true);
+  ASSERT_TRUE(basket.Append(batch, 1234).ok());
+  const Table snap = basket.Peek();
+  ASSERT_EQ(snap.num_columns(), 3u);
+  EXPECT_TRUE(snap.column(0).SharesStorageWith(batch.column(0)));
+  EXPECT_TRUE(snap.column(1).SharesStorageWith(batch.column(1)));
+  EXPECT_TRUE(snap.column(2).ints() == std::vector<int64_t>(5, 1234));
+}
+
+TEST(AdoptTest, SpillAttachedBasketFaultsBackAdoptedRows) {
+  const std::string path =
+      ::testing::TempDir() + "adopt_spill_" + std::to_string(::getpid());
+  auto pager = storage::Pager::Open(path);
+  ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+  storage::BufferPool pool(std::move(*pager), 8);
+  core::Basket basket("spill", Schema({{"v", DataType::kInt64}}), false);
+  basket.SetCapacity(100, 50);
+  basket.AttachSpill(&pool);
+
+  std::vector<Table> batches;
+  for (int64_t first = 0; first < 300; first += 60) {
+    batches.push_back(OneColBatch(first, 60));
+    ASSERT_TRUE(basket.AppendAligned(batches.back(), 0).ok());
+  }
+  EXPECT_GT(basket.spilled_rows(), 0u);
+  const Table all = basket.Peek();  // faults every spilled row back in
+  ASSERT_EQ(all.num_rows(), 300u);
+  for (size_t i = 0; i < 300; ++i) {
+    EXPECT_EQ(all.column(0).ints()[i], static_cast<int64_t>(i));
+  }
+  EXPECT_EQ(basket.spilled_rows(), 0u);
+  // The producers' batches never saw the spill's prefix consumption.
+  for (size_t b = 0; b < batches.size(); ++b) {
+    ASSERT_EQ(batches[b].num_rows(), 60u);
+    EXPECT_EQ(batches[b].column(0).ints()[0], static_cast<int64_t>(b * 60));
+  }
+  std::remove(path.c_str());
+}
+
+// Two consumers mutate their own copy of one fan-out buffer on two
+// threads while a third reads the source: every side detaches on its own
+// first mutation and no one observes another's writes.
+TEST(AdoptTest, ConcurrentMutationsOfAFanOutBufferStayPrivate) {
+  const Table batch = OneColBatch(0, 4096);
+  auto left = MakeBasket("left");
+  auto right = MakeBasket("right");
+  ASSERT_TRUE(left->AppendAligned(batch, 0).ok());
+  ASSERT_TRUE(right->AppendAligned(batch, 0).ok());
+  auto churn = [](const core::BasketPtr& b, int64_t tag) {
+    for (int round = 0; round < 50; ++round) {
+      EXPECT_TRUE(b->AppendAligned(OneColBatch(tag, 16), 0).ok());
+      EXPECT_TRUE(b->ErasePrefix(16).ok());
+      EXPECT_TRUE(b->EraseRows({0}).ok());
+      EXPECT_TRUE(b->AppendAligned(OneColBatch(tag, 1), 0).ok());
+    }
+  };
+  std::thread t1(churn, left, 1'000'000);
+  std::thread t2(churn, right, 2'000'000);
+  int64_t sum = 0;
+  for (int pass = 0; pass < 20; ++pass) {
+    for (int64_t v : batch.column(0).ints()) sum += v;
+  }
+  t1.join();
+  t2.join();
+  EXPECT_EQ(sum, 20 * (4095 * 4096 / 2));
+  for (const auto& b : {left, right}) {
+    const Table t = b->Peek();
+    ASSERT_EQ(t.num_rows(), 4096u);
+    // Each round consumes 16 + 1 rows from the front and appends as many
+    // at the tail: the front moved 50 * 17 rows into the shared batch.
+    EXPECT_EQ(t.column(0).ints()[0], 850);
+  }
 }
 
 }  // namespace

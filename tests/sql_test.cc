@@ -141,6 +141,28 @@ TEST_F(SqlTest, CreateInsertSelect) {
   EXPECT_EQ(r.GetRow(1)[0], Value(1));
 }
 
+// Once a crash: INT64_MIN / -1 trapped (SIGFPE) inside the vector
+// kernel. Integer overflow is NULL, like x/0.
+TEST_F(SqlTest, IntegerOverflowYieldsNullInsteadOfTrapping) {
+  Exec("create table t (a int)");
+  Exec("insert into t values (-9223372036854775807), (5)");
+  Table r = Exec("select (a - 1) / -1 from t");
+  ASSERT_EQ(r.num_rows(), 2u);
+  EXPECT_TRUE(r.GetRow(0)[0].is_null());
+  EXPECT_EQ(r.GetRow(1)[0], Value(int64_t{-4}));
+  r = Exec("select a - 2, a * 2, (a - 1) % -1, -(a - 1) from t");
+  ASSERT_EQ(r.num_rows(), 2u);
+  for (size_t c = 0; c < 4; ++c) EXPECT_TRUE(r.GetRow(0)[c].is_null()) << c;
+  EXPECT_EQ(r.GetRow(1)[0], Value(int64_t{3}));
+  EXPECT_EQ(r.GetRow(1)[1], Value(int64_t{10}));
+  EXPECT_EQ(r.GetRow(1)[2], Value(int64_t{0}));
+  EXPECT_EQ(r.GetRow(1)[3], Value(int64_t{-4}));
+  // Constant folding agrees.
+  r = Exec("select (-9223372036854775807 - 1) / -1 answer");
+  ASSERT_EQ(r.num_rows(), 1u);
+  EXPECT_TRUE(r.GetRow(0)[0].is_null());
+}
+
 TEST_F(SqlTest, SelectWithoutFrom) {
   Table r = Exec("select 1 + 2 answer");
   ASSERT_EQ(r.num_rows(), 1u);
