@@ -16,7 +16,13 @@ Result<Value> Value::CastTo(DataType type) const {
     case DataType::kInt64:
     case DataType::kTimestamp:
       if (is_int()) return *this;
-      if (is_double()) return Value(static_cast<int64_t>(double_value()));
+      if (is_double()) {
+        // NaN, +-inf and doubles outside [-2^63, 2^63) have no int64 value
+        // (converting them is undefined); like int64 overflow, they are NULL.
+        const double d = double_value();
+        if (!(d >= -0x1p63 && d < 0x1p63)) return Value::Null();
+        return Value(static_cast<int64_t>(d));
+      }
       if (is_bool()) return Value(static_cast<int64_t>(bool_value() ? 1 : 0));
       break;
     case DataType::kDouble:

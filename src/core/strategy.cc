@@ -251,68 +251,6 @@ Result<QueryNetwork> BuildPartialDeleteChain(
   return net;
 }
 
-Result<QueryNetwork> BuildSharedPrefix(
-    const Schema& stream_schema, const std::vector<SharedPrefixGroup>& groups,
-    size_t batch_size) {
-  QueryNetwork net;
-  net.receptor = std::make_shared<Receptor>("receptor");
-  for (const SharedPrefixGroup& group : groups) {
-    // One input basket per group, fed by the receptor.
-    auto input = std::make_shared<Basket>("in_" + group.name, stream_schema);
-    net.receptor->AddOutput(input);
-
-    // The shared-prefix factory: evaluates the common selection once and
-    // replicates only the qualifying tuples to the per-query baskets.
-    auto bexpr = std::make_shared<BasketExpression>(input);
-    if (group.shared_predicate != nullptr) bexpr->Where(group.shared_predicate);
-    bexpr->Consume(ConsumePolicy::kBatch);
-
-    std::vector<BasketPtr> fanout;
-    for (const ContinuousQuery& q : group.queries) {
-      fanout.push_back(MakeResultBasket("pre_" + group.name + "_" + q.name,
-                                        input->schema()));
-    }
-    auto prefix_factory = std::make_shared<Factory>(
-        "prefix_" + group.name,
-        [bexpr, fanout](FactoryContext& ctx) -> Status {
-          ASSIGN_OR_RETURN(Table matched, bexpr->Evaluate(ctx.eval()));
-          if (matched.num_rows() == 0) return Status::OK();
-          for (const BasketPtr& b : fanout) {
-            ASSIGN_OR_RETURN(size_t n, b->AppendAligned(matched, ctx.now()));
-            (void)n;
-          }
-          return Status::OK();
-        });
-    prefix_factory->AddInput(input, batch_size);
-    for (const BasketPtr& b : fanout) prefix_factory->AddOutput(b);
-    net.transitions.push_back(prefix_factory);
-
-    // Residual factories: the per-query predicates over the prefix output.
-    for (size_t i = 0; i < group.queries.size(); ++i) {
-      const ContinuousQuery& q = group.queries[i];
-      auto output =
-          MakeResultBasket("out_" + group.name + "_" + q.name, input->schema());
-      net.outputs.push_back(output);
-      auto residual = std::make_shared<BasketExpression>(fanout[i]);
-      if (q.predicate != nullptr) residual->Where(q.predicate);
-      residual->Consume(ConsumePolicy::kBatch);
-      auto f = std::make_shared<Factory>(
-          group.name + "_" + q.name,
-          [residual, output](FactoryContext& ctx) -> Status {
-            ASSIGN_OR_RETURN(Table result, residual->Evaluate(ctx.eval()));
-            if (result.num_rows() == 0) return Status::OK();
-            ASSIGN_OR_RETURN(size_t n, output->AppendAligned(result, ctx.now()));
-            (void)n;
-            return Status::OK();
-          });
-      f->AddInput(fanout[i], 1);
-      f->AddOutput(output);
-      net.transitions.push_back(f);
-    }
-  }
-  return net;
-}
-
 Result<SplitPlan> SplitQueryPlan(const std::string& name, BasketPtr input,
                                  size_t batch_size, Factory::Body worker_body) {
   DC_CHECK(input != nullptr);

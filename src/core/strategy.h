@@ -57,24 +57,6 @@ Result<QueryNetwork> BuildPartialDeleteChain(
     const Schema& stream_schema, const std::vector<ContinuousQuery>& queries,
     size_t batch_size);
 
-/// §4.3 research direction "share not only baskets but also execution
-/// cost": queries with a common selection prefix are grouped behind one
-/// auxiliary factory that evaluates the shared predicate once per batch;
-/// only its (much smaller) output is replicated to the per-query residual
-/// factories. Queries see tuples satisfying `shared_predicate AND their
-/// own predicate`.
-struct SharedPrefixGroup {
-  std::string name;
-  /// The common selection evaluated once (null = pass-through).
-  ExprPtr shared_predicate;
-  /// Residual queries evaluated over the prefix output.
-  std::vector<ContinuousQuery> queries;
-};
-
-Result<QueryNetwork> BuildSharedPrefix(
-    const Schema& stream_schema, const std::vector<SharedPrefixGroup>& groups,
-    size_t batch_size);
-
 /// §4.3 research direction "split the query plan into multiple factories":
 /// wraps a (possibly slow) query body behind a cheap load factory that
 /// moves the input into a private staging basket and releases the shared

@@ -1,364 +1,8 @@
 #include "net/gateway.h"
 
-#include <poll.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
-
-#include "net/framing.h"
-#include "storage/ingest_log.h"
-#include "util/logging.h"
+#include "net/codec.h"
 
 namespace datacell::net {
-
-namespace {
-
-// Reactor poll timeouts. The self-pipe carries every wakeup that matters
-// (Stop, basket drained past the low watermark); the timeouts only bound
-// recovery from lost races, so they can be long.
-constexpr int kPollIdleMs = 500;
-constexpr int kPollPausedMs = 20;
-
-}  // namespace
-
-TcpIngress::~TcpIngress() { Stop(); }
-
-void TcpIngress::EnableIngestLog(storage::IngestLog* log, std::string stream) {
-  ingest_log_ = log;
-  log_stream_ = std::move(stream);
-  if (log_stream_.empty() && !receptor_->outputs().empty()) {
-    log_stream_ = receptor_->outputs().front()->name();
-  }
-}
-
-Status TcpIngress::Start(uint16_t port) {
-  ASSIGN_OR_RETURN(listener_, TcpListener::Bind(port));
-  port_ = listener_.port();
-  RETURN_NOT_OK(listener_.SetNonBlocking(true));
-  if (Status st = wake_.Open(); !st.ok()) {
-    listener_.Close();
-    return st;
-  }
-  // Backpressure release signal: any mutation on a capacity-bounded output
-  // may be the drain that re-opens the valve. The listener runs under the
-  // basket lock, so it only flips an atomic and pokes the self-pipe.
-  for (const core::BasketPtr& b : receptor_->outputs()) {
-    size_t id = b->AddListener([this] {
-      if (paused_.load(std::memory_order_relaxed)) wake_.Notify();
-    });
-    subscriptions_.emplace_back(b, id);
-  }
-  stop_.store(false);
-  started_.store(true);
-  thread_ = std::thread([this] { ReactorLoop(); });
-  return Status::OK();
-}
-
-void TcpIngress::Stop() {
-  if (!started_.exchange(false)) return;
-  stop_.store(true);
-  wake_.Notify();
-  if (thread_.joinable()) thread_.join();
-  for (const auto& [basket, id] : subscriptions_) basket->RemoveListener(id);
-  subscriptions_.clear();
-  listener_.Close();
-  wake_.Close();
-}
-
-void TcpIngress::ReactorLoop() {
-  std::vector<pollfd> pfds;
-  std::vector<Conn*> pumped;  // conns indexed alongside pfds
-  while (!stop_.load()) {
-    // Re-open the valve once every bounded output drained to its low
-    // watermark; connections may hold buffered lines to finish parsing.
-    bool resume_pump = false;
-    if (paused_.load() && receptor_->BackpressureReleased()) {
-      paused_.store(false);
-      resume_pump = true;
-    }
-
-    if (resume_pump) {
-      for (size_t i = 0; i < conns_.size();) {
-        if (!PumpConn(conns_[i].get())) {
-          conns_.erase(conns_.begin() + static_cast<long>(i));
-        } else {
-          ++i;
-        }
-      }
-      active_.store(conns_.size());
-      if (accepted_.load() > scrapes_.load() && conns_.empty()) {
-        finished_.store(true);
-      }
-      if (paused_.load()) continue;  // valve closed again mid-resume
-    }
-
-    pfds.clear();
-    pumped.clear();
-    pfds.push_back({wake_.read_fd(), POLLIN, 0});
-    const bool accepting = conns_.size() < max_connections_;
-    if (accepting) pfds.push_back({listener_.fd(), POLLIN, 0});
-    const bool paused = paused_.load();
-    for (const auto& conn : conns_) {
-      // While paused we stop reading tuple sockets (TCP push-back), but
-      // handshakes stay responsive — a header line is not stream volume.
-      if (paused && conn->handshaken) continue;
-      pfds.push_back({conn->stream.fd(), POLLIN, 0});
-      pumped.push_back(conn.get());
-    }
-
-    int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
-                    paused ? kPollPausedMs : kPollIdleMs);
-    if (rc < 0 && errno != EINTR) {
-      DC_LOG(Error) << "ingress poll: " << ErrnoString(errno);
-      break;
-    }
-    if (stop_.load()) break;
-
-    if (pfds[0].revents & POLLIN) wake_.Drain();
-
-    size_t base = 1;
-    if (accepting) {
-      if (pfds[1].revents & (POLLIN | POLLERR)) AcceptPending();
-      base = 2;
-    }
-    bool removed = false;
-    for (size_t i = 0; i < pumped.size(); ++i) {
-      if ((pfds[base + i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-        continue;
-      }
-      if (!PumpConn(pumped[i])) {
-        for (size_t j = 0; j < conns_.size(); ++j) {
-          if (conns_[j].get() == pumped[i]) {
-            conns_.erase(conns_.begin() + static_cast<long>(j));
-            break;
-          }
-        }
-        removed = true;
-      }
-    }
-    if (removed || !conns_.empty() || accepted_.load() > 0) {
-      active_.store(conns_.size());
-      finished_.store(accepted_.load() > scrapes_.load() && conns_.empty());
-    }
-  }
-
-  // Shut down every accepted stream so peers see EOF promptly.
-  for (auto& conn : conns_) conn->stream.Close();
-  conns_.clear();
-  active_.store(0);
-  finished_.store(true);
-}
-
-void TcpIngress::AcceptPending() {
-  while (conns_.size() < max_connections_) {
-    Result<std::optional<TcpStream>> next = listener_.TryAccept();
-    if (!next.ok()) {
-      DC_LOG(Warn) << "ingress accept failed: " << next.status().ToString();
-      return;
-    }
-    if (!next->has_value()) return;
-    auto conn = std::make_unique<Conn>();
-    conn->stream = std::move(**next);
-    if (Status st = conn->stream.SetNonBlocking(true); !st.ok()) {
-      DC_LOG(Warn) << "ingress: " << st.ToString();
-      continue;
-    }
-    conns_.push_back(std::move(conn));
-    accepted_.fetch_add(1);
-    m_connections_->Increment();
-    active_.store(conns_.size());
-    finished_.store(false);
-  }
-}
-
-bool TcpIngress::PumpConn(Conn* conn) {
-  while (!stop_.load()) {
-    Drain state = DrainBuffered(conn);
-    if (state == Drain::kClose) return false;
-    if (state == Drain::kPaused) return true;  // buffered bytes keep
-    if (conn->eof) return false;               // fully drained
-    Result<size_t> n = conn->stream.FillFromSocket();
-    if (!n.ok()) {
-      if (n.status().code() == StatusCode::kNotFound) {
-        conn->eof = true;  // clean half-close: drain the buffered tail
-        continue;
-      }
-      // Mid-stream disconnect (RST etc.): keep what was already delivered,
-      // drop the rest of this connection.
-      DC_LOG(Warn) << "ingress connection error: " << n.status().ToString();
-      return false;
-    }
-    if (*n == 0) return true;  // would block; poll() will call back
-  }
-  return true;
-}
-
-TcpIngress::Drain TcpIngress::DrainBuffered(Conn* conn) {
-  while (true) {
-    if (!conn->handshaken) {
-      std::optional<std::string> line = NextLine(conn);
-      if (!line.has_value()) {
-        if (conn->eof) {
-          DC_LOG(Warn) << "ingress: connection closed before schema header";
-          return Drain::kClose;
-        }
-        return Drain::kIdle;
-      }
-      if (!Handshake(conn, *line)) return Drain::kClose;
-      continue;
-    }
-
-    size_t credit = receptor_->CreditRemaining();
-    if (credit == 0) {
-      if (EngagePause()) return Drain::kPaused;
-      credit = receptor_->CreditRemaining();
-    }
-    const size_t allowed = std::min(max_batch_rows_, credit);
-    Table batch(codec_.schema());
-    while (batch.num_rows() < allowed) {
-      std::optional<std::string> line = NextLine(conn);
-      if (!line.has_value()) break;
-      DecodeCount(*line, &batch);
-    }
-    if (batch.num_rows() == 0) return Drain::kIdle;
-    if (ingest_log_ != nullptr) {
-      // Write-ahead: the batch must be in the log before the engine can
-      // observe it, or a crash between the two would lose tuples the
-      // sensor believes were accepted. A log failure drops the connection
-      // rather than silently degrading to non-durable ingest.
-      Result<std::pair<uint64_t, uint64_t>> seqs =
-          ingest_log_->AppendBatch(log_stream_, batch);
-      if (!seqs.ok()) {
-        DC_LOG(Error) << "ingress log append failed: "
-                      << seqs.status().ToString();
-        return Drain::kClose;
-      }
-    }
-    Result<size_t> delivered = receptor_->Deliver(batch, clock_->Now());
-    if (!delivered.ok()) {
-      DC_LOG(Error) << "ingress deliver failed: "
-                    << delivered.status().ToString();
-      return Drain::kClose;
-    }
-  }
-}
-
-std::optional<std::string> TcpIngress::NextLine(Conn* conn) {
-  if (std::optional<std::string> line = conn->stream.PopBufferedLine()) {
-    return line;
-  }
-  if (conn->eof) {
-    // Torn partial line at EOF: decode what arrived; the codec decides
-    // whether it happens to be a whole tuple or counts as dropped.
-    std::string tail = conn->stream.TakeBufferedRemainder();
-    if (!tail.empty()) return tail;
-  }
-  return std::nullopt;
-}
-
-bool TcpIngress::Handshake(Conn* conn, const std::string& line) {
-  Result<Hello> hello = ParseHello(line);
-  if (!hello.ok()) {
-    DC_LOG(Warn) << "ingress: bad handshake line '" << line
-                 << "': " << hello.status().ToString();
-    return false;
-  }
-  switch (hello->kind) {
-    case HelloKind::kStats: {
-      // Scrape request: answer with one line and close. WriteAll rides out
-      // a full send buffer (polls for POLLOUT and resumes), so the scraper
-      // always sees the complete line even through a tiny receive window.
-      scrapes_.fetch_add(1);
-      Status st = conn->stream.WriteAll(StatsLine());
-      if (!st.ok()) DC_LOG(Debug) << "ingress STATS reply: " << st.ToString();
-      return false;
-    }
-    case HelloKind::kSeq: {
-      // Resume handshake: tell the sensor the highest sequence number the
-      // ingest log has durably accepted for this stream (0 when logging is
-      // off or nothing arrived yet), then close. Counted like a scrape so
-      // a probe never reads as a completed sensor session.
-      scrapes_.fetch_add(1);
-      const uint64_t seq =
-          ingest_log_ == nullptr ? 0 : ingest_log_->last_seq(log_stream_);
-      Status st = conn->stream.WriteAll("SEQ " + std::to_string(seq) + "\n");
-      if (!st.ok()) DC_LOG(Debug) << "ingress SEQ reply: " << st.ToString();
-      return false;
-    }
-    case HelloKind::kSchema:
-      break;
-  }
-  if (!(hello->schema == codec_.schema())) {
-    DC_LOG(Warn) << "ingress: schema mismatch, got '" << line << "'";
-    return false;
-  }
-  conn->handshaken = true;
-  return true;
-}
-
-std::string TcpIngress::StatsLine() const {
-  std::string out = "STATS";
-  const auto field = [&out](const std::string& key, uint64_t v) {
-    out += " " + key + "=" + std::to_string(v);
-  };
-  field("tuples_received", tuples_.load());
-  field("tuples_dropped", dropped_.load());
-  field("connections_accepted", accepted_.load());
-  field("active_connections", active_.load());
-  field("backpressure_engagements", bp_engaged_.load());
-  field("backpressured", paused_.load() ? 1 : 0);
-  if (ingest_log_ != nullptr) {
-    const storage::IngestLog::Stats ls = ingest_log_->stats();
-    field("log_records", ls.records);
-    field("log_bytes", ls.bytes);
-    field("log_last_seq", ingest_log_->last_seq(log_stream_));
-  }
-  for (const core::BasketPtr& b : receptor_->outputs()) {
-    const core::Basket::Stats s = b->stats();
-    const std::string prefix = "basket." + b->name() + ".";
-    field(prefix + "rows", b->size());
-    field(prefix + "appended", s.appended);
-    field(prefix + "dropped", s.dropped);
-    field(prefix + "credit_stalls", s.credit_stalls);
-  }
-  out += "\n";
-  return out;
-}
-
-void TcpIngress::DecodeCount(const std::string& line, Table* batch) {
-  Status st = codec_.DecodeInto(line, batch);
-  if (st.ok()) {
-    tuples_.fetch_add(1);
-    m_tuples_->Increment();
-  } else {
-    // Structural validation failure: the tuple acts as if never sent (the
-    // baskets' silent-filter semantics start at the adapter boundary), but
-    // the operator can see it happened.
-    dropped_.fetch_add(1);
-    m_dropped_->Increment();
-    DC_LOG(Debug) << "ingress dropping malformed tuple: " << st.ToString();
-  }
-}
-
-bool TcpIngress::EngagePause() {
-  // Set the flag first, then re-check: a consumer draining concurrently
-  // either restores credit before the re-check (we unpause here) or fires
-  // the basket listener after it saw paused_ == true (the self-pipe wakes
-  // the poll loop). Either way no release is lost.
-  const bool was_paused = paused_.exchange(true);
-  if (receptor_->BackpressureReleased()) {
-    paused_.store(false);
-    return false;
-  }
-  if (!was_paused) {
-    bp_engaged_.fetch_add(1);
-    m_bp_engaged_->Increment();
-    // Attribute the stall to the basket(s) that ran out of credit.
-    receptor_->NoteCreditStall();
-  }
-  return true;
-}
 
 Result<std::unique_ptr<TcpEgress>> TcpEgress::Connect(const std::string& host,
                                                       uint16_t port) {

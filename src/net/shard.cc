@@ -17,9 +17,9 @@ namespace datacell::net {
 
 namespace {
 
-// Reactor timeouts, mirroring the legacy poll(2) ingress: the wake pipes
-// carry every wakeup that matters, the timeouts only bound recovery from
-// lost races.
+// Reactor timeouts: the wake pipes carry every wakeup that matters (Stop,
+// basket drained past the low watermark); the timeouts only bound recovery
+// from lost races, so they can be long.
 constexpr int kEpollIdleMs = 500;
 constexpr int kEpollPausedMs = 20;
 constexpr int kMaxEvents = 256;
@@ -82,9 +82,13 @@ class ShardedIngress::Shard {
   }
 
   /// Acceptor thread: hands a freshly accepted connection to this shard.
+  /// The connection counts as active before it counts as accepted, so
+  /// finished() never sees an accepted session with nothing open.
   void Route(TcpStream stream) {
     active_.fetch_add(1);
     routed_.fetch_add(1);
+    parent_->accepted_.fetch_add(1);
+    parent_->m_connections_->Increment();
     {
       MutexLock lock(&mu_);
       inbox_.push_back(std::move(stream));
@@ -250,8 +254,11 @@ class ShardedIngress::Shard {
       }
       if (batch.num_rows() == 0) return Drain::kIdle;
       if (parent_->ingest_log_ != nullptr) {
-        // Write-ahead under this shard's stream, same contract as the
-        // unsharded gateway: in the log before the engine can observe it.
+        // Write-ahead under this shard's stream: the batch must be in the
+        // log before the engine can observe it, or a crash between the two
+        // would lose tuples the sensor believes were accepted. A log
+        // failure drops the connection rather than silently degrading to
+        // non-durable ingest.
         Result<std::pair<uint64_t, uint64_t>> seqs =
             parent_->ingest_log_->AppendBatch(log_stream_, batch);
         if (!seqs.ok()) {
@@ -330,8 +337,10 @@ class ShardedIngress::Shard {
   }
 
   /// Closes this shard's credit valve; returns false if credit reappeared
-  /// (raced with a consumer) and reading may continue. Same flag-then-
-  /// recheck dance as the unsharded gateway, per shard.
+  /// (raced with a consumer) and reading may continue. The flag is set
+  /// first, then credit re-checked: a consumer draining concurrently either
+  /// restores credit before the re-check or fires the basket listener after
+  /// it saw paused_ == true (waking this shard). No release is lost.
   bool EngagePause() {
     const bool was_paused = paused_.exchange(true);
     if (receptor_->BackpressureReleased()) {
@@ -501,15 +510,13 @@ void ShardedIngress::AcceptorLoop() {
       // fd-hash routing: cheap, deterministic for a given fd, and spreads
       // a storm evenly because the kernel hands out ascending fds.
       const size_t shard = static_cast<size_t>(stream.fd()) % shards_.size();
-      accepted_.fetch_add(1);
-      m_connections_->Increment();
       shards_[shard]->Route(std::move(stream));
     }
   }
 }
 
 bool ShardedIngress::finished() const {
-  if (!started_.load()) return stop_.load();  // post-Stop, like TcpIngress
+  if (!started_.load()) return stop_.load();  // true after Stop()
   const uint64_t accepted = accepted_.load();
   const uint64_t scrapes = scrapes_.load();
   if (accepted <= scrapes) return false;
@@ -598,6 +605,16 @@ std::string ShardedIngress::StatsLine() const {
     field(prefix + "active", shards_[i]->active());
     field(prefix + "tuples", shards_[i]->tuples());
     field(prefix + "backpressured", shards_[i]->paused() ? 1 : 0);
+  }
+  for (const auto& shard : shards_) {
+    for (const core::BasketPtr& b : shard->receptor()->outputs()) {
+      const core::Basket::Stats s = b->stats();
+      const std::string prefix = "basket." + b->name() + ".";
+      field(prefix + "rows", b->size());
+      field(prefix + "appended", s.appended);
+      field(prefix + "dropped", s.dropped);
+      field(prefix + "credit_stalls", s.credit_stalls);
+    }
   }
   out += "\n";
   return out;

@@ -34,14 +34,24 @@ struct ShardedIngressOptions {
   size_t max_connections = 100'000;
 };
 
-/// Sharded kernel-side ingress: the million-client replacement for the
-/// single poll(2) TcpIngress. One dedicated acceptor thread accepts on the
-/// listening port and routes each new connection to a shard by fd hash
-/// (fd % num_shards); every shard runs its own epoll(7) reactor thread
-/// owning exactly its partition of connections, delivering into its own
-/// receptor (and thus its own per-shard bounded basket) with independent
-/// credit/watermark backpressure. Handoff is a per-shard inbox plus a
-/// per-shard wake pipe (net/wakeup.h — the lost-wakeup-free ordering).
+/// Kernel-side ingress, the network half of the paper's receptor thread:
+/// it accepts and multiplexes many concurrent sensor connections on one
+/// TCP port, validates each event's structure through the codec, and
+/// pushes batches into the baskets. It is the only ingress; an unsharded
+/// server is the one-receptor instance.
+///
+/// One dedicated acceptor thread accepts on the listening port and routes
+/// each new connection to a shard by fd hash (fd % num_shards); every
+/// shard runs its own epoll(7) reactor thread owning exactly its partition
+/// of connections, delivering into its own receptor (and thus its own
+/// per-shard bounded basket) with independent credit/watermark
+/// backpressure. Handoff is a per-shard inbox plus a per-shard wake pipe
+/// (net/wakeup.h — the lost-wakeup-free ordering).
+///
+/// Per connection, the first line must be the schema header and must
+/// match the codec's schema (connections failing the handshake are
+/// dropped individually; the others keep streaming). Incoming bursts are
+/// drained into Deliver() batches bounded by `max_batch_rows`.
 ///
 /// Why epoll: poll(2) rescans every registered fd per round, so with 10k
 /// mostly-idle sensors each round pays O(connections) before any tuple is
@@ -54,9 +64,10 @@ struct ShardedIngressOptions {
 /// unread sockets); sibling shards keep streaming. The shard's basket
 /// listeners poke its wake pipe when the drain reaches the low watermark.
 ///
-/// Protocol is identical to TcpIngress (schema handshake, STATS, SEQ), so
-/// sensors cannot tell the two apart. STATS answers with gateway-wide
-/// aggregates plus per-shard fields; SEQ answers with the *sum* of the
+/// Probes: a connection whose first line is `STATS` (instead of a schema
+/// header) receives one key=value line — gateway-wide aggregates, then
+/// per-shard and per-basket fields — and is closed. A first line of `SEQ`
+/// receives `SEQ <n>\n` and is closed, where n is the *sum* of the
 /// per-shard ingest-log stream sequence numbers — a reconnecting sensor's
 /// fd almost always rehashes to a different shard, and the logical
 /// stream's accepted count is the across-shard total, not whichever
@@ -91,9 +102,10 @@ class ShardedIngress {
   /// Stops acceptor and shards, joins them, closes every connection.
   void Stop();
 
-  /// Same contract as TcpIngress::finished(): at least one data (non-probe)
-  /// session was accepted, every accepted connection has closed, and every
-  /// decoded tuple reached the baskets.
+  /// True once at least one data (non-probe) session was accepted, every
+  /// accepted connection has closed, and every decoded tuple reached the
+  /// baskets; also true after Stop(). STATS and SEQ probes are excluded,
+  /// so a monitoring probe never reads as a completed sensor session.
   bool finished() const;
 
   size_t num_shards() const { return shards_.size(); }
@@ -121,7 +133,8 @@ class ShardedIngress {
   class Shard;
 
   void AcceptorLoop();
-  /// Aggregate STATS reply (gateway totals + shards=N + per-shard tuples).
+  /// Aggregate STATS reply (gateway totals + shards=N + per-shard and
+  /// per-basket fields).
   std::string StatsLine() const;
   /// Sum of per-shard ingest-log stream sequence numbers (the SEQ reply).
   uint64_t TotalLoggedSeq() const;
@@ -141,8 +154,7 @@ class ShardedIngress {
   std::atomic<bool> started_{false};
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> scrapes_{0};
-  // Registry mirrors (gateway.*), shared with TcpIngress's metric names so
-  // dashboards see one ingress surface.
+  // Registry mirrors (gateway.*), resolved in the constructor.
   obs::Counter* m_tuples_;
   obs::Counter* m_dropped_;
   obs::Counter* m_connections_;

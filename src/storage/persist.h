@@ -15,7 +15,8 @@ namespace datacell::storage {
 /// is that stream contents do not survive a crash or session boundary;
 /// only catalog tables do. The format is the network codec's: first line
 /// the schema header ("name:type|..."), then one tuple per line, so files
-/// are diffable and can even be replayed through a TcpIngress.
+/// are diffable and can even be replayed through the gateway
+/// (net::ShardedIngress).
 
 /// Writes `table` to `path`, replacing any existing file.
 Status SaveTable(const Table& table, const std::string& path);

@@ -595,6 +595,33 @@ TEST(EvalConstTest, IntegerOverflowIsNull) {
   EXPECT_TRUE(abs->is_null());
 }
 
+// cast_int of a double with no int64 value is NULL, on the constant-fold
+// path and the per-row column path alike. 9223372036854775807.0 rounds to
+// 2^63, one past INT64_MAX; -9223372036854775808.0 is exactly INT64_MIN.
+TEST(EvalConstTest, CastIntOutOfRangeIsNull) {
+  const std::vector<double> in = {1e300,
+                                  -1e300,
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  9223372036854775807.0,
+                                  -9223372036854775808.0,
+                                  2.9};
+  const std::vector<Value> want = {Value::Null(), Value::Null(),
+                                   Value::Null(), Value::Null(),
+                                   Value(kMin64), Value(int64_t{2})};
+  EvalContext ctx;
+  Table t(Schema({{"d", DataType::kDouble}}));
+  for (double d : in) ASSERT_TRUE(t.AppendRow({Value(d)}).ok());
+  auto col = EvalScalar(t, *Expr::Call("cast_int", {Expr::Col("d")}), ctx);
+  ASSERT_TRUE(col.ok()) << col.status().ToString();
+  ASSERT_EQ(col->size(), in.size());
+  for (size_t i = 0; i < in.size(); ++i) {
+    auto folded = EvalConst(*Expr::Call("cast_int", {Expr::Lit(in[i])}), ctx);
+    ASSERT_TRUE(folded.ok()) << in[i];
+    EXPECT_EQ(*folded, want[i]) << "constant fold of " << in[i];
+    EXPECT_EQ(col->GetValue(i), want[i]) << "column path of " << in[i];
+  }
+}
+
 // The vector kernels and constant folding agree row by row on every
 // overflowing and non-overflowing int64 case.
 TEST(BulkKernelTest, OverflowMatchesConstantFolding) {

@@ -9,7 +9,7 @@
 #include "core/receptor.h"
 #include "core/scheduler.h"
 #include "net/codec.h"
-#include "net/gateway.h"
+#include "net/shard.h"
 #include "net/socket.h"
 #include "sql/session.h"
 #include "util/clock.h"
@@ -221,7 +221,7 @@ TEST(IngressFailureTest, MalformedTuplesSilentlyDropped) {
   auto basket = std::make_shared<core::Basket>("in", StreamSchema());
   auto receptor = std::make_shared<core::Receptor>("r");
   receptor->AddOutput(basket);
-  net::TcpIngress ingress(receptor, net::Codec(StreamSchema()), clock);
+  net::ShardedIngress ingress({receptor}, net::Codec(StreamSchema()), clock);
   ASSERT_TRUE(ingress.Start().ok());
 
   auto conn = net::TcpStream::Connect("127.0.0.1", ingress.port());
@@ -247,7 +247,7 @@ TEST(IngressFailureTest, SchemaMismatchRejectsConnection) {
   auto basket = std::make_shared<core::Basket>("in", StreamSchema());
   auto receptor = std::make_shared<core::Receptor>("r");
   receptor->AddOutput(basket);
-  net::TcpIngress ingress(receptor, net::Codec(StreamSchema()), clock);
+  net::ShardedIngress ingress({receptor}, net::Codec(StreamSchema()), clock);
   ASSERT_TRUE(ingress.Start().ok());
 
   auto conn = net::TcpStream::Connect("127.0.0.1", ingress.port());

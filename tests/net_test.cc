@@ -146,7 +146,7 @@ TEST(SocketTest, ReadLineEof) {
 }
 
 TEST(EndToEndTest, SensorThroughKernelToActuator) {
-  // sensor -> TcpIngress -> basket -> factory(select *) -> out basket ->
+  // sensor -> ShardedIngress -> basket -> factory(select *) -> out basket ->
   // emitter(TcpEgress) -> actuator; the full §6.1 pipeline on loopback.
   SystemClock* clock = SystemClock::Get();
 
@@ -174,7 +174,7 @@ TEST(EndToEndTest, SensorThroughKernelToActuator) {
       std::make_shared<core::Emitter>("e", (*egress)->MakeSink());
   emitter->AddInput(out);
 
-  TcpIngress ingress(receptor, Codec(StreamSchema()), clock);
+  ShardedIngress ingress({receptor}, Codec(StreamSchema()), clock);
   ASSERT_TRUE(ingress.Start().ok());
 
   core::Scheduler sched(clock);
@@ -309,32 +309,49 @@ TEST(CodecTest, SchemaHeaderEmptyFieldNameRejected) {
 // Gateway: multi-client fan-in, fault injection, flow control
 // ---------------------------------------------------------------------------
 
-struct GatewayFixture {
-  explicit GatewayFixture(size_t max_batch_rows = 1024)
-      : clock(SystemClock::Get()),
-        basket(std::make_shared<core::Basket>("in", StreamSchema())),
-        receptor(std::make_shared<core::Receptor>("r")),
-        ingress(receptor, Codec(StreamSchema()), SystemClock::Get(),
-                max_batch_rows) {
-    receptor->AddOutput(basket);
+// One fixture for every gateway test: `shards` receptors, each feeding its
+// own basket "in.s<k>". The unsharded gateway is the shards == 1 case.
+struct ShardedFixture {
+  explicit ShardedFixture(size_t shards, size_t basket_capacity = 0,
+                          size_t max_batch_rows = 1024)
+      : clock(SystemClock::Get()) {
+    for (size_t k = 0; k < shards; ++k) {
+      auto b = std::make_shared<core::Basket>("in.s" + std::to_string(k),
+                                              StreamSchema());
+      if (basket_capacity > 0) b->SetCapacity(basket_capacity);
+      auto r = std::make_shared<core::Receptor>("r.s" + std::to_string(k));
+      r->AddOutput(b);
+      baskets.push_back(std::move(b));
+      receptors.push_back(std::move(r));
+    }
+    ShardedIngressOptions opts;
+    opts.max_batch_rows = max_batch_rows;
+    ingress = std::make_unique<ShardedIngress>(receptors, Codec(StreamSchema()),
+                                               clock, opts);
   }
 
   bool WaitFinished(int timeout_ms = 5000) {
-    for (int i = 0; i < timeout_ms && !ingress.finished(); ++i) {
+    for (int i = 0; i < timeout_ms && !ingress->finished(); ++i) {
       clock->SleepFor(1000);
     }
-    return ingress.finished();
+    return ingress->finished();
+  }
+
+  uint64_t TotalBasketRows() const {
+    uint64_t total = 0;
+    for (const auto& b : baskets) total += b->size();
+    return total;
   }
 
   SystemClock* clock;
-  core::BasketPtr basket;
-  core::ReceptorPtr receptor;
-  TcpIngress ingress;
+  std::vector<core::BasketPtr> baskets;
+  std::vector<core::ReceptorPtr> receptors;
+  std::unique_ptr<ShardedIngress> ingress;
 };
 
 TEST(GatewayTest, MultiClientFanIn) {
-  GatewayFixture fx;
-  ASSERT_TRUE(fx.ingress.Start().ok());
+  ShardedFixture fx(/*shards=*/1);
+  ASSERT_TRUE(fx.ingress->Start().ok());
 
   constexpr int kClients = 8;
   constexpr uint64_t kPerClient = 200;
@@ -346,34 +363,34 @@ TEST(GatewayTest, MultiClientFanIn) {
       opts.tuples_per_write = 17;
       opts.seed = static_cast<uint64_t>(c) + 1;
       ASSERT_TRUE(
-          Sensor::Run("127.0.0.1", fx.ingress.port(), opts, fx.clock).ok());
+          Sensor::Run("127.0.0.1", fx.ingress->port(), opts, fx.clock).ok());
     });
   }
   for (auto& t : sensors) t.join();
   ASSERT_TRUE(fx.WaitFinished());
 
-  EXPECT_EQ(fx.ingress.connections_accepted(), kClients);
-  EXPECT_EQ(fx.ingress.tuples_received(), kClients * kPerClient);
-  EXPECT_EQ(fx.ingress.tuples_dropped(), 0u);
-  EXPECT_EQ(fx.basket->size(), kClients * kPerClient);
-  fx.ingress.Stop();
+  EXPECT_EQ(fx.ingress->connections_accepted(), kClients);
+  EXPECT_EQ(fx.ingress->tuples_received(), kClients * kPerClient);
+  EXPECT_EQ(fx.ingress->tuples_dropped(), 0u);
+  EXPECT_EQ(fx.baskets[0]->size(), kClients * kPerClient);
+  fx.ingress->Stop();
 }
 
 TEST(GatewayTest, StopWithConnectedIdleClientReturnsQuickly) {
-  GatewayFixture fx;
-  ASSERT_TRUE(fx.ingress.Start().ok());
+  ShardedFixture fx(/*shards=*/1);
+  ASSERT_TRUE(fx.ingress->Start().ok());
 
   // A sensor that connects and then says nothing — the regression that used
   // to leave Stop() hanging in join() behind a blocked ReadLine.
-  auto idle = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  auto idle = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(idle.ok());
-  for (int i = 0; i < 2000 && fx.ingress.active_connections() == 0; ++i) {
+  for (int i = 0; i < 2000 && fx.ingress->active_connections() == 0; ++i) {
     fx.clock->SleepFor(1000);
   }
-  ASSERT_EQ(fx.ingress.active_connections(), 1u);
+  ASSERT_EQ(fx.ingress->active_connections(), 1u);
 
   const auto t0 = std::chrono::steady_clock::now();
-  fx.ingress.Stop();
+  fx.ingress->Stop();
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   EXPECT_LT(elapsed, std::chrono::seconds(1));
   // The accepted stream was shut down, not leaked: the idle client sees EOF.
@@ -382,9 +399,9 @@ TEST(GatewayTest, StopWithConnectedIdleClientReturnsQuickly) {
 }
 
 TEST(GatewayTest, MalformedBurstCountedNotSilent) {
-  GatewayFixture fx;
-  ASSERT_TRUE(fx.ingress.Start().ok());
-  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  ShardedFixture fx(/*shards=*/1);
+  ASSERT_TRUE(fx.ingress->Start().ok());
+  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(conn.ok());
   Codec codec(StreamSchema());
   // One write so the whole burst lands in the drain loop together; valid
@@ -395,20 +412,20 @@ TEST(GatewayTest, MalformedBurstCountedNotSilent) {
                   .ok());
   ASSERT_TRUE(conn->ShutdownWrite().ok());
   ASSERT_TRUE(fx.WaitFinished());
-  EXPECT_EQ(fx.ingress.tuples_received(), 4u);
-  EXPECT_EQ(fx.ingress.tuples_dropped(), 3u);
-  EXPECT_EQ(fx.basket->size(), 4u);
-  fx.ingress.Stop();
+  EXPECT_EQ(fx.ingress->tuples_received(), 4u);
+  EXPECT_EQ(fx.ingress->tuples_dropped(), 3u);
+  EXPECT_EQ(fx.baskets[0]->size(), 4u);
+  fx.ingress->Stop();
 }
 
 TEST(GatewayTest, MidStreamDisconnectKeepsServingOthers) {
-  GatewayFixture fx;
-  ASSERT_TRUE(fx.ingress.Start().ok());
+  ShardedFixture fx(/*shards=*/1);
+  ASSERT_TRUE(fx.ingress->Start().ok());
   Codec codec(StreamSchema());
 
   // Client 1 dies mid-stream with a hard reset (SO_LINGER 0 => RST).
   {
-    auto doomed = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+    auto doomed = TcpStream::Connect("127.0.0.1", fx.ingress->port());
     ASSERT_TRUE(doomed.ok());
     ASSERT_TRUE(
         doomed->WriteAll(codec.EncodeSchemaHeader() + "\n1|10\n2|2").ok());
@@ -418,7 +435,7 @@ TEST(GatewayTest, MidStreamDisconnectKeepsServingOthers) {
   }
 
   // Client 2 streams normally and must be unaffected.
-  auto ok_client = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  auto ok_client = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(ok_client.ok());
   ASSERT_TRUE(ok_client
                   ->WriteAll(codec.EncodeSchemaHeader() +
@@ -428,22 +445,22 @@ TEST(GatewayTest, MidStreamDisconnectKeepsServingOthers) {
   ASSERT_TRUE(fx.WaitFinished());
   // Whatever the reset connection managed to deliver is kept; client 2's
   // three tuples all arrive.
-  EXPECT_GE(fx.ingress.tuples_received(), 3u);
-  EXPECT_GE(fx.basket->size(), 3u);
-  Table contents = fx.basket->Peek();
+  EXPECT_GE(fx.ingress->tuples_received(), 3u);
+  EXPECT_GE(fx.baskets[0]->size(), 3u);
+  Table contents = fx.baskets[0]->Peek();
   int from_ok_client = 0;
   for (size_t i = 0; i < contents.num_rows(); ++i) {
     const int64_t payload = contents.GetRow(i)[1].int_value();
     if (payload == 70 || payload == 80 || payload == 90) ++from_ok_client;
   }
   EXPECT_EQ(from_ok_client, 3);
-  fx.ingress.Stop();
+  fx.ingress->Stop();
 }
 
 TEST(GatewayTest, TornCompleteLineAtEofDelivered) {
-  GatewayFixture fx;
-  ASSERT_TRUE(fx.ingress.Start().ok());
-  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  ShardedFixture fx(/*shards=*/1);
+  ASSERT_TRUE(fx.ingress->Start().ok());
+  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(conn.ok());
   Codec codec(StreamSchema());
   // The final line is missing its newline; it is still a whole tuple.
@@ -451,15 +468,15 @@ TEST(GatewayTest, TornCompleteLineAtEofDelivered) {
       conn->WriteAll(codec.EncodeSchemaHeader() + "\n5|50\n7|7").ok());
   ASSERT_TRUE(conn->ShutdownWrite().ok());
   ASSERT_TRUE(fx.WaitFinished());
-  EXPECT_EQ(fx.ingress.tuples_received(), 2u);
-  EXPECT_EQ(fx.ingress.tuples_dropped(), 0u);
-  fx.ingress.Stop();
+  EXPECT_EQ(fx.ingress->tuples_received(), 2u);
+  EXPECT_EQ(fx.ingress->tuples_dropped(), 0u);
+  fx.ingress->Stop();
 }
 
 TEST(GatewayTest, TornPartialLineAtEofCountedDropped) {
-  GatewayFixture fx;
-  ASSERT_TRUE(fx.ingress.Start().ok());
-  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  ShardedFixture fx(/*shards=*/1);
+  ASSERT_TRUE(fx.ingress->Start().ok());
+  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(conn.ok());
   Codec codec(StreamSchema());
   // The connection tears in the middle of the second tuple's payload.
@@ -467,18 +484,18 @@ TEST(GatewayTest, TornPartialLineAtEofCountedDropped) {
       conn->WriteAll(codec.EncodeSchemaHeader() + "\n5|50\n8|").ok());
   ASSERT_TRUE(conn->ShutdownWrite().ok());
   ASSERT_TRUE(fx.WaitFinished());
-  EXPECT_EQ(fx.ingress.tuples_received(), 1u);
-  EXPECT_EQ(fx.ingress.tuples_dropped(), 1u);
-  fx.ingress.Stop();
+  EXPECT_EQ(fx.ingress->tuples_received(), 1u);
+  EXPECT_EQ(fx.ingress->tuples_dropped(), 1u);
+  fx.ingress->Stop();
 }
 
 TEST(GatewayTest, BackpressureEngagesAndReleasesWithoutLoss) {
-  GatewayFixture fx(/*max_batch_rows=*/4);
-  fx.basket->SetCapacity(/*high_watermark=*/8, /*low_watermark=*/4);
-  ASSERT_TRUE(fx.ingress.Start().ok());
+  ShardedFixture fx(/*shards=*/1, /*basket_capacity=*/0, /*max_batch_rows=*/4);
+  fx.baskets[0]->SetCapacity(/*high_watermark=*/8, /*low_watermark=*/4);
+  ASSERT_TRUE(fx.ingress->Start().ok());
 
   constexpr uint64_t kTuples = 50;
-  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  auto conn = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(conn.ok());
   Codec codec(StreamSchema());
   std::string payload = codec.EncodeSchemaHeader() + "\n";
@@ -490,54 +507,54 @@ TEST(GatewayTest, BackpressureEngagesAndReleasesWithoutLoss) {
 
   // With no consumer the valve must close at the high watermark: the
   // basket holds at most 8 rows and the gateway stops reading.
-  for (int i = 0; i < 5000 && !fx.ingress.backpressured(); ++i) {
+  for (int i = 0; i < 5000 && !fx.ingress->backpressured(); ++i) {
     fx.clock->SleepFor(1000);
   }
-  EXPECT_TRUE(fx.ingress.backpressured());
-  EXPECT_LE(fx.basket->size(), 8u);
-  EXPECT_LT(fx.ingress.tuples_received(), kTuples);
+  EXPECT_TRUE(fx.ingress->backpressured());
+  EXPECT_LE(fx.baskets[0]->size(), 8u);
+  EXPECT_LT(fx.ingress->tuples_received(), kTuples);
 
   // Draining past the low watermark releases it; every tuple eventually
   // arrives and none were dropped anywhere (push-back, not drop).
   uint64_t taken = 0;
-  for (int i = 0; i < 5000 && !fx.ingress.finished(); ++i) {
-    taken += fx.basket->TakeAll().num_rows();
+  for (int i = 0; i < 5000 && !fx.ingress->finished(); ++i) {
+    taken += fx.baskets[0]->TakeAll().num_rows();
     fx.clock->SleepFor(1000);
   }
-  ASSERT_TRUE(fx.ingress.finished());
-  taken += fx.basket->TakeAll().num_rows();
+  ASSERT_TRUE(fx.ingress->finished());
+  taken += fx.baskets[0]->TakeAll().num_rows();
 
   EXPECT_EQ(taken, kTuples);
-  EXPECT_EQ(fx.ingress.tuples_received(), kTuples);
-  EXPECT_EQ(fx.ingress.tuples_dropped(), 0u);
-  EXPECT_EQ(fx.basket->stats().dropped, 0u);
-  EXPECT_LE(fx.basket->stats().peak_rows, 8u);
-  EXPECT_GE(fx.ingress.backpressure_engagements(), 1u);
-  EXPECT_FALSE(fx.ingress.backpressured());
-  fx.ingress.Stop();
+  EXPECT_EQ(fx.ingress->tuples_received(), kTuples);
+  EXPECT_EQ(fx.ingress->tuples_dropped(), 0u);
+  EXPECT_EQ(fx.baskets[0]->stats().dropped, 0u);
+  EXPECT_LE(fx.baskets[0]->stats().peak_rows, 8u);
+  EXPECT_GE(fx.ingress->backpressure_engagements(), 1u);
+  EXPECT_FALSE(fx.ingress->backpressured());
+  fx.ingress->Stop();
 }
 
 TEST(GatewayTest, HandshakeFailureDropsOnlyThatConnection) {
-  GatewayFixture fx;
-  ASSERT_TRUE(fx.ingress.Start().ok());
+  ShardedFixture fx(/*shards=*/1);
+  ASSERT_TRUE(fx.ingress->Start().ok());
   Codec codec(StreamSchema());
 
-  auto bad = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  auto bad = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(bad.ok());
   ASSERT_TRUE(bad->WriteAll("wrong:int|schema:string\n1|x\n").ok());
   ASSERT_TRUE(bad->ShutdownWrite().ok());
 
-  auto good = TcpStream::Connect("127.0.0.1", fx.ingress.port());
+  auto good = TcpStream::Connect("127.0.0.1", fx.ingress->port());
   ASSERT_TRUE(good.ok());
   ASSERT_TRUE(
       good->WriteAll(codec.EncodeSchemaHeader() + "\n1|10\n2|20\n").ok());
   ASSERT_TRUE(good->ShutdownWrite().ok());
 
   ASSERT_TRUE(fx.WaitFinished());
-  EXPECT_EQ(fx.ingress.connections_accepted(), 2u);
-  EXPECT_EQ(fx.ingress.tuples_received(), 2u);
-  EXPECT_EQ(fx.basket->size(), 2u);
-  fx.ingress.Stop();
+  EXPECT_EQ(fx.ingress->connections_accepted(), 2u);
+  EXPECT_EQ(fx.ingress->tuples_received(), 2u);
+  EXPECT_EQ(fx.baskets[0]->size(), 2u);
+  fx.ingress->Stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -622,44 +639,6 @@ TEST(SocketTest, WriteAllRidesOutFullSendBuffer) {
 // ---------------------------------------------------------------------------
 // Sharded gateway: fan-in, fault injection, per-shard flow control
 // ---------------------------------------------------------------------------
-
-struct ShardedFixture {
-  explicit ShardedFixture(size_t shards, size_t basket_capacity = 0,
-                          size_t max_batch_rows = 1024)
-      : clock(SystemClock::Get()) {
-    for (size_t k = 0; k < shards; ++k) {
-      auto b = std::make_shared<core::Basket>("in.s" + std::to_string(k),
-                                              StreamSchema());
-      if (basket_capacity > 0) b->SetCapacity(basket_capacity);
-      auto r = std::make_shared<core::Receptor>("r.s" + std::to_string(k));
-      r->AddOutput(b);
-      baskets.push_back(std::move(b));
-      receptors.push_back(std::move(r));
-    }
-    ShardedIngressOptions opts;
-    opts.max_batch_rows = max_batch_rows;
-    ingress = std::make_unique<ShardedIngress>(receptors, Codec(StreamSchema()),
-                                               clock, opts);
-  }
-
-  bool WaitFinished(int timeout_ms = 5000) {
-    for (int i = 0; i < timeout_ms && !ingress->finished(); ++i) {
-      clock->SleepFor(1000);
-    }
-    return ingress->finished();
-  }
-
-  uint64_t TotalBasketRows() const {
-    uint64_t total = 0;
-    for (const auto& b : baskets) total += b->size();
-    return total;
-  }
-
-  SystemClock* clock;
-  std::vector<core::BasketPtr> baskets;
-  std::vector<core::ReceptorPtr> receptors;
-  std::unique_ptr<ShardedIngress> ingress;
-};
 
 TEST(ShardedGatewayTest, FanInAcrossShardsLossless) {
   ShardedFixture fx(/*shards=*/4);

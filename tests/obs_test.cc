@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,7 +18,8 @@
 #include "core/metronome.h"
 #include "core/receptor.h"
 #include "core/scheduler.h"
-#include "net/gateway.h"
+#include "net/codec.h"
+#include "net/shard.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "obs/tables.h"
@@ -406,7 +408,7 @@ TEST(GatewayStatsTest, StatsCommandAnswersOneLineAndCloses) {
   auto basket = std::make_shared<core::Basket>("stats_in", IntSchema());
   auto receptor = std::make_shared<core::Receptor>("stats_r");
   receptor->AddOutput(basket);
-  net::TcpIngress ingress(receptor, net::Codec(IntSchema()), clock);
+  net::ShardedIngress ingress({receptor}, net::Codec(IntSchema()), clock);
   ASSERT_TRUE(ingress.Start().ok());
 
   auto conn = net::TcpStream::Connect("127.0.0.1", ingress.port());
@@ -426,6 +428,23 @@ TEST(GatewayStatsTest, StatsCommandAnswersOneLineAndCloses) {
   // first monitoring probe.
   clock->SleepFor(50'000);
   EXPECT_FALSE(ingress.finished());
+  ingress.Stop();
+}
+
+// Every gateway is a sharded one: an unsharded (one-receptor) ingress is
+// exactly one dc_shards row.
+TEST_F(ObsSqlTest, OneReceptorIngressIsOneDcShardsRow) {
+  auto basket = std::make_shared<core::Basket>("shards_in", IntSchema());
+  auto receptor = std::make_shared<core::Receptor>("shards_r");
+  receptor->AddOutput(basket);
+  net::ShardedIngress ingress({receptor}, net::Codec(IntSchema()),
+                              SystemClock::Get());
+  ASSERT_TRUE(ingress.Start().ok());
+  auto r = session_.Execute("select shard from dc_shards where port = " +
+                            std::to_string(ingress.port()));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 1u);
+  EXPECT_EQ(r->GetRow(0)[0], Value(int64_t{0}));
   ingress.Stop();
 }
 

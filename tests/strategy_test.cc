@@ -215,61 +215,6 @@ TEST(StrategySemanticsTest, PartialDeletesEarlierQueryStealsOverlap) {
   EXPECT_EQ(net->outputs[1]->size(), 5u);  // 0..4 only
 }
 
-TEST(SharedPrefixTest, EquivalentToSeparateEvaluation) {
-  SimulatedClock clock;
-  // Shared prefix payload < 15; residuals pick sub-ranges.
-  ExprPtr prefix = Expr::Bin(BinaryOp::kLt, Expr::Col("payload"), Expr::Lit(15));
-  std::vector<ContinuousQuery> residuals = {
-      {"low", Expr::Bin(BinaryOp::kLt, Expr::Col("payload"), Expr::Lit(5))},
-      {"mid", Expr::Bin(BinaryOp::kGe, Expr::Col("payload"), Expr::Lit(5))},
-  };
-  auto net = BuildSharedPrefix(StreamSchema(), {{"g", prefix, residuals}}, 30);
-  ASSERT_TRUE(net.ok());
-  Scheduler sched(&clock);
-  net->RegisterAll(&sched);
-  ASSERT_TRUE(net->receptor->Deliver(MakeBatch(0, 30), clock.Now()).ok());
-  ASSERT_TRUE(sched.RunUntilQuiescent().ok());
-  ASSERT_EQ(net->outputs.size(), 2u);
-  // low: payload 0..4 (5 tuples); mid: 5..14 (10 tuples).
-  EXPECT_EQ(net->outputs[0]->size(), 5u);
-  EXPECT_EQ(net->outputs[1]->size(), 10u);
-}
-
-TEST(SharedPrefixTest, PrefixEvaluatedOnceReplicatesOnlyMatches) {
-  SimulatedClock clock;
-  ExprPtr prefix = Expr::Bin(BinaryOp::kLt, Expr::Col("payload"), Expr::Lit(3));
-  std::vector<ContinuousQuery> residuals = {{"all1", nullptr},
-                                            {"all2", nullptr}};
-  auto net = BuildSharedPrefix(StreamSchema(), {{"g", prefix, residuals}}, 10);
-  ASSERT_TRUE(net.ok());
-  Scheduler sched(&clock);
-  net->RegisterAll(&sched);
-  ASSERT_TRUE(net->receptor->Deliver(MakeBatch(0, 10), clock.Now()).ok());
-  ASSERT_TRUE(sched.RunUntilQuiescent().ok());
-  // Both residual queries see exactly the 3 prefix matches.
-  EXPECT_EQ(net->outputs[0]->size(), 3u);
-  EXPECT_EQ(net->outputs[1]->size(), 3u);
-}
-
-TEST(SharedPrefixTest, MultipleGroupsIndependent) {
-  SimulatedClock clock;
-  std::vector<SharedPrefixGroup> groups = {
-      {"a", Expr::Bin(BinaryOp::kLt, Expr::Col("payload"), Expr::Lit(10)),
-       {{"q", nullptr}}},
-      {"b", Expr::Bin(BinaryOp::kGe, Expr::Col("payload"), Expr::Lit(20)),
-       {{"q", nullptr}}},
-  };
-  auto net = BuildSharedPrefix(StreamSchema(), groups, 30);
-  ASSERT_TRUE(net.ok());
-  EXPECT_EQ(net->receptor->outputs().size(), 2u);  // one basket per group
-  Scheduler sched(&clock);
-  net->RegisterAll(&sched);
-  ASSERT_TRUE(net->receptor->Deliver(MakeBatch(0, 30), clock.Now()).ok());
-  ASSERT_TRUE(sched.RunUntilQuiescent().ok());
-  EXPECT_EQ(net->outputs[0]->size(), 10u);
-  EXPECT_EQ(net->outputs[1]->size(), 10u);
-}
-
 TEST(SplitPlanTest, LoaderReleasesInputBeforeWorkerRuns) {
   SimulatedClock clock;
   auto input = std::make_shared<Basket>("in", StreamSchema());

@@ -29,16 +29,15 @@
 // through SQL as dc_* virtual tables).
 //
 // Sharding (DESIGN.md §15, opt-in via environment):
-//   DATACELL_SHARDS=<n>        n >= 2 replaces the single poll(2) reactor
-//                              with n epoll reactor shards behind one
-//                              acceptor: connections are fd-hashed onto
-//                              shards, each shard delivers into its own
-//                              bounded basket b0.s<k> (capacity split n
-//                              ways), the query chain is cloned per shard,
-//                              and a fixed-shard-order merge transition
-//                              re-joins the partitions before the emitter.
-//                              Unset or 1 = exactly the old single-reactor
-//                              server.
+//   DATACELL_SHARDS=<n>        number of epoll reactor shards behind the
+//                              one acceptor (default 1). With n >= 2,
+//                              connections are fd-hashed onto shards, each
+//                              shard delivers into its own bounded basket
+//                              b0.s<k> (capacity split n ways), the query
+//                              chain is cloned per shard, and a
+//                              fixed-shard-order merge transition re-joins
+//                              the partitions before the emitter. Unset or
+//                              1 = one shard feeding basket b0 directly.
 //
 // Durability (all opt-in via environment, unset = exactly the old server):
 //   DATACELL_LOG=<path>        append every ingested batch to a replayable
@@ -252,8 +251,7 @@ int main(int argc, char** argv) {
   emitter->AddInput(emit_basket);
   engine.Register(emitter);
 
-  // One receptor per ingress basket: the single-reactor gateway takes the
-  // lone receptor, the sharded gateway one per shard.
+  // One receptor per ingress basket, i.e. one per gateway shard.
   std::vector<core::ReceptorPtr> receptors;
   for (size_t k = 0; k < ingress_baskets.size(); ++k) {
     auto receptor = std::make_shared<core::Receptor>(
@@ -262,27 +260,11 @@ int main(int argc, char** argv) {
     receptors.push_back(std::move(receptor));
   }
 
-  std::unique_ptr<net::TcpIngress> ingress;
-  std::unique_ptr<net::ShardedIngress> sharded;
-  uint16_t bound_port = 0;
-  if (shards == 1) {
-    ingress = std::make_unique<net::TcpIngress>(receptors[0],
-                                                net::Codec(stream), clock);
-    if (ingest_log != nullptr) ingress->EnableIngestLog(ingest_log.get());
-    if (Status st = ingress->Start(listen_port); !st.ok()) {
-      std::fprintf(stderr, "cannot listen: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    bound_port = ingress->port();
-  } else {
-    sharded = std::make_unique<net::ShardedIngress>(
-        receptors, net::Codec(stream), clock);
-    if (ingest_log != nullptr) sharded->EnableIngestLog(ingest_log.get());
-    if (Status st = sharded->Start(listen_port); !st.ok()) {
-      std::fprintf(stderr, "cannot listen: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    bound_port = sharded->port();
+  net::ShardedIngress ingress(receptors, net::Codec(stream), clock);
+  if (ingest_log != nullptr) ingress.EnableIngestLog(ingest_log.get());
+  if (Status st = ingress.Start(listen_port); !st.ok()) {
+    std::fprintf(stderr, "cannot listen: %s\n", st.ToString().c_str());
+    return 1;
   }
   if (Status st = engine.scheduler().Start(); !st.ok()) {
     std::fprintf(stderr, "scheduler failed: %s\n", st.ToString().c_str());
@@ -290,17 +272,14 @@ int main(int argc, char** argv) {
   }
   std::printf("datacell: listening on %u, %d-query chain, %zu workers, "
               "%zu shard(s)%s%s, forwarding to %s:%u\n",
-              bound_port, queries, workers, shards,
+              ingress.port(), queries, workers, shards,
               capacity > 0 ? ", bounded ingress" : "",
               ingest_log != nullptr ? ", logged" : "", actuator_host,
               actuator_port);
   std::fflush(stdout);
 
-  const auto finished = [&] {
-    return shards == 1 ? ingress->finished() : sharded->finished();
-  };
   // Serve until every connected sensor has disconnected, drain, and exit.
-  while (!finished()) clock->SleepFor(10'000);
+  while (!ingress.finished()) clock->SleepFor(10'000);
   while (true) {
     bool empty = true;
     for (const std::string& name : engine.ListBaskets()) {
@@ -330,18 +309,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "log sync: %s\n", st.ToString().c_str());
     }
   }
-  const uint64_t total_tuples =
-      shards == 1 ? ingress->tuples_received() : sharded->tuples_received();
-  const uint64_t total_dropped =
-      shards == 1 ? ingress->tuples_dropped() : sharded->tuples_dropped();
-  const uint64_t total_bp = shards == 1
-                                ? ingress->backpressure_engagements()
-                                : sharded->backpressure_engagements();
   std::printf("datacell: done (%llu tuples ingested, %llu malformed dropped, "
               "%llu backpressure engagements)\n",
-              static_cast<unsigned long long>(total_tuples),
-              static_cast<unsigned long long>(total_dropped),
-              static_cast<unsigned long long>(total_bp));
+              static_cast<unsigned long long>(ingress.tuples_received()),
+              static_cast<unsigned long long>(ingress.tuples_dropped()),
+              static_cast<unsigned long long>(
+                  ingress.backpressure_engagements()));
   std::printf("transition      firings      p50us      p95us      p99us"
               "      maxus\n");
   for (const core::Scheduler::TransitionStats& t :
@@ -352,7 +325,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(t.latency.max));
   }
   // Stop the gateway before the engine (and its baskets) go away.
-  if (ingress != nullptr) ingress->Stop();
-  if (sharded != nullptr) sharded->Stop();
+  ingress.Stop();
   return 0;
 }

@@ -69,11 +69,11 @@ if [ -e BENCH_spill_backpressure.json ]; then
   fi
 fi
 
-# The sharded-gateway report must carry both reactor arms and the
-# backpressure-at-scale acceptance fields (DESIGN.md §15).
+# The sharded-gateway report must carry the reactor-efficiency arm and
+# the backpressure-at-scale acceptance fields (DESIGN.md §15).
 if [ -e BENCH_gateway_sharded.json ]; then
-  for field in '"shards"' '"sensors"' '"tps_per_shard"' '"scaling_ratio"' \
-               '"poll_tuples_per_cpu_s"' '"sharded_tuples_per_cpu_s"' \
+  for field in '"shards"' '"sensors"' '"tps_per_shard"' \
+               '"sharded_tuples_per_cpu_s"' \
                '"scaling_lossless"' '"bp_lossless"' \
                '"bp_backpressure_engagements"'; do
     if ! grep -q "$field" BENCH_gateway_sharded.json; then
