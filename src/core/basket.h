@@ -303,8 +303,8 @@ class Basket {
   // Logical row count (resident + spilled) mirrored on every mutation
   // (Touch), so size() — and with it Factory::CanFire, credit accounting,
   // and firing bodies probing a basket they did not lock — never takes
-  // mu_. Taking a basket lock just to read the size is how the SplitPlan
-  // firing path once inverted the basket lock order.
+  // mu_. Taking a basket lock just to read the size is how a firing body
+  // once inverted the basket lock order.
   std::atomic<size_t> num_rows_{0};
   // Mirrors of the resident/spilled split (also maintained by Touch).
   // CreditRemaining()/Drained() read resident_rows_: producer credit is a

@@ -10,26 +10,24 @@ namespace datacell::core {
 Result<Table> BasketExpression::Evaluate(const EvalContext& ctx) const {
   // Snapshot the basket under its lock. The snapshot shares the basket's
   // column buffers copy-on-write, so it costs O(#columns), and it stays
-  // immutable no matter what producers append afterwards. Policies that do
-  // not erase *specific* rows can therefore release the lock before the
-  // (possibly expensive) window evaluation:
-  //   * kNone never mutates the basket;
+  // immutable no matter what producers append afterwards:
   //   * kBatch consumes exactly the snapshot, so we Clear() up front (O(1);
-  //     the snapshot keeps the rows) — except under `top n`, which must
-  //     consume nothing when the window cannot be filled yet, so it keeps
-  //     the lock like the row-targeted policies;
-  //   * kMatched/kExpired erase rows by index into the snapshot, so the
-  //     basket must not change between snapshot and erase: hold the lock.
+  //     the snapshot keeps the rows) and release the lock before the
+  //     (possibly expensive) window evaluation — except under `top n`,
+  //     which must consume nothing when the window cannot be filled yet,
+  //     so it keeps the lock like kMatched;
+  //   * kMatched erases rows by index into the snapshot, so the basket
+  //     must not change between snapshot and erase: hold the lock.
   // The two branches keep the lock state balanced on every path, which is
   // what the thread-safety analysis can follow.
   const bool consume_upfront =
       consume_ == ConsumePolicy::kBatch && !top_n_.has_value();
-  if (consume_ == ConsumePolicy::kNone || consume_upfront) {
+  if (consume_upfront) {
     Table data;
     {
       BasketLock lock(source_.get());
       data = source_->Peek();
-      if (consume_upfront) source_->Clear();
+      source_->Clear();
     }
     return EvaluateSnapshot(data, ctx);
   }
@@ -84,12 +82,10 @@ Result<Table> BasketExpression::EvaluateSnapshot(const Table& data,
                      selected.size() == data.num_rows();
   Table result = whole ? data : data.Take(selected);
 
-  // 4. Consumption side effect (indices refer to the snapshot; for the
-  // row-targeted policies the lock held by Evaluate since the snapshot
-  // keeps them valid against the basket).
+  // 4. Consumption side effect (indices refer to the snapshot; for kMatched
+  // the lock held by Evaluate since the snapshot keeps them valid against
+  // the basket).
   switch (consume_) {
-    case ConsumePolicy::kNone:
-      break;
     case ConsumePolicy::kBatch:
       if (!consume_upfront) source_->Clear();
       break;
@@ -99,16 +95,6 @@ Result<Table> BasketExpression::EvaluateSnapshot(const Table& data,
       to_erase.erase(std::unique(to_erase.begin(), to_erase.end()),
                      to_erase.end());
       RETURN_NOT_OK(source_->EraseRows(to_erase));
-      break;
-    }
-    case ConsumePolicy::kExpired: {
-      if (expire_predicate_ == nullptr) {
-        return Status::InvalidArgument(
-            "kExpired consume policy requires an expire predicate");
-      }
-      ASSIGN_OR_RETURN(SelVector expired,
-                       EvalPredicate(data, *expire_predicate_, ctx));
-      RETURN_NOT_OK(source_->EraseRows(expired));
       break;
     }
   }

@@ -22,14 +22,6 @@ enum class ConsumePolicy : uint8_t {
   /// qualified (classic consume-the-batch continuous query; avoids
   /// unbounded growth of never-matching tuples).
   kBatch,
-  /// Delete nothing (shared-baskets readers; the unlocker factory deletes
-  /// later; also plain table inspection outside a basket expression).
-  kNone,
-  /// Delete the tuples matching `expire_predicate` instead of the returned
-  /// window — sliding windows keep tuples still valid for the next window
-  /// (§4.1: "it removes only the tuples that given the query do not qualify
-  /// for the next window").
-  kExpired,
 };
 
 /// A compiled basket expression (§3.4): the bracketed sub-query
@@ -60,11 +52,6 @@ class BasketExpression {
     consume_ = policy;
     return *this;
   }
-  /// For kExpired.
-  BasketExpression& ExpireWhere(ExprPtr predicate) {
-    expire_predicate_ = std::move(predicate);
-    return *this;
-  }
 
   const BasketPtr& source() const { return source_; }
   const ExprPtr& predicate() const { return predicate_; }
@@ -84,9 +71,9 @@ class BasketExpression {
 
  private:
   // Window evaluation + consumption over an immutable snapshot of the
-  // basket (steps shared by both locking disciplines in Evaluate). For the
-  // row-targeted policies the caller holds the basket lock so the snapshot
-  // indices stay valid against the live basket.
+  // basket (steps shared by both locking disciplines in Evaluate). For
+  // kMatched the caller holds the basket lock so the snapshot indices stay
+  // valid against the live basket.
   Result<Table> EvaluateSnapshot(const Table& data, const EvalContext& ctx) const;
 
   BasketPtr source_;
@@ -94,7 +81,6 @@ class BasketExpression {
   std::vector<ops::SortKey> order_by_;
   std::optional<size_t> top_n_;
   ConsumePolicy consume_ = ConsumePolicy::kMatched;
-  ExprPtr expire_predicate_;
 };
 
 }  // namespace datacell::core

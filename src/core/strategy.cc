@@ -251,31 +251,4 @@ Result<QueryNetwork> BuildPartialDeleteChain(
   return net;
 }
 
-Result<SplitPlan> SplitQueryPlan(const std::string& name, BasketPtr input,
-                                 size_t batch_size, Factory::Body worker_body) {
-  DC_CHECK(input != nullptr);
-  SplitPlan plan;
-  plan.staging = std::make_shared<Basket>("stage_" + name, input->schema(),
-                                          /*add_arrival_ts=*/false);
-  BasketPtr staging = plan.staging;
-  BasketPtr in = input;
-  // The loader holds the shared input only long enough to move the batch.
-  auto loader = std::make_shared<Factory>(
-      "load_" + name, [in, staging](FactoryContext& ctx) -> Status {
-        Table batch = in->TakeAll();
-        if (batch.num_rows() == 0) return Status::OK();
-        ASSIGN_OR_RETURN(size_t n, staging->AppendAligned(batch, ctx.now()));
-        (void)n;
-        return Status::OK();
-      });
-  loader->AddInput(input, batch_size);
-  loader->AddOutput(plan.staging);
-  auto worker = std::make_shared<Factory>("work_" + name,
-                                          std::move(worker_body));
-  worker->AddInput(plan.staging, 1);
-  plan.loader = loader;
-  plan.worker = worker;
-  return plan;
-}
-
 }  // namespace datacell::core

@@ -57,21 +57,6 @@ Result<QueryNetwork> BuildPartialDeleteChain(
     const Schema& stream_schema, const std::vector<ContinuousQuery>& queries,
     size_t batch_size);
 
-/// §4.3 research direction "split the query plan into multiple factories":
-/// wraps a (possibly slow) query body behind a cheap load factory that
-/// moves the input into a private staging basket and releases the shared
-/// input immediately — a fast query sharing the stream no longer waits for
-/// a slow one. Returns the two transitions (loader, worker) and the
-/// staging basket they communicate through.
-struct SplitPlan {
-  TransitionPtr loader;
-  TransitionPtr worker;
-  BasketPtr staging;
-};
-
-Result<SplitPlan> SplitQueryPlan(const std::string& name, BasketPtr input,
-                                 size_t batch_size, Factory::Body worker_body);
-
 }  // namespace datacell::core
 
 #endif  // DATACELL_CORE_STRATEGY_H_

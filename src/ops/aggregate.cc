@@ -71,23 +71,6 @@ Result<DataType> AggOutputType(AggFunc func, DataType arg) {
   return Status::Internal("unreachable");
 }
 
-bool ValueLess(const Value& a, const Value& b) {
-  if (a.is_string()) return a.string_value() < b.string_value();
-  if (a.is_bool()) return a.bool_value() < b.bool_value();
-  double x = a.is_int() ? static_cast<double>(a.int_value()) : a.double_value();
-  double y = b.is_int() ? static_cast<double>(b.int_value()) : b.double_value();
-  return x < y;
-}
-
-void MergeMinMax(const Value& v, Value* min, Value* max) {
-  if (min->is_null() || ValueLess(v, *min)) *min = v;
-  if (max->is_null() || ValueLess(*max, v)) *max = v;
-}
-
-void UpdateMinMax(const Column& col, uint32_t row, Value* min, Value* max) {
-  MergeMinMax(col.GetValue(row), min, max);
-}
-
 // Group ids for a single int64/timestamp key: an open-addressing table
 // keyed by the raw int64 (linear probing, Fibonacci hash, kept at most
 // half full), with NULL as a group of its own. Ids are handed out in
@@ -440,103 +423,6 @@ Result<Table> Aggregate(const Table& table, const std::vector<GroupItem>& groups
     RETURN_NOT_OK(out.column(c).AppendColumn(out_cols[c]));
   }
   return out;
-}
-
-Status RunningAggregate::Update(const Column& column) {
-  const size_t n = column.size();
-  if (func_ == AggFunc::kCountStar) {
-    count_ += static_cast<int64_t>(n);
-    return Status::OK();
-  }
-  // Numeric batches fold through the vectorized kernel; the running sum
-  // absorbs one striped per-batch partial instead of n per-row adds
-  // (DESIGN.md §12).
-  if (IsNumeric(column.type())) {
-    const simd::FoldState f = kern::FoldNumeric(column);
-    count_ += static_cast<int64_t>(f.count);
-    if (f.count == 0) return Status::OK();
-    if (column.type() == DataType::kDouble) {
-      if (func_ == AggFunc::kSum || func_ == AggFunc::kAvg) {
-        sum_is_int_ = false;
-        sum_ += f.dsum;
-      } else if (func_ == AggFunc::kMin || func_ == AggFunc::kMax) {
-        MergeMinMax(Value(f.dmin), &min_, &max_);
-        MergeMinMax(Value(f.dmax), &min_, &max_);
-      }
-    } else {
-      const int64_t batch = static_cast<int64_t>(f.isum);
-      if (func_ == AggFunc::kSum || func_ == AggFunc::kAvg) {
-        isum_ = static_cast<int64_t>(static_cast<uint64_t>(isum_) +
-                                     static_cast<uint64_t>(batch));
-        sum_ += static_cast<double>(batch);
-      } else if (func_ == AggFunc::kMin || func_ == AggFunc::kMax) {
-        MergeMinMax(Value(f.imin), &min_, &max_);
-        MergeMinMax(Value(f.imax), &min_, &max_);
-      }
-    }
-    return Status::OK();
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (func_ == AggFunc::kCountStar) {
-      ++count_;
-      continue;
-    }
-    if (!column.IsValid(i)) continue;
-    switch (func_) {
-      case AggFunc::kCount:
-        ++count_;
-        break;
-      case AggFunc::kSum:
-      case AggFunc::kAvg:
-        ++count_;
-        if (column.type() == DataType::kDouble) {
-          sum_is_int_ = false;
-          sum_ += column.doubles()[i];
-        } else if (IsIntegerPhysical(column.type())) {
-          isum_ += column.ints()[i];
-          sum_ += static_cast<double>(column.ints()[i]);
-        } else {
-          return Status::TypeMismatch("sum/avg over non-numeric column");
-        }
-        break;
-      case AggFunc::kMin:
-      case AggFunc::kMax:
-        ++count_;
-        UpdateMinMax(column, static_cast<uint32_t>(i), &min_, &max_);
-        break;
-      case AggFunc::kCountStar:
-        break;
-    }
-  }
-  return Status::OK();
-}
-
-Value RunningAggregate::Current() const {
-  switch (func_) {
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      return Value(count_);
-    case AggFunc::kSum:
-      if (count_ == 0) return Value::Null();
-      return sum_is_int_ ? Value(isum_) : Value(sum_);
-    case AggFunc::kAvg:
-      if (count_ == 0) return Value::Null();
-      return Value(sum_ / static_cast<double>(count_));
-    case AggFunc::kMin:
-      return min_;
-    case AggFunc::kMax:
-      return max_;
-  }
-  return Value::Null();
-}
-
-void RunningAggregate::Reset() {
-  count_ = 0;
-  sum_ = 0;
-  isum_ = 0;
-  sum_is_int_ = true;
-  min_ = Value::Null();
-  max_ = Value::Null();
 }
 
 }  // namespace datacell::ops

@@ -43,32 +43,6 @@ Result<Table> Aggregate(const Table& table, const std::vector<GroupItem>& groups
                         const std::vector<AggItem>& aggs,
                         const EvalContext& ctx);
 
-/// Running-aggregate state for the paper's §5 two-phase incremental
-/// aggregation (initialize once, fold in each new batch). Used by the SQL
-/// layer's `declare`/`set` pattern and directly by the library API.
-class RunningAggregate {
- public:
-  explicit RunningAggregate(AggFunc func) : func_(func) {}
-
-  /// Folds in every (non-null) value of `column`.
-  Status Update(const Column& column);
-
-  /// Current value: int64 count, sum in the input domain, double avg, etc.
-  /// NULL until the first value arrives (except counts, which start at 0).
-  Value Current() const;
-
-  void Reset();
-
- private:
-  AggFunc func_;
-  int64_t count_ = 0;
-  double sum_ = 0;
-  bool sum_is_int_ = true;
-  int64_t isum_ = 0;
-  Value min_;
-  Value max_;
-};
-
 }  // namespace datacell::ops
 
 #endif  // DATACELL_OPS_AGGREGATE_H_

@@ -224,14 +224,4 @@ Result<Table> MaterializeJoin(const Table& left, const Table& right,
   return out;
 }
 
-Result<Table> HashJoin(const Table& left, const Table& right,
-                       const std::vector<JoinKey>& keys,
-                       const ExprPtr& residual, const EvalContext& ctx) {
-  ASSIGN_OR_RETURN(JoinMatches matches, HashJoinIndices(left, right, keys));
-  ASSIGN_OR_RETURN(Table combined, MaterializeJoin(left, right, matches));
-  if (residual == nullptr) return combined;
-  ASSIGN_OR_RETURN(SelVector sel, EvalPredicate(combined, *residual, ctx));
-  return combined.Take(sel);
-}
-
 }  // namespace datacell::ops

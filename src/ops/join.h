@@ -43,12 +43,6 @@ Result<JoinMatches> NestedLoopJoin(const Table& left, const Table& right,
 Result<Table> MaterializeJoin(const Table& left, const Table& right,
                               const JoinMatches& matches);
 
-/// Convenience: HashJoinIndices + optional residual predicate filter on the
-/// combined result + materialization.
-Result<Table> HashJoin(const Table& left, const Table& right,
-                       const std::vector<JoinKey>& keys,
-                       const ExprPtr& residual, const EvalContext& ctx);
-
 }  // namespace datacell::ops
 
 #endif  // DATACELL_OPS_JOIN_H_

@@ -132,21 +132,6 @@ simd::FoldState FoldNumeric(const Column& col) {
   });
 }
 
-simd::FoldState FoldNumericSel(const Column& col, const SelVector& sel) {
-  const uint8_t* valid = col.raw_validity();
-  if (col.type() == DataType::kDouble) {
-    const ColumnView<double> v = col.doubles();
-    return FoldChunked(sel.size(), [&](size_t begin, size_t end) {
-      return simd::FoldF64Sel(v.data(), valid, sel.data() + begin,
-                              end - begin);
-    });
-  }
-  const ColumnView<int64_t> v = col.ints();
-  return FoldChunked(sel.size(), [&](size_t begin, size_t end) {
-    return simd::FoldI64Sel(v.data(), valid, sel.data() + begin, end - begin);
-  });
-}
-
 void HashI64Span(const int64_t* d, size_t n, std::vector<uint64_t>* out) {
   out->resize(n);
   RunMorsels(n, [&](size_t, size_t begin, size_t end) {

@@ -34,11 +34,10 @@ SelVector SelectRangeI64Col(const Column& col, int64_t a, int64_t b);
 SelVector SelectRangeF64Col(const Column& col, double lo, bool lo_inclusive,
                             double hi, bool hi_inclusive);
 
-/// Columnar fold (count/sum/min/max) over all live rows, or over a
-/// selection vector. Int columns fill count/isum/imin/imax, double
-/// columns count/dsum/dmin/dmax (see simd::FoldState).
+/// Columnar fold (count/sum/min/max) over all live rows. Int columns fill
+/// count/isum/imin/imax, double columns count/dsum/dmin/dmax (see
+/// simd::FoldState).
 simd::FoldState FoldNumeric(const Column& col);
-simd::FoldState FoldNumericSel(const Column& col, const SelVector& sel);
 
 /// Vectorized multiply-shift hash of an int64 span (join build/probe),
 /// morsel-gridded. out is resized to n.

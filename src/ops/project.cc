@@ -4,15 +4,6 @@
 
 namespace datacell::ops {
 
-std::vector<ProjectionItem> ProjectAll(const Schema& schema) {
-  std::vector<ProjectionItem> items;
-  items.reserve(schema.num_fields());
-  for (const Field& f : schema.fields()) {
-    items.push_back({Expr::Col(f.name), f.name});
-  }
-  return items;
-}
-
 Result<Table> Project(const Table& table,
                       const std::vector<ProjectionItem>& items,
                       const EvalContext& ctx, const SelVector* sel) {

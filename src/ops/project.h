@@ -18,10 +18,6 @@ struct ProjectionItem {
   std::string name;
 };
 
-/// Builds a projection list selecting every column of `schema` unchanged
-/// (SELECT *).
-std::vector<ProjectionItem> ProjectAll(const Schema& schema);
-
 /// Evaluates each item over `table` and assembles the result table. If
 /// `sel` is non-null, only those rows are evaluated/emitted.
 Result<Table> Project(const Table& table,

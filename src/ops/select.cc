@@ -4,11 +4,6 @@
 
 namespace datacell::ops {
 
-Result<SelVector> Select(const Table& table, const Expr& predicate,
-                         const EvalContext& ctx) {
-  return EvalPredicate(table, predicate, ctx);
-}
-
 Result<SelVector> SelectRange(const Table& table, const std::string& column,
                               const Value& lo, bool lo_inclusive,
                               const Value& hi, bool hi_inclusive) {
@@ -40,12 +35,6 @@ Result<SelVector> SelectRange(const Table& table, const std::string& column,
     return kern::SelectRangeF64Col(*col, a, lo_inclusive, b, hi_inclusive);
   }
   return Status::TypeMismatch("SelectRange requires a numeric column");
-}
-
-Result<Table> Filter(const Table& table, const Expr& predicate,
-                     const EvalContext& ctx) {
-  ASSIGN_OR_RETURN(SelVector sel, EvalPredicate(table, predicate, ctx));
-  return table.Take(sel);
 }
 
 }  // namespace datacell::ops

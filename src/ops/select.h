@@ -10,21 +10,12 @@
 
 namespace datacell::ops {
 
-/// Relational selection: rows of `table` satisfying `predicate`, as an
-/// ascending selection vector.
-Result<SelVector> Select(const Table& table, const Expr& predicate,
-                         const EvalContext& ctx);
-
 /// Range scan `lo < col < hi` (open/closed per flags) on a numeric column —
 /// the kernel primitive behind the paper's `monetdb.select(input, v1, v2)`
 /// factory example (Algorithm 1). Pass a null Value to leave a bound open.
 Result<SelVector> SelectRange(const Table& table, const std::string& column,
                               const Value& lo, bool lo_inclusive,
                               const Value& hi, bool hi_inclusive);
-
-/// Materializes the selected rows into a new table.
-Result<Table> Filter(const Table& table, const Expr& predicate,
-                     const EvalContext& ctx);
 
 }  // namespace datacell::ops
 

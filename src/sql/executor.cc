@@ -11,7 +11,6 @@
 #include "ops/aggregate.h"
 #include "ops/join.h"
 #include "ops/project.h"
-#include "ops/select.h"
 #include "ops/sort.h"
 #include "sql/binder.h"
 #include "sql/planner.h"

@@ -197,6 +197,70 @@ PlanPtr FinishBody(const SelectStmt& body, PlanPtr p, double rows,
   return MakeUnary(PlanNodeKind::kProject, std::move(p), detail, rows);
 }
 
+Result<PlanPtr> SourcePlan(core::Engine* engine, const FromItem& item,
+                           const CostModel& cost);
+
+// Two FROM sources joined, with the WHERE clause as the join's detail.
+Result<PlanPtr> JoinPlan(core::Engine* engine, const SelectStmt& stmt,
+                         const CostModel& cost) {
+  ASSIGN_OR_RETURN(PlanPtr left, SourcePlan(engine, stmt.from[0], cost));
+  ASSIGN_OR_RETURN(PlanPtr right, SourcePlan(engine, stmt.from[1], cost));
+  const double rows = std::max(1.0, left->est_rows * right->est_rows * 0.01);
+  const std::string detail =
+      stmt.where != nullptr ? stmt.where->ToString() : "cross";
+  return MakeJoin(std::move(left), std::move(right), detail, rows);
+}
+
+// A basket expression: one basket scanned, filtered by the window
+// predicate and cut by order by / top n, or the two-basket merge, a join
+// that consumes the matched tuples on both sides.
+Result<PlanPtr> BasketExprPlan(core::Engine* engine, const SelectStmt& inner,
+                               const CostModel& cost) {
+  PlanPtr p;
+  double rows = 0;
+  if (inner.from.size() == 2) {
+    ASSIGN_OR_RETURN(p, JoinPlan(engine, inner, cost));
+    rows = p->est_rows;
+  } else if (inner.from.size() == 1 &&
+             inner.from[0].kind == FromItem::Kind::kRelation) {
+    rows = SourceEstimate(engine, inner.from[0].relation);
+    p = MakeScan(inner.from[0].relation, /*is_basket=*/true, rows);
+    ASSIGN_OR_RETURN(
+        std::vector<ClassifiedConjunct> ccs,
+        ClassifyConjuncts(inner.where, BindingName(inner.from[0]), nullptr));
+    if (!ccs.empty()) {
+      std::vector<Conjunct> conjuncts = ToConjuncts(ccs, cost);
+      OrderBySelectivity(&conjuncts);
+      rows = ApplySelectivity(rows, conjuncts);
+      p = MakeFilter(std::move(p), std::move(conjuncts), rows);
+    }
+  } else {
+    return Status::Unsupported("nested basket expression shape");
+  }
+  if (inner.top_n.has_value() || !inner.order_by.empty()) {
+    if (inner.top_n.has_value()) {
+      rows = std::min(rows, static_cast<double>(*inner.top_n));
+    }
+    p = MakeUnary(PlanNodeKind::kWindow, std::move(p), WindowDetail(inner),
+                  rows);
+  }
+  return p;
+}
+
+// One plan per FROM source. Predicates here are normalized + fingerprinted
+// but not resolved or pushed — this path only renders structure.
+Result<PlanPtr> SourcePlan(core::Engine* engine, const FromItem& item,
+                           const CostModel& cost) {
+  if (item.kind == FromItem::Kind::kBasketExpr) {
+    return BasketExprPlan(engine, *item.basket_query, cost);
+  }
+  const bool basket = engine->HasBasket(item.relation);
+  return MakeScan(item.relation, basket,
+                  obs::IsVirtualTable(item.relation)
+                      ? 100
+                      : SourceEstimate(engine, item.relation));
+}
+
 }  // namespace
 
 Result<CompiledQuery> CompileContinuous(core::Engine* engine,
@@ -338,10 +402,24 @@ Result<std::shared_ptr<Statement>> MakeLeafStatement(
 
 Result<PlanPtr> BuildLogicalPlan(core::Engine* engine, const Statement& stmt,
                                  const CostModel& cost) {
+  if (stmt.kind == Statement::Kind::kWithBlock) {
+    // The split: the binding's basket expression, then one plan per body
+    // statement reading the binding.
+    ASSIGN_OR_RETURN(
+        PlanPtr binding,
+        BasketExprPlan(engine, *stmt.with_block->basket_query, cost));
+    std::vector<PlanPtr> children{binding};
+    for (const StatementPtr& body : stmt.with_block->body) {
+      ASSIGN_OR_RETURN(PlanPtr p, BuildLogicalPlan(engine, *body, cost));
+      children.push_back(std::move(p));
+    }
+    return MakeSplit(stmt.with_block->binding, std::move(children),
+                     binding->est_rows);
+  }
   const SelectStmt* body = BodySelect(stmt);
   if (body == nullptr) {
     return Status::Unsupported(
-        "EXPLAIN supports SELECT and INSERT .. SELECT statements");
+        "EXPLAIN supports SELECT, INSERT .. SELECT and WITH statements");
   }
   if (body->from.empty()) {
     return MakeUnary(PlanNodeKind::kProject, MakeScan("dual", false, 1),
@@ -350,59 +428,20 @@ Result<PlanPtr> BuildLogicalPlan(core::Engine* engine, const Statement& stmt,
   if (body->from.size() > 2) {
     return Status::Unsupported("more than two FROM sources");
   }
-
-  // One plan per source. Predicates here are normalized + fingerprinted
-  // but not resolved or pushed — this path only renders structure.
-  auto source_plan = [&](const FromItem& item) -> Result<PlanPtr> {
-    if (item.kind == FromItem::Kind::kRelation) {
-      const bool basket = engine->HasBasket(item.relation);
-      return MakeScan(item.relation, basket,
-                      obs::IsVirtualTable(item.relation)
-                          ? 100
-                          : SourceEstimate(engine, item.relation));
-    }
-    const SelectStmt& inner = *item.basket_query;
-    if (inner.from.size() != 1 ||
-        inner.from[0].kind != FromItem::Kind::kRelation) {
-      return Status::Unsupported("nested basket expression shape");
-    }
-    double rows = SourceEstimate(engine, inner.from[0].relation);
-    PlanPtr p = MakeScan(inner.from[0].relation, /*is_basket=*/true, rows);
-    ASSIGN_OR_RETURN(
-        std::vector<ClassifiedConjunct> ccs,
-        ClassifyConjuncts(inner.where, BindingName(inner.from[0]), nullptr));
-    if (!ccs.empty()) {
-      std::vector<Conjunct> conjuncts = ToConjuncts(ccs, cost);
-      OrderBySelectivity(&conjuncts);
-      rows = ApplySelectivity(rows, conjuncts);
-      p = MakeFilter(std::move(p), std::move(conjuncts), rows);
-    }
-    if (inner.top_n.has_value() || !inner.order_by.empty()) {
-      if (inner.top_n.has_value()) {
-        rows = std::min(rows, static_cast<double>(*inner.top_n));
-      }
-      p = MakeUnary(PlanNodeKind::kWindow, std::move(p), WindowDetail(inner),
-                    rows);
-    }
-    return p;
-  };
-
-  ASSIGN_OR_RETURN(PlanPtr left, source_plan(body->from[0]));
-  double rows = left->est_rows;
-  PlanPtr p = left;
+  PlanPtr p;
   std::vector<Conjunct> post;
   if (body->from.size() == 2) {
-    ASSIGN_OR_RETURN(PlanPtr right, source_plan(body->from[1]));
-    rows = std::max(1.0, rows * right->est_rows * 0.01);
-    const std::string detail =
-        body->where != nullptr ? body->where->ToString() : "cross";
-    p = MakeJoin(std::move(p), std::move(right), detail, rows);
-  } else if (body->where != nullptr) {
-    ASSIGN_OR_RETURN(std::vector<ClassifiedConjunct> ccs,
-                     ClassifyConjuncts(body->where, body->from[0].alias,
-                                       nullptr));
-    post = ToConjuncts(ccs, cost);
+    ASSIGN_OR_RETURN(p, JoinPlan(engine, *body, cost));
+  } else {
+    ASSIGN_OR_RETURN(p, SourcePlan(engine, body->from[0], cost));
+    if (body->where != nullptr) {
+      ASSIGN_OR_RETURN(std::vector<ClassifiedConjunct> ccs,
+                       ClassifyConjuncts(body->where, body->from[0].alias,
+                                         nullptr));
+      post = ToConjuncts(ccs, cost);
+    }
   }
+  const double rows = p->est_rows;
   return FinishBody(*body, std::move(p), rows, std::move(post));
 }
 

@@ -57,9 +57,9 @@ Result<std::shared_ptr<Statement>> MakeLeafStatement(
     const std::string& leaf_basket, const std::set<std::string>& strip_fps);
 
 /// Structural logical plan for EXPLAIN of statements outside the
-/// CompileContinuous subset (one-time queries, two-basket merges). Only
-/// SELECT / INSERT..SELECT bodies are plannable; everything else is
-/// kUnsupported.
+/// CompileContinuous subset (one-time queries, two-basket merges, WITH
+/// blocks). Only SELECT / INSERT..SELECT bodies and WITH blocks of them
+/// are plannable; everything else is kUnsupported.
 Result<PlanPtr> BuildLogicalPlan(core::Engine* engine, const Statement& stmt,
                                  const CostModel& cost);
 

@@ -368,13 +368,12 @@ Status QuerySetOptimizer::RebuildSubnet(const std::string& basket) {
   }
   for (Stage& s : net.stages) engine_->scheduler().Register(s.factory);
 
-  PublishPlans(basket, net);
+  PublishPlans(net);
   subnets_[basket] = std::move(net);
   return Status::OK();
 }
 
-void QuerySetOptimizer::PublishPlans(const std::string& basket,
-                                     const Subnet& net) {
+void QuerySetOptimizer::PublishPlans(const Subnet& net) {
   if (net.stages.empty()) return;
   double base = static_cast<double>(net.stages[0].in->size());
   if (base <= 0) base = 1000;
@@ -399,7 +398,6 @@ void QuerySetOptimizer::PublishPlans(const std::string& basket,
                                 "", 1, est});
     obs::PlansRegistry::Global().Publish(qname, std::move(rows));
   }
-  (void)basket;
 }
 
 size_t QuerySetOptimizer::SharedCount(const std::string& basket,

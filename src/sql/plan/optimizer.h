@@ -143,7 +143,7 @@ class QuerySetOptimizer {
                      const std::vector<std::string>& members, Subnet* out);
   core::Factory::Body StageBody(const Stage& stage,
                                 std::vector<core::BasketPtr> outs);
-  void PublishPlans(const std::string& basket, const Subnet& net);
+  void PublishPlans(const Subnet& net);
 
   ConjunctCounters* CountersFor(const std::string& fp);
 

@@ -29,6 +29,7 @@ const char* PlanNodeKindName(PlanNodeKind k) {
     case PlanNodeKind::kProject: return "project";
     case PlanNodeKind::kAggregate: return "aggregate";
     case PlanNodeKind::kJoin: return "join";
+    case PlanNodeKind::kSplit: return "split";
   }
   return "?";
 }
@@ -144,6 +145,16 @@ PlanPtr MakeJoin(PlanPtr left, PlanPtr right, std::string detail,
   n->children.push_back(std::move(left));
   n->children.push_back(std::move(right));
   n->detail = std::move(detail);
+  n->est_rows = est_rows;
+  return n;
+}
+
+PlanPtr MakeSplit(std::string binding, std::vector<PlanPtr> children,
+                  double est_rows) {
+  auto n = std::make_shared<PlanNode>();
+  n->kind = PlanNodeKind::kSplit;
+  n->children = std::move(children);
+  n->detail = std::move(binding);
   n->est_rows = est_rows;
   return n;
 }

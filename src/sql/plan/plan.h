@@ -12,7 +12,7 @@
 /// mirror the relational shapes the dialect can express: a Scan of a
 /// basket or table, a selectivity-ordered conjunctive Filter, the basket
 /// expression's Window (order by / top n with consumption), Join for the
-/// two-basket merge, Aggregate and Project. Plans are immutable trees of
+/// two-basket merge, Aggregate, Project, and Split for a WITH block. Plans are immutable trees of
 /// shared_ptr<const PlanNode>; rewrites build new trees.
 ///
 /// Subtree fingerprints (FNV-1a over a canonical rendering) are what the
@@ -48,6 +48,9 @@ enum class PlanNodeKind : uint8_t {
   kProject,
   kAggregate,
   kJoin,
+  /// WITH block: the binding's basket expression, then one plan per body
+  /// statement; `detail` is the binding name.
+  kSplit,
 };
 
 const char* PlanNodeKindName(PlanNodeKind k);
@@ -57,7 +60,8 @@ using PlanPtr = std::shared_ptr<const PlanNode>;
 
 struct PlanNode {
   PlanNodeKind kind = PlanNodeKind::kScan;
-  /// 0 children for kScan, 1 for the pipeline nodes, 2 for kJoin.
+  /// 0 children for kScan, 1 for the pipeline nodes, 2 for kJoin, 1 + the
+  /// body count for kSplit.
   std::vector<PlanPtr> children;
 
   // kScan
@@ -67,8 +71,9 @@ struct PlanNode {
   // kFilter: conjuncts in evaluation order (most selective first).
   std::vector<Conjunct> conjuncts;
 
-  // kWindow / kProject / kAggregate / kJoin: rendered description
-  // (order by / top n, projection list, group keys, join predicate).
+  // kWindow / kProject / kAggregate / kJoin / kSplit: rendered description
+  // (order by / top n, projection list, group keys, join predicate,
+  // binding name).
   std::string detail;
 
   /// Cost-model estimated output cardinality.
@@ -94,6 +99,8 @@ PlanPtr MakeUnary(PlanNodeKind kind, PlanPtr input, std::string detail,
                   double est_rows);
 PlanPtr MakeJoin(PlanPtr left, PlanPtr right, std::string detail,
                  double est_rows);
+PlanPtr MakeSplit(std::string binding, std::vector<PlanPtr> children,
+                  double est_rows);
 
 }  // namespace datacell::sql::plan
 

@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "sql/binder.h"
 #include "sql/parser.h"
 #include "sql/plan/builder.h"
 #include "util/logging.h"
@@ -11,70 +10,60 @@ namespace datacell::sql {
 
 namespace {
 
-// Walks the statement and computes, per basket-expression source basket,
-// the firing threshold: a single-source `top n` window needs n tuples
-// before it can produce output (§4.1 batch/window control).
 void CollectThresholds(const SelectStmt& stmt,
-                       std::map<std::string, size_t>* out,
-                       bool inside_basket_expr) {
-  for (const FromItem& f : stmt.from) {
-    if (f.kind == FromItem::Kind::kBasketExpr && f.basket_query != nullptr) {
-      const SelectStmt& inner = *f.basket_query;
-      if (inner.from.size() == 1 &&
-          inner.from[0].kind == FromItem::Kind::kRelation) {
-        const size_t need = inner.top_n.value_or(1);
-        size_t& cur = (*out)[inner.from[0].relation];
-        cur = std::max(cur, need);
-      } else {
-        for (const FromItem& src : inner.from) {
-          if (src.kind == FromItem::Kind::kRelation) {
-            size_t& cur = (*out)[src.relation];
-            cur = std::max<size_t>(cur, 1);
-          }
-        }
-      }
-      CollectThresholds(inner, out, /*inside_basket_expr=*/true);
+                       std::map<std::string, size_t>* out);
+
+// Adds the source baskets of one basket expression with their firing
+// thresholds: a single-source `top n` window needs n tuples before it can
+// produce output (§4.1 batch/window control); every other source fires at
+// one tuple.
+void CollectBasketExpr(const SelectStmt& basket_expr,
+                       std::map<std::string, size_t>* out) {
+  const size_t need =
+      basket_expr.from.size() == 1 ? basket_expr.top_n.value_or(1) : 1;
+  for (const FromItem& src : basket_expr.from) {
+    if (src.kind == FromItem::Kind::kRelation) {
+      size_t& cur = (*out)[src.relation];
+      cur = std::max(cur, need);
     }
   }
-  (void)inside_basket_expr;
+  CollectThresholds(basket_expr, out);
 }
 
+// Walks a SELECT's FROM list for basket expressions.
+void CollectThresholds(const SelectStmt& stmt,
+                       std::map<std::string, size_t>* out) {
+  for (const FromItem& f : stmt.from) {
+    if (f.kind == FromItem::Kind::kBasketExpr && f.basket_query != nullptr) {
+      CollectBasketExpr(*f.basket_query, out);
+    }
+  }
+}
+
+// Computes, per basket-expression source basket, the firing threshold the
+// statement's factory is wired with.
 void CollectThresholds(const Statement& stmt,
                        std::map<std::string, size_t>* out) {
   switch (stmt.kind) {
     case Statement::Kind::kSelect:
-      CollectThresholds(*stmt.select, out, false);
+      CollectThresholds(*stmt.select, out);
       break;
     case Statement::Kind::kInsert:
       if (stmt.insert->select != nullptr) {
-        CollectThresholds(*stmt.insert->select, out, false);
+        CollectThresholds(*stmt.insert->select, out);
       }
       break;
-    case Statement::Kind::kWithBlock: {
-      const SelectStmt& inner = *stmt.with_block->basket_query;
-      if (inner.from.size() == 1 &&
-          inner.from[0].kind == FromItem::Kind::kRelation) {
-        const size_t need = inner.top_n.value_or(1);
-        size_t& cur = (*out)[inner.from[0].relation];
-        cur = std::max(cur, need);
-      } else {
-        for (const FromItem& src : inner.from) {
-          if (src.kind == FromItem::Kind::kRelation) {
-            size_t& cur = (*out)[src.relation];
-            cur = std::max<size_t>(cur, 1);
-          }
-        }
-      }
+    case Statement::Kind::kWithBlock:
+      CollectBasketExpr(*stmt.with_block->basket_query, out);
       for (const StatementPtr& body : stmt.with_block->body) {
         CollectThresholds(*body, out);
       }
       break;
-    }
     default:
       break;
   }
   for (const auto& sub : stmt.subqueries) {
-    if (sub != nullptr) CollectThresholds(*sub, out, false);
+    if (sub != nullptr) CollectThresholds(*sub, out);
   }
 }
 
@@ -97,131 +86,14 @@ void CollectBasketTargets(const Statement& stmt, core::Engine* engine,
   }
 }
 
-void ExplainSelect(const SelectStmt& stmt, int indent, std::string* out);
-
-void Indent(int n, std::string* out) { out->append(static_cast<size_t>(n), ' '); }
-
-void ExplainFrom(const FromItem& item, int indent, std::string* out) {
-  Indent(indent, out);
-  if (item.kind == FromItem::Kind::kRelation) {
-    out->append("relation " + item.relation);
-  } else {
-    out->append("basket-expression (consuming predicate window)");
-  }
-  if (!item.alias.empty()) out->append(" as " + item.alias);
-  out->push_back('\n');
-  if (item.kind == FromItem::Kind::kBasketExpr && item.basket_query != nullptr) {
-    ExplainSelect(*item.basket_query, indent + 2, out);
-  }
-}
-
-void ExplainSelect(const SelectStmt& stmt, int indent, std::string* out) {
-  for (const FromItem& f : stmt.from) ExplainFrom(f, indent, out);
-  if (stmt.from.size() == 2) {
-    Indent(indent, out);
-    out->append("join: equality conjuncts become hash-join keys, the rest a "
-                "residual filter (nested loop if none)\n");
-  }
-  if (stmt.where != nullptr) {
-    Indent(indent, out);
-    out->append("filter: " + stmt.where->ToString() + "\n");
-  }
-  bool aggregated = !stmt.group_by.empty() || stmt.having != nullptr;
-  for (const SelectItem& item : stmt.items) {
-    if (!item.star && item.expr != nullptr && ContainsAggregate(*item.expr)) {
-      aggregated = true;
-    }
-  }
-  if (aggregated) {
-    Indent(indent, out);
-    out->append("aggregate:");
-    for (const ExprPtr& g : stmt.group_by) {
-      out->append(" group=" + g->ToString());
-    }
-    if (stmt.having != nullptr) {
-      out->append(" having=" + stmt.having->ToString());
-    }
-    out->push_back('\n');
-  }
-  if (!stmt.order_by.empty()) {
-    Indent(indent, out);
-    out->append("order by:");
-    for (const OrderItem& o : stmt.order_by) {
-      out->append(" " + o.expr->ToString() + (o.ascending ? " asc" : " desc"));
-    }
-    out->push_back('\n');
-  }
-  if (stmt.top_n.has_value()) {
-    Indent(indent, out);
-    out->append("top " + std::to_string(*stmt.top_n) + "\n");
-  }
-}
-
 }  // namespace
-
-Result<std::string> Session::Explain(const std::string& sql) const {
-  ASSIGN_OR_RETURN(StatementPtr stmt, ParseOne(sql));
-  std::string out;
-  switch (stmt->kind) {
-    case Statement::Kind::kSelect:
-      out += "SELECT";
-      break;
-    case Statement::Kind::kInsert:
-      out += "INSERT into " + stmt->insert->target;
-      break;
-    case Statement::Kind::kCreate:
-      out += std::string("CREATE ") +
-             (stmt->create->is_basket ? "BASKET " : "TABLE ") +
-             stmt->create->name;
-      break;
-    case Statement::Kind::kDrop:
-      out += "DROP " + stmt->drop->name;
-      break;
-    case Statement::Kind::kDeclare:
-      out += "DECLARE " + stmt->declare->name;
-      break;
-    case Statement::Kind::kSet:
-      out += "SET " + stmt->set->name;
-      break;
-    case Statement::Kind::kWithBlock:
-      out += "WITH-block binding '" + stmt->with_block->binding + "' (" +
-             std::to_string(stmt->with_block->body.size()) +
-             " body statements)";
-      break;
-    case Statement::Kind::kExplain:
-      out += "EXPLAIN (use Execute for the plan rendering)";
-      break;
-  }
-  out += IsContinuous(*stmt) ? "  [continuous query]\n" : "  [one-time]\n";
-
-  std::map<std::string, size_t> thresholds;
-  CollectThresholds(*stmt, &thresholds);
-  for (const auto& [basket, min_tuples] : thresholds) {
-    out += "  input basket '" + basket +
-           "' (fires at >= " + std::to_string(min_tuples) + " tuple(s))\n";
-  }
-  const SelectStmt* body = nullptr;
-  if (stmt->kind == Statement::Kind::kSelect) body = stmt->select.get();
-  if (stmt->kind == Statement::Kind::kInsert && stmt->insert->select) {
-    body = stmt->insert->select.get();
-  }
-  if (stmt->kind == Statement::Kind::kWithBlock) {
-    body = stmt->with_block->basket_query.get();
-  }
-  if (body != nullptr) ExplainSelect(*body, 2, &out);
-  if (!stmt->subqueries.empty()) {
-    out += "  " + std::to_string(stmt->subqueries.size()) +
-           " scalar subquery(ies)\n";
-  }
-  return out;
-}
 
 Result<Table> Session::Execute(const std::string& sql) {
   ASSIGN_OR_RETURN(std::vector<StatementPtr> stmts, Parse(sql));
   Table last;
   for (const StatementPtr& stmt : stmts) {
     if (stmt->kind == Statement::Kind::kExplain) {
-      ASSIGN_OR_RETURN(last, ExplainPlan(*stmt->explain_target));
+      ASSIGN_OR_RETURN(last, RenderPlan(*stmt->explain_target));
       continue;
     }
     ASSIGN_OR_RETURN(Table result, executor_.Execute(*stmt));
@@ -230,7 +102,7 @@ Result<Table> Session::Execute(const std::string& sql) {
   return last;
 }
 
-Result<Table> Session::ExplainPlan(const Statement& target) {
+Result<Table> Session::RenderPlan(const Statement& target) {
   std::string text;
   // Continuous queries in the plannable subset render the optimizer's
   // view: pushed-down, selectivity-ordered conjuncts annotated with how
@@ -261,8 +133,17 @@ Result<Table> Session::ExplainPlan(const Statement& target) {
     ASSIGN_OR_RETURN(plan::PlanPtr p,
                      plan::BuildLogicalPlan(engine_, target,
                                             optimizer_.cost()));
-    text += IsContinuous(target) ? "continuous plan (legacy execution)\n"
-                                 : "one-time plan\n";
+    if (IsContinuous(target)) {
+      text += "continuous plan (legacy execution)\n";
+      std::map<std::string, size_t> thresholds;
+      CollectThresholds(target, &thresholds);
+      for (const auto& [basket, min_tuples] : thresholds) {
+        text += "  input basket '" + basket + "' (fires at >= " +
+                std::to_string(min_tuples) + " tuple(s))\n";
+      }
+    } else {
+      text += "one-time plan\n";
+    }
     p->Render(2, &text, nullptr);
   }
 

@@ -56,12 +56,6 @@ class Session {
                                                     const std::string& sql,
                                                     core::Emitter::Sink sink);
 
-  /// Renders a human-readable description of how a statement would run:
-  /// kind, one-time vs continuous, basket-expression sources with their
-  /// Petri-net firing thresholds, FROM shape, filters, aggregation and
-  /// ordering. Purely static — nothing is executed.
-  Result<std::string> Explain(const std::string& sql) const;
-
   /// Drops a standing continuous query by registration name: its
   /// transitions are unregistered (in-flight firings complete first) and,
   /// when it was part of a shared subnet, the net is rebuilt for the
@@ -92,10 +86,12 @@ class Session {
                                         std::shared_ptr<Statement> stmt,
                                         core::Emitter::Sink sink);
 
-  /// Renders EXPLAIN output for a parsed target statement: the optimized
-  /// logical plan plus the sharing decisions against the standing-query
-  /// set, one line per row in a single-column table.
-  Result<Table> ExplainPlan(const Statement& target);
+  /// Renders EXPLAIN output for a parsed target statement, one line per
+  /// row in a single-column table: the optimized logical plan plus the
+  /// sharing decisions against the standing-query set, or, outside the
+  /// plannable subset, the structural plan headed by each input basket's
+  /// firing threshold.
+  Result<Table> RenderPlan(const Statement& target);
 
   core::Engine* engine_;
   Executor executor_;

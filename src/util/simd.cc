@@ -278,46 +278,6 @@ FoldState FoldF64(const double* d, const uint8_t* valid, size_t n) {
   return st;
 }
 
-FoldState FoldI64Sel(const int64_t* d, const uint8_t* valid,
-                     const uint32_t* sel, size_t n) {
-  FoldState st;
-  int64_t mn = std::numeric_limits<int64_t>::max();
-  int64_t mx = std::numeric_limits<int64_t>::min();
-  for (size_t j = 0; j < n; ++j) {
-    const uint32_t r = sel[j];
-    if (valid != nullptr && valid[r] == 0) continue;
-    const int64_t x = d[r];
-    st.isum += static_cast<uint64_t>(x);
-    mn = (x < mn) ? x : mn;
-    mx = (x > mx) ? x : mx;
-    ++st.count;
-  }
-  if (st.count > 0) {
-    st.seen = true;
-    st.imin = mn;
-    st.imax = mx;
-  }
-  return st;
-}
-
-FoldState FoldF64Sel(const double* d, const uint8_t* valid,
-                     const uint32_t* sel, size_t n) {
-  FoldState st;
-  Stripes4 acc;
-  size_t pos = 0;
-  for (size_t j = 0; j < n; ++j) {
-    const uint32_t r = sel[j];
-    if (valid != nullptr && valid[r] == 0) continue;
-    acc.Fold(pos++, d[r]);
-  }
-  st.count = pos;
-  if (st.count > 0) {
-    st.seen = true;
-    acc.Finish(&st);
-  }
-  return st;
-}
-
 void HashI64(const int64_t* d, size_t n, uint64_t* out) {
   for (size_t i = 0; i < n; ++i) {
     out[i] = static_cast<uint64_t>(d[i]) * kHashMul;
@@ -654,81 +614,6 @@ __attribute__((target("avx2"))) FoldState FoldF64(const double* d, size_t n) {
   _mm256_storeu_pd(acc.mn, mn);
   _mm256_storeu_pd(acc.mx, mx);
   for (; i < n; ++i) acc.Fold(i, d[i]);
-  st.count = n;
-  if (n > 0) {
-    st.seen = true;
-    acc.Finish(&st);
-  }
-  return st;
-}
-
-__attribute__((target("avx2"))) FoldState FoldI64Sel(const int64_t* d,
-                                                     const uint32_t* sel,
-                                                     size_t n) {
-  FoldState st;
-  __m256i s = _mm256_setzero_si256();
-  __m256i mn = _mm256_set1_epi64x(std::numeric_limits<int64_t>::max());
-  __m256i mx = _mm256_set1_epi64x(std::numeric_limits<int64_t>::min());
-  size_t j = 0;
-  const size_t nvec = n & ~size_t{3};
-  for (; j < nvec; j += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + j));
-    const __m256i x = _mm256_i32gather_epi64(
-        reinterpret_cast<const long long*>(d), idx, 8);
-    s = _mm256_add_epi64(s, x);
-    mn = _mm256_blendv_epi8(mn, x, _mm256_cmpgt_epi64(mn, x));
-    mx = _mm256_blendv_epi8(mx, x, _mm256_cmpgt_epi64(x, mx));
-  }
-  alignas(32) int64_t ls[4], lmn[4], lmx[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(ls), s);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lmn), mn);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lmx), mx);
-  uint64_t isum = static_cast<uint64_t>(ls[0]) + static_cast<uint64_t>(ls[1]) +
-                  static_cast<uint64_t>(ls[2]) + static_cast<uint64_t>(ls[3]);
-  int64_t rmn = lmn[0], rmx = lmx[0];
-  for (int t = 1; t < 4; ++t) {
-    rmn = (lmn[t] < rmn) ? lmn[t] : rmn;
-    rmx = (lmx[t] > rmx) ? lmx[t] : rmx;
-  }
-  for (; j < n; ++j) {
-    const int64_t x = d[sel[j]];
-    isum += static_cast<uint64_t>(x);
-    rmn = (x < rmn) ? x : rmn;
-    rmx = (x > rmx) ? x : rmx;
-  }
-  st.count = n;
-  st.isum = isum;
-  if (n > 0) {
-    st.seen = true;
-    st.imin = rmn;
-    st.imax = rmx;
-  }
-  return st;
-}
-
-__attribute__((target("avx2"))) FoldState FoldF64Sel(const double* d,
-                                                     const uint32_t* sel,
-                                                     size_t n) {
-  FoldState st;
-  __m256d s = _mm256_setzero_pd();
-  __m256d mn = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  __m256d mx = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
-  size_t j = 0;
-  const size_t nvec = n & ~size_t{3};
-  for (; j < nvec; j += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(sel + j));
-    const __m256d x = _mm256_i32gather_pd(d, idx, 8);
-    s = _mm256_add_pd(s, x);
-    mn = _mm256_min_pd(x, mn);
-    mx = _mm256_max_pd(x, mx);
-  }
-  scalar::Stripes4 acc;
-  _mm256_storeu_pd(acc.s, s);
-  _mm256_storeu_pd(acc.mn, mn);
-  _mm256_storeu_pd(acc.mx, mx);
-  for (; j < n; ++j) acc.Fold(j, d[sel[j]]);
   st.count = n;
   if (n > 0) {
     st.seen = true;
@@ -1130,26 +1015,6 @@ FoldState FoldF64(const double* d, const uint8_t* valid, size_t n) {
   }
 #endif
   return scalar::FoldF64(d, valid, n);
-}
-
-FoldState FoldI64Sel(const int64_t* d, const uint8_t* valid,
-                     const uint32_t* sel, size_t n) {
-#if defined(DATACELL_SIMD_X86)
-  if (valid == nullptr && ActiveLevel() == Level::kAVX2) {
-    return avx2::FoldI64Sel(d, sel, n);
-  }
-#endif
-  return scalar::FoldI64Sel(d, valid, sel, n);
-}
-
-FoldState FoldF64Sel(const double* d, const uint8_t* valid,
-                     const uint32_t* sel, size_t n) {
-#if defined(DATACELL_SIMD_X86)
-  if (valid == nullptr && ActiveLevel() == Level::kAVX2) {
-    return avx2::FoldF64Sel(d, sel, n);
-  }
-#endif
-  return scalar::FoldF64Sel(d, valid, sel, n);
 }
 
 void HashI64(const int64_t* d, size_t n, uint64_t* out) {

@@ -118,12 +118,6 @@ struct FoldState {
 FoldState FoldI64(const int64_t* d, const uint8_t* valid, size_t n);
 FoldState FoldF64(const double* d, const uint8_t* valid, size_t n);
 
-/// Folds d[sel[j]] for j in [0, n): aggregate over a selection vector.
-FoldState FoldI64Sel(const int64_t* d, const uint8_t* valid,
-                     const uint32_t* sel, size_t n);
-FoldState FoldF64Sel(const double* d, const uint8_t* valid,
-                     const uint32_t* sel, size_t n);
-
 /// --- Vectorized hash (join build/probe) ---------------------------------
 /// Fibonacci multiply-shift: out[i] = (uint64)d[i] * 0x9E3779B97F4A7C15.
 /// The caller takes the top log2(buckets) bits (h >> (64 - log2_buckets)).

@@ -153,18 +153,6 @@ TEST(BasketExprTest, PredicateWindowConsumesMatchedOnly) {
   EXPECT_EQ(b->Peek().GetRow(1)[1], Value(3));
 }
 
-TEST(BasketExprTest, PeekDoesNotConsume) {
-  auto b = std::make_shared<Basket>("s", StreamSchema());
-  ASSERT_TRUE(b->Append(MakeBatch({1, 2}), 0).ok());
-  BasketExpression be(b);
-  be.Consume(ConsumePolicy::kNone);
-  EvalContext ctx;
-  auto out = be.Evaluate(ctx);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->num_rows(), 2u);
-  EXPECT_EQ(b->size(), 2u);
-}
-
 TEST(BasketExprTest, TopNWaitsForFullWindow) {
   auto b = std::make_shared<Basket>("s", StreamSchema());
   ASSERT_TRUE(b->Append(MakeBatch({3, 1}), 0).ok());
@@ -201,34 +189,6 @@ TEST(BasketExprTest, TopNInArrivalOrder) {
   EXPECT_EQ(out->GetRow(1)[1], Value(8));
   // Exactly the two consumed tuples left the basket.
   EXPECT_EQ(b->size(), 2u);
-}
-
-TEST(BasketExprTest, SlidingWindowExpiry) {
-  auto b = std::make_shared<Basket>("s", StreamSchema());
-  // Tuples arrive at t=0 and t=100.
-  ASSERT_TRUE(b->Append(MakeBatch({1}, 0), 0).ok());
-  ASSERT_TRUE(b->Append(MakeBatch({2}, 100), 100).ok());
-  BasketExpression be(b);
-  be.Consume(ConsumePolicy::kExpired);
-  // Expire anything that arrived before t=50: tuple 1 leaves, tuple 2 stays
-  // for the next window.
-  be.ExpireWhere(Expr::Bin(BinaryOp::kLt, Expr::Col(kArrivalColumn),
-                           Expr::Lit(int64_t{50})));
-  EvalContext ctx;
-  auto out = be.Evaluate(ctx);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->num_rows(), 2u);  // window saw both
-  EXPECT_EQ(b->size(), 1u);        // only the old one expired
-  EXPECT_EQ(b->Peek().GetRow(0)[1], Value(2));
-}
-
-TEST(BasketExprTest, ExpiredPolicyRequiresPredicate) {
-  auto b = std::make_shared<Basket>("s", StreamSchema());
-  ASSERT_TRUE(b->Append(MakeBatch({1}), 0).ok());
-  BasketExpression be(b);
-  be.Consume(ConsumePolicy::kExpired);
-  EvalContext ctx;
-  EXPECT_FALSE(be.Evaluate(ctx).ok());
 }
 
 TEST(BasketExprTest, OrderByWithoutTopSortsWindow) {

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "ops/aggregate.h"
-#include "ops/delete.h"
 #include "ops/join.h"
 #include "ops/kernels.h"
 #include "ops/morsel.h"
@@ -42,7 +41,7 @@ Table Orders() {
 TEST(SelectTest, PredicateSelection) {
   Table t = Orders();
   EvalContext ctx;
-  auto sel = ops::Select(
+  auto sel = EvalPredicate(
       t, *Expr::Bin(BinaryOp::kGe, Expr::Col("amount"), Expr::Lit(15.0)), ctx);
   ASSERT_TRUE(sel.ok());
   EXPECT_EQ(*sel, (SelVector{1, 3, 4}));
@@ -80,16 +79,19 @@ TEST(SelectTest, RangeOnStringsRejected) {
 TEST(SelectTest, FilterMaterializes) {
   Table t = Orders();
   EvalContext ctx;
-  auto f = ops::Filter(
+  auto sel = EvalPredicate(
       t, *Expr::Bin(BinaryOp::kEq, Expr::Col("cust"), Expr::Lit("ann")), ctx);
-  ASSERT_TRUE(f.ok());
-  EXPECT_EQ(f->num_rows(), 2u);
+  ASSERT_TRUE(sel.ok());
+  EXPECT_EQ(t.Take(*sel).num_rows(), 2u);
 }
 
 TEST(ProjectTest, SelectStar) {
   Table t = Orders();
   EvalContext ctx;
-  auto out = ops::Project(t, ops::ProjectAll(t.schema()), ctx);
+  std::vector<ProjectionItem> items = {{Expr::Col("id"), "id"},
+                                       {Expr::Col("cust"), "cust"},
+                                       {Expr::Col("amount"), "amount"}};
+  auto out = ops::Project(t, items, ctx);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->num_rows(), 5u);
   EXPECT_EQ(out->schema(), t.schema());
@@ -111,7 +113,10 @@ TEST(ProjectTest, WithSelection) {
   Table t = Orders();
   EvalContext ctx;
   SelVector sel{0, 4};
-  auto out = ops::Project(t, ops::ProjectAll(t.schema()), ctx, &sel);
+  std::vector<ProjectionItem> items = {{Expr::Col("id"), "id"},
+                                       {Expr::Col("cust"), "cust"},
+                                       {Expr::Col("amount"), "amount"}};
+  auto out = ops::Project(t, items, ctx, &sel);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->num_rows(), 2u);
   EXPECT_EQ(out->GetRow(1)[0], Value(5));
@@ -212,9 +217,13 @@ TEST(JoinTest, HashJoinWithResidual) {
   EvalContext ctx;
   ExprPtr residual =
       Expr::Bin(BinaryOp::kEq, Expr::Col("method"), Expr::Lit("card"));
-  auto joined = ops::HashJoin(orders, pay, {{"id", "order_id"}}, residual, ctx);
-  ASSERT_TRUE(joined.ok());
-  EXPECT_EQ(joined->num_rows(), 2u);
+  auto matches = ops::HashJoinIndices(orders, pay, {{"id", "order_id"}});
+  ASSERT_TRUE(matches.ok());
+  auto combined = ops::MaterializeJoin(orders, pay, *matches);
+  ASSERT_TRUE(combined.ok());
+  auto sel = EvalPredicate(*combined, *residual, ctx);
+  ASSERT_TRUE(sel.ok());
+  EXPECT_EQ(sel->size(), 2u);
 }
 
 TEST(AggregateTest, GlobalAggregates) {
@@ -299,27 +308,6 @@ TEST(AggregateTest, GroupByExpression) {
                             {{AggFunc::kCountStar, nullptr, "n"}}, ctx);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out->num_rows(), 2u);
-}
-
-TEST(RunningAggregateTest, IncrementalMatchesBatch) {
-  ops::RunningAggregate sum(AggFunc::kSum);
-  ops::RunningAggregate cnt(AggFunc::kCount);
-  ops::RunningAggregate avg(AggFunc::kAvg);
-  Column batch1(DataType::kInt64);
-  batch1.AppendInt(1);
-  batch1.AppendInt(2);
-  Column batch2(DataType::kInt64);
-  batch2.AppendInt(3);
-  batch2.AppendNull();
-  for (auto* agg : {&sum, &cnt, &avg}) {
-    ASSERT_TRUE(agg->Update(batch1).ok());
-    ASSERT_TRUE(agg->Update(batch2).ok());
-  }
-  EXPECT_EQ(sum.Current(), Value(int64_t{6}));
-  EXPECT_EQ(cnt.Current(), Value(int64_t{3}));
-  EXPECT_EQ(avg.Current(), Value(2.0));
-  sum.Reset();
-  EXPECT_TRUE(sum.Current().is_null());
 }
 
 TEST(SortTest, SingleKeyAscending) {
@@ -623,21 +611,22 @@ TEST(IntKeyGroupByTest, IntegerSumWrapsInsteadOfOverflowing) {
             Value(std::numeric_limits<int64_t>::min() + 1));
 }
 
-TEST(DeleteTest, DeleteWhere) {
+TEST(DeleteTest, EraseMatchingRows) {
   Table t = Orders();
   EvalContext ctx;
-  auto n = ops::DeleteWhere(
-      &t, *Expr::Bin(BinaryOp::kEq, Expr::Col("cust"), Expr::Lit("bob")), ctx);
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 2u);
+  auto sel = EvalPredicate(
+      t, *Expr::Bin(BinaryOp::kEq, Expr::Col("cust"), Expr::Lit("bob")), ctx);
+  ASSERT_TRUE(sel.ok());
+  EXPECT_EQ(sel->size(), 2u);
+  ASSERT_TRUE(t.EraseRows(*sel).ok());
   EXPECT_EQ(t.num_rows(), 3u);
   // Remaining ids: 1, 3, 4.
   EXPECT_EQ(t.GetRow(2)[0], Value(4));
 }
 
-TEST(DeleteTest, KeepOnly) {
+TEST(DeleteTest, KeepRows) {
   Table t = Orders();
-  ASSERT_TRUE(ops::KeepOnly(&t, {0, 2}).ok());
+  ASSERT_TRUE(t.KeepRows({0, 2}).ok());
   ASSERT_EQ(t.num_rows(), 2u);
   EXPECT_EQ(t.GetRow(1)[0], Value(3));
 }
@@ -760,7 +749,6 @@ TEST(VectorizedKernelTest, MorselDispatchIsByteIdentical) {
   simd::SetForceScalar(true);
   const SelVector sel_s = ops::kern::SelectCmpI64Col(ic, simd::Cmp::kLt, 5000);
   const simd::FoldState fold_s = ops::kern::FoldNumeric(dc);
-  const simd::FoldState fsel_s = ops::kern::FoldNumericSel(dc, sel_s);
   std::vector<uint64_t> hash_s;
   ops::kern::HashI64Span(keys.data(), n, &hash_s);
   simd::SetForceScalar(false);
@@ -769,13 +757,11 @@ TEST(VectorizedKernelTest, MorselDispatchIsByteIdentical) {
   ops::ScopedMorselExecutor scoped(&pool);
   const SelVector sel_m = ops::kern::SelectCmpI64Col(ic, simd::Cmp::kLt, 5000);
   const simd::FoldState fold_m = ops::kern::FoldNumeric(dc);
-  const simd::FoldState fsel_m = ops::kern::FoldNumericSel(dc, sel_m);
   std::vector<uint64_t> hash_m;
   ops::kern::HashI64Span(keys.data(), n, &hash_m);
 
   EXPECT_EQ(sel_s, sel_m);
   ExpectFoldBitsEq(fold_s, fold_m);
-  ExpectFoldBitsEq(fsel_s, fsel_m);
   EXPECT_EQ(hash_s, hash_m);
 }
 

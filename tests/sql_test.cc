@@ -24,6 +24,16 @@ class SqlTest : public ::testing::Test {
     return session_.Execute(sql).status();
   }
 
+  // Runs EXPLAIN and joins its plan rows into one text, a line per row.
+  std::string Explain(const std::string& sql) {
+    Table plan = Exec("explain " + sql);
+    std::string text;
+    for (size_t i = 0; i < plan.num_rows(); ++i) {
+      text += plan.GetRow(i)[0].string_value() + "\n";
+    }
+    return text;
+  }
+
   SimulatedClock clock_;
   core::Engine engine_;
   Session session_;
@@ -553,39 +563,61 @@ TEST_F(SqlTest, ContinuousTopWindowThreshold) {
 TEST_F(SqlTest, ExplainDescribesContinuousQuery) {
   Exec("create basket src (payload int)");
   Exec("create basket dst (payload int)");
-  auto plan = session_.Explain(
+  const std::string plan = Explain(
       "insert into dst select * from [select top 20 from src order by "
       "payload] as w where w.payload > 100");
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_NE(plan->find("[continuous query]"), std::string::npos);
-  EXPECT_NE(plan->find("input basket 'src' (fires at >= 20"), std::string::npos);
-  EXPECT_NE(plan->find("basket-expression"), std::string::npos);
-  EXPECT_NE(plan->find("filter: (w.payload > 100)"), std::string::npos);
-  EXPECT_NE(plan->find("top 20"), std::string::npos);
+  EXPECT_EQ(plan.rfind("continuous plan", 0), 0u) << plan;
+  EXPECT_NE(plan.find("source basket 'src', fires at >= 20 tuple(s)"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("scan src (basket"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("filter (payload > 100)"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("window order by payload top 20"), std::string::npos)
+      << plan;
 }
 
 TEST_F(SqlTest, ExplainDescribesOneTimeJoinAggregate) {
-  auto plan = session_.Explain(
+  const std::string plan = Explain(
       "select a.k, count(*) n from t1 a, t2 b where a.k = b.k and a.v > 5 "
       "group by a.k order by n desc limit 3");
-  ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("[one-time]"), std::string::npos);
-  EXPECT_NE(plan->find("join:"), std::string::npos);
-  EXPECT_NE(plan->find("aggregate: group=a.k"), std::string::npos);
-  EXPECT_NE(plan->find("order by: n desc"), std::string::npos);
-  EXPECT_NE(plan->find("top 3"), std::string::npos);
+  EXPECT_EQ(plan.rfind("one-time plan", 0), 0u) << plan;
+  EXPECT_NE(plan.find("join ((a.k = b.k) and (a.v > 5))"), std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("aggregate group by a.k"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("order by n desc"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("top 3"), std::string::npos) << plan;
 }
 
 TEST_F(SqlTest, ExplainWithBlock) {
   Exec("create basket x (payload int)");
   Exec("create table y (payload int)");
-  auto plan = session_.Explain(
+  const std::string plan = Explain(
       "with a as [select * from x] begin "
       "insert into y select * from a where a.payload > 100; end");
-  ASSERT_TRUE(plan.ok());
-  EXPECT_NE(plan->find("WITH-block binding 'a'"), std::string::npos);
-  EXPECT_NE(plan->find("[continuous query]"), std::string::npos);
-  EXPECT_NE(plan->find("input basket 'x'"), std::string::npos);
+  EXPECT_EQ(plan.rfind("continuous plan", 0), 0u) << plan;
+  EXPECT_NE(plan.find("input basket 'x' (fires at >= 1 tuple(s))"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("split a"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("scan x (basket"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("filter (a.payload > 100)"), std::string::npos) << plan;
+}
+
+TEST_F(SqlTest, ExplainMergeRendersJoinOfBasketScans) {
+  Exec("create basket l (k int, v int)");
+  Exec("create basket r (k int, w int)");
+  const std::string plan =
+      Explain("select * from [select * from l, r where l.k = r.k] as m");
+  EXPECT_EQ(plan.rfind("continuous plan", 0), 0u) << plan;
+  EXPECT_NE(plan.find("input basket 'l' (fires at >= 1 tuple(s))"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("input basket 'r' (fires at >= 1 tuple(s))"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("join (l.k = r.k)"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("scan l (basket"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("scan r (basket"), std::string::npos) << plan;
 }
 
 TEST_F(SqlTest, ColumnNamedMinuteAndDayAllowed) {

@@ -215,46 +215,5 @@ TEST(StrategySemanticsTest, PartialDeletesEarlierQueryStealsOverlap) {
   EXPECT_EQ(net->outputs[1]->size(), 5u);  // 0..4 only
 }
 
-TEST(SplitPlanTest, LoaderReleasesInputBeforeWorkerRuns) {
-  SimulatedClock clock;
-  auto input = std::make_shared<Basket>("in", StreamSchema());
-  size_t worker_seen = 0;
-  size_t input_size_at_worker = 999;
-  auto plan = SplitQueryPlan(
-      "heavy", input, /*batch_size=*/3,
-      [&, input](FactoryContext& ctx) -> Status {
-        input_size_at_worker = input->size();
-        worker_seen += ctx.input(0).TakeAll().num_rows();
-        return Status::OK();
-      });
-  ASSERT_TRUE(plan.ok());
-  Scheduler sched(&clock);
-  sched.Register(plan->loader);
-  sched.Register(plan->worker);
-  ASSERT_TRUE(input->Append(MakeBatch(0, 3), 0).ok());
-  ASSERT_TRUE(sched.RunUntilQuiescent().ok());
-  EXPECT_EQ(worker_seen, 3u);
-  // The shared input had already been drained when the worker ran.
-  EXPECT_EQ(input_size_at_worker, 0u);
-  EXPECT_EQ(plan->staging->size(), 0u);
-}
-
-TEST(SplitPlanTest, WorkerErrorsPropagate) {
-  SimulatedClock clock;
-  auto input = std::make_shared<Basket>("in", StreamSchema());
-  auto plan = SplitQueryPlan("bad", input, 1,
-                             [](FactoryContext&) -> Status {
-                               return Status::Internal("worker exploded");
-                             });
-  ASSERT_TRUE(plan.ok());
-  Scheduler sched(&clock);
-  sched.Register(plan->loader);
-  sched.Register(plan->worker);
-  ASSERT_TRUE(input->Append(MakeBatch(0, 1), 0).ok());
-  auto result = sched.RunUntilQuiescent();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-}
-
 }  // namespace
 }  // namespace datacell::core
