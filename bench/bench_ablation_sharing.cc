@@ -1,15 +1,16 @@
 // Multi-query sharing ablation (DESIGN.md §11): the same standing SQL
 // query set is registered through the Session twice — once with the
 // optimizer's common-prefix factoring ON (trie of conjunct fingerprints,
-// one shared stage chain per common prefix) and once with factoring OFF
-// (the shared net still replicates the stream to every per-query leaf but
-// evaluates nothing upstream: every query re-runs its whole predicate).
+// each common prefix evaluated once by the fused trie walk) and once with
+// factoring OFF (the shared net still replicates the stream to every
+// per-query leaf but evaluates nothing upstream: every query re-runs its
+// whole predicate).
 //
 // Queries share a selective prefix (payload < 1000, ~10%) plus a private
 // one-percent residual range, so factoring should win and the gap should
 // widen with the query count. Reported per count: aggregate throughput
 // (input tuples x standing queries / wall seconds) and the peak resident
-// rows across the optimizer's stage + leaf baskets and the source basket.
+// rows across the optimizer's leaf baskets and the source basket.
 //
 // Emits BENCH_ablation_sharing.json. DATACELL_QUICK=1 shrinks the run.
 

@@ -11,7 +11,7 @@
 // + ErasePrefix(slide rows). The new path advances a head offset in O(1)
 // with amortized compaction, so per-slide cost is flat in the resident
 // window size; the baseline shifts the survivors down on every slide
-// (KeepRows), which is linear in it.
+// (EraseRows of a non-prefix selection), which is linear in it.
 //
 // Experiment 3 — metrics mirror overhead. The append/consume counters
 // mirror into the global MetricsRegistry when observability is enabled;

@@ -81,6 +81,36 @@ void BM_PredicateGenericPath(benchmark::State& state) {
 }
 BENCHMARK(BM_PredicateGenericPath)->Arg(100'000)->Arg(1'000'000);
 
+// The one-pass chain kernel on a trie node's residual, `payload * 3 + 7 <
+// k` over n candidate rows (13107 ~ the survivors of `payload < 1000` in
+// a 131072-row delivery), against the generic evaluator (double NOT), which
+// materializes the broadcast literals and each intermediate column.
+void ChainPredicate(benchmark::State& state, bool generic) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Table t = MakeTuples(n);
+  ExprPtr pred = Expr::Bin(
+      BinaryOp::kLt,
+      Expr::Bin(BinaryOp::kAdd,
+                Expr::Bin(BinaryOp::kMul, Expr::Lit(3), Expr::Col("payload")),
+                Expr::Lit(7)),
+      Expr::Lit(15'000));
+  if (generic) pred = Expr::Un(UnaryOp::kNot, Expr::Un(UnaryOp::kNot, pred));
+  SelVector cands(n);
+  std::iota(cands.begin(), cands.end(), 0u);
+  EvalContext ctx;
+  for (auto _ : state) {
+    auto sel = EvalPredicateOn(t, *pred, cands, ctx);
+    benchmark::DoNotOptimize(sel);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+void BM_ChainKernel(benchmark::State& state) { ChainPredicate(state, false); }
+void BM_ChainGenericPath(benchmark::State& state) {
+  ChainPredicate(state, true);
+}
+BENCHMARK(BM_ChainKernel)->Arg(8)->Arg(13'107);
+BENCHMARK(BM_ChainGenericPath)->Arg(8)->Arg(13'107);
+
 // The paper's custom operator: remove a tuple set and shift survivors in
 // one pass (vs. re-materializing the survivors with Take).
 void BM_DeleteWithShift(benchmark::State& state) {

@@ -329,18 +329,6 @@ void Column::EraseRowsIn(Vec& v, const SelVector& sorted_sel) {
   v.resize(write);
 }
 
-template <typename Vec>
-void Column::KeepRowsIn(Vec& v, const SelVector& sorted_sel) {
-  size_t write = 0;
-  for (uint32_t r : sorted_sel) {
-    // Guard against self-move: for a kept prefix write == r, and
-    // move-assigning a std::string onto itself may clear it.
-    if (write != r) v[write] = std::move(v[r]);
-    ++write;
-  }
-  v.resize(write);
-}
-
 void Column::EraseRows(const SelVector& sorted_sel) {
   if (sorted_sel.empty()) return;
   // An ascending unique selection whose maximum is k-1 is exactly the
@@ -352,12 +340,6 @@ void Column::EraseRows(const SelVector& sorted_sel) {
   Detach(/*compact=*/true);
   std::visit([&](auto& b) { EraseRowsIn(*b, sorted_sel); }, data_);
   if (valid_ != nullptr) EraseRowsIn(*valid_, sorted_sel);
-}
-
-void Column::KeepRows(const SelVector& sorted_sel) {
-  Detach(/*compact=*/true);
-  std::visit([&](auto& b) { KeepRowsIn(*b, sorted_sel); }, data_);
-  if (valid_ != nullptr) KeepRowsIn(*valid_, sorted_sel);
 }
 
 void Column::ErasePrefix(size_t n) {

@@ -156,10 +156,6 @@ class Column {
   /// the prefix {0..k-1} is routed through the O(1) head advance instead.
   void EraseRows(const SelVector& sorted_sel);
 
-  /// Keeps only the rows in `sorted_sel` (ascending, unique), compacting in
-  /// place; complement of EraseRows.
-  void KeepRows(const SelVector& sorted_sel);
-
   /// Removes the first n rows in O(1) by advancing the head offset;
   /// physical compaction is amortized (and deferred while snapshots share
   /// the buffer).
@@ -215,8 +211,6 @@ class Column {
 
   template <typename Vec>
   static void EraseRowsIn(Vec& v, const SelVector& sorted_sel);
-  template <typename Vec>
-  static void KeepRowsIn(Vec& v, const SelVector& sorted_sel);
 
   // Lazily materializes the validity vector (all rows currently valid).
   // Caller must have detached already.

@@ -118,12 +118,6 @@ Status Table::EraseRows(const SelVector& sorted_sel) {
   return Status::OK();
 }
 
-Status Table::KeepRows(const SelVector& sorted_sel) {
-  RETURN_NOT_OK(CheckSortedSelection(sorted_sel));
-  for (Column& c : columns_) c.KeepRows(sorted_sel);
-  return Status::OK();
-}
-
 Status Table::ErasePrefix(size_t n) {
   n = std::min(n, num_rows());
   if (n == 0) return Status::OK();

@@ -61,8 +61,6 @@ class Table {
   /// shifting pass. A selection that is exactly the prefix {0..k-1} is
   /// consumed in O(1) per column via ErasePrefix.
   Status EraseRows(const SelVector& sorted_sel);
-  /// Keeps only the given rows (ascending, unique).
-  Status KeepRows(const SelVector& sorted_sel);
   /// Removes the first n rows (FIFO window consumption) in O(1) per column
   /// by advancing the logical head; physical reclamation is amortized.
   Status ErasePrefix(size_t n);

@@ -822,6 +822,11 @@ BinaryOp FlipCmp(BinaryOp op) {
   }
 }
 
+bool IsComparisonOp(BinaryOp op) {
+  return op == BinaryOp::kEq || op == BinaryOp::kNe || op == BinaryOp::kLt ||
+         op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
+}
+
 bool IsConstExpr(const Expr& e, const EvalContext& ctx) {
   switch (e.kind) {
     case ExprKind::kLiteral:
@@ -850,17 +855,8 @@ bool IsConstExpr(const Expr& e, const EvalContext& ctx) {
 Result<std::optional<ColConstCmp>> MatchColConstCmp(const Table& table,
                                                     const Expr& e,
                                                     const EvalContext& ctx) {
-  if (e.kind != ExprKind::kBinary) return std::optional<ColConstCmp>{};
-  switch (e.bop) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe:
-      break;
-    default:
-      return std::optional<ColConstCmp>{};
+  if (e.kind != ExprKind::kBinary || !IsComparisonOp(e.bop)) {
+    return std::optional<ColConstCmp>{};
   }
   const Expr& l = *e.children[0];
   const Expr& r = *e.children[1];
@@ -983,6 +979,124 @@ Result<SelVector> SelectColConst(const ColConstCmp& cc,
   return Status::TypeMismatch("predicate compares incompatible types");
 }
 
+// `int64 column (op int-literal)* <cmp> int-literal`, e.g. `a * 3 + 7 < k`
+// or `a % 8 <> 1`, with at least one arithmetic step; literals may sit on
+// either side of each operator.
+struct IntChainCmp {
+  struct Step {
+    BinaryOp op;
+    int64_t k;
+    bool literal_left;
+  };
+  const Column* column = nullptr;
+  std::vector<Step> steps;  // innermost first
+  BinaryOp cmp = BinaryOp::kEq;
+  int64_t k = 0;
+};
+
+bool IsArithmeticOp(BinaryOp op) {
+  return op == BinaryOp::kAdd || op == BinaryOp::kSub ||
+         op == BinaryOp::kMul || op == BinaryOp::kDiv || op == BinaryOp::kMod;
+}
+
+bool IsIntLiteral(const Expr& e) {
+  return e.kind == ExprKind::kLiteral && e.literal.is_int();
+}
+
+// Recognizes an IntChainCmp over a non-null int64 column of `table`.
+std::optional<IntChainCmp> MatchIntChainCmp(const Table& table,
+                                            const Expr& e) {
+  if (e.kind != ExprKind::kBinary || !IsComparisonOp(e.bop)) {
+    return std::nullopt;
+  }
+  IntChainCmp m;
+  const Expr* chain = nullptr;
+  if (IsIntLiteral(*e.children[1])) {
+    chain = e.children[0].get();
+    m.cmp = e.bop;
+    m.k = e.children[1]->literal.int_value();
+  } else if (IsIntLiteral(*e.children[0])) {
+    chain = e.children[1].get();
+    m.cmp = FlipCmp(e.bop);
+    m.k = e.children[0]->literal.int_value();
+  } else {
+    return std::nullopt;
+  }
+  while (chain->kind == ExprKind::kBinary && IsArithmeticOp(chain->bop)) {
+    const Expr& l = *chain->children[0];
+    const Expr& r = *chain->children[1];
+    if (IsIntLiteral(r)) {
+      m.steps.push_back({chain->bop, r.literal.int_value(), false});
+      chain = &l;
+    } else if (IsIntLiteral(l)) {
+      m.steps.push_back({chain->bop, l.literal.int_value(), true});
+      chain = &r;
+    } else {
+      return std::nullopt;
+    }
+  }
+  if (m.steps.empty() || chain->kind != ExprKind::kColumnRef) {
+    return std::nullopt;
+  }
+  const int idx = table.schema().FindField(chain->column);
+  if (idx < 0) return std::nullopt;
+  m.column = &table.column(static_cast<size_t>(idx));
+  if (m.column->type() != DataType::kInt64 || m.column->has_nulls()) {
+    return std::nullopt;
+  }
+  std::reverse(m.steps.begin(), m.steps.end());
+  return m;
+}
+
+// One arithmetic step over a block of chain values; a row whose result is
+// NULL under CheckedInt (overflow, x/0, INT64_MIN / -1) clears its ok byte.
+template <BinaryOp kOp>
+void ChainStep(int64_t* v, uint8_t* ok, size_t n, int64_t k,
+               bool literal_left) {
+  if (literal_left) {
+    for (size_t i = 0; i < n; ++i) ok[i] &= CheckedInt<kOp>(k, v[i], &v[i]);
+  } else {
+    for (size_t i = 0; i < n; ++i) ok[i] &= CheckedInt<kOp>(v[i], k, &v[i]);
+  }
+}
+
+// Evaluates an IntChainCmp over the candidate rows only, in fixed-size
+// blocks: gather, one loop per step, then compare through double (as the
+// generic int-vs-int compare does) into the output selection. Selects
+// exactly the rows the generic evaluator does.
+Result<SelVector> SelectIntChain(const IntChainCmp& m,
+                                 const SelVector& candidates) {
+  constexpr size_t kBlock = 256;
+  int64_t v[kBlock] = {};
+  uint8_t ok[kBlock] = {};
+  const int64_t* col = m.column->ints().data();
+  const double k = static_cast<double>(m.k);
+  SelVector out(candidates.size());
+  size_t w = 0;
+  for (size_t base = 0; base < candidates.size(); base += kBlock) {
+    const size_t n = std::min(kBlock, candidates.size() - base);
+    const uint32_t* rows = candidates.data() + base;
+    for (size_t i = 0; i < n; ++i) {
+      v[i] = col[rows[i]];
+      ok[i] = 1;
+    }
+    for (const IntChainCmp::Step& s : m.steps) {
+      RETURN_NOT_OK(WithArithOp(s.op, [&](auto tag) {
+        ChainStep<decltype(tag)::value>(v, ok, n, s.k, s.literal_left);
+      }));
+    }
+    RETURN_NOT_OK(WithCompareOp(m.cmp, [&](auto tag) {
+      for (size_t i = 0; i < n; ++i) {
+        out[w] = rows[i];
+        w += ok[i] & static_cast<uint8_t>(NumMatches<decltype(tag)::value>(
+                         static_cast<double>(v[i]), k));
+      }
+    }));
+  }
+  out.resize(w);
+  return out;
+}
+
 SelVector UnionSorted(const SelVector& a, const SelVector& b) {
   SelVector out;
   out.reserve(a.size() + b.size());
@@ -1011,6 +1125,9 @@ Result<SelVector> SelectWhere(const Table& table, const Expr& expr,
   // Column-vs-constant comparison fast path.
   ASSIGN_OR_RETURN(auto cc, MatchColConstCmp(table, expr, ctx));
   if (cc.has_value()) return SelectColConst(*cc, candidates);
+  if (std::optional<IntChainCmp> chain = MatchIntChainCmp(table, expr)) {
+    return SelectIntChain(*chain, candidates);
+  }
   // Generic fallback: evaluate a boolean column, then filter candidates.
   ASSIGN_OR_RETURN(Handle h, EvalRec(table, expr, ctx));
   const Column& b = h.get();

@@ -1,7 +1,10 @@
 #ifndef DATACELL_OBS_PLANS_H_
 #define DATACELL_OBS_PLANS_H_
 
+#include <atomic>
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,23 +14,34 @@
 /// Published view of the multi-query optimizer's compiled net (the
 /// `dc_plans` virtual table). The optimizer pushes plain data rows here
 /// after every rebuild; readers (dc_plans materialization) copy them out
-/// under the registry lock and join the live rows_in/rows_out counters by
-/// transition name at read time. Keeping this a passive mirror — rather
+/// under the registry lock and join the live rows_in/rows_out counters at
+/// read time: a row's own PlanCounters when it has them, else the
+/// transition.<stage>.* metrics. Keeping this a passive mirror — rather
 /// than a callback into planner state — means a factory body that SELECTs
 /// dc_plans while holding basket locks (rank kBasket) only ever descends
 /// to kMetrics, and the optimizer's rebuild path never takes a lock a
 /// reader might hold.
 namespace datacell::obs {
 
+/// Live row counters for a plan row that is not a transition of its own
+/// (a node of a fused shared-predicate trie). The owner bumps them with
+/// relaxed atomics from inside its firings.
+struct PlanCounters {
+  std::atomic<uint64_t> rows_in{0};
+  std::atomic<uint64_t> rows_out{0};
+};
+
 /// One stage of one query's compiled pipeline, in pipeline order.
 struct PlanRow {
   std::string query;        // registered continuous-query name
-  std::string stage;        // transition name ("" for plan-only rows)
-  std::string kind;         // scan | filter | window | project | leaf | ...
+  std::string stage;        // transition or trie-node name
+  std::string kind;         // direct | node | leaf
   std::string detail;       // predicate / projection text
-  std::string fingerprint;  // subtree fingerprint (hex), "" if n/a
+  std::string fingerprint;  // conjunct fingerprints (hex), "" if n/a
   int64_t shared_by = 1;    // number of standing queries using this stage
   double est_rows = 0;      // cost-model estimated output cardinality
+  /// The stage's own counters; null joins transition.<stage>.rows_in/out.
+  std::shared_ptr<const PlanCounters> counters;
 };
 
 /// Process-global registry of published plans. Mutex rank kMetrics (same

@@ -97,8 +97,9 @@ Result<Table> TransitionsTable(core::Engine* engine) {
 }
 
 // The optimizer publishes plan rows (plain data) after each rebuild; the
-// live rows_in/rows_out are joined in here by transition name so observed
-// cardinalities sit next to the cost model's estimates.
+// live rows_in/rows_out are joined in here — a trie node's own counters,
+// else the transition's by name — so observed cardinalities sit next to
+// the cost model's estimates.
 Result<Table> PlansTable() {
   Table t(Schema({{"query", DataType::kString},
                   {"stage", DataType::kString},
@@ -113,7 +114,12 @@ Result<Table> PlansTable() {
   for (const PlanRow& r : PlansRegistry::Global().Snapshot()) {
     int64_t rows_in = 0;
     int64_t rows_out = 0;
-    if (!r.stage.empty()) {
+    if (r.counters != nullptr) {
+      rows_in = static_cast<int64_t>(
+          r.counters->rows_in.load(std::memory_order_relaxed));
+      rows_out = static_cast<int64_t>(
+          r.counters->rows_out.load(std::memory_order_relaxed));
+    } else if (!r.stage.empty()) {
       const std::string prefix = "transition." + r.stage + ".";
       rows_in =
           static_cast<int64_t>(reg.GetCounter(prefix + "rows_in")->value());

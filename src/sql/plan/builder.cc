@@ -377,7 +377,7 @@ Result<std::shared_ptr<Statement>> MakeLeafStatement(
   ASSIGN_OR_RETURN(core::BasketPtr basket, engine->GetBasket(q.source_basket));
   const Schema& schema = basket->schema();
 
-  // Drop every conjunct an upstream shared stage already evaluated.
+  // Drop every conjunct the shared trie already evaluated upstream.
   // Fingerprints are recomputed through the same resolve+normalize path
   // CompileContinuous used, so they match exactly.
   auto strip = [&](const ExprPtr& where,

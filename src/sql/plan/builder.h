@@ -51,7 +51,7 @@ Result<CompiledQuery> CompileContinuous(core::Engine* engine,
 /// clone of the original with the inner FROM redirected to `leaf_basket`
 /// (binding name preserved, so every column reference still resolves) and
 /// every conjunct whose fingerprint is in `strip_fps` removed from the
-/// inner and outer WHERE — those are evaluated upstream by shared stages.
+/// inner and outer WHERE — those are evaluated upstream by the shared trie.
 Result<std::shared_ptr<Statement>> MakeLeafStatement(
     core::Engine* engine, const CompiledQuery& q,
     const std::string& leaf_basket, const std::set<std::string>& strip_fps);

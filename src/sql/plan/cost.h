@@ -11,10 +11,10 @@
 ///  * static heuristics over the predicate shape (equality is selective,
 ///    inequality barely filters, ranges sit in between) — the cold-start
 ///    estimates;
-///  * live observations fed from the scheduler's per-transition rows_in /
-///    rows_out counters (TransitionStatsSnapshot / the per-conjunct
-///    mqo.conjunct.* counters the shared stages maintain), which override
-///    the heuristics once a conjunct has seen enough tuples.
+///  * live observations: per-conjunct rows_in / rows_out counters, keyed
+///    by conjunct fingerprint, that the fused trie walk of each shared
+///    subnet maintains (QuerySetOptimizer::Reoptimize feeds them in), which
+///    override the heuristics once a conjunct has seen enough tuples.
 ///
 /// Thread-model: owned by the QuerySetOptimizer and touched only on the
 /// registration/re-optimization path (the same single-driver discipline as
@@ -39,8 +39,8 @@ class CostModel {
   /// Pure shape heuristic (no observation lookup).
   static double HeuristicSelectivity(const Expr& expr);
 
-  /// Feeds an observation for conjunct `fp`: `rows_in` tuples entered the
-  /// stage evaluating it, `rows_out` survived. Cumulative counters —
+  /// Feeds an observation for conjunct `fp`: `rows_in` tuples reached the
+  /// conjunct, `rows_out` survived it. Cumulative counters —
   /// callers pass the latest totals, not deltas.
   void RecordObserved(const std::string& fp, uint64_t rows_in,
                       uint64_t rows_out);

@@ -1,12 +1,11 @@
 #include "sql/plan/optimizer.h"
 
 #include <algorithm>
-#include <functional>
-#include <numeric>
+#include <deque>
 #include <utility>
 
 #include "expr/eval.h"
-#include "obs/plans.h"
+#include "ops/morsel.h"
 #include "sql/plan/rewrite.h"
 #include "util/logging.h"
 
@@ -20,7 +19,7 @@ std::string LeafBasketName(const std::string& query) {
 
 // Teardown paths unregister factories that this optimizer registered, so a
 // failure (NotFound = already unregistered) is an invariant break worth a
-// log line — but never worth abandoning a rebuild halfway through, which
+// log line — but never worth abandoning a swap halfway through, which
 // would strand the surviving queries without a net.
 void UnregisterOrWarn(core::Scheduler& scheduler,
                       const core::FactoryPtr& factory, const char* where) {
@@ -49,17 +48,92 @@ std::string ConjunctsFps(const std::vector<Conjunct>& cs) {
   return out;
 }
 
+std::shared_ptr<obs::PlanCounters> CountersFor(
+    std::map<std::string, std::shared_ptr<obs::PlanCounters>>* map,
+    const std::string& key) {
+  std::shared_ptr<obs::PlanCounters>& slot = (*map)[key];
+  if (slot == nullptr) slot = std::make_shared<obs::PlanCounters>();
+  return slot;
+}
+
 }  // namespace
 
 QuerySetOptimizer::QuerySetOptimizer(core::Engine* engine,
                                      FactoryBuilder builder)
     : engine_(engine), build_factory_(std::move(builder)) {}
 
-QuerySetOptimizer::ConjunctCounters* QuerySetOptimizer::CountersFor(
-    const std::string& fp) {
-  std::unique_ptr<ConjunctCounters>& slot = counters_[fp];
-  if (slot == nullptr) slot = std::make_unique<ConjunctCounters>();
-  return slot.get();
+// Takes every delivered row once and walks the trie level by level; every
+// leaf gets exactly one AppendAligned per delivery, from the firing
+// thread, once its node's level is done.
+Status QuerySetOptimizer::Walk(const std::vector<TrieNode>& nodes,
+                               core::FactoryContext& ctx) {
+  const Table batch = ctx.input(0).TakeAll();
+  if (batch.num_rows() == 0) return Status::OK();
+  const EvalContext ectx = ctx.eval();
+  std::vector<Table> out(nodes.size());
+  auto input_of = [&](size_t i) -> const Table& {
+    return i == 0 ? batch : out[nodes[i].parent];
+  };
+  auto eval = [&](size_t i) {
+    return EvalNode(nodes[i], input_of(i), ectx, &out[i]);
+  };
+  for (size_t begin = 0, prev = 0, end = 0; begin < nodes.size();
+       prev = begin, begin = end) {
+    size_t rows = 0;
+    for (end = begin; end < nodes.size() &&
+                      nodes[end].level == nodes[begin].level;
+         ++end) {
+      rows += input_of(end).num_rows();
+    }
+    // Siblings only read their parents' tables and write their own slot,
+    // so a wide level runs as tasks on the scheduler's pool.
+    ops::MorselExecutor* exec = ops::CurrentMorselExecutor();
+    if (end - begin > 1 && rows >= ops::kMorselRows && exec != nullptr &&
+        exec->parallelism() > 1) {
+      RETURN_NOT_OK(exec->Run(end - begin, 1, [&](size_t m, size_t, size_t) {
+        return eval(begin + m);
+      }));
+    } else {
+      for (size_t i = begin; i < end; ++i) RETURN_NOT_OK(eval(i));
+    }
+    for (size_t i = begin; i < end; ++i) {
+      if (out[i].num_rows() == 0) continue;
+      for (const core::BasketPtr& leaf : nodes[i].leaves) {
+        ASSIGN_OR_RETURN(size_t appended,
+                         leaf->AppendAligned(out[i], ctx.now()));
+        (void)appended;
+      }
+    }
+    // The previous level's survivors have no readers left.
+    for (size_t i = prev; i < begin; ++i) out[i] = Table();
+  }
+  return Status::OK();
+}
+
+Status QuerySetOptimizer::EvalNode(const TrieNode& node, const Table& in,
+                                   const EvalContext& ectx, Table* out) {
+  const size_t n = in.num_rows();
+  if (n == 0) return Status::OK();
+  node.counters->rows_in.fetch_add(n, std::memory_order_relaxed);
+  // While every row survives, the next conjunct runs over the whole table,
+  // where the dense compare kernel applies; compact with one Take only
+  // when a conjunct dropped rows.
+  SelVector sel;
+  bool all = true;
+  for (size_t k = 0; k < node.conjuncts.size() && (all || !sel.empty());
+       ++k) {
+    obs::PlanCounters& c = *node.conjunct_counters[k];
+    const Expr& e = *node.conjuncts[k].expr;
+    c.rows_in.fetch_add(all ? n : sel.size(), std::memory_order_relaxed);
+    ASSIGN_OR_RETURN(sel, all ? EvalPredicate(in, e, ectx)
+                              : EvalPredicateOn(in, e, sel, ectx));
+    all = sel.size() == n;
+    c.rows_out.fetch_add(sel.size(), std::memory_order_relaxed);
+  }
+  const size_t kept = all ? n : sel.size();
+  node.counters->rows_out.fetch_add(kept, std::memory_order_relaxed);
+  if (kept > 0) *out = all ? in : in.Take(sel);
+  return Status::OK();
 }
 
 Result<core::FactoryPtr> QuerySetOptimizer::AddQuery(
@@ -92,7 +166,7 @@ Status QuerySetOptimizer::AddDirect(const std::string& name, QueryInfo info) {
   queries_[name] = std::move(info);
   obs::PlansRegistry::Global().Publish(
       name, {obs::PlanRow{name, name, "direct", "one factory per query", "",
-                          1, 0}});
+                          1, 0, nullptr}});
   return Status::OK();
 }
 
@@ -104,9 +178,9 @@ Status QuerySetOptimizer::AddShared(const std::string& name, QueryInfo info) {
       engine_->CreateBasket(LeafBasketName(name), source->schema(),
                             /*add_arrival_ts=*/false));
   queries_[name] = std::move(info);
-  ever_shared_.insert(basket);
   Status rebuilt = RebuildSubnet(basket);
   if (!rebuilt.ok()) {
+    // The old net was never touched: only the new query is undone.
     queries_.erase(name);
     if (Status st = engine_->DropBasket(LeafBasketName(name)); !st.ok()) {
       DC_LOG(Warn) << "optimizer AddQuery rollback: drop leaf basket failed: "
@@ -124,65 +198,25 @@ Status QuerySetOptimizer::RemoveQuery(const std::string& name) {
   }
   QueryInfo info = std::move(it->second);
   queries_.erase(it);
-  obs::PlansRegistry::Global().Retract(name);
   if (info.direct) {
     UnregisterOrWarn(engine_->scheduler(), info.factory, "RemoveQuery");
-    return Status::OK();
+  } else if (Status st = RebuildSubnet(info.cq.source_basket); !st.ok()) {
+    // The rebuild (whose swap would unregister this query's leaf) failed:
+    // the old net, this query included, keeps running.
+    queries_[name] = std::move(info);
+    return st;
   }
-  // Shared subnet: stop this query's leaf factory, then rebuild the trie
-  // for the remaining members. The rebuild's drain delivers in-flight
-  // tuples to the survivors' leaves, so their output streams are
-  // unaffected by the departure.
-  UnregisterOrWarn(engine_->scheduler(), info.factory, "RemoveQuery");
-  RETURN_NOT_OK(RebuildSubnet(info.cq.source_basket));
+  obs::PlansRegistry::Global().Retract(name);
+  if (info.direct) return Status::OK();
   peak_retired_ = std::max(peak_retired_, info.leaf->stats().peak_rows);
   return engine_->DropBasket(LeafBasketName(name));
 }
 
-Status QuerySetOptimizer::DrainSubnet(const std::string& basket,
-                                      Subnet* old) {
-  // Deepest stages first: tuples resident deeper in the net arrived (and
-  // were admitted) earlier, so draining bottom-up appends older tuples to
-  // each leaf before younger ones — arrival order is preserved. The source
-  // basket itself (root input) is left alone; the new net consumes it.
-  EvalContext ectx;
-  ectx.now = engine_->Now();
-  for (size_t i = old->stages.size(); i-- > 0;) {
-    Stage& s = old->stages[i];
-    if (s.in->name() == basket) continue;
-    peak_retired_ = std::max(peak_retired_, s.in->stats().peak_rows);
-    Table residual = s.in->TakeAll();
-    if (residual.num_rows() == 0) continue;
-    for (const std::string& qname : s.descendants) {
-      auto qit = queries_.find(qname);
-      if (qit == queries_.end()) continue;  // being removed
-      const QueryInfo& q = qit->second;
-      // Apply the conjuncts this tuple batch had not yet passed.
-      SelVector sel(residual.num_rows());
-      std::iota(sel.begin(), sel.end(), 0);
-      for (const Conjunct& c : q.cq.shared) {
-        if (s.cum_before.count(c.fp) > 0) continue;
-        if (sel.empty()) break;
-        ASSIGN_OR_RETURN(sel,
-                         EvalPredicateOn(residual, *c.expr, sel, ectx));
-      }
-      if (sel.empty()) continue;
-      Table matched = residual.Take(sel);
-      ASSIGN_OR_RETURN(size_t appended,
-                       q.leaf->AppendAligned(matched, ectx.now));
-      (void)appended;
-    }
-  }
-  return Status::OK();
-}
-
-Status QuerySetOptimizer::BuildStages(const std::string& basket,
-                                      const std::vector<std::string>& members,
-                                      Subnet* out) {
-  ASSIGN_OR_RETURN(core::BasketPtr source, engine_->GetBasket(basket));
-
+void QuerySetOptimizer::BuildTrie(const std::string& basket,
+                                  const std::vector<std::string>& members,
+                                  Subnet* out) {
   // How many members share each conjunct: widely shared conjuncts order
-  // first so common prefixes factor into one chain; estimated selectivity
+  // first so common prefixes factor into one node; estimated selectivity
   // (live observations override heuristics) breaks ties, fingerprints make
   // the order deterministic.
   std::map<std::string, size_t> share_count;
@@ -192,12 +226,12 @@ Status QuerySetOptimizer::BuildStages(const std::string& basket,
     }
   }
 
-  struct TrieNode {
-    std::map<std::string, TrieNode> kids;  // edge fingerprint -> child
-    Conjunct edge;                         // conjunct on the edge into this
+  struct Proto {
+    std::map<std::string, Proto> kids;  // edge fingerprint -> child
+    Conjunct edge;                      // conjunct on the edge into this
     std::vector<std::string> attached;
   };
-  TrieNode root;
+  Proto root;
   for (const std::string& qname : members) {
     std::vector<Conjunct> ordered;
     if (factoring_enabled_) {
@@ -214,7 +248,7 @@ Status QuerySetOptimizer::BuildStages(const std::string& basket,
                   return a.fp < b.fp;
                 });
     }
-    TrieNode* cur = &root;
+    Proto* cur = &root;
     for (const Conjunct& c : ordered) {
       cur = &cur->kids[c.fp];
       cur->edge = c;
@@ -222,80 +256,54 @@ Status QuerySetOptimizer::BuildStages(const std::string& basket,
     cur->attached.push_back(qname);
   }
 
-  // Trie -> stages with path compression: runs of unattached single-child
-  // nodes collapse into one stage evaluating the whole conjunct run.
-  std::function<size_t(TrieNode*, std::vector<Conjunct>,
-                       std::set<std::string>)>
-      build = [&](TrieNode* n, std::vector<Conjunct> lead,
-                  std::set<std::string> cum_before) -> size_t {
+  // Breadth-first, so each level is contiguous, with path compression:
+  // runs of unattached single-child nodes collapse into one node
+  // evaluating the whole conjunct run.
+  struct Pending {
+    const Proto* proto;
+    std::vector<Conjunct> lead;
+    size_t parent;
+  };
+  std::deque<Pending> queue;
+  queue.push_back({&root, {}, 0});
+  while (!queue.empty()) {
+    Pending p = std::move(queue.front());
+    queue.pop_front();
+    const Proto* n = p.proto;
     while (n->attached.empty() && n->kids.size() == 1) {
-      TrieNode& kid = n->kids.begin()->second;
-      lead.push_back(kid.edge);
-      n = &kid;
+      n = &n->kids.begin()->second;
+      p.lead.push_back(n->edge);
     }
-    const size_t idx = out->stages.size();
-    out->stages.emplace_back();
-    std::set<std::string> cum_after = cum_before;
-    for (const Conjunct& c : lead) cum_after.insert(c.fp);
-    {
-      Stage& s = out->stages[idx];
-      s.conjuncts = std::move(lead);
-      s.cum_before = std::move(cum_before);
-      s.attached = n->attached;
-      s.descendants = n->attached;
-      if (idx == 0) {
-        s.name = "mqo." + basket + ".root";
-        s.in = source;
-      } else {
-        std::string path;
-        for (const std::string& fp : cum_after) path += fp;
-        s.name = "mqo." + basket + ".s" + FingerprintHex(path).substr(0, 8);
-        s.in = std::make_shared<core::Basket>(s.name, source->schema(),
-                                              /*add_arrival_ts=*/false);
-      }
+    const size_t idx = out->nodes.size();
+    TrieNode node;
+    node.parent = p.parent;
+    if (idx > 0) {
+      node.level = out->nodes[p.parent].level + 1;
+      node.cum = out->nodes[p.parent].cum;
     }
-    for (auto& [fp, kid] : n->kids) {
-      const size_t cidx = build(&kid, {kid.edge}, cum_after);
-      Stage& s = out->stages[idx];
-      s.children.push_back(cidx);
-      const Stage& child = out->stages[cidx];
-      s.descendants.insert(s.descendants.end(), child.descendants.begin(),
-                           child.descendants.end());
+    std::string path;
+    for (const Conjunct& c : p.lead) node.cum.insert(c.fp);
+    for (const std::string& fp : node.cum) path += fp;
+    node.name = "mqo." + basket +
+                (idx == 0 ? ".root" : ".s" + FingerprintHex(path).substr(0, 8));
+    node.conjuncts = std::move(p.lead);
+    for (const Conjunct& c : node.conjuncts) {
+      node.conjunct_counters.push_back(CountersFor(&conjunct_counters_, c.fp));
     }
-    return idx;
-  };
-  build(&root, {}, {});
-  return Status::OK();
-}
-
-core::Factory::Body QuerySetOptimizer::StageBody(
-    const Stage& stage, std::vector<core::BasketPtr> outs) {
-  std::vector<Conjunct> conjuncts = stage.conjuncts;
-  std::vector<ConjunctCounters*> counters;
-  counters.reserve(conjuncts.size());
-  for (const Conjunct& c : conjuncts) counters.push_back(CountersFor(c.fp));
-  return [conjuncts, counters,
-          outs = std::move(outs)](core::FactoryContext& ctx) -> Status {
-    Table batch = ctx.input(0).TakeAll();
-    const size_t n = batch.num_rows();
-    if (n == 0) return Status::OK();
-    SelVector sel(n);
-    std::iota(sel.begin(), sel.end(), 0);
-    const EvalContext ectx = ctx.eval();
-    for (size_t i = 0; i < conjuncts.size(); ++i) {
-      counters[i]->rows_in.fetch_add(sel.size(), std::memory_order_relaxed);
-      ASSIGN_OR_RETURN(
-          sel, EvalPredicateOn(batch, *conjuncts[i].expr, sel, ectx));
-      counters[i]->rows_out.fetch_add(sel.size(), std::memory_order_relaxed);
+    node.counters = CountersFor(&node_counters_, node.name);
+    node.attached = n->attached;
+    node.shared_by = n->attached.size();
+    for (const std::string& qname : n->attached) {
+      node.leaves.push_back(queries_[qname].leaf);
     }
-    if (sel.empty()) return Status::OK();
-    const Table matched = sel.size() == n ? std::move(batch) : batch.Take(sel);
-    for (const core::BasketPtr& b : outs) {
-      ASSIGN_OR_RETURN(size_t appended, b->AppendAligned(matched, ctx.now()));
-      (void)appended;
+    out->nodes.push_back(std::move(node));
+    for (const auto& [fp, kid] : n->kids) {
+      queue.push_back({&kid, {kid.edge}, idx});
     }
-    return Status::OK();
-  };
+  }
+  for (size_t i = out->nodes.size(); i-- > 1;) {
+    out->nodes[out->nodes[i].parent].shared_by += out->nodes[i].shared_by;
+  }
 }
 
 Status QuerySetOptimizer::RebuildSubnet(const std::string& basket) {
@@ -304,99 +312,84 @@ Status QuerySetOptimizer::RebuildSubnet(const std::string& basket) {
     if (!q.direct && q.cq.source_basket == basket) members.push_back(qname);
   }
 
-  // Tear down the old net first: unregister every transition (the
-  // scheduler waits out in-flight firings), then drain the old stage
-  // baskets into the leaves so no in-flight tuple is lost.
-  auto old = subnets_.find(basket);
-  if (old != subnets_.end()) {
-    for (Stage& s : old->second.stages) {
-      UnregisterOrWarn(engine_->scheduler(), s.factory, "RebuildSubnet");
-    }
-    for (const std::string& qname : members) {
-      if (queries_[qname].factory != nullptr) {
-        UnregisterOrWarn(engine_->scheduler(), queries_[qname].factory,
-                         "RebuildSubnet");
+  // Build the complete new net before touching the old one.
+  Subnet net;
+  std::map<std::string, core::FactoryPtr> leaves;
+  if (!members.empty()) {
+    ASSIGN_OR_RETURN(core::BasketPtr source, engine_->GetBasket(basket));
+    BuildTrie(basket, members, &net);
+    // Leaf factories: the original statement with the conjuncts evaluated
+    // on the way to its node stripped and its FROM redirected to the leaf.
+    for (const TrieNode& t : net.nodes) {
+      for (const std::string& qname : t.attached) {
+        const QueryInfo& q = queries_[qname];
+        ASSIGN_OR_RETURN(std::shared_ptr<Statement> leaf_stmt,
+                         MakeLeafStatement(engine_, q.cq,
+                                           LeafBasketName(qname), t.cum));
+        ASSIGN_OR_RETURN(leaves[qname],
+                         build_factory_(qname, leaf_stmt, q.sink));
       }
     }
-    RETURN_NOT_OK(DrainSubnet(basket, &old->second));
+    auto walk = std::make_shared<core::Factory>(
+        net.nodes[0].name, [nodes = net.nodes](core::FactoryContext& ctx) {
+          return Walk(nodes, ctx);
+        });
+    walk->AddInput(source, 1);
+    // Every leaf is an output place, so no leaf fires while the walk runs.
+    for (const TrieNode& t : net.nodes) {
+      for (const core::BasketPtr& leaf : t.leaves) walk->AddOutput(leaf);
+    }
+    net.transitions.push_back(std::move(walk));
+    for (const auto& [qname, leaf] : leaves) net.transitions.push_back(leaf);
+  }
+
+  // Swap. Unregister waits out in-flight firings; rows resident in the
+  // source and leaf baskets carry over to the new transitions.
+  if (auto old = subnets_.find(basket); old != subnets_.end()) {
+    for (const core::FactoryPtr& t : old->second.transitions) {
+      UnregisterOrWarn(engine_->scheduler(), t, "RebuildSubnet");
+    }
     subnets_.erase(old);
   }
   if (members.empty()) return Status::OK();
-
-  Subnet net;
-  RETURN_NOT_OK(BuildStages(basket, members, &net));
-
-  // Leaf factories: the original statement with the upstream-evaluated
-  // conjuncts stripped and its FROM redirected to the leaf basket.
-  for (const std::string& qname : members) {
-    QueryInfo& q = queries_[qname];
-    std::set<std::string> strip;
-    for (const Stage& s : net.stages) {
-      if (std::find(s.attached.begin(), s.attached.end(), qname) ==
-          s.attached.end()) {
-        continue;
-      }
-      strip = s.cum_before;
-      for (const Conjunct& c : s.conjuncts) strip.insert(c.fp);
-      break;
-    }
-    ASSIGN_OR_RETURN(std::shared_ptr<Statement> leaf_stmt,
-                     MakeLeafStatement(engine_, q.cq, LeafBasketName(qname),
-                                       strip));
-    ASSIGN_OR_RETURN(q.factory, build_factory_(qname, leaf_stmt, q.sink));
+  for (auto& [qname, leaf] : leaves) queries_[qname].factory = leaf;
+  // Leaves before the fused transition, so its first firing signals
+  // already-listening consumers (Register re-checks eligibility, so rows
+  // already in a leaf wake it immediately).
+  for (size_t i = 1; i < net.transitions.size(); ++i) {
+    engine_->scheduler().Register(net.transitions[i]);
   }
-
-  // Stage factories, wired to child stage baskets + attached leaves.
-  for (size_t i = 0; i < net.stages.size(); ++i) {
-    Stage& s = net.stages[i];
-    std::vector<core::BasketPtr> outs;
-    for (const size_t c : s.children) outs.push_back(net.stages[c].in);
-    for (const std::string& qname : s.attached) {
-      outs.push_back(queries_[qname].leaf);
-    }
-    auto factory = std::make_shared<core::Factory>(s.name, StageBody(s, outs));
-    factory->AddInput(s.in, 1);
-    for (const core::BasketPtr& b : outs) factory->AddOutput(b);
-    s.factory = std::move(factory);
-  }
-
-  // Register leaves before stages so a stage's very first firing signals
-  // an already-listening consumer (Register itself re-checks eligibility,
-  // so drained-in rows also wake the leaves immediately).
-  for (const std::string& qname : members) {
-    engine_->scheduler().Register(queries_[qname].factory);
-  }
-  for (Stage& s : net.stages) engine_->scheduler().Register(s.factory);
-
+  engine_->scheduler().Register(net.transitions[0]);
   PublishPlans(net);
   subnets_[basket] = std::move(net);
   return Status::OK();
 }
 
 void QuerySetOptimizer::PublishPlans(const Subnet& net) {
-  if (net.stages.empty()) return;
-  double base = static_cast<double>(net.stages[0].in->size());
+  double base = static_cast<double>(net.transitions[0]->input(0)->size());
   if (base <= 0) base = 1000;
-  for (const std::string& qname : net.stages[0].descendants) {
-    std::vector<obs::PlanRow> rows;
-    double est = base;
-    for (const Stage& s : net.stages) {
-      if (std::find(s.descendants.begin(), s.descendants.end(), qname) ==
-          s.descendants.end()) {
-        continue;
-      }
-      for (const Conjunct& c : s.conjuncts) est *= c.est_sel;
-      est = std::max(est, 1.0);
-      rows.push_back(obs::PlanRow{
-          qname, s.name, "stage", ConjunctsText(s.conjuncts),
-          ConjunctsFps(s.conjuncts),
-          static_cast<int64_t>(s.descendants.size()), est});
+  for (size_t at = 0; at < net.nodes.size(); ++at) {
+    std::vector<size_t> path = {at};  // root first
+    while (path.front() != 0) {
+      path.insert(path.begin(), net.nodes[path.front()].parent);
     }
-    rows.push_back(obs::PlanRow{qname, qname, "leaf",
-                                "execute rewritten statement on mqo.q." +
-                                    qname,
-                                "", 1, est});
-    obs::PlansRegistry::Global().Publish(qname, std::move(rows));
+    for (const std::string& qname : net.nodes[at].attached) {
+      std::vector<obs::PlanRow> rows;
+      double est = base;
+      for (const size_t i : path) {
+        const TrieNode& t = net.nodes[i];
+        for (const Conjunct& c : t.conjuncts) est *= c.est_sel;
+        est = std::max(est, 1.0);
+        rows.push_back(obs::PlanRow{
+            qname, t.name, "node", ConjunctsText(t.conjuncts),
+            ConjunctsFps(t.conjuncts), static_cast<int64_t>(t.shared_by),
+            est, t.counters});
+      }
+      rows.push_back(obs::PlanRow{
+          qname, qname, "leaf", "execute rewritten statement on mqo.q." + qname,
+          "", 1, est, nullptr});
+      obs::PlansRegistry::Global().Publish(qname, std::move(rows));
+    }
   }
 }
 
@@ -417,12 +410,6 @@ size_t QuerySetOptimizer::SharedCount(const std::string& basket,
 
 uint64_t QuerySetOptimizer::PeakResidentRows() const {
   uint64_t peak = peak_retired_;
-  for (const auto& [basket, net] : subnets_) {
-    for (const Stage& s : net.stages) {
-      if (s.in->name() == basket) continue;  // source basket is not ours
-      peak = std::max(peak, s.in->stats().peak_rows);
-    }
-  }
   for (const auto& [qname, q] : queries_) {
     if (q.leaf != nullptr) peak = std::max(peak, q.leaf->stats().peak_rows);
   }
@@ -430,7 +417,7 @@ uint64_t QuerySetOptimizer::PeakResidentRows() const {
 }
 
 Result<size_t> QuerySetOptimizer::Reoptimize() {
-  for (const auto& [fp, counters] : counters_) {
+  for (const auto& [fp, counters] : conjunct_counters_) {
     cost_.RecordObserved(fp,
                          counters->rows_in.load(std::memory_order_relaxed),
                          counters->rows_out.load(std::memory_order_relaxed));
@@ -438,14 +425,10 @@ Result<size_t> QuerySetOptimizer::Reoptimize() {
   std::vector<std::string> drifted;
   for (const auto& [basket, net] : subnets_) {
     bool dirty = false;
-    for (const Stage& s : net.stages) {
-      for (const Conjunct& c : s.conjuncts) {
-        if (cost_.Drifted(c.est_sel, c.fp)) {
-          dirty = true;
-          break;
-        }
+    for (const TrieNode& t : net.nodes) {
+      for (const Conjunct& c : t.conjuncts) {
+        dirty = dirty || cost_.Drifted(c.est_sel, c.fp);
       }
-      if (dirty) break;
     }
     if (dirty) drifted.push_back(basket);
   }

@@ -1,7 +1,6 @@
 #ifndef DATACELL_SQL_PLAN_OPTIMIZER_H_
 #define DATACELL_SQL_PLAN_OPTIMIZER_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -12,6 +11,7 @@
 #include "core/engine.h"
 #include "core/factory.h"
 #include "core/receptor.h"
+#include "obs/plans.h"
 #include "sql/ast.h"
 #include "sql/plan/builder.h"
 #include "sql/plan/cost.h"
@@ -21,8 +21,8 @@
 /// into a shared Petri net. Queries whose shape the plan compiler accepts
 /// are decomposed into
 ///
-///   source basket -> shared filter stages (a trie of normalized conjunct
-///   fingerprints, common prefixes factored into one factory chain) ->
+///   source basket -> one fused transition walking a trie of normalized
+///   conjunct fingerprints (common prefixes factored into one node) ->
 ///   per-query leaf basket -> leaf factory (the original statement with the
 ///   shared conjuncts stripped and FROM redirected to the leaf).
 ///
@@ -35,11 +35,12 @@
 ///
 /// Thread-model: registration, removal and re-optimization happen on one
 /// driver thread (the same discipline as sql::Session); the built net is
-/// what scheduler workers execute. Rebuilds unregister the subnet's
-/// transitions (the scheduler waits out in-flight firings), drain in-flight
-/// tuples deepest-stage-first into the leaf baskets — applying each
-/// query's not-yet-evaluated conjuncts — and only then wire the new net,
-/// so no tuple is lost, duplicated or reordered across a rebuild.
+/// what scheduler workers execute. A rebuild builds the whole new net
+/// first and only then unregisters the old one (the scheduler waits out
+/// in-flight firings) and registers the new: a failed build leaves the old
+/// net running. Only the source and the leaf baskets hold rows between
+/// firings, and both carry over, so no tuple is lost, duplicated or
+/// reordered across a rebuild.
 namespace datacell::sql::plan {
 
 class QuerySetOptimizer {
@@ -73,8 +74,7 @@ class QuerySetOptimizer {
                                     core::Emitter::Sink sink);
 
   /// Unregisters one query. In a shared subnet the remaining queries'
-  /// stage trie is rebuilt (with the in-flight drain protocol), so their
-  /// result streams are unaffected.
+  /// trie is rebuilt, so their result streams are unaffected.
   Status RemoveQuery(const std::string& name);
 
   bool HasQuery(const std::string& name) const {
@@ -91,18 +91,13 @@ class QuerySetOptimizer {
   /// shared_by annotation).
   size_t SharedCount(const std::string& basket, const std::string& fp) const;
 
-  /// High-water mark of rows resident in optimizer-owned baskets (stage +
-  /// leaf): the sharing ablation's memory metric.
+  /// High-water mark of rows resident in optimizer-owned (leaf) baskets:
+  /// the sharing ablation's memory metric.
   uint64_t PeakResidentRows() const;
 
   const CostModel& cost() const { return cost_; }
 
  private:
-  struct ConjunctCounters {
-    std::atomic<uint64_t> rows_in{0};
-    std::atomic<uint64_t> rows_out{0};
-  };
-
   struct QueryInfo {
     CompiledQuery cq;  // meaningful only when !direct
     std::shared_ptr<Statement> stmt;
@@ -112,40 +107,50 @@ class QuerySetOptimizer {
     core::BasketPtr leaf;      // shared mode: engine basket "mqo.q.<name>"
   };
 
-  /// One shared filter stage: a factory that drains `in`, evaluates
-  /// `conjuncts` in order and replicates survivors to the child stages'
-  /// baskets and the attached queries' leaf baskets.
-  struct Stage {
-    std::string name;
-    core::BasketPtr in;  // source basket for the root, own basket otherwise
+  /// One node of a source basket's shared-predicate trie: a conjunct run
+  /// evaluated once per delivery over its parent's survivors.
+  struct TrieNode {
+    std::string name;   // mqo.<basket>.root, else mqo.<basket>.s<hash>
+    size_t parent = 0;  // the root is its own parent
+    size_t level = 0;
     std::vector<Conjunct> conjuncts;
-    /// Conjunct fps evaluated upstream of `in` (excludes this stage's own).
-    std::set<std::string> cum_before;
-    std::vector<std::string> attached;     // queries fed from this stage
-    std::vector<std::string> descendants;  // queries fed from here or below
-    std::vector<size_t> children;          // child stage indices
-    core::FactoryPtr factory;
+    std::set<std::string> cum;  // conjunct fps evaluated at or above it
+    std::vector<std::string> attached;    // queries whose leaf it feeds
+    std::vector<core::BasketPtr> leaves;  // the attached queries' leaves
+    size_t shared_by = 0;                 // queries fed from here or below
+    /// Live feeds the walk bumps: one per conjunct, and the node's own.
+    std::vector<std::shared_ptr<obs::PlanCounters>> conjunct_counters;
+    std::shared_ptr<obs::PlanCounters> counters;
   };
 
   struct Subnet {
-    std::vector<Stage> stages;  // index 0 = root; parents precede children
+    /// Level order: index 0 is the root, each level is contiguous and
+    /// parents precede children.
+    std::vector<TrieNode> nodes;
+    /// The fused transition (named after the root), then the leaves.
+    std::vector<core::FactoryPtr> transitions;
   };
 
   Status AddDirect(const std::string& name, QueryInfo info);
   Status AddShared(const std::string& name, QueryInfo info);
 
-  /// Tears down `basket`'s current subnet (unregister + drain), rebuilds
-  /// the stage trie from the standing shared queries and registers the new
-  /// transitions. The only mutation path for subnets_.
+  /// Builds the net for `basket`'s standing shared queries (trie, leaf
+  /// factories, fused transition), then swaps it in for the current one.
+  /// Nothing is unregistered until the new net is complete. The only
+  /// mutation path for subnets_.
   Status RebuildSubnet(const std::string& basket);
-  Status DrainSubnet(const std::string& basket, Subnet* old);
-  Status BuildStages(const std::string& basket,
-                     const std::vector<std::string>& members, Subnet* out);
-  core::Factory::Body StageBody(const Stage& stage,
-                                std::vector<core::BasketPtr> outs);
+  void BuildTrie(const std::string& basket,
+                 const std::vector<std::string>& members, Subnet* out);
   void PublishPlans(const Subnet& net);
 
-  ConjunctCounters* CountersFor(const std::string& fp);
+  /// The fused transition's body: one walk of `nodes` (Subnet order) over
+  /// everything the source holds.
+  static Status Walk(const std::vector<TrieNode>& nodes,
+                     core::FactoryContext& ctx);
+  /// Evaluates one node's conjunct run over its parent's survivors `in`;
+  /// leaves `*out` empty when no row survives.
+  static Status EvalNode(const TrieNode& node, const Table& in,
+                         const EvalContext& ectx, Table* out);
 
   core::Engine* engine_;
   FactoryBuilder build_factory_;
@@ -155,15 +160,13 @@ class QuerySetOptimizer {
 
   std::map<std::string, QueryInfo> queries_;
   std::map<std::string, Subnet> subnets_;  // by source basket
-  /// Once a basket's subnet has gone shared it never reverts to direct —
-  /// reverting would change delivery semantics mid-stream.
-  std::set<std::string> ever_shared_;
-  /// Live per-conjunct selectivity feed (stable addresses; stage bodies
-  /// keep raw pointers). Keyed by conjunct fingerprint.
-  std::map<std::string, std::unique_ptr<ConjunctCounters>> counters_;
-  /// All stage baskets ever created, for PeakResidentRows (peaks must
-  /// survive rebuilds conceptually; retired baskets drop out once drained,
-  /// their peak folded into peak_retired_).
+  /// Live per-conjunct selectivity feed, keyed by conjunct fingerprint.
+  std::map<std::string, std::shared_ptr<obs::PlanCounters>>
+      conjunct_counters_;
+  /// Live per-node row counts (dc_plans), keyed by node name so they
+  /// survive rebuilds that keep the node.
+  std::map<std::string, std::shared_ptr<obs::PlanCounters>> node_counters_;
+  /// Peak rows of dropped queries' leaf baskets, for PeakResidentRows.
   uint64_t peak_retired_ = 0;
 };
 

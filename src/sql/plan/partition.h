@@ -12,8 +12,8 @@
 /// Partition-aware factory instantiation for the sharded ingress path
 /// (DESIGN.md §15): the sharded gateway delivers each shard's tuples into
 /// its own bounded basket `<base>.s<k>`; this builder clones the stage
-/// pipeline once per partition (the same shared stage factories the
-/// multi-query optimizer emits, instantiated per shard) and re-joins the
+/// pipeline once per partition (whatever factories the caller's
+/// StageBuilder wires, instantiated per shard) and re-joins the
 /// partition outputs through the explicit core::MergeTransition so
 /// cross-partition aggregates/joins run over one merged place.
 ///

@@ -35,7 +35,7 @@ struct Conjunct {
   ExprPtr expr;
   std::string fp;        // FingerprintHex(expr->ToString())
   double est_sel = 1.0;  // cost-model estimate, refreshed at rebuild
-  /// Safe to evaluate in a shared upstream stage: fully resolved against
+  /// Safe to evaluate in the shared upstream trie: fully resolved against
   /// the source basket schema, boolean-typed, and time-invariant (no
   /// now()), so a tuple's verdict never changes after arrival.
   bool shareable = false;

@@ -10,7 +10,7 @@
 /// trees (Expr nodes are immutable after construction) and never mutate
 /// their input. Normalization runs before fingerprinting so equivalent
 /// predicates written differently ("10 > x" vs "x < 10", "b and a" vs
-/// "a and b") factor into the same shared stage.
+/// "a and b") factor into the same shared trie node.
 namespace datacell::sql::plan {
 
 /// Canonical form:

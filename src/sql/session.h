@@ -21,7 +21,8 @@ namespace datacell::sql {
 /// multi-query optimizer (sql/plan/optimizer.h): with sharing disabled
 /// (the default) every query gets the legacy one-factory wiring; with
 /// set_sharing_enabled(true) queries inside the plannable subset compile
-/// into shared filter-stage subnets.
+/// into one shared subnet per source basket: a fused trie walk feeding
+/// per-query leaves.
 class Session {
  public:
   explicit Session(core::Engine* engine)

@@ -161,15 +161,6 @@ TEST(ColumnTest, EraseRowsWithNulls) {
   EXPECT_EQ(c.ints()[1], 2);
 }
 
-TEST(ColumnTest, KeepRows) {
-  Column c(DataType::kInt64);
-  for (int i = 0; i < 6; ++i) c.AppendInt(i * 10);
-  c.KeepRows({1, 4});
-  ASSERT_EQ(c.size(), 2u);
-  EXPECT_EQ(c.ints()[0], 10);
-  EXPECT_EQ(c.ints()[1], 40);
-}
-
 Schema TwoColSchema() {
   return Schema({{"a", DataType::kInt64}, {"b", DataType::kString}});
 }
@@ -273,8 +264,8 @@ TEST(CatalogTest, ListSorted) {
   EXPECT_EQ(names[1], "zz");
 }
 
-// Property-style sweep: EraseRows followed by KeepRows of the complement
-// partitions the rows for any deletion mask.
+// Property-style sweep: EraseRows and a Take of the complement leave the
+// same rows for any deletion mask.
 class ErasePropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ErasePropertyTest, EraseAndKeepPartition) {
@@ -293,8 +284,7 @@ TEST_P(ErasePropertyTest, EraseAndKeepPartition) {
   }
   Column erased = base;
   erased.EraseRows(erase);
-  Column kept = base;
-  kept.KeepRows(keep);
+  const Column kept = base.Take(keep);
   ASSERT_EQ(erased.size(), kept.size());
   for (size_t i = 0; i < erased.size(); ++i) {
     EXPECT_EQ(erased.ints()[i], kept.ints()[i]);

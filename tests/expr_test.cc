@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -664,6 +665,138 @@ TEST(BulkKernelTest, OverflowMatchesConstantFolding) {
       EXPECT_EQ(got->GetValue(i), *EvalConst(*folded_expr, ctx))
           << folded_expr->ToString();
     }
+  }
+}
+
+// --- Chain kernel: `int64 col (op lit)* <cmp> lit` over candidates ----------
+
+// Int column without NULLs (the chain kernel's shape), the same values with
+// NULLs, and as doubles (both fallback shapes). Values include the int64
+// edges and integers past 2^53, where the compare through double rounds.
+Table ChainTable() {
+  Table t(Schema({{"i", DataType::kInt64},
+                  {"n", DataType::kInt64},
+                  {"d", DataType::kDouble}}));
+  constexpr int64_t k2p53 = int64_t{1} << 53;
+  std::vector<int64_t> ints = {0,          1,          -1,        7,
+                               -13,        1000,       kMax64,    kMin64,
+                               kMin64 + 1, kMax64 - 1, k2p53 - 1, k2p53,
+                               k2p53 + 1,  k2p53 + 2,  -k2p53 - 1, 3037000500};
+  uint64_t state = 99;
+  for (int r = 0; r < 284; ++r) {  // 300 rows: more than one 256-row block
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    const int64_t x = static_cast<int64_t>(state >> 1);
+    ints.push_back(r % 3 == 0 ? x : (x % 20001) - 10000);
+  }
+  for (size_t r = 0; r < ints.size(); ++r) {
+    EXPECT_TRUE(t.AppendRow({Value(ints[r]),
+                             r % 4 == 1 ? Value::Null() : Value(ints[r]),
+                             Value(static_cast<double>(ints[r]))})
+                    .ok());
+  }
+  return t;
+}
+
+// The generic evaluator's answer for the same predicate: NOT(NOT(e)) is
+// outside every fast path.
+SelVector GenericSelect(const Table& t, const ExprPtr& e,
+                        const SelVector& cands) {
+  EvalContext ctx;
+  auto sel = EvalPredicateOn(
+      t, *Expr::Un(UnaryOp::kNot, Expr::Un(UnaryOp::kNot, e)), cands, ctx);
+  EXPECT_TRUE(sel.ok()) << e->ToString();
+  return sel.ok() ? *sel : SelVector{};
+}
+
+SelVector ChainSelect(const Table& t, const ExprPtr& e,
+                      const SelVector& cands) {
+  EvalContext ctx;
+  auto sel = EvalPredicateOn(t, *e, cands, ctx);
+  EXPECT_TRUE(sel.ok()) << e->ToString();
+  return sel.ok() ? *sel : SelVector{};
+}
+
+TEST(ChainKernelTest, CheckedArithmeticNullsAreNotSelected) {
+  const Table t = ChainTable();
+  const SelVector all = [&] {
+    SelVector v(t.num_rows());
+    for (size_t i = 0; i < v.size(); ++i) v[i] = static_cast<uint32_t>(i);
+    return v;
+  }();
+  auto has = [](const SelVector& s, uint32_t r) {
+    return std::find(s.begin(), s.end(), r) != s.end();
+  };
+  const ExprPtr i = Expr::Col("i");
+  // Row 6 is INT64_MAX, row 7 INT64_MIN: the arithmetic overflows, so the
+  // value is NULL and even `<> 0` does not select it.
+  const ExprPtr times3 = Expr::Bin(
+      BinaryOp::kNe, Expr::Bin(BinaryOp::kMul, i, Expr::Lit(3)), Expr::Lit(0));
+  const SelVector a = ChainSelect(t, times3, all);
+  EXPECT_FALSE(has(a, 6));
+  EXPECT_TRUE(has(a, 1));
+  EXPECT_EQ(a, GenericSelect(t, times3, all));
+  const ExprPtr minus1 = Expr::Bin(
+      BinaryOp::kNe, Expr::Bin(BinaryOp::kSub, i, Expr::Lit(1)), Expr::Lit(0));
+  const SelVector b = ChainSelect(t, minus1, all);
+  EXPECT_FALSE(has(b, 7));
+  EXPECT_EQ(b, GenericSelect(t, minus1, all));
+  // INT64_MIN % -1 and INT64_MIN / -1 have no int64 result; x / 0 never does.
+  for (BinaryOp op : {BinaryOp::kMod, BinaryOp::kDiv}) {
+    const ExprPtr e = Expr::Bin(
+        BinaryOp::kGe, Expr::Bin(op, i, Expr::Lit(-1)), Expr::Lit(kMin64));
+    const SelVector sel = ChainSelect(t, e, all);
+    EXPECT_FALSE(has(sel, 7)) << e->ToString();
+    EXPECT_TRUE(has(sel, 8)) << e->ToString();
+    EXPECT_EQ(sel, GenericSelect(t, e, all));
+  }
+  const ExprPtr div0 = Expr::Bin(
+      BinaryOp::kNe, Expr::Bin(BinaryOp::kDiv, i, Expr::Lit(0)), Expr::Lit(1));
+  EXPECT_TRUE(ChainSelect(t, div0, all).empty());
+  EXPECT_TRUE(GenericSelect(t, div0, all).empty());
+}
+
+// Random chains, literal sides, comparisons and candidate lists: the chain
+// kernel (and, for the nullable and double columns, the fallback it must
+// take) returns exactly the generic evaluator's selection.
+TEST(ChainKernelTest, MatchesGenericEvaluatorOnRandomChains) {
+  const Table t = ChainTable();
+  constexpr int64_t k2p53 = int64_t{1} << 53;
+  const std::vector<int64_t> lits = {0,      1,          -1,        2,
+                                     3,      -3,         7,         8,
+                                     1000,   kMax64,     kMin64,    k2p53 + 1,
+                                     -k2p53, 3037000500, 123456789, -77};
+  const BinaryOp arith[] = {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul,
+                            BinaryOp::kDiv, BinaryOp::kMod};
+  const BinaryOp cmps[] = {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                           BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe};
+  uint64_t state = 12345;
+  auto next = [&](uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  for (int iter = 0; iter < 600; ++iter) {
+    ExprPtr chain =
+        Expr::Col(iter % 10 == 0 ? "n" : (iter % 10 == 5 ? "d" : "i"));
+    const size_t depth = 1 + next(3);
+    for (size_t s = 0; s < depth; ++s) {
+      const ExprPtr lit = Expr::Lit(lits[next(lits.size())]);
+      const BinaryOp op = arith[next(5)];
+      chain = next(4) == 0 ? Expr::Bin(op, lit, chain)
+                         : Expr::Bin(op, chain, lit);
+    }
+    const ExprPtr k =
+        Expr::Lit(next(2) == 0 ? lits[next(lits.size())]
+                               : static_cast<int64_t>(next(2001)) - 1000);
+    const BinaryOp cmp = cmps[next(6)];
+    const ExprPtr e =
+        next(4) == 0 ? Expr::Bin(cmp, k, chain) : Expr::Bin(cmp, chain, k);
+    SelVector cands;
+    const uint64_t keep = 1 + next(4);  // keep 1/4 .. all rows
+    for (uint32_t r = 0; r < t.num_rows(); ++r) {
+      if (next(4) < keep) cands.push_back(r);
+    }
+    EXPECT_EQ(ChainSelect(t, e, cands), GenericSelect(t, e, cands))
+        << e->ToString();
   }
 }
 

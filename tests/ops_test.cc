@@ -624,13 +624,6 @@ TEST(DeleteTest, EraseMatchingRows) {
   EXPECT_EQ(t.GetRow(2)[0], Value(4));
 }
 
-TEST(DeleteTest, KeepRows) {
-  Table t = Orders();
-  ASSERT_TRUE(t.KeepRows({0, 2}).ok());
-  ASSERT_EQ(t.num_rows(), 2u);
-  EXPECT_EQ(t.GetRow(1)[0], Value(3));
-}
-
 // ---------------------------------------------------------------------------
 // Vectorized kernel layer (DESIGN.md §12). The determinism contract says
 // every backend × dispatch combination produces byte-identical output, so

@@ -1,7 +1,8 @@
 // EXPLAIN golden tests: the optimized-plan rendering is part of the
 // engine's contract. Each scenario builds a fresh engine, registers a
-// standing-query set, and snapshots EXPLAIN output (plus the shared-stage
-// transition names, which prove how the optimizer factored the set).
+// standing-query set, and snapshots EXPLAIN output (plus the shared
+// transitions and the trie nodes dc_plans lists, which prove how the
+// optimizer factored the set).
 //
 // Regenerate with:  UPDATE_GOLDENS=1 ./plan_golden_test
 
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -68,15 +70,30 @@ class GoldenFixture : public ::testing::Test {
     return text;
   }
 
-  // Sorted shared-stage transition names: the factoring proof.
-  std::string SharedTransitions() {
+  // The factoring proof: the sorted shared transition names (one fused
+  // walk per source basket), then the trie nodes that `queries` ride, as
+  // dc_plans lists them.
+  std::string SharedNet(const std::set<std::string>& queries) {
     std::vector<std::string> names;
     for (const auto& t : engine_.scheduler().TransitionStatsSnapshot()) {
       if (t.name.rfind("mqo.", 0) == 0) names.push_back(t.name);
     }
     std::sort(names.begin(), names.end());
-    std::string out = "-- shared stage transitions --\n";
+    std::string out = "-- shared transitions --\n";
     for (const std::string& n : names) out += n + "\n";
+    auto r = session_.Execute(
+        "select query, stage, detail, shared_by from dc_plans "
+        "where kind = 'node'");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::set<std::string> nodes;
+    for (size_t i = 0; r.ok() && i < r->num_rows(); ++i) {
+      const Row row = r->GetRow(i);
+      if (queries.count(row[0].string_value()) == 0) continue;
+      nodes.insert(row[1].string_value() + ": " + row[2].string_value() +
+                   " shared_by=" + row[3].ToString());
+    }
+    out += "-- trie nodes --\n";
+    for (const std::string& n : nodes) out += n + "\n";
     return out;
   }
 
@@ -87,8 +104,8 @@ class GoldenFixture : public ::testing::Test {
 
 TEST_F(GoldenFixture, SharedPrefixFactoring) {
   // Three queries with a common scan+filter prefix (a > 10) and one
-  // private conjunct each: the prefix must factor into exactly one shared
-  // root chain with three branch stages.
+  // private conjunct each: the prefix must factor into one root node with
+  // three branch nodes, all walked by one fused transition.
   Exec("create basket s (a int, b int)");
   session_.set_sharing_enabled(true);
   for (int i = 1; i <= 3; ++i) {
@@ -101,13 +118,13 @@ TEST_F(GoldenFixture, SharedPrefixFactoring) {
   }
   std::string out = Explain(
       "select * from [select * from s where a > 10 and b = 1]");
-  out += SharedTransitions();
+  out += SharedNet({"q1", "q2", "q3"});
   CheckGolden("shared_prefix_factoring", out);
 }
 
 TEST_F(GoldenFixture, IdenticalQueriesSingleChain) {
-  // N queries with the *whole* filter in common: one shared factory chain,
-  // no branch stages at all.
+  // N queries with the *whole* filter in common: one trie node, no branch
+  // nodes at all.
   Exec("create basket s (a int, b int)");
   session_.set_sharing_enabled(true);
   for (int i = 1; i <= 4; ++i) {
@@ -118,7 +135,7 @@ TEST_F(GoldenFixture, IdenticalQueriesSingleChain) {
   }
   std::string out =
       Explain("select * from [select * from s where a > 10 and b < 7]");
-  out += SharedTransitions();
+  out += SharedNet({"q1", "q2", "q3", "q4"});
   CheckGolden("identical_queries_single_chain", out);
 }
 

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
+#include "sql/executor.h"
 #include "sql/parser.h"
 #include "sql/plan/builder.h"
 #include "sql/plan/cost.h"
@@ -14,6 +16,7 @@
 #include "sql/plan/rewrite.h"
 #include "sql/session.h"
 #include "util/clock.h"
+#include "util/simd.h"
 
 namespace datacell::sql::plan {
 namespace {
@@ -105,6 +108,22 @@ TEST(CostModelTest, ObservationsOverrideAndDriftSelfClears) {
 // Plan compilation
 // ---------------------------------------------------------------------------
 
+// Sink that accumulates one rendered line per result row.
+core::Emitter::Sink Collect(std::vector<std::string>* out) {
+  return [out](const Table& t) -> Status {
+    for (size_t i = 0; i < t.num_rows(); ++i) {
+      std::string line;
+      const Row row = t.GetRow(i);
+      for (size_t c = 0; c < row.size(); ++c) {
+        if (c > 0) line += "|";
+        line += row[c].ToString();
+      }
+      out->push_back(std::move(line));
+    }
+    return Status::OK();
+  };
+}
+
 class PlanFixture : public ::testing::Test {
  protected:
   PlanFixture() : clock_(0), engine_(&clock_), session_(&engine_) {}
@@ -122,28 +141,23 @@ class PlanFixture : public ::testing::Test {
                              cost_);
   }
 
-  // Sink that accumulates one rendered line per result row.
-  static core::Emitter::Sink Collect(std::vector<std::string>* out) {
-    return [out](const Table& t) -> Status {
-      for (size_t i = 0; i < t.num_rows(); ++i) {
-        std::string line;
-        const Row row = t.GetRow(i);
-        for (size_t c = 0; c < row.size(); ++c) {
-          if (c > 0) line += "|";
-          line += row[c].ToString();
-        }
-        out->push_back(std::move(line));
-      }
-      return Status::OK();
-    };
-  }
-
   size_t CountTransitions(const std::string& prefix) {
     size_t n = 0;
     for (const auto& t : engine_.scheduler().TransitionStatsSnapshot()) {
       if (t.name.rfind(prefix, 0) == 0) ++n;
     }
     return n;
+  }
+
+  // dc_plans rows of one query's trie node: {rows_in, rows_out}.
+  std::vector<int64_t> NodeCounts(const std::string& query,
+                                  const std::string& node) {
+    auto r = session_.Execute(
+        "select rows_in, rows_out from dc_plans where query = '" + query +
+        "' and stage = '" + node + "' and kind = 'node'");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok() || r->num_rows() != 1) return {};
+    return {r->GetRow(0)[0].int_value(), r->GetRow(0)[1].int_value()};
   }
 
   SimulatedClock clock_;
@@ -228,7 +242,7 @@ TEST_F(PlanFixture, DefaultModeKeepsLegacyWiring) {
   auto f2 = session_.RegisterContinuousSelect(
       "q2", "select * from [select * from s where a > 2]", nullptr);
   ASSERT_TRUE(f2.ok());
-  // One transition per query, no shared stages.
+  // One transition per query, no shared walk.
   EXPECT_EQ(engine_.scheduler().num_transitions(), 2u);
   EXPECT_EQ(CountTransitions("mqo."), 0u);
   EXPECT_TRUE(session_.UnregisterContinuousQuery("q1").ok());
@@ -254,8 +268,7 @@ TEST_F(PlanFixture, IdenticalPrefixFactorsIntoOneSharedChain) {
                       "q3", "select * from [select * from s where a > 10]",
                       Collect(&r3))
                   .ok());
-  // All three share the normalized a > 10: exactly ONE shared stage factory
-  // plus the three per-query leaves.
+  // One fused transition plus the three per-query leaves.
   EXPECT_EQ(CountTransitions("mqo."), 1u);
   EXPECT_EQ(engine_.scheduler().num_transitions(), 4u);
 
@@ -264,6 +277,197 @@ TEST_F(PlanFixture, IdenticalPrefixFactorsIntoOneSharedChain) {
   EXPECT_EQ(r1.size(), 2u);
   EXPECT_EQ(r1, r2);
   EXPECT_EQ(r1, r3);
+  // All three share the normalized a > 10, evaluated once: its node saw
+  // the three delivered rows, not three times that.
+  for (const char* q : {"q1", "q2", "q3"}) {
+    EXPECT_EQ(NodeCounts(q, "mqo.s.root"), (std::vector<int64_t>{3, 2})) << q;
+  }
+}
+
+TEST_F(PlanFixture, SharedPrefixEvaluatesOncePerNode) {
+  Exec("create basket s (a int, b int)");
+  session_.set_sharing_enabled(true);
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(session_
+                    .RegisterContinuousSelect(
+                        "q" + std::to_string(i),
+                        "select * from [select * from s where a > 10 and b = " +
+                            std::to_string(i) + "]",
+                        nullptr)
+                    .ok());
+  }
+  EXPECT_EQ(CountTransitions("mqo."), 1u);
+  EXPECT_EQ(engine_.scheduler().num_transitions(), 4u);
+  Exec("insert into s values (5, 1), (11, 1), (12, 2), (13, 2), (40, 3), "
+       "(1, 2)");
+  ASSERT_TRUE(engine_.scheduler().RunUntilQuiescent().ok());
+  // The root node evaluates a > 10 over all six rows once; each branch
+  // node sees the root's four survivors.
+  std::vector<int64_t> root = NodeCounts("q1", "mqo.s.root");
+  EXPECT_EQ(root, (std::vector<int64_t>{6, 4}));
+  for (const char* q : {"q2", "q3"}) {
+    EXPECT_EQ(NodeCounts(q, "mqo.s.root"), root) << q;
+  }
+  auto branches = session_.Execute(
+      "select query, rows_in, rows_out from dc_plans where kind = 'node' "
+      "and stage <> 'mqo.s.root' and shared_by = 1");
+  ASSERT_TRUE(branches.ok());
+  int64_t out_total = 0;
+  size_t mine = 0;
+  for (size_t i = 0; i < branches->num_rows(); ++i) {
+    const Row row = branches->GetRow(i);
+    const std::string q = row[0].string_value();
+    if (q != "q1" && q != "q2" && q != "q3") continue;
+    ++mine;
+    EXPECT_EQ(row[1].int_value(), 4) << q;
+    out_total += row[2].int_value();
+  }
+  EXPECT_EQ(mine, 3u);
+  EXPECT_EQ(out_total, 4);  // (11,1) (12,2) (13,2) (40,3)
+}
+
+// A FactoryBuilder that runs each statement on its leaf basket, and fails
+// for the query named `*fail_for`.
+QuerySetOptimizer::FactoryBuilder FailingBuilder(core::Engine* engine,
+                                                 const std::string* fail_for) {
+  return [engine, fail_for](const std::string& name,
+                            std::shared_ptr<Statement> stmt,
+                            core::Emitter::Sink sink)
+             -> Result<core::FactoryPtr> {
+    if (name == *fail_for) return Status::Internal("injected build failure");
+    ASSIGN_OR_RETURN(core::BasketPtr leaf, engine->GetBasket("mqo.q." + name));
+    auto exec = std::make_shared<Executor>(engine);
+    auto f = std::make_shared<core::Factory>(
+        name, [exec, stmt, sink](core::FactoryContext&) -> Status {
+          ASSIGN_OR_RETURN(Table t, exec->Execute(*stmt));
+          if (t.num_rows() > 0) RETURN_NOT_OK(sink(t));
+          return Status::OK();
+        });
+    f->AddInput(leaf, 1);
+    return f;
+  };
+}
+
+TEST_F(PlanFixture, FailedRebuildKeepsTheOldNetRunning) {
+  Exec("create basket s (a int)");
+  std::string fail_for = "q2";
+  QuerySetOptimizer opt(&engine_, FailingBuilder(&engine_, &fail_for));
+  opt.set_sharing_enabled(true);
+  auto parse = [](const std::string& sql) {
+    auto stmt = ParseOne(sql);
+    EXPECT_TRUE(stmt.ok());
+    return std::shared_ptr<Statement>(std::move(*stmt));
+  };
+  std::vector<std::string> r1, r2;
+  ASSERT_TRUE(opt.AddQuery("q1", parse("select * from [select * from s "
+                                       "where a > 1]"),
+                           Collect(&r1))
+                  .ok());
+  const size_t transitions = engine_.scheduler().num_transitions();
+  ASSERT_EQ(transitions, 2u);  // fused walk + q1's leaf
+
+  Exec("insert into s values (5), (6)");
+  auto failed = opt.AddQuery(
+      "q2", parse("select * from [select * from s where a > 2]"),
+      Collect(&r2));
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(engine_.scheduler().num_transitions(), transitions);
+  EXPECT_FALSE(opt.HasQuery("q2"));
+  EXPECT_FALSE(engine_.HasBasket("mqo.q.q2"));
+  Exec("insert into s values (7), (8)");
+  ASSERT_TRUE(engine_.scheduler().RunUntilQuiescent().ok());
+  EXPECT_EQ(r1.size(), 4u);
+  ASSERT_TRUE(engine_.GetBasket("s").ok());
+  EXPECT_EQ((*engine_.GetBasket("s"))->size(), 0u);
+
+  // A removal whose rebuild fails leaves both queries running.
+  fail_for.clear();
+  ASSERT_TRUE(opt.AddQuery("q2", parse("select * from [select * from s "
+                                       "where a > 2]"),
+                           Collect(&r2))
+                  .ok());
+  fail_for = "q1";
+  EXPECT_EQ(opt.RemoveQuery("q2").code(), StatusCode::kInternal);
+  EXPECT_TRUE(opt.HasQuery("q2"));
+  EXPECT_EQ(engine_.scheduler().num_transitions(), 3u);
+  Exec("insert into s values (9)");
+  ASSERT_TRUE(engine_.scheduler().RunUntilQuiescent().ok());
+  EXPECT_EQ(r1.size(), 5u);
+  EXPECT_EQ(r2.size(), 1u);
+}
+
+// One 131072-row delivery over a trie whose first level has four sibling
+// nodes: the fused walk fans the level out on the scheduler's pool, and
+// every query's output is byte-identical to one worker and to the scalar
+// kernels.
+TEST(FusedWalkTest, LevelFanOutMatchesOneWorkerAndScalar) {
+  const std::vector<std::string> queries = {
+      "select a, b from [select * from s where a % 7 <> 0]",
+      "select a, b from [select * from s where a * 3 + 1 < 150000]",
+      "select a, b from [select * from s where b > 50]",
+      "select a, b from [select * from s where a < 60000 and b = 3]",
+      "select a, b from [select * from s where a < 60000 and b = 4]",
+      "select b, count(*), sum(a) from [select * from s where a >= 100000] "
+      "group by b",
+  };
+  constexpr int64_t kRows = 131072;
+  Table feed(Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}}));
+  for (int64_t i = 0; i < kRows; ++i) {
+    feed.column(0).AppendInt(i * 7919 % kRows);
+    feed.column(1).AppendInt(i % 100);
+  }
+  auto run = [&](size_t workers, uint64_t* morsels) {
+    core::Engine engine(SystemClock::Get(), workers);
+    Session session(&engine);
+    session.set_sharing_enabled(true);
+    EXPECT_TRUE(session.Execute("create basket s (a int, b int)").ok());
+    std::vector<std::vector<std::string>> out(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_TRUE(session
+                      .RegisterContinuousSelect("q" + std::to_string(i),
+                                                queries[i],
+                                                Collect(&out[i]))
+                      .ok());
+    }
+    core::Scheduler& sched = engine.scheduler();
+    EXPECT_TRUE(sched.Start().ok());
+    auto s = engine.GetBasket("s");
+    EXPECT_TRUE(s.ok());
+    EXPECT_TRUE((*s)->Append(feed, 0).ok());
+    auto quiet = [&] {
+      for (const std::string& name : engine.ListBaskets()) {
+        if (!(*engine.GetBasket(name))->empty()) return false;
+      }
+      return sched.Idle();
+    };
+    for (int i = 0; i < 60000 && !quiet(); ++i) {
+      SystemClock::Get()->SleepFor(500);
+    }
+    sched.Stop();
+    EXPECT_TRUE(sched.last_error().ok());
+    for (const auto& t : sched.TransitionStatsSnapshot()) {
+      if (t.name == "mqo.s.root") *morsels = t.morsels;
+    }
+    return out;
+  };
+  uint64_t one_worker_morsels = 0;
+  uint64_t fanned_morsels = 0;
+  uint64_t scalar_morsels = 0;
+  const auto one = run(1, &one_worker_morsels);
+  const auto fanned = run(3, &fanned_morsels);
+  simd::SetForceScalar(true);
+  const auto scalar = run(3, &scalar_morsels);
+  simd::SetForceScalar(false);
+  // The counters are process-wide; one worker adds none. With the fan-out
+  // each node of the two wide levels (five under the root, b = 3 and b = 4
+  // under a < 60000) is one task and its kernels run inline; without it
+  // the dense kernels would split their spans into 32k-row morsels.
+  EXPECT_EQ(fanned_morsels - one_worker_morsels, 7u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_FALSE(one[i].empty()) << queries[i];
+    EXPECT_EQ(fanned[i], one[i]) << queries[i];
+    EXPECT_EQ(scalar[i], one[i]) << queries[i];
+  }
 }
 
 TEST_F(PlanFixture, SharedResultsMatchLegacySingleQuery) {
