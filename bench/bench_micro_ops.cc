@@ -1,10 +1,12 @@
 // Micro-benchmarks of the kernel primitives the DataCell is built from:
 // selection, the delete-with-shift operator (§6.2's custom operator), hash
-// join, aggregation, basket append/consume, basket-expression evaluation
-// and the network codec. google-benchmark harness.
+// join, aggregation, basket append/consume, basket-expression evaluation,
+// one SQL leaf firing end to end and the network codec. google-benchmark
+// harness.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <numeric>
 
 #include "core/basket.h"
@@ -15,6 +17,8 @@
 #include "ops/join.h"
 #include "ops/select.h"
 #include "ops/sort.h"
+#include "sql/session.h"
+#include "util/clock.h"
 #include "util/random.h"
 
 namespace datacell {
@@ -206,6 +210,68 @@ void BM_BasketExpressionWindow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_BasketExpressionWindow)->Arg(10'000)->Arg(100'000);
+
+// One Factory::Fire of a shared subnet's leaf, end to end: the prepared
+// statement runs over the rows its leaf basket holds and hands the result
+// to a sink. The query's whole predicate is evaluated upstream by the trie,
+// so the leaf is a pass-through window (`take` then project) or a
+// pass-through window feeding a group-by. Only the firing is timed; the
+// rows are appended to the leaf basket outside the timed region.
+void LeafFiring(benchmark::State& state, const std::string& sql) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  core::Engine engine(SystemClock::Get());
+  sql::Session session(&engine);
+  if (!session.Execute("create basket s (id int, k int, payload int)").ok()) {
+    state.SkipWithError("create basket failed");
+    return;
+  }
+  session.set_sharing_enabled(true);
+  uint64_t rows_out = 0;
+  auto leaf = session.RegisterContinuousSelect(
+      "q", sql, [&rows_out](const Table& t) -> Status {
+        rows_out += t.num_rows();
+        return Status::OK();
+      });
+  if (!leaf.ok()) {
+    state.SkipWithError(leaf.status().ToString().c_str());
+    return;
+  }
+  const core::BasketPtr basket = (*leaf)->input(0);
+  Random rng(11);
+  Table batch(basket->schema());
+  for (size_t i = 0; i < n; ++i) {
+    batch.column(0).AppendInt(static_cast<int64_t>(i));
+    batch.column(1).AppendInt(static_cast<int64_t>(rng.Uniform(1024)));
+    batch.column(2).AppendInt(8000 + static_cast<int64_t>(rng.Uniform(2000)));
+    batch.column(3).AppendInt(0);  // the source's arrival column
+  }
+  for (auto _ : state) {
+    auto appended = basket->AppendAligned(batch, 0);
+    benchmark::DoNotOptimize(appended);
+    const auto t0 = std::chrono::steady_clock::now();
+    auto fired = (*leaf)->Fire(0);
+    const auto t1 = std::chrono::steady_clock::now();
+    if (!fired.ok()) {
+      state.SkipWithError(fired.status().ToString().c_str());
+      return;
+    }
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  }
+  benchmark::DoNotOptimize(rows_out);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+void BM_LeafFirePassThrough(benchmark::State& state) {
+  LeafFiring(state, "select * from [select * from s where payload >= 8000]");
+}
+BENCHMARK(BM_LeafFirePassThrough)->Arg(8)->Arg(32'768)->UseManualTime();
+
+void BM_LeafFireGroupBy(benchmark::State& state) {
+  LeafFiring(state,
+             "select k, count(*), sum(payload) from [select * from s where "
+             "payload >= 8000] group by k");
+}
+BENCHMARK(BM_LeafFireGroupBy)->Arg(8)->Arg(32'768)->UseManualTime();
 
 void BM_CodecEncodeDecode(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -10,6 +10,7 @@ Result<std::shared_ptr<Table>> Catalog::CreateTable(const std::string& name,
   }
   auto table = std::make_shared<Table>(std::move(schema));
   tables_[name] = table;
+  generation_.fetch_add(1, std::memory_order_acq_rel);
   return table;
 }
 
@@ -32,6 +33,7 @@ Status Catalog::DropTable(const std::string& name) {
   if (tables_.erase(name) == 0) {
     return Status::NotFound("no table named '" + name + "'");
   }
+  generation_.fetch_add(1, std::memory_order_acq_rel);
   return Status::OK();
 }
 

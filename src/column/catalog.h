@@ -1,6 +1,8 @@
 #ifndef DATACELL_COLUMN_CATALOG_H_
 #define DATACELL_COLUMN_CATALOG_H_
 
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -40,9 +42,17 @@ class Catalog {
   /// Names of all tables, sorted.
   std::vector<std::string> ListTables() const;
 
+  /// Bumped by every successful CreateTable and DropTable. A prepared SQL
+  /// statement that reads a table compares it before each run to notice
+  /// a DROP and CREATE of that table since it was bound.
+  uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
+
  private:
   mutable Mutex mu_{LockRank::kCatalog};
   std::map<std::string, std::shared_ptr<Table>> tables_ DC_GUARDED_BY(mu_);
+  std::atomic<uint64_t> generation_{0};
 };
 
 }  // namespace datacell

@@ -8,6 +8,12 @@
 namespace datacell::core {
 
 Result<Table> BasketExpression::Evaluate(const EvalContext& ctx) const {
+  // A pass-through window (no predicate, ORDER BY or TOP) returns and
+  // consumes everything, whichever the policy: one TakeAll, which also
+  // brings spilled rows back and counts them as consumed.
+  if (predicate_ == nullptr && order_by_.empty() && !top_n_.has_value()) {
+    return source_->TakeAll();
+  }
   // Snapshot the basket under its lock. The snapshot shares the basket's
   // column buffers copy-on-write, so it costs O(#columns), and it stays
   // immutable no matter what producers append afterwards:

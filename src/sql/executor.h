@@ -1,10 +1,8 @@
 #ifndef DATACELL_SQL_EXECUTOR_H_
 #define DATACELL_SQL_EXECUTOR_H_
 
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/engine.h"
 #include "sql/ast.h"
@@ -12,57 +10,51 @@
 
 namespace datacell::sql {
 
-/// Interprets bound SQL statements against a core::Engine.
+/// A statement bound against the engine once: its baskets, tables and WITH
+/// bindings are looked up, every name is resolved, aggregates are
+/// extracted, ORDER BY is placed and joins are planned. Opaque outside the
+/// executor.
+struct PreparedStatement;
+using PreparedPtr = std::shared_ptr<PreparedStatement>;
+
+/// Runs SQL statements against a core::Engine in two steps.
 ///
-/// The executor is the runtime body of both one-time queries and continuous
-/// queries: a continuous query's factory simply re-executes its statement
-/// on every firing, and the basket expressions inside it perform the
-/// consumption side effects. Statement execution is not thread-safe;
-/// factories serialize through the basket locks they hold.
+/// Prepare does all binding once. Run only evaluates kernels over the
+/// current contents: it builds one EvalContext (one clock read), snapshots
+/// the session variables only when a bound expression holds a name that
+/// is no column, and performs the basket expressions' consumption side
+/// effects. Execute is Prepare + Run, so one-time queries and continuous
+/// queries share one executor; a continuous query's factory prepares at
+/// registration and runs on every firing (DESIGN.md §11, "Prepare and
+/// run").
+///
+/// The executor itself holds no per-statement state, so one executor may
+/// run different prepared statements concurrently. A prepared statement is
+/// run by one thread at a time (a factory never fires concurrently with
+/// itself).
 class Executor {
  public:
   explicit Executor(core::Engine* engine) : engine_(engine) {}
 
-  /// Executes one statement. SELECT returns its result table; other
-  /// statements return an empty zero-column table.
-  Result<Table> Execute(const Statement& stmt);
+  /// Prepares and runs one statement. SELECT returns its result table;
+  /// other statements return an empty zero-column table.
+  Result<Table> Execute(const Statement& stmt) const;
 
-  /// Temporary table bindings (WITH blocks use these internally; exposed
-  /// for tests and embedding).
-  void BindTemp(const std::string& name, Table table);
-  void UnbindTemp(const std::string& name);
+  /// Binds `stmt`. Binding errors (unknown or ambiguous columns, `*` in an
+  /// aggregate query, a basket expression over a table, ...) surface here.
+  /// `stmt` must outlive the result: a run re-prepares from it when a
+  /// catalog table was created or dropped since.
+  Result<PreparedPtr> Prepare(const Statement& stmt) const;
+
+  /// Runs a prepared statement once.
+  Result<Table> Run(PreparedStatement& prepared) const;
+
+  /// The operator chain the prepared statement runs, for example
+  /// "take s → aggregate group by k [count(*)] → project".
+  static std::string Describe(const PreparedStatement& prepared);
 
  private:
-  using Subqueries = std::vector<std::unique_ptr<SelectStmt>>;
-
-  struct Source {
-    Table table;
-    std::string alias;
-  };
-
-  Result<Table> ExecStatement(const Statement& stmt, const Subqueries* subs);
-  Result<Table> ExecSelect(const SelectStmt& stmt, const Subqueries* subs);
-  Result<Table> ExecInsert(const InsertStmt& stmt, const Subqueries* subs);
-  Result<Table> ExecCreate(const CreateStmt& stmt);
-  Result<Table> ExecDrop(const DropStmt& stmt);
-  Result<Table> ExecSet(const SetStmt& stmt, const Subqueries* subs);
-  Result<Table> ExecWithBlock(const WithBlockStmt& stmt, const Subqueries* subs);
-
-  /// Materializes a FROM item (relation lookup or basket-expression
-  /// evaluation with side effects).
-  Result<Source> EvalFromItem(const FromItem& item, const Subqueries* subs);
-  /// Evaluates a bracketed basket expression (§3.4).
-  Result<Table> EvalBasketExpr(const SelectStmt& stmt, const Subqueries* subs);
-
-  /// Replaces Call("__subquery", i) nodes with their scalar results.
-  Result<ExprPtr> InlineSubqueries(const ExprPtr& expr, const Subqueries* subs);
-
-  /// Refreshes vars_snapshot_ and returns an EvalContext pointing at it.
-  EvalContext MakeEvalContext();
-
   core::Engine* engine_;
-  std::map<std::string, Table> temps_;
-  std::map<std::string, Value> vars_snapshot_;
 };
 
 }  // namespace datacell::sql

@@ -400,6 +400,48 @@ Result<std::shared_ptr<Statement>> MakeLeafStatement(
   return clone;
 }
 
+namespace {
+
+void RedirectSelect(SelectStmt* stmt,
+                    const std::map<std::string, std::string>& leaf_of,
+                    bool inside_basket_expr) {
+  for (FromItem& f : stmt->from) {
+    if (f.kind == FromItem::Kind::kBasketExpr && f.basket_query != nullptr) {
+      RedirectSelect(f.basket_query.get(), leaf_of, true);
+    } else if (inside_basket_expr) {
+      auto it = leaf_of.find(f.relation);
+      if (it == leaf_of.end()) continue;
+      f.alias = BindingName(f);
+      f.relation = it->second;
+    }
+  }
+}
+
+void RedirectStatement(Statement* stmt,
+                       const std::map<std::string, std::string>& leaf_of) {
+  if (SelectStmt* body = MutableBodySelect(*stmt); body != nullptr) {
+    RedirectSelect(body, leaf_of, false);
+  }
+  if (stmt->kind == Statement::Kind::kWithBlock) {
+    RedirectSelect(stmt->with_block->basket_query.get(), leaf_of, true);
+    for (StatementPtr& s : stmt->with_block->body) {
+      RedirectStatement(s.get(), leaf_of);
+    }
+  }
+  for (auto& sub : stmt->subqueries) {
+    if (sub != nullptr) RedirectSelect(sub.get(), leaf_of, false);
+  }
+}
+
+}  // namespace
+
+std::shared_ptr<Statement> RedirectBasketSources(
+    const Statement& stmt, const std::map<std::string, std::string>& leaf_of) {
+  std::shared_ptr<Statement> clone = CloneStatement(stmt);
+  RedirectStatement(clone.get(), leaf_of);
+  return clone;
+}
+
 Result<PlanPtr> BuildLogicalPlan(core::Engine* engine, const Statement& stmt,
                                  const CostModel& cost) {
   if (stmt.kind == Statement::Kind::kWithBlock) {

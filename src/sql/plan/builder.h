@@ -1,6 +1,7 @@
 #ifndef DATACELL_SQL_PLAN_BUILDER_H_
 #define DATACELL_SQL_PLAN_BUILDER_H_
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -55,6 +56,13 @@ Result<CompiledQuery> CompileContinuous(core::Engine* engine,
 Result<std::shared_ptr<Statement>> MakeLeafStatement(
     core::Engine* engine, const CompiledQuery& q,
     const std::string& leaf_basket, const std::set<std::string>& strip_fps);
+
+/// Clones `stmt` with every basket-expression source that `leaf_of` maps
+/// (source basket -> replica leaf basket) reading the leaf instead. Each
+/// source keeps its binding name, so every column reference still
+/// resolves. Baskets read outside a basket expression are left alone.
+std::shared_ptr<Statement> RedirectBasketSources(
+    const Statement& stmt, const std::map<std::string, std::string>& leaf_of);
 
 /// Structural logical plan for EXPLAIN of statements outside the
 /// CompileContinuous subset (one-time queries, two-basket merges, WITH

@@ -17,6 +17,11 @@ std::string LeafBasketName(const std::string& query) {
   return "mqo.q." + query;
 }
 
+std::string ReplicaBasketName(const std::string& query,
+                              const std::string& basket) {
+  return "mqo.q." + query + "." + basket;
+}
+
 // Teardown paths unregister factories that this optimizer registered, so a
 // failure (NotFound = already unregistered) is an invariant break worth a
 // log line — but never worth abandoning a swap halfway through, which
@@ -153,20 +158,91 @@ Result<core::FactoryPtr> QuerySetOptimizer::AddQuery(
       info.cq = std::move(*compiled);
       info.direct = false;
       RETURN_NOT_OK(AddShared(name, std::move(info)));
-      return queries_[name].factory;
+    } else {
+      RETURN_NOT_OK(AddReplicated(name, std::move(info)));
     }
+    return queries_[name].factory;
   }
   RETURN_NOT_OK(AddDirect(name, std::move(info)));
   return queries_[name].factory;
 }
 
 Status QuerySetOptimizer::AddDirect(const std::string& name, QueryInfo info) {
-  ASSIGN_OR_RETURN(info.factory, build_factory_(name, info.stmt, info.sink));
+  ASSIGN_OR_RETURN(BuiltQuery built, build_factory_(name, info.stmt, info.sink));
+  info.factory = std::move(built.factory);
+  info.pipeline = std::move(built.pipeline);
   engine_->scheduler().Register(info.factory);
+  PublishDirect(name, info.pipeline);
   queries_[name] = std::move(info);
-  obs::PlansRegistry::Global().Publish(
-      name, {obs::PlanRow{name, name, "direct", "one factory per query", "",
-                          1, 0, nullptr}});
+  return Status::OK();
+}
+
+Status QuerySetOptimizer::AddReplicated(const std::string& name,
+                                        QueryInfo info) {
+  std::vector<std::string> read;
+  CollectBasketSources(*info.stmt, &read);
+  std::sort(read.begin(), read.end());
+  read.erase(std::unique(read.begin(), read.end()), read.end());
+  auto drop_replicas = [&] {
+    for (const auto& [basket, leaf] : info.replicas) {
+      if (Status st = engine_->DropBasket(ReplicaBasketName(name, basket));
+          !st.ok()) {
+        DC_LOG(Warn) << "optimizer AddQuery rollback: drop replica failed: "
+                     << st.ToString();
+      }
+    }
+  };
+  std::map<std::string, std::string> redirect;
+  for (const std::string& basket : read) {
+    Result<core::BasketPtr> source = engine_->GetBasket(basket);
+    Result<core::BasketPtr> leaf =
+        source.ok() ? engine_->CreateBasket(ReplicaBasketName(name, basket),
+                                            (*source)->schema(),
+                                            /*add_arrival_ts=*/false)
+                    : source;
+    if (!leaf.ok()) {
+      drop_replicas();
+      return leaf.status();
+    }
+    info.replicas[basket] = *leaf;
+    redirect[basket] = ReplicaBasketName(name, basket);
+  }
+  info.stmt = RedirectBasketSources(*info.stmt, redirect);
+  Result<BuiltQuery> built = build_factory_(name, info.stmt, info.sink);
+  if (!built.ok()) {
+    drop_replicas();
+    return built.status();
+  }
+  info.factory = std::move(built->factory);
+  info.pipeline = std::move(built->pipeline);
+  queries_[name] = info;
+  if (Status st = RebuildSubnets(read, [&] { queries_.erase(name); });
+      !st.ok()) {
+    drop_replicas();
+    return st;
+  }
+  engine_->scheduler().Register(info.factory);
+  PublishDirect(name, info.pipeline);
+  return Status::OK();
+}
+
+Status QuerySetOptimizer::RebuildSubnets(
+    const std::vector<std::string>& baskets,
+    const std::function<void()>& restore) {
+  for (size_t i = 0; i < baskets.size(); ++i) {
+    Status st = RebuildSubnet(baskets[i]);
+    if (st.ok()) continue;
+    // RebuildSubnet left baskets[i]'s old net running; the ones before it
+    // already swapped, so rebuild them for the restored query set.
+    restore();
+    for (size_t j = 0; j < i; ++j) {
+      if (Status undo = RebuildSubnet(baskets[j]); !undo.ok()) {
+        DC_LOG(Warn) << "optimizer rollback: rebuild of " << baskets[j]
+                     << " failed: " << undo.ToString();
+      }
+    }
+    return st;
+  }
   return Status::OK();
 }
 
@@ -198,23 +274,32 @@ Status QuerySetOptimizer::RemoveQuery(const std::string& name) {
   }
   QueryInfo info = std::move(it->second);
   queries_.erase(it);
+  // The nets this query rides are rebuilt without it; a failed rebuild
+  // leaves the old net, this query included, running.
+  std::vector<std::string> nets;
+  if (!info.direct) nets.push_back(info.cq.source_basket);
+  for (const auto& [basket, leaf] : info.replicas) nets.push_back(basket);
+  RETURN_NOT_OK(RebuildSubnets(nets, [&] { queries_[name] = info; }));
   if (info.direct) {
     UnregisterOrWarn(engine_->scheduler(), info.factory, "RemoveQuery");
-  } else if (Status st = RebuildSubnet(info.cq.source_basket); !st.ok()) {
-    // The rebuild (whose swap would unregister this query's leaf) failed:
-    // the old net, this query included, keeps running.
-    queries_[name] = std::move(info);
-    return st;
   }
   obs::PlansRegistry::Global().Retract(name);
-  if (info.direct) return Status::OK();
-  peak_retired_ = std::max(peak_retired_, info.leaf->stats().peak_rows);
-  return engine_->DropBasket(LeafBasketName(name));
+  Status dropped;
+  if (!info.direct) {
+    peak_retired_ = std::max(peak_retired_, info.leaf->stats().peak_rows);
+    dropped = engine_->DropBasket(LeafBasketName(name));
+  }
+  for (const auto& [basket, leaf] : info.replicas) {
+    peak_retired_ = std::max(peak_retired_, leaf->stats().peak_rows);
+    Status st = engine_->DropBasket(ReplicaBasketName(name, basket));
+    if (dropped.ok()) dropped = st;
+  }
+  return dropped;
 }
 
 void QuerySetOptimizer::BuildTrie(const std::string& basket,
                                   const std::vector<std::string>& members,
-                                  Subnet* out) {
+                                  bool open_root, Subnet* out) {
   // How many members share each conjunct: widely shared conjuncts order
   // first so common prefixes factor into one node; estimated selectivity
   // (live observations override heuristics) breaks ties, fingerprints make
@@ -270,7 +355,8 @@ void QuerySetOptimizer::BuildTrie(const std::string& basket,
     Pending p = std::move(queue.front());
     queue.pop_front();
     const Proto* n = p.proto;
-    while (n->attached.empty() && n->kids.size() == 1) {
+    const bool keep_open = open_root && n == &root;
+    while (!keep_open && n->attached.empty() && n->kids.size() == 1) {
       n = &n->kids.begin()->second;
       p.lead.push_back(n->edge);
     }
@@ -308,26 +394,44 @@ void QuerySetOptimizer::BuildTrie(const std::string& basket,
 
 Status QuerySetOptimizer::RebuildSubnet(const std::string& basket) {
   std::vector<std::string> members;
+  std::vector<core::BasketPtr> replicas;
   for (const auto& [qname, q] : queries_) {
     if (!q.direct && q.cq.source_basket == basket) members.push_back(qname);
+    if (auto r = q.replicas.find(basket); r != q.replicas.end()) {
+      replicas.push_back(r->second);
+    }
   }
+  const bool empty = members.empty() && replicas.empty();
 
   // Build the complete new net before touching the old one.
   Subnet net;
-  std::map<std::string, core::FactoryPtr> leaves;
-  if (!members.empty()) {
+  struct Leaf {
+    BuiltQuery built;
+    std::shared_ptr<Statement> stmt;
+    std::set<std::string> cum;
+  };
+  std::map<std::string, Leaf> leaves;
+  if (!empty) {
     ASSIGN_OR_RETURN(core::BasketPtr source, engine_->GetBasket(basket));
-    BuildTrie(basket, members, &net);
+    BuildTrie(basket, members, /*open_root=*/!replicas.empty(), &net);
+    // Replica leaves take every row: they hang off the root.
+    for (const core::BasketPtr& r : replicas) net.nodes[0].leaves.push_back(r);
     // Leaf factories: the original statement with the conjuncts evaluated
     // on the way to its node stripped and its FROM redirected to the leaf.
+    // A leaf whose stripped set is unchanged keeps its statement.
     for (const TrieNode& t : net.nodes) {
       for (const std::string& qname : t.attached) {
         const QueryInfo& q = queries_[qname];
-        ASSIGN_OR_RETURN(std::shared_ptr<Statement> leaf_stmt,
-                         MakeLeafStatement(engine_, q.cq,
-                                           LeafBasketName(qname), t.cum));
-        ASSIGN_OR_RETURN(leaves[qname],
-                         build_factory_(qname, leaf_stmt, q.sink));
+        Leaf& leaf = leaves[qname];
+        leaf.cum = t.cum;
+        if (q.leaf_stmt != nullptr && q.leaf_cum == t.cum) {
+          leaf.stmt = q.leaf_stmt;
+        } else {
+          ASSIGN_OR_RETURN(leaf.stmt, MakeLeafStatement(engine_, q.cq,
+                                                        LeafBasketName(qname),
+                                                        t.cum));
+        }
+        ASSIGN_OR_RETURN(leaf.built, build_factory_(qname, leaf.stmt, q.sink));
       }
     }
     auto walk = std::make_shared<core::Factory>(
@@ -340,7 +444,9 @@ Status QuerySetOptimizer::RebuildSubnet(const std::string& basket) {
       for (const core::BasketPtr& leaf : t.leaves) walk->AddOutput(leaf);
     }
     net.transitions.push_back(std::move(walk));
-    for (const auto& [qname, leaf] : leaves) net.transitions.push_back(leaf);
+    for (const auto& [qname, leaf] : leaves) {
+      net.transitions.push_back(leaf.built.factory);
+    }
   }
 
   // Swap. Unregister waits out in-flight firings; rows resident in the
@@ -351,8 +457,14 @@ Status QuerySetOptimizer::RebuildSubnet(const std::string& basket) {
     }
     subnets_.erase(old);
   }
-  if (members.empty()) return Status::OK();
-  for (auto& [qname, leaf] : leaves) queries_[qname].factory = leaf;
+  if (empty) return Status::OK();
+  for (auto& [qname, leaf] : leaves) {
+    QueryInfo& q = queries_[qname];
+    q.factory = std::move(leaf.built.factory);
+    q.pipeline = std::move(leaf.built.pipeline);
+    q.leaf_stmt = std::move(leaf.stmt);
+    q.leaf_cum = std::move(leaf.cum);
+  }
   // Leaves before the fused transition, so its first firing signals
   // already-listening consumers (Register re-checks eligibility, so rows
   // already in a leaf wake it immediately).
@@ -363,6 +475,12 @@ Status QuerySetOptimizer::RebuildSubnet(const std::string& basket) {
   PublishPlans(net);
   subnets_[basket] = std::move(net);
   return Status::OK();
+}
+
+void QuerySetOptimizer::PublishDirect(const std::string& name,
+                                      const std::string& pipeline) {
+  obs::PlansRegistry::Global().Publish(
+      name, {obs::PlanRow{name, name, "direct", pipeline, "", 1, 0, nullptr}});
 }
 
 void QuerySetOptimizer::PublishPlans(const Subnet& net) {
@@ -385,9 +503,9 @@ void QuerySetOptimizer::PublishPlans(const Subnet& net) {
             ConjunctsFps(t.conjuncts), static_cast<int64_t>(t.shared_by),
             est, t.counters});
       }
-      rows.push_back(obs::PlanRow{
-          qname, qname, "leaf", "execute rewritten statement on mqo.q." + qname,
-          "", 1, est, nullptr});
+      rows.push_back(obs::PlanRow{qname, qname, "leaf",
+                                  queries_.at(qname).pipeline, "", 1, est,
+                                  nullptr});
       obs::PlansRegistry::Global().Publish(qname, std::move(rows));
     }
   }
@@ -412,6 +530,9 @@ uint64_t QuerySetOptimizer::PeakResidentRows() const {
   uint64_t peak = peak_retired_;
   for (const auto& [qname, q] : queries_) {
     if (q.leaf != nullptr) peak = std::max(peak, q.leaf->stats().peak_rows);
+    for (const auto& [basket, leaf] : q.replicas) {
+      peak = std::max(peak, leaf->stats().peak_rows);
+    }
   }
   return peak;
 }

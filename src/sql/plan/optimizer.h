@@ -27,11 +27,14 @@
 ///   shared conjuncts stripped and FROM redirected to the leaf).
 ///
 /// Everything else — and everything while sharing is disabled, the default
-/// — runs "direct": the exact legacy one-factory-per-query wiring, built by
-/// the injected factory builder. Direct mode is byte-for-byte the seed
-/// behavior (including competing consumption when several queries read one
-/// basket); shared mode replicates qualifying tuples so every query sees
-/// the full stream, which is the semantics the sharing ablation measures.
+/// — runs "direct": one factory per query, built by the injected factory
+/// builder. With sharing disabled that is byte-for-byte the seed behavior
+/// (including competing consumption when several queries read one basket).
+/// Shared mode replicates tuples so every query sees the full stream, which
+/// is the semantics the sharing ablation measures: a direct query in shared
+/// mode reads, in place of each basket its basket expressions read, a
+/// replica leaf "mqo.q.<name>.<basket>" attached to the root of that
+/// basket's trie.
 ///
 /// Thread-model: registration, removal and re-optimization happen on one
 /// driver thread (the same discipline as sql::Session); the built net is
@@ -43,12 +46,18 @@
 /// reordered across a rebuild.
 namespace datacell::sql::plan {
 
+/// What the factory builder returns: the (unregistered) factory that runs a
+/// statement each firing, and the operator chain it runs (dc_plans).
+struct BuiltQuery {
+  core::FactoryPtr factory;
+  std::string pipeline;
+};
+
 class QuerySetOptimizer {
  public:
-  /// Builds (without registering) a factory that executes a statement each
-  /// firing — injected by the session so this layer needs no executor
-  /// dependency.
-  using FactoryBuilder = std::function<Result<core::FactoryPtr>(
+  /// Builds (without registering) the factory of one statement — injected
+  /// by the session so this layer needs no executor dependency.
+  using FactoryBuilder = std::function<Result<BuiltQuery>(
       const std::string& name, std::shared_ptr<Statement> stmt,
       core::Emitter::Sink sink)>;
 
@@ -91,8 +100,8 @@ class QuerySetOptimizer {
   /// shared_by annotation).
   size_t SharedCount(const std::string& basket, const std::string& fp) const;
 
-  /// High-water mark of rows resident in optimizer-owned (leaf) baskets:
-  /// the sharing ablation's memory metric.
+  /// High-water mark of rows resident in optimizer-owned (leaf and
+  /// replica) baskets: the sharing ablation's memory metric.
   uint64_t PeakResidentRows() const;
 
   const CostModel& cost() const { return cost_; }
@@ -104,7 +113,15 @@ class QuerySetOptimizer {
     core::Emitter::Sink sink;
     bool direct = true;
     core::FactoryPtr factory;  // direct factory or current leaf factory
+    std::string pipeline;      // the operator chain `factory` runs
     core::BasketPtr leaf;      // shared mode: engine basket "mqo.q.<name>"
+    /// Shared mode: the statement the leaf factory runs and the conjuncts
+    /// stripped from it. A rebuild that strips the same set hands the same
+    /// statement to the builder, which then reuses its binding.
+    std::shared_ptr<Statement> leaf_stmt;
+    std::set<std::string> leaf_cum;
+    /// Shared mode, direct query: source basket -> its replica leaf.
+    std::map<std::string, core::BasketPtr> replicas;
   };
 
   /// One node of a source basket's shared-predicate trie: a conjunct run
@@ -133,15 +150,27 @@ class QuerySetOptimizer {
 
   Status AddDirect(const std::string& name, QueryInfo info);
   Status AddShared(const std::string& name, QueryInfo info);
+  /// Shared mode, outside the plannable subset: a direct factory over
+  /// replica leaves of every basket the query's basket expressions read.
+  Status AddReplicated(const std::string& name, QueryInfo info);
+  /// Rebuilds each of `baskets`' nets; on a failure, rebuilds the ones
+  /// already done again (for the restored query set) and returns it.
+  Status RebuildSubnets(const std::vector<std::string>& baskets,
+                        const std::function<void()>& restore);
 
   /// Builds the net for `basket`'s standing shared queries (trie, leaf
   /// factories, fused transition), then swaps it in for the current one.
   /// Nothing is unregistered until the new net is complete. The only
   /// mutation path for subnets_.
   Status RebuildSubnet(const std::string& basket);
+  /// Lays out `members`' trie. With `open_root` the root evaluates no
+  /// conjunct (replica leaves hang off it and take every row).
   void BuildTrie(const std::string& basket,
-                 const std::vector<std::string>& members, Subnet* out);
+                 const std::vector<std::string>& members, bool open_root,
+                 Subnet* out);
   void PublishPlans(const Subnet& net);
+  static void PublishDirect(const std::string& name,
+                            const std::string& pipeline);
 
   /// The fused transition's body: one walk of `nodes` (Subnet order) over
   /// everything the source holds.

@@ -1,5 +1,7 @@
 #include "sql/planner.h"
 
+#include <algorithm>
+
 namespace datacell::sql {
 
 namespace {
@@ -17,7 +19,7 @@ void FlattenConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
 }  // namespace
 
 Result<EquiJoinPlan> ExtractEquiJoin(
-    const ExprPtr& where_combined, const Schema& left_schema,
+    const ExprPtr& where_combined, const std::vector<std::string>& left_columns,
     const std::map<std::string, std::string>& combined_to_right) {
   EquiJoinPlan plan;
   std::vector<ExprPtr> conjuncts;
@@ -26,7 +28,10 @@ Result<EquiJoinPlan> ExtractEquiJoin(
   auto side = [&](const std::string& combined_name) -> int {
     // 0 = left, 1 = right, -1 = unknown.
     if (combined_to_right.count(combined_name) > 0) return 1;
-    if (left_schema.FindField(combined_name) >= 0) return 0;
+    if (std::find(left_columns.begin(), left_columns.end(), combined_name) !=
+        left_columns.end()) {
+      return 0;
+    }
     return -1;
   };
 

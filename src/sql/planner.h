@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "column/type.h"
 #include "expr/expr.h"
@@ -21,12 +22,13 @@ struct EquiJoinPlan {
 };
 
 /// Splits a predicate (already resolved to combined-table column names)
-/// into equality join keys and a residual. `combined_to_right` maps a
-/// combined-table column name to the column's name in the right input
-/// (right columns may have been renamed with an "r_" prefix on collision);
-/// any combined name not in this map belongs to the left input.
+/// into equality join keys and a residual. `left_columns` names the left
+/// input's columns. `combined_to_right` maps a combined-table column name
+/// to the column's name in the right input (right columns may have been
+/// renamed with an "r_" prefix on collision); any combined name not in
+/// this map belongs to the left input.
 Result<EquiJoinPlan> ExtractEquiJoin(
-    const ExprPtr& where_combined, const Schema& left_schema,
+    const ExprPtr& where_combined, const std::vector<std::string>& left_columns,
     const std::map<std::string, std::string>& combined_to_right);
 
 }  // namespace datacell::sql

@@ -158,7 +158,7 @@ Result<Table> Session::RenderPlan(const Statement& target) {
   return out;
 }
 
-Result<core::FactoryPtr> Session::BuildFactory(const std::string& name,
+Result<plan::BuiltQuery> Session::BuildFactory(const std::string& name,
                                                std::shared_ptr<Statement> stmt,
                                                core::Emitter::Sink sink) {
   if (!IsContinuous(*stmt)) {
@@ -169,12 +169,24 @@ Result<core::FactoryPtr> Session::BuildFactory(const std::string& name,
   std::map<std::string, size_t> thresholds;
   CollectThresholds(*stmt, &thresholds);
 
-  // Each continuous query gets a private executor so temp bindings from
-  // WITH blocks cannot interfere across factories.
-  auto exec = std::make_shared<Executor>(engine_);
-  auto factory = std::make_shared<core::Factory>(
-      name, [exec, stmt, sink](core::FactoryContext&) -> Status {
-        ASSIGN_OR_RETURN(Table result, exec->Execute(*stmt));
+  // All binding happens here, once; each firing only runs the prepared
+  // statement's kernels and hands the result to the sink.
+  PreparedEntry& entry = prepared_[stmt.get()];
+  PreparedPtr prepared = entry.prepared.lock();
+  if (prepared == nullptr) {
+    ASSIGN_OR_RETURN(prepared, executor_.Prepare(*stmt));
+    entry = PreparedEntry{prepared, Executor::Describe(*prepared)};
+    std::erase_if(prepared_, [](const auto& e) {
+      return e.second.prepared.expired();
+    });
+  }
+  plan::BuiltQuery built;
+  built.pipeline = entry.pipeline;
+  if (sink != nullptr) built.pipeline += " → sink";
+  built.factory = std::make_shared<core::Factory>(
+      name, [exec = executor_, stmt, prepared,
+             sink](core::FactoryContext&) -> Status {
+        ASSIGN_OR_RETURN(Table result, exec.Run(*prepared));
         if (sink != nullptr && result.num_rows() > 0) {
           RETURN_NOT_OK(sink(result));
         }
@@ -183,15 +195,15 @@ Result<core::FactoryPtr> Session::BuildFactory(const std::string& name,
 
   for (const auto& [basket_name, min_tuples] : thresholds) {
     ASSIGN_OR_RETURN(core::BasketPtr b, engine_->GetBasket(basket_name));
-    factory->AddInput(b, min_tuples);
+    built.factory->AddInput(b, min_tuples);
   }
   std::vector<std::string> targets;
   CollectBasketTargets(*stmt, engine_, &targets);
   for (const std::string& target : targets) {
     ASSIGN_OR_RETURN(core::BasketPtr b, engine_->GetBasket(target));
-    factory->AddOutput(b);
+    built.factory->AddOutput(b);
   }
-  return factory;
+  return built;
 }
 
 Result<core::FactoryPtr> Session::RegisterContinuousQuery(

@@ -1,6 +1,7 @@
 #ifndef DATACELL_SQL_SESSION_H_
 #define DATACELL_SQL_SESSION_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,7 +47,8 @@ class Session {
   /// basket expression. Its basket-expression sources become the factory's
   /// Petri-net inputs (a single-source `top n` window raises that input's
   /// firing threshold to n); INSERT targets that are baskets become its
-  /// outputs. The factory re-executes the statement on each firing; it is
+  /// outputs. The statement is prepared here, so binding errors fail the
+  /// registration; each firing runs the prepared statement. The factory is
   /// registered with the engine's scheduler before being returned.
   Result<core::FactoryPtr> RegisterContinuousQuery(const std::string& name,
                                                    const std::string& sql);
@@ -80,10 +82,11 @@ class Session {
   plan::QuerySetOptimizer& optimizer() { return optimizer_; }
 
  private:
-  /// Builds (without registering) the legacy factory that re-executes the
-  /// whole statement each firing — the optimizer's direct path and the
-  /// leaf of a shared subnet.
-  Result<core::FactoryPtr> BuildFactory(const std::string& name,
+  /// Builds (without registering) the factory of one continuous statement
+  /// — the optimizer's direct path and the leaf of a shared subnet. The
+  /// statement is prepared here; each firing runs it and hands a SELECT's
+  /// non-empty result to `sink`.
+  Result<plan::BuiltQuery> BuildFactory(const std::string& name,
                                         std::shared_ptr<Statement> stmt,
                                         core::Emitter::Sink sink);
 
@@ -96,6 +99,15 @@ class Session {
 
   core::Engine* engine_;
   Executor executor_;
+  /// The prepared form of each statement BuildFactory bound, while some
+  /// factory still runs it (that factory also keeps the statement alive,
+  /// so its address names it): a subnet rebuild that hands over a leaf's
+  /// unchanged statement reuses the binding instead of preparing again.
+  struct PreparedEntry {
+    std::weak_ptr<PreparedStatement> prepared;
+    std::string pipeline;
+  };
+  std::map<const Statement*, PreparedEntry> prepared_;
   plan::QuerySetOptimizer optimizer_;
 };
 

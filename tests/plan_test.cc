@@ -333,18 +333,19 @@ QuerySetOptimizer::FactoryBuilder FailingBuilder(core::Engine* engine,
   return [engine, fail_for](const std::string& name,
                             std::shared_ptr<Statement> stmt,
                             core::Emitter::Sink sink)
-             -> Result<core::FactoryPtr> {
+             -> Result<BuiltQuery> {
     if (name == *fail_for) return Status::Internal("injected build failure");
     ASSIGN_OR_RETURN(core::BasketPtr leaf, engine->GetBasket("mqo.q." + name));
-    auto exec = std::make_shared<Executor>(engine);
+    Executor exec(engine);
+    ASSIGN_OR_RETURN(PreparedPtr prepared, exec.Prepare(*stmt));
     auto f = std::make_shared<core::Factory>(
-        name, [exec, stmt, sink](core::FactoryContext&) -> Status {
-          ASSIGN_OR_RETURN(Table t, exec->Execute(*stmt));
+        name, [exec, stmt, prepared, sink](core::FactoryContext&) -> Status {
+          ASSIGN_OR_RETURN(Table t, exec.Run(*prepared));
           if (t.num_rows() > 0) RETURN_NOT_OK(sink(t));
           return Status::OK();
         });
     f->AddInput(leaf, 1);
-    return f;
+    return BuiltQuery{f, Executor::Describe(*prepared)};
   };
 }
 
@@ -639,6 +640,97 @@ TEST_F(PlanFixture, ExplainRendersPlanAndSharing) {
   }
   EXPECT_NE(once_text.find("one-time plan"), std::string::npos) << once_text;
   EXPECT_NE(once_text.find("scan t (table"), std::string::npos) << once_text;
+}
+
+// In shared mode a query outside the plannable subset (here a join) reads
+// a replica leaf of its source basket, so the fused walk of that basket
+// cannot take rows away from it: every query sees the full stream.
+TEST_F(PlanFixture, NonPlannableQueryGetsReplicaLeafInSharedMode) {
+  auto run = [](bool sharing, std::vector<std::string>* r1,
+                std::vector<std::string>* r2, size_t* left_in_b) {
+    SimulatedClock clock(0);
+    core::Engine engine(&clock);
+    Session session(&engine);
+    session.set_sharing_enabled(sharing);
+    ASSERT_TRUE(session.Execute("create basket b (a int, v int)").ok());
+    ASSERT_TRUE(session.Execute("create table t (a int, name string)").ok());
+    ASSERT_TRUE(
+        session.Execute("insert into t values (1, 'one'), (2, 'two')").ok());
+    ASSERT_TRUE(session
+                    .RegisterContinuousSelect(
+                        "q1", "select a, v from [select * from b where v > 10] as x",
+                        Collect(r1))
+                    .ok());
+    auto q2 = session.RegisterContinuousSelect(
+        "q2",
+        "select x.v, t.name from [select * from b] as x, t where x.a = t.a",
+        Collect(r2));
+    ASSERT_TRUE(q2.ok()) << q2.status().ToString();
+    if (sharing) {
+      EXPECT_TRUE(engine.HasBasket("mqo.q.q2.b"));
+      EXPECT_EQ((*q2)->input(0)->name(), "mqo.q.q2.b");
+    }
+    ASSERT_TRUE(session.Execute("insert into b values (1, 5), (2, 20)").ok());
+    ASSERT_TRUE(engine.scheduler().RunUntilQuiescent().ok());
+    *left_in_b = (*engine.GetBasket("b"))->size();
+    if (sharing) {
+      // Removing the query retracts its replica leaf from b's net.
+      ASSERT_TRUE(session.UnregisterContinuousQuery("q2").ok());
+      EXPECT_FALSE(engine.HasBasket("mqo.q.q2.b"));
+      ASSERT_TRUE(session.Execute("insert into b values (3, 30)").ok());
+      ASSERT_TRUE(engine.scheduler().RunUntilQuiescent().ok());
+      EXPECT_EQ(r1->size(), 2u);
+      EXPECT_EQ(r2->size(), 2u);
+    }
+  };
+  std::vector<std::string> r1, r2;
+  size_t left = 0;
+  run(/*sharing=*/true, &r1, &r2, &left);
+  EXPECT_EQ(r1, (std::vector<std::string>{"2|20", "3|30"}));
+  EXPECT_EQ(r2, (std::vector<std::string>{"5|'one'", "20|'two'"}));
+  EXPECT_EQ(left, 0u);
+
+  // Sharing off keeps the direct wiring: both factories compete for b.
+  std::vector<std::string> d1, d2;
+  run(/*sharing=*/false, &d1, &d2, &left);
+  EXPECT_EQ(d1, (std::vector<std::string>{"2|20"}));
+  EXPECT_EQ(d2, (std::vector<std::string>{"5|'one'"}));
+  EXPECT_EQ(left, 0u);
+}
+
+// dc_plans renders the operator chain each query's factory runs.
+TEST_F(PlanFixture, PlansShowThePreparedPipeline) {
+  Exec("create basket s (k int, payload int)");
+  Exec("create table t (k int, name string)");
+  session_.set_sharing_enabled(true);
+  std::vector<std::string> rows;
+  ASSERT_TRUE(session_
+                  .RegisterContinuousSelect(
+                      "g0",
+                      "select k, count(*), sum(payload) from [select * from s "
+                      "where payload >= 8000] group by k",
+                      Collect(&rows))
+                  .ok());
+  ASSERT_TRUE(session_
+                  .RegisterContinuousSelect(
+                      "j0",
+                      "select x.payload, t.name from [select * from s] as x, "
+                      "t where x.k = t.k",
+                      Collect(&rows))
+                  .ok());
+  auto detail = [&](const std::string& query, const std::string& kind) {
+    auto r = session_.Execute("select detail from dc_plans where query = '" +
+                              query + "' and kind = '" + kind + "'");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() && r->num_rows() == 1 ? r->GetRow(0)[0].string_value()
+                                        : std::string();
+  };
+  EXPECT_EQ(detail("g0", "leaf"),
+            "take mqo.q.g0 → aggregate group by k [count(*), sum(payload)] "
+            "→ project → sink");
+  EXPECT_EQ(detail("j0", "direct"),
+            "(take mqo.q.j0.s), (scan t) → hash join on k = k → project → "
+            "sink");
 }
 
 TEST_F(PlanFixture, PlansVirtualTableListsStages) {
