@@ -127,8 +127,17 @@ Result<ExprPtr> ExtractAggregates(const ExprPtr& expr,
     const bool star =
         arg != nullptr && arg->kind == ExprKind::kColumnRef && arg->column == "*";
     ASSIGN_OR_RETURN(ops::AggFunc func, ops::AggFuncFromName(expr->func, star));
+    // An identical call (same function over the same bound argument) reuses
+    // the aggregate already extracted instead of folding the column again.
+    const ExprPtr bound = star ? nullptr : arg;
+    for (const ops::AggItem& a : *aggs) {
+      if (a.func == func && (a.arg == nullptr) == (bound == nullptr) &&
+          (bound == nullptr || a.arg->ToString() == bound->ToString())) {
+        return Expr::Col(a.name);
+      }
+    }
     const std::string name = "_agg" + std::to_string(aggs->size());
-    aggs->push_back({func, star ? nullptr : arg, name});
+    aggs->push_back({func, bound, name});
     return Expr::Col(name);
   }
   if (expr->children.empty()) return expr;

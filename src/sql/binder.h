@@ -61,7 +61,9 @@ bool ContainsAggregate(const Expr& expr);
 /// Pulls aggregate calls out of an expression: each aggregate sub-tree is
 /// appended to `aggs` (named "_agg<i>") and replaced by a column reference
 /// to that name, so the remaining expression can be evaluated over the
-/// aggregation output. Nested aggregates are an error.
+/// aggregation output. A call identical to one already in `aggs` (same
+/// function, same argument text) reuses that item. Nested aggregates are
+/// an error.
 Result<ExprPtr> ExtractAggregates(const ExprPtr& expr,
                                   std::vector<ops::AggItem>* aggs);
 

@@ -15,12 +15,11 @@
 
 /// Compiles a parsed continuous statement into the plan layer's view of
 /// it: the source basket, the normalized conjunct set with shareability
-/// classification, the window threshold, and the logical plan tree. The
-/// compiler is deliberately strict — any shape it cannot prove safe to
-/// share (multi-source merges, WITH blocks, scalar subqueries, inner
-/// projections, missing INSERT targets) returns kUnsupported and the
-/// session falls back to the legacy one-factory-per-query path, which
-/// handles everything.
+/// classification and the window threshold. The compiler is deliberately
+/// strict — any shape it cannot prove safe to share (multi-source merges,
+/// WITH blocks, scalar subqueries, inner projections, missing INSERT
+/// targets) returns kUnsupported, and the optimizer runs that query as one
+/// direct factory over its prepared statement, which handles everything.
 namespace datacell::sql::plan {
 
 struct CompiledQuery {
@@ -36,13 +35,15 @@ struct CompiledQuery {
   size_t min_tuples = 1;
   /// Inner window has no ORDER BY / TOP — outer conjuncts may push past it.
   bool window_trivial = true;
-  /// Logical plan tree (EXPLAIN / dc_plans rendering).
-  PlanPtr plan;
+  /// The conjuncts the query's own operator chain keeps evaluating: the
+  /// inner WHERE's unshareable ones and the outer WHERE's that stay past
+  /// the window (EXPLAIN lists them after the shareable ones).
+  std::vector<Conjunct> residual;
 };
 
 /// Compiles `stmt` for multi-query optimization. Returns kUnsupported for
-/// any statement shape outside the shareable subset (callers fall back to
-/// the legacy factory path — never an error surfaced to users).
+/// any statement shape outside the shareable subset (callers run it as a
+/// direct factory — never an error surfaced to users).
 Result<CompiledQuery> CompileContinuous(core::Engine* engine,
                                         const std::string& name,
                                         std::shared_ptr<Statement> stmt,
@@ -63,13 +64,6 @@ Result<std::shared_ptr<Statement>> MakeLeafStatement(
 /// resolves. Baskets read outside a basket expression are left alone.
 std::shared_ptr<Statement> RedirectBasketSources(
     const Statement& stmt, const std::map<std::string, std::string>& leaf_of);
-
-/// Structural logical plan for EXPLAIN of statements outside the
-/// CompileContinuous subset (one-time queries, two-basket merges, WITH
-/// blocks). Only SELECT / INSERT..SELECT bodies and WITH blocks of them
-/// are plannable; everything else is kUnsupported.
-Result<PlanPtr> BuildLogicalPlan(core::Engine* engine, const Statement& stmt,
-                                 const CostModel& cost);
 
 }  // namespace datacell::sql::plan
 

@@ -64,7 +64,7 @@ class QuerySetOptimizer {
   QuerySetOptimizer(core::Engine* engine, FactoryBuilder builder);
 
   /// Sharing is opt-in per session: off (default) keeps every query on the
-  /// legacy direct path.
+  /// direct path.
   void set_sharing_enabled(bool on) { sharing_enabled_ = on; }
   bool sharing_enabled() const { return sharing_enabled_; }
 
@@ -97,7 +97,7 @@ class QuerySetOptimizer {
   Result<size_t> Reoptimize();
 
   /// Standing queries on `basket` sharing conjunct `fp` (EXPLAIN's
-  /// shared_by annotation).
+  /// standing count).
   size_t SharedCount(const std::string& basket, const std::string& fp) const;
 
   /// High-water mark of rows resident in optimizer-owned (leaf and

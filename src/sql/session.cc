@@ -1,9 +1,12 @@
 #include "sql/session.h"
 
+#include <cstdio>
 #include <map>
+#include <set>
 
 #include "sql/parser.h"
 #include "sql/plan/builder.h"
+#include "sql/plan/rewrite.h"
 #include "util/logging.h"
 
 namespace datacell::sql {
@@ -104,48 +107,57 @@ Result<Table> Session::Execute(const std::string& sql) {
 
 Result<Table> Session::RenderPlan(const Statement& target) {
   std::string text;
-  // Continuous queries in the plannable subset render the optimizer's
-  // view: pushed-down, selectivity-ordered conjuncts annotated with how
-  // many standing queries share them. Everything else renders the generic
-  // structural plan.
-  auto cloned = std::shared_ptr<Statement>(CloneStatement(target));
+  // The statement whose prepared chain the last line renders: the target
+  // itself, or in shared mode the leaf a plannable query would run.
+  std::shared_ptr<Statement> chain_of;
   Result<plan::CompiledQuery> cq = plan::CompileContinuous(
-      engine_, "explain", cloned, optimizer_.cost());
+      engine_, "explain", CloneStatement(target), optimizer_.cost());
   if (cq.ok()) {
-    std::vector<std::pair<std::string, size_t>> shared_by;
-    for (const plan::Conjunct& c : cq->shared) {
-      shared_by.emplace_back(
-          c.fp, optimizer_.SharedCount(cq->source_basket, c.fp));
-    }
+    // The optimizer's view: the shareable conjuncts in evaluation order,
+    // each with how many standing queries on the basket share it, then
+    // the conjuncts the query's own chain keeps evaluating.
     text += "continuous plan (source basket '" + cq->source_basket +
             "', fires at >= " + std::to_string(cq->min_tuples) +
             " tuple(s))\n";
-    cq->plan->Render(2, &text, &shared_by);
+    plan::OrderBySelectivity(&cq->shared);
+    plan::OrderBySelectivity(&cq->residual);
+    auto line = [](const char* what, const plan::Conjunct& c) {
+      char sel[32];
+      std::snprintf(sel, sizeof(sel), "%.2f", c.est_sel);
+      return std::string("  ") + what + " " + c.expr->ToString() + " [fp " +
+             c.fp + "] sel " + sel;
+    };
+    std::set<std::string> strip;
+    for (const plan::Conjunct& c : cq->shared) {
+      text += line("shareable", c) + " standing=" +
+              std::to_string(optimizer_.SharedCount(cq->source_basket, c.fp)) +
+              "\n";
+      if (optimizer_.factoring_enabled()) strip.insert(c.fp);
+    }
+    for (const plan::Conjunct& c : cq->residual) {
+      text += line("residual", c) + "\n";
+    }
     text += std::string("sharing: ") +
             (optimizer_.sharing_enabled() ? "on" : "off") + "\n";
-    for (const plan::Conjunct& c : cq->shared) {
-      const size_t standing =
-          optimizer_.SharedCount(cq->source_basket, c.fp);
-      text += "  shareable " + c.expr->ToString() + " [fp " + c.fp +
-              "] standing=" + std::to_string(standing) + "\n";
+    if (optimizer_.sharing_enabled()) {
+      ASSIGN_OR_RETURN(chain_of,
+                       plan::MakeLeafStatement(engine_, *cq,
+                                               cq->source_basket, strip));
+    }
+  } else if (IsContinuous(target)) {
+    text += "continuous plan (direct)\n";
+    std::map<std::string, size_t> thresholds;
+    CollectThresholds(target, &thresholds);
+    for (const auto& [basket, min_tuples] : thresholds) {
+      text += "  input basket '" + basket + "' (fires at >= " +
+              std::to_string(min_tuples) + " tuple(s))\n";
     }
   } else {
-    ASSIGN_OR_RETURN(plan::PlanPtr p,
-                     plan::BuildLogicalPlan(engine_, target,
-                                            optimizer_.cost()));
-    if (IsContinuous(target)) {
-      text += "continuous plan (legacy execution)\n";
-      std::map<std::string, size_t> thresholds;
-      CollectThresholds(target, &thresholds);
-      for (const auto& [basket, min_tuples] : thresholds) {
-        text += "  input basket '" + basket + "' (fires at >= " +
-                std::to_string(min_tuples) + " tuple(s))\n";
-      }
-    } else {
-      text += "one-time plan\n";
-    }
-    p->Render(2, &text, nullptr);
+    text += "one-time plan\n";
   }
+  ASSIGN_OR_RETURN(PreparedPtr prepared,
+                   executor_.Prepare(chain_of != nullptr ? *chain_of : target));
+  text += "  chain: " + Executor::Describe(*prepared) + "\n";
 
   Table out(Schema({{"plan", DataType::kString}}));
   size_t start = 0;

@@ -20,7 +20,7 @@ namespace datacell::sql {
 /// statements immediately, and registers statements containing basket
 /// expressions as continuous queries. Registration goes through the
 /// multi-query optimizer (sql/plan/optimizer.h): with sharing disabled
-/// (the default) every query gets the legacy one-factory wiring; with
+/// (the default) every query gets one direct factory; with
 /// set_sharing_enabled(true) queries inside the plannable subset compile
 /// into one shared subnet per source basket: a fused trie walk feeding
 /// per-query leaves.
@@ -68,7 +68,7 @@ class Session {
   }
 
   /// Opt-in multi-query sharing for subsequently registered queries (see
-  /// the class comment; default off preserves the legacy wiring exactly).
+  /// the class comment; default off keeps one direct factory per query).
   void set_sharing_enabled(bool on) { optimizer_.set_sharing_enabled(on); }
   bool sharing_enabled() const { return optimizer_.sharing_enabled(); }
 
@@ -91,10 +91,13 @@ class Session {
                                         core::Emitter::Sink sink);
 
   /// Renders EXPLAIN output for a parsed target statement, one line per
-  /// row in a single-column table: the optimized logical plan plus the
-  /// sharing decisions against the standing-query set, or, outside the
-  /// plannable subset, the structural plan headed by each input basket's
-  /// firing threshold.
+  /// row in a single-column table. A header names the plan's shape; for a
+  /// query in the plannable subset, one line per conjunct (shareable ones
+  /// with their standing counts, then residual ones) and the sharing mode
+  /// follow. The last line is the operator chain the statement prepares
+  /// to (Executor::Describe): in shared mode, the chain of the leaf the
+  /// query would run, reading its source basket. Binding errors surface
+  /// as they do from Execute; nothing is run or registered.
   Result<Table> RenderPlan(const Statement& target);
 
   core::Engine* engine_;

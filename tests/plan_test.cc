@@ -1,4 +1,5 @@
-// Plan IR, rewrite passes, cost model and the multi-query optimizer.
+// Conjunct fingerprints, rewrite passes, cost model and the multi-query
+// optimizer.
 
 #include <gtest/gtest.h>
 
@@ -217,17 +218,15 @@ TEST_F(PlanFixture, FilterOrderedBySelectivity) {
   auto cq = Compile(
       "select * from [select * from s where a <> 1 and b = 2 and a > 3]");
   ASSERT_TRUE(cq.ok()) << cq.status().ToString();
-  // The plan's filter node orders eq (0.10) < range (0.33) < ne (0.90).
-  std::string text;
-  cq->plan->Render(0, &text);
-  const size_t eq_pos = text.find("b = 2");
-  const size_t range_pos = text.find("a > 3");
-  const size_t ne_pos = text.find("a <> 1");
-  ASSERT_NE(eq_pos, std::string::npos);
-  ASSERT_NE(range_pos, std::string::npos);
-  ASSERT_NE(ne_pos, std::string::npos);
-  EXPECT_LT(eq_pos, range_pos);
-  EXPECT_LT(range_pos, ne_pos);
+  // Evaluation order is eq (0.10) < range (0.33) < ne (0.90).
+  std::vector<Conjunct> ordered = cq->shared;
+  OrderBySelectivity(&ordered);
+  ASSERT_EQ(ordered.size(), 3u);
+  EXPECT_EQ(ordered[0].expr->ToString(), "(b = 2)");
+  EXPECT_EQ(ordered[1].expr->ToString(), "(a > 3)");
+  EXPECT_EQ(ordered[2].expr->ToString(), "(a <> 1)");
+  EXPECT_LT(ordered[0].est_sel, ordered[1].est_sel);
+  EXPECT_LT(ordered[1].est_sel, ordered[2].est_sel);
 }
 
 // ---------------------------------------------------------------------------
@@ -624,12 +623,16 @@ TEST_F(PlanFixture, ExplainRendersPlanAndSharing) {
     text += r->GetRow(i)[0].ToString();
     text += "\n";
   }
-  EXPECT_NE(text.find("scan s (basket"), std::string::npos) << text;
-  EXPECT_NE(text.find("shared_by=3"), std::string::npos) << text;
+  // One line per shareable conjunct with its standing count; the chain is
+  // the leaf's, with both conjuncts evaluated upstream by the trie.
+  EXPECT_NE(text.find("shareable (a > 10) [fp "), std::string::npos) << text;
+  EXPECT_NE(text.find("] sel 0.33 standing=3'"), std::string::npos) << text;
+  EXPECT_NE(text.find("] sel 0.10 standing=1'"), std::string::npos) << text;
   EXPECT_NE(text.find("sharing: on"), std::string::npos) << text;
-  EXPECT_NE(text.find("standing=3"), std::string::npos) << text;
+  EXPECT_NE(text.find("chain: take s → project'"), std::string::npos)
+      << text;
 
-  // EXPLAIN of a one-time query renders the structural plan.
+  // EXPLAIN of a one-time query renders the chain it prepares.
   Exec("create table t (x int)");
   auto once = session_.Execute("explain select x from t where x > 1");
   ASSERT_TRUE(once.ok());
@@ -639,7 +642,9 @@ TEST_F(PlanFixture, ExplainRendersPlanAndSharing) {
     once_text += "\n";
   }
   EXPECT_NE(once_text.find("one-time plan"), std::string::npos) << once_text;
-  EXPECT_NE(once_text.find("scan t (table"), std::string::npos) << once_text;
+  EXPECT_NE(once_text.find("chain: scan t → filter (x > 1) → project"),
+            std::string::npos)
+      << once_text;
 }
 
 // In shared mode a query outside the plannable subset (here a join) reads

@@ -577,21 +577,28 @@ TEST_F(SqlTest, ExplainDescribesContinuousQuery) {
   EXPECT_NE(plan.find("source basket 'src', fires at >= 20 tuple(s)"),
             std::string::npos)
       << plan;
-  EXPECT_NE(plan.find("scan src (basket"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("filter (payload > 100)"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("window order by payload top 20"), std::string::npos)
+  // The outer filter stays past the window: the query's own chain runs it.
+  EXPECT_NE(plan.find("residual (payload > 100)"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("chain: take src order by payload top 20 → "
+                      "filter (payload > 100) → project → insert into dst"),
+            std::string::npos)
       << plan;
 }
 
 TEST_F(SqlTest, ExplainDescribesOneTimeJoinAggregate) {
+  Exec("create table t1 (k int, v int)");
+  Exec("create table t2 (k int, w int)");
   const std::string plan = Explain(
       "select a.k, count(*) n from t1 a, t2 b where a.k = b.k and a.v > 5 "
       "group by a.k order by n desc limit 3");
   EXPECT_EQ(plan.rfind("one-time plan", 0), 0u) << plan;
-  EXPECT_NE(plan.find("join ((a.k = b.k) and (a.v > 5))"), std::string::npos)
+  EXPECT_NE(plan.find("(scan t1), (scan t2) → hash join on k = k"),
+            std::string::npos)
       << plan;
-  EXPECT_NE(plan.find("aggregate group by a.k"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("order by n desc"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("(v > 5)"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("aggregate group by k [count(*)]"), std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("sort by n desc"), std::string::npos) << plan;
   EXPECT_NE(plan.find("top 3"), std::string::npos) << plan;
 }
 
@@ -601,13 +608,14 @@ TEST_F(SqlTest, ExplainWithBlock) {
   const std::string plan = Explain(
       "with a as [select * from x] begin "
       "insert into y select * from a where a.payload > 100; end");
-  EXPECT_EQ(plan.rfind("continuous plan", 0), 0u) << plan;
+  EXPECT_EQ(plan.rfind("continuous plan (direct)", 0), 0u) << plan;
   EXPECT_NE(plan.find("input basket 'x' (fires at >= 1 tuple(s))"),
             std::string::npos)
       << plan;
-  EXPECT_NE(plan.find("split a"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("scan x (basket"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("filter (a.payload > 100)"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("chain: with a = take x → { read a → "
+                      "filter (payload > 100) → project → insert into y }"),
+            std::string::npos)
+      << plan;
 }
 
 TEST_F(SqlTest, ExplainMergeRendersJoinOfBasketScans) {
@@ -615,16 +623,66 @@ TEST_F(SqlTest, ExplainMergeRendersJoinOfBasketScans) {
   Exec("create basket r (k int, w int)");
   const std::string plan =
       Explain("select * from [select * from l, r where l.k = r.k] as m");
-  EXPECT_EQ(plan.rfind("continuous plan", 0), 0u) << plan;
+  EXPECT_EQ(plan.rfind("continuous plan (direct)", 0), 0u) << plan;
   EXPECT_NE(plan.find("input basket 'l' (fires at >= 1 tuple(s))"),
             std::string::npos)
       << plan;
   EXPECT_NE(plan.find("input basket 'r' (fires at >= 1 tuple(s))"),
             std::string::npos)
       << plan;
-  EXPECT_NE(plan.find("join (l.k = r.k)"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("scan l (basket"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("scan r (basket"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("chain: merge l, r on k = k"), std::string::npos)
+      << plan;
+}
+
+// EXPLAIN prepares the statement it renders, so it fails exactly where
+// running or registering the statement would.
+TEST_F(SqlTest, ExplainReportsBindingErrors) {
+  Exec("create basket b (k int, v int)");
+  const std::string sql = "select w.nope from [select * from b] as w";
+  const Status explained = ExecStatus("explain " + sql);
+  const Status executed = ExecStatus(sql);
+  const Status registered =
+      session_.RegisterContinuousQuery("q", sql).status();
+  EXPECT_EQ(explained.code(), StatusCode::kBindError) << explained.ToString();
+  EXPECT_EQ(explained.ToString(), executed.ToString());
+  EXPECT_EQ(explained.ToString(), registered.ToString());
+
+  EXPECT_FALSE(ExecStatus("explain explain select 1").ok());
+}
+
+TEST_F(SqlTest, ExplainHasNoSideEffects) {
+  Exec("create basket s (k int, v int)");
+  Exec("insert into s values (1, 2), (3, 4)");
+  const uint64_t generation = engine_.catalog().generation();
+  const std::string plan =
+      Explain("insert into newt select * from [select * from s]");
+  EXPECT_NE(plan.find("chain: take s → project → insert into newt"),
+            std::string::npos)
+      << plan;
+  EXPECT_EQ((*engine_.GetBasket("s"))->size(), 2u);
+  EXPECT_FALSE(engine_.HasBasket("newt"));
+  EXPECT_FALSE(engine_.catalog().HasTable("newt"));
+  EXPECT_EQ(engine_.catalog().generation(), generation);
+}
+
+// Identical aggregate calls fold into one aggregate: HAVING reuses the
+// select list's sum(v) instead of folding the column a second time.
+TEST_F(SqlTest, IdenticalAggregateCallsFoldIntoOne) {
+  Exec("create table t (k int, v int)");
+  Exec("insert into t values (1, 5), (1, -2), (2, -4), (2, 1), (3, 0), "
+       "(4, 10)");
+  const std::string sql =
+      "select k, sum(v) s from t group by k having sum(v) > 0";
+  const std::string plan = Explain(sql);
+  EXPECT_NE(plan.find("aggregate group by k [sum(v)] → having"),
+            std::string::npos)
+      << plan;
+  Table r = Exec(sql + " order by k");
+  ASSERT_EQ(r.num_rows(), 2u);
+  EXPECT_EQ(r.GetRow(0)[0], Value(1));
+  EXPECT_EQ(r.GetRow(0)[1], Value(3));
+  EXPECT_EQ(r.GetRow(1)[0], Value(4));
+  EXPECT_EQ(r.GetRow(1)[1], Value(10));
 }
 
 TEST_F(SqlTest, ColumnNamedMinuteAndDayAllowed) {
@@ -889,6 +947,58 @@ TEST(PreparedSpillTest, PassThroughWindowTakesSpilledRows) {
   std::filesystem::remove(path);
 }
 
+// Replaces every occurrence of `from` in `text` with `to`.
+std::string ReplaceAll(std::string text, const std::string& from,
+                       const std::string& to) {
+  for (size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size())) {
+    text.replace(at, from.size(), to);
+  }
+  return text;
+}
+
+// EXPLAIN's chain line is the chain the registered query `name` runs, as
+// its dc_plans row lists it minus a trailing sink: the direct factory's,
+// or in shared mode the leaf's, which reads the leaf basket mqo.q.<name>
+// in place of the source basket. A direct query in shared mode reads a
+// replica leaf mqo.q.<name>.<basket> for each basket.
+void ExpectExplainChainRuns(Session* session, const std::string& name,
+                            const std::string& sql) {
+  SCOPED_TRACE(name);
+  auto plan = session->Execute("explain " + sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_GE(plan->num_rows(), 2u);
+  const std::string head = plan->GetRow(0)[0].string_value();
+  const std::string chain_line =
+      plan->GetRow(plan->num_rows() - 1)[0].string_value();
+  const std::string prefix = "  chain: ";
+  ASSERT_EQ(chain_line.rfind(prefix, 0), 0u) << chain_line;
+  auto rows = session->Execute(
+      "select kind, detail from dc_plans where query = '" + name +
+      "' and kind <> 'node'");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->num_rows(), 1u);
+  const std::string kind = rows->GetRow(0)[0].string_value();
+  std::string detail = rows->GetRow(0)[1].string_value();
+  const std::string sink = " → sink";
+  if (detail.size() >= sink.size() &&
+      detail.compare(detail.size() - sink.size(), sink.size(), sink) == 0) {
+    detail.resize(detail.size() - sink.size());
+  }
+  detail = ReplaceAll(detail, "mqo.q." + name + ".", "");
+  const std::string source_head = "continuous plan (source basket '";
+  if (session->sharing_enabled() && head.rfind(source_head, 0) == 0) {
+    EXPECT_EQ(kind, "leaf");
+    const size_t begin = source_head.size();
+    const std::string source =
+        head.substr(begin, head.find('\'', begin) - begin);
+    detail = ReplaceAll(detail, "mqo.q." + name, source);
+  } else {
+    EXPECT_EQ(kind, "direct");
+  }
+  EXPECT_EQ(chain_line.substr(prefix.size()), detail);
+}
+
 // One continuous query per source basket, so queries never compete: with
 // sharing on (shared trie, replica leaves) every output must be
 // byte-identical to the direct wiring.
@@ -978,6 +1088,9 @@ TEST(PreparedCorpusTest, SharingOnMatchesSharingOff) {
                               q.name, q.sql, CollectRows(&out[q.name]))
                         : session.RegisterContinuousQuery(q.name, q.sql);
       EXPECT_TRUE(f.ok()) << q.name << ": " << f.status().ToString();
+    }
+    for (const Query& q : corpus) {
+      ExpectExplainChainRuns(&session, q.name, q.sql);
     }
     for (size_t i = 0; i < batches.size(); ++i) {
       for (const std::string& b : sources) {
