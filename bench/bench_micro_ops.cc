@@ -1,13 +1,21 @@
 // Micro-benchmarks of the kernel primitives the DataCell is built from:
 // selection, the delete-with-shift operator (§6.2's custom operator), hash
 // join, aggregation, basket append/consume, basket-expression evaluation,
-// one SQL leaf firing end to end and the network codec. google-benchmark
-// harness.
+// one SQL leaf firing and one fused-root firing end to end, and the
+// network codec. google-benchmark harness.
+//
+// The firing benchmarks also report `allocs_per_firing`: heap allocations
+// made inside the timed firing, counted by the replacement global
+// operator new below.
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <new>
 #include <numeric>
+#include <string>
 
 #include "core/basket.h"
 #include "core/basket_expression.h"
@@ -21,8 +29,43 @@
 #include "util/clock.h"
 #include "util/random.h"
 
+namespace {
+// Every operator new in the process bumps this (relaxed: only its deltas
+// around a firing on the benchmark thread are read).
+std::atomic<uint64_t> g_allocs{0};
+}  // namespace
+
+// The library's array forms forward to these. All out of line, so the
+// compiler never pairs the malloc/free inside with a new-expression.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace datacell {
 namespace {
+
+// Times `fire` and counts the allocations it makes; returns the count.
+template <typename F>
+uint64_t TimedFiring(benchmark::State& state, F&& fire) {
+  const uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const auto t0 = std::chrono::steady_clock::now();
+  fire();
+  const auto t1 = std::chrono::steady_clock::now();
+  const uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+  state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+  return a1 - a0;
+}
+
+void ReportAllocs(benchmark::State& state, uint64_t allocs) {
+  state.counters["allocs_per_firing"] = benchmark::Counter(
+      static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
+}
 
 Schema StreamSchema() {
   return Schema({{"tag", DataType::kTimestamp}, {"payload", DataType::kInt64}});
@@ -245,20 +288,20 @@ void LeafFiring(benchmark::State& state, const std::string& sql) {
     batch.column(2).AppendInt(8000 + static_cast<int64_t>(rng.Uniform(2000)));
     batch.column(3).AppendInt(0);  // the source's arrival column
   }
+  uint64_t allocs = 0;
   for (auto _ : state) {
     auto appended = basket->AppendAligned(batch, 0);
     benchmark::DoNotOptimize(appended);
-    const auto t0 = std::chrono::steady_clock::now();
-    auto fired = (*leaf)->Fire(0);
-    const auto t1 = std::chrono::steady_clock::now();
+    Result<bool> fired = false;
+    allocs += TimedFiring(state, [&] { fired = (*leaf)->Fire(0); });
     if (!fired.ok()) {
       state.SkipWithError(fired.status().ToString().c_str());
       return;
     }
-    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
   }
   benchmark::DoNotOptimize(rows_out);
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  ReportAllocs(state, allocs);
 }
 
 void BM_LeafFirePassThrough(benchmark::State& state) {
@@ -272,6 +315,99 @@ void BM_LeafFireGroupBy(benchmark::State& state) {
              "payload >= 8000] group by k");
 }
 BENCHMARK(BM_LeafFireGroupBy)->Arg(8)->Arg(32'768)->UseManualTime();
+
+// The fused root of perfbench's `sql_small_batch` net: the same 32
+// standing queries over `s` (24 filters sharing `payload < 1000`, 8
+// group-bys sharing `payload >= 8000`), fed one delivery of range(0) rows
+// per iteration. The timed region is one cooperative scheduler round,
+// which fires only the root (the leaves it feeds become ready during the
+// round); the leaves then drain outside the timed region.
+void BM_FusedRootFire(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  core::Engine engine(SystemClock::Get());
+  sql::Session session(&engine);
+  session.set_sharing_enabled(true);
+  if (!session.Execute("create basket s (id int, k int, payload int)").ok()) {
+    state.SkipWithError("create basket failed");
+    return;
+  }
+  uint64_t rows_out = 0;
+  auto sink = [&rows_out](const Table& t) -> Status {
+    rows_out += t.num_rows();
+    return Status::OK();
+  };
+  // The statements are perfbench's (sql_workloads.cc); built by appends,
+  // which keeps GCC 12's -Wrestrict false positive on `"lit" + string`
+  // quiet at -O3.
+  auto add = [&](const std::string& name, const std::string& head, int n,
+                 const char* tail) {
+    std::string sql = head;
+    sql += std::to_string(n);
+    sql += tail;
+    return session.RegisterContinuousSelect(name, sql, sink).ok();
+  };
+  for (int i = 0; i < 24; ++i) {
+    std::string name = "f";
+    name += std::to_string(i);
+    if (!add(name,
+             "select * from [select * from s where payload < 1000 and "
+             "payload * 3 + 7 < ",
+             307 + 120 * i, "]")) {
+      state.SkipWithError("register failed");
+      return;
+    }
+  }
+  for (int g = 0; g < 8; ++g) {
+    std::string name = "g";
+    name += std::to_string(g);
+    if (!add(name,
+             "select k, count(*), sum(payload) from [select * from s where "
+             "payload >= 8000 and payload % 8 <> ",
+             g, "] group by k")) {
+      state.SkipWithError("register failed");
+      return;
+    }
+  }
+  auto source = engine.GetBasket("s");
+  if (!source.ok()) {
+    state.SkipWithError("no source basket");
+    return;
+  }
+  // A pool of distinct deliveries, replayed in order.
+  constexpr size_t kPool = 256;
+  Random rng(7);
+  const Schema user({{"id", DataType::kInt64},
+                     {"k", DataType::kInt64},
+                     {"payload", DataType::kInt64}});
+  std::vector<Table> pool;
+  for (size_t d = 0; d < kPool; ++d) {
+    Table t(user);
+    for (size_t i = 0; i < n; ++i) {
+      t.column(0).AppendInt(static_cast<int64_t>(d * n + i));
+      t.column(1).AppendInt(static_cast<int64_t>(rng.Uniform(1024)));
+      t.column(2).AppendInt(static_cast<int64_t>(rng.Uniform(10'000)));
+    }
+    pool.push_back(std::move(t));
+  }
+  core::Scheduler& scheduler = engine.scheduler();
+  uint64_t allocs = 0;
+  size_t d = 0;
+  for (auto _ : state) {
+    auto appended = (*source)->Append(pool[d++ % kPool], 0);
+    benchmark::DoNotOptimize(appended);
+    Result<bool> round = false;
+    allocs += TimedFiring(state, [&] { round = scheduler.RunOnce(); });
+    auto drained = scheduler.RunUntilQuiescent();
+    if (!round.ok() || !drained.ok()) {
+      state.SkipWithError("firing failed");
+      return;
+    }
+  }
+  benchmark::DoNotOptimize(rows_out);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  ReportAllocs(state, allocs);
+}
+BENCHMARK(BM_FusedRootFire)->Arg(8)->UseManualTime();
 
 void BM_CodecEncodeDecode(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -28,19 +28,23 @@ It At(It begin, size_t offset) {
 Column::Column(DataType type) : type_(type) { ResetBuffers(); }
 
 void Column::ResetBuffers() {
+  // An empty column owns no buffer: a null pointer of the type's physical
+  // alternative. The first write allocates (Detach), so the fresh tables
+  // a firing builds and throws away (TakeAll's replacement, schema-only
+  // operator outputs) cost no heap allocation per column.
   switch (type_) {
     case DataType::kInt64:
     case DataType::kTimestamp:
-      data_ = std::make_shared<std::vector<int64_t>>();
+      data_ = BufPtr<int64_t>();
       break;
     case DataType::kDouble:
-      data_ = std::make_shared<std::vector<double>>();
+      data_ = BufPtr<double>();
       break;
     case DataType::kBool:
-      data_ = std::make_shared<std::vector<uint8_t>>();
+      data_ = BufPtr<uint8_t>();
       break;
     case DataType::kString:
-      data_ = std::make_shared<std::vector<std::string>>();
+      data_ = BufPtr<std::string>();
       break;
   }
   valid_.reset();
@@ -48,29 +52,12 @@ void Column::ResetBuffers() {
 }
 
 size_t Column::PhysicalSize() const {
-  return std::visit([](const auto& b) { return b->size(); }, data_);
+  return std::visit([](const auto& b) { return b ? b->size() : size_t{0}; },
+                    data_);
 }
 
 bool Column::Shared() const {
-  if (valid_ != nullptr && valid_.use_count() > 1) return true;
-  const bool shared =
-      std::visit([](const auto& b) { return b.use_count() > 1; }, data_);
-  if (!shared) {
-    // use_count() is a relaxed load. Observing 1 may mean a snapshot on
-    // another thread released its reference moments ago; callers take
-    // "not shared" as licence to mutate the buffer in place, so those
-    // writes must be ordered after that reader's final buffer reads.
-    // Take the acquire edge through the refcount itself: copy/destroy of
-    // the owner runs acq_rel RMWs on the count, which synchronize with
-    // the release half of the snapshot destructor's decrement. (A bare
-    // std::atomic_thread_fence(acquire) would also be correct, but TSan
-    // does not model fences, so the RMW form keeps sanitizer runs clean.)
-    std::visit([](const auto& b) { auto pin = b; }, data_);
-    if (valid_ != nullptr) {
-      auto pin = valid_;
-    }
-  }
-  return shared;
+  return std::visit([this](const auto& b) { return SharedBuffer(b); }, data_);
 }
 
 bool Column::SharesStorageWith(const Column& other) const {
@@ -78,17 +65,25 @@ bool Column::SharesStorageWith(const Column& other) const {
       [&](const auto& buf) {
         using P = std::decay_t<decltype(buf)>;
         const P* o = std::get_if<P>(&other.data_);
-        return o != nullptr && buf.get() == o->get();
+        return buf != nullptr && o != nullptr && buf.get() == o->get();
       },
       data_);
 }
 
 void Column::Detach(bool compact) {
-  const bool shared = Shared();
-  if (!shared && (!compact || head_ == 0)) return;
+  // One dispatch on the buffer type for the whole check: the typed
+  // appends call this once per value.
   std::visit(
       [&](auto& buf) {
         using Vec = typename std::decay_t<decltype(buf)>::element_type;
+        if (buf == nullptr) {
+          // First write into an unallocated column (head_ is 0 and there
+          // is no validity here).
+          buf = std::make_shared<Vec>();
+          return;
+        }
+        const bool shared = SharedBuffer(buf);
+        if (!shared && (!compact || head_ == 0)) return;
         if (shared) {
           // Copy only the live rows; the snapshot keeps the old buffer.
           buf = std::make_shared<Vec>(At(buf->begin(), head_), buf->end());
@@ -122,29 +117,25 @@ void Column::EnsureValidity() {
 
 void Column::AppendInt(int64_t v) {
   DC_DCHECK(PhysicalIsInt(type_));
-  Detach(false);
-  std::get<BufPtr<int64_t>>(data_)->push_back(v);
+  Appendable<int64_t>().push_back(v);
   if (valid_ != nullptr) valid_->push_back(1);
 }
 
 void Column::AppendDouble(double v) {
   DC_DCHECK(type_ == DataType::kDouble);
-  Detach(false);
-  std::get<BufPtr<double>>(data_)->push_back(v);
+  Appendable<double>().push_back(v);
   if (valid_ != nullptr) valid_->push_back(1);
 }
 
 void Column::AppendBool(bool v) {
   DC_DCHECK(type_ == DataType::kBool);
-  Detach(false);
-  std::get<BufPtr<uint8_t>>(data_)->push_back(v ? 1 : 0);
+  Appendable<uint8_t>().push_back(v ? 1 : 0);
   if (valid_ != nullptr) valid_->push_back(1);
 }
 
 void Column::AppendString(std::string v) {
   DC_DCHECK(type_ == DataType::kString);
-  Detach(false);
-  std::get<BufPtr<std::string>>(data_)->push_back(std::move(v));
+  Appendable<std::string>().push_back(std::move(v));
   if (valid_ != nullptr) valid_->push_back(1);
 }
 
@@ -191,6 +182,7 @@ Status Column::AppendValue(const Value& v) {
 
 void Column::SetValidity(std::vector<uint8_t> valid) {
   DC_DCHECK(valid.size() == size());
+  if (valid.empty()) return;
   Detach(/*compact=*/true);
   if (std::find(valid.begin(), valid.end(), 0) == valid.end()) {
     valid_.reset();
@@ -248,6 +240,7 @@ Status Column::AppendColumnRows(const Column& other, const SelVector& sel) {
                                 DataTypeName(other.type_) + " vs " +
                                 DataTypeName(type_));
   }
+  if (sel.empty()) return Status::OK();
   Detach(false);
   if (other.has_nulls()) EnsureValidity();
   std::visit(

@@ -74,6 +74,11 @@ class ColumnView {
 /// (skipped while snapshots pin the storage; the next exclusive mutation
 /// reclaims it).
 ///
+/// An empty column owns no buffer: constructing one, clearing one or
+/// consuming its last row allocates nothing, and the first write
+/// allocates. Views of an unallocated column are empty, and two
+/// unallocated columns share no storage.
+///
 /// Nulls are tracked in an optional validity vector that is only
 /// materialized once the first null is appended.
 class Column {
@@ -184,8 +189,9 @@ class Column {
 
   template <typename T>
   ColumnView<T> View() const {
-    const auto& v = *std::get<BufPtr<T>>(data_);
-    return ColumnView<T>(v.data() + head_, v.size() - head_);
+    const BufPtr<T>& v = std::get<BufPtr<T>>(data_);
+    if (v == nullptr) return ColumnView<T>();
+    return ColumnView<T>(v->data() + head_, v->size() - head_);
   }
 
   template <typename T>
@@ -194,19 +200,55 @@ class Column {
     return *std::get<BufPtr<T>>(data_);
   }
 
+  // The buffer for an append: Detach(false) for a type known at the call
+  // site, which skips the variant dispatch when the buffer is allocated
+  // and exclusive (the typed appends run this once per value).
+  template <typename T>
+  std::vector<T>& Appendable() {
+    BufPtr<T>& buf = std::get<BufPtr<T>>(data_);
+    if (buf == nullptr || SharedBuffer(buf)) Detach(/*compact=*/false);
+    return *buf;
+  }
+
   // True when another Column shares either buffer.
   bool Shared() const;
 
-  // Ensures exclusive ownership of the buffers. With `compact` the head
-  // offset is also folded away (required before handing out raw vectors or
-  // shifting rows); without it an already-exclusive buffer keeps its head
-  // untouched, so appends after prefix consumption stay O(1).
+  // Shared() for the data buffer `buf` already dispatched on.
+  template <typename P>
+  bool SharedBuffer(const P& buf) const {
+    if (valid_ != nullptr && valid_.use_count() > 1) return true;
+    const bool shared = buf.use_count() > 1;
+    if (!shared) {
+      // use_count() is a relaxed load. Observing 1 may mean a snapshot on
+      // another thread released its reference moments ago; callers take
+      // "not shared" as licence to mutate the buffer in place, so those
+      // writes must be ordered after that reader's final buffer reads.
+      // Take the acquire edge through the refcount itself: copy/destroy
+      // of the owner runs acq_rel RMWs on the count, which synchronize
+      // with the release half of the snapshot destructor's decrement. (A
+      // bare std::atomic_thread_fence(acquire) would also be correct, but
+      // TSan does not model fences, so the RMW form keeps sanitizer runs
+      // clean.)
+      auto pin = buf;
+      if (valid_ != nullptr) {
+        auto valid_pin = valid_;
+      }
+    }
+    return shared;
+  }
+
+  // Ensures exclusive ownership of an allocated buffer (an empty column's
+  // null buffer is allocated here, on its first write). With `compact` the
+  // head offset is also folded away (required before handing out raw
+  // vectors or shifting rows); without it an already-exclusive buffer
+  // keeps its head untouched, so appends after prefix consumption stay
+  // O(1).
   void Detach(bool compact);
 
   // Amortized reclamation of the consumed prefix; no-op while shared.
   void MaybeCompact();
 
-  // Replaces the storage with fresh empty buffers.
+  // Drops the storage: the column is empty and owns no buffer.
   void ResetBuffers();
 
   template <typename Vec>

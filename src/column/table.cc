@@ -14,6 +14,15 @@ Table::Table(Schema schema) : schema_(std::move(schema)) {
   }
 }
 
+Table::Table(Schema schema, std::vector<Column> columns)
+    : schema_(std::move(schema)), columns_(std::move(columns)) {
+  DC_DCHECK(columns_.size() == schema_.num_fields());
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    DC_DCHECK(columns_[i].type() == schema_.field(i).type);
+    DC_DCHECK(columns_[i].size() == columns_[0].size());
+  }
+}
+
 Result<size_t> Table::ColumnIndex(const std::string& name) const {
   int idx = schema_.FindField(name);
   if (idx < 0) return Status::NotFound("no column named '" + name + "'");

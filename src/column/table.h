@@ -18,12 +18,17 @@ namespace datacell {
 /// Table and add the stream-specific semantics.
 ///
 /// Copying a Table is a zero-copy snapshot: columns share their backing
-/// buffers copy-on-write (see Column), so the copy costs O(#columns)
-/// refcount bumps and both sides detach lazily on their next mutation.
+/// buffers copy-on-write (see Column) and the schema shares its field
+/// list, so the copy costs O(#columns) refcount bumps and both sides
+/// detach lazily on their next mutation.
 class Table {
  public:
   Table() = default;
+  /// An empty table over `schema`; its columns own no buffers yet.
   explicit Table(Schema schema);
+  /// Adopts already-built columns, one per field of `schema` and of the
+  /// field's type, all of one length (operator outputs).
+  Table(Schema schema, std::vector<Column> columns);
 
   const Schema& schema() const { return schema_; }
   size_t num_columns() const { return columns_.size(); }

@@ -36,9 +36,27 @@ Result<DataType> DataTypeFromName(const std::string& name) {
   return Status::ParseError("unknown type name: " + name);
 }
 
+const std::vector<Field>& Schema::Empty() {
+  static const std::vector<Field> empty;
+  return empty;
+}
+
+Result<Schema> Schema::Make(std::vector<Field> fields) {
+  for (size_t i = 1; i < fields.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (fields[i].name == fields[j].name) {
+        return Status::AlreadyExists("duplicate field name: " +
+                                     fields[i].name);
+      }
+    }
+  }
+  return Schema(std::move(fields));
+}
+
 int Schema::FindField(const std::string& name) const {
-  for (size_t i = 0; i < fields_.size(); ++i) {
-    if (fields_[i].name == name) return static_cast<int>(i);
+  const std::vector<Field>& fs = fields();
+  for (size_t i = 0; i < fs.size(); ++i) {
+    if (fs[i].name == name) return static_cast<int>(i);
   }
   return -1;
 }
@@ -47,17 +65,24 @@ Status Schema::AddField(Field field) {
   if (FindField(field.name) >= 0) {
     return Status::AlreadyExists("duplicate field name: " + field.name);
   }
-  fields_.push_back(std::move(field));
+  // Always copy: another Schema (possibly on another thread) may share
+  // the current list, and a shared list is never written.
+  std::vector<Field> next;
+  next.reserve(num_fields() + 1);
+  next = fields();
+  next.push_back(std::move(field));
+  fields_ = std::make_shared<const std::vector<Field>>(std::move(next));
   return Status::OK();
 }
 
 std::string Schema::ToString() const {
+  const std::vector<Field>& fs = fields();
   std::string out = "(";
-  for (size_t i = 0; i < fields_.size(); ++i) {
+  for (size_t i = 0; i < fs.size(); ++i) {
     if (i > 0) out += ", ";
-    out += fields_[i].name;
+    out += fs[i].name;
     out += " ";
-    out += DataTypeName(fields_[i].type);
+    out += DataTypeName(fs[i].type);
   }
   out += ")";
   return out;

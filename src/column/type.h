@@ -2,6 +2,7 @@
 #define DATACELL_COLUMN_TYPE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,29 +51,47 @@ struct Field {
 
 /// An ordered list of fields with by-name lookup.
 ///
-/// Schemas are value types; copying one is cheap relative to table data.
+/// Schemas are value types whose field list is shared: copying a Schema
+/// (and with it a Table or a basket snapshot) bumps a reference count and
+/// copies no fields. The list is immutable once shared; AddField builds a
+/// new list for this Schema alone (copy-on-write), so it belongs to
+/// prepare and DDL time, not to a firing. Concurrent copies of one Schema
+/// are safe; mutating a Schema concurrently with reading it is not.
 class Schema {
  public:
   Schema() = default;
-  explicit Schema(std::vector<Field> fields) : fields_(std::move(fields)) {}
+  explicit Schema(std::vector<Field> fields)
+      : fields_(std::make_shared<const std::vector<Field>>(std::move(fields))) {}
 
-  size_t num_fields() const { return fields_.size(); }
-  const Field& field(size_t i) const { return fields_[i]; }
-  const std::vector<Field>& fields() const { return fields_; }
+  size_t num_fields() const { return fields().size(); }
+  const Field& field(size_t i) const { return fields()[i]; }
+  const std::vector<Field>& fields() const {
+    return fields_ != nullptr ? *fields_ : Empty();
+  }
+
+  /// As the constructor, but rejects duplicate names as AddField does:
+  /// builds a whole list at once where a loop of AddField would copy it
+  /// once per field.
+  static Result<Schema> Make(std::vector<Field> fields);
 
   /// Index of the field with this name, or -1.
   int FindField(const std::string& name) const;
 
-  /// Appends a field; duplicate names are rejected.
+  /// Appends a field; duplicate names are rejected. Copies the field list
+  /// (copy-on-write): other Schemas sharing it are unaffected.
   Status AddField(Field field);
 
   /// "(a int, b double)" — for error messages and tooling.
   std::string ToString() const;
 
-  bool operator==(const Schema& other) const { return fields_ == other.fields_; }
+  bool operator==(const Schema& other) const {
+    return fields_ == other.fields_ || fields() == other.fields();
+  }
 
  private:
-  std::vector<Field> fields_;
+  static const std::vector<Field>& Empty();
+
+  std::shared_ptr<const std::vector<Field>> fields_;  // null = no fields
 };
 
 }  // namespace datacell

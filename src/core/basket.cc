@@ -196,8 +196,11 @@ Table Basket::PeekRows(const SelVector& sel) const {
 Table Basket::TakeAll() {
   RecursiveMutexLock lock(&mu_);
   EnsureResident();
-  Table out = std::move(data_);
-  data_ = Table(schema_);
+  // The caller gets the columns' buffers; the basket keeps its columns,
+  // now empty and owning no buffer, so the swap allocates nothing beyond
+  // the returned table's column list.
+  Table out = data_;
+  data_.Clear();
   CountConsumed(out.num_rows());
   if (out.num_rows() > 0) Touch();
   return out;

@@ -219,6 +219,10 @@ class Basket {
   void RemoveListener(size_t id);
 
   Stats stats() const;
+  /// The two stats() counters a firing's row accounting reads, without
+  /// loading the rest.
+  uint64_t appended() const { return appended_.load(std::memory_order_relaxed); }
+  uint64_t consumed() const { return consumed_.load(std::memory_order_relaxed); }
 
  private:
   friend class BasketLock;

@@ -38,6 +38,8 @@ class BasketLockSet {
 
 Factory& Factory::AddInput(BasketPtr basket, size_t min_tuples) {
   DC_CHECK(basket != nullptr);
+  locks_.push_back(basket.get());
+  locks_sorted_ = false;
   inputs_.push_back(std::move(basket));
   min_tuples_.push_back(std::max<size_t>(min_tuples, 1));
   return *this;
@@ -45,6 +47,8 @@ Factory& Factory::AddInput(BasketPtr basket, size_t min_tuples) {
 
 Factory& Factory::AddOutput(BasketPtr basket) {
   DC_CHECK(basket != nullptr);
+  locks_.push_back(basket.get());
+  locks_sorted_ = false;
   outputs_.push_back(std::move(basket));
   return *this;
 }
@@ -62,45 +66,35 @@ bool Factory::CanFire(Micros) const {
 Result<bool> Factory::Fire(Micros now) {
   // Lock every involved basket in a canonical (pointer) order so factories
   // sharing baskets cannot deadlock; recursive mutexes let the body keep
-  // using the public Basket API underneath.
-  std::vector<Basket*> involved;
-  involved.reserve(inputs_.size() + outputs_.size());
-  for (const BasketPtr& b : inputs_) involved.push_back(b.get());
-  for (const BasketPtr& b : outputs_) involved.push_back(b.get());
-  std::sort(involved.begin(), involved.end());
-  involved.erase(std::unique(involved.begin(), involved.end()),
-                 involved.end());
-  BasketLockSet locks(involved);
+  // using the public Basket API underneath. The set is sorted and
+  // de-duplicated once, by the first firing after the places changed: a
+  // subnet rebuild builds many factories that never fire, so
+  // registration does not pay for it.
+  if (!locks_sorted_) {
+    std::sort(locks_.begin(), locks_.end());
+    locks_.erase(std::unique(locks_.begin(), locks_.end()), locks_.end());
+    locks_sorted_ = true;
+  }
+  BasketLockSet locks(locks_);
 
-  // Track movement for quiescence detection.
-  auto total_size = [&]() {
-    size_t s = 0;
-    for (Basket* b : involved) s += b->size();
-    return s;
+  // Movement for quiescence detection: every content change bumps a
+  // basket's version (Basket::Touch), and nobody else can change a locked
+  // basket, so the body moved tokens iff some version moved.
+  auto versions = [&]() {
+    uint64_t v = 0;
+    for (Basket* b : locks_) v += b->version();
+    return v;
   };
-  const size_t before = total_size();
-  const auto before_stats = [&]() {
-    uint64_t c = 0;
-    for (Basket* b : involved) c += b->stats().appended + b->stats().consumed;
-    return c;
-  }();
-
-  SystemClock* wall = SystemClock::Get();
-  const Micros t0 = wall->Now();
+  const uint64_t before = versions();
   FactoryContext ctx(now, &inputs_, &outputs_);
   RETURN_NOT_OK(body_(ctx));
-  const Micros dt = wall->Now() - t0;
-
   firings_.fetch_add(1, std::memory_order_relaxed);
-  last_exec_.store(dt, std::memory_order_relaxed);
-  total_exec_.fetch_add(dt, std::memory_order_relaxed);
+  return versions() != before;
+}
 
-  const uint64_t after_stats = [&]() {
-    uint64_t c = 0;
-    for (Basket* b : involved) c += b->stats().appended + b->stats().consumed;
-    return c;
-  }();
-  return total_size() != before || after_stats != before_stats;
+void Factory::RecordExec(Micros duration) {
+  last_exec_.store(duration, std::memory_order_relaxed);
+  total_exec_.fetch_add(duration, std::memory_order_relaxed);
 }
 
 }  // namespace datacell::core

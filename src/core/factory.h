@@ -50,6 +50,11 @@ class Transition {
   /// two transitions sharing any place never fire concurrently).
   virtual std::vector<BasketPtr> output_places() const { return {}; }
 
+  /// The scheduler reports the wall-clock time it measured around each
+  /// Fire here, so a transition that keeps its own execution stats reads
+  /// no clock itself. The default ignores it.
+  virtual void RecordExec(Micros duration) { (void)duration; }
+
   /// Earliest time a time-driven transition may next fire, or kNoDeadline
   /// for purely data-driven/polled transitions. Must be cheap and
   /// thread-safe: the scheduler calls it without claiming the transition.
@@ -102,9 +107,11 @@ class Factory : public Transition {
   /// canonical order, so factories sharing baskets cannot deadlock).
   using Body = std::function<Status(FactoryContext&)>;
 
+  /// `firings` counts Fire calls; the exec times are the scheduler's
+  /// measurements (RecordExec), so direct Fire calls leave them at zero.
   struct Stats {
     uint64_t firings = 0;
-    Micros total_exec = 0;  // cumulative body time
+    Micros total_exec = 0;  // cumulative firing time
     Micros last_exec = 0;
   };
 
@@ -120,6 +127,7 @@ class Factory : public Transition {
   const std::string& name() const override { return name_; }
   bool CanFire(Micros now) const override;
   Result<bool> Fire(Micros now) override;
+  void RecordExec(Micros duration) override;
   std::vector<BasketPtr> input_places() const override { return inputs_; }
   std::vector<BasketPtr> output_places() const override { return outputs_; }
 
@@ -143,6 +151,12 @@ class Factory : public Transition {
   std::vector<BasketPtr> inputs_;
   std::vector<size_t> min_tuples_;
   std::vector<BasketPtr> outputs_;
+  // Inputs ∪ outputs in the canonical lock order (ascending address, no
+  // duplicates) once locks_sorted_; AddInput/AddOutput append, and Fire
+  // sorts once after a change. Fire never runs concurrently with itself
+  // or with the Add* calls that wire the factory.
+  std::vector<Basket*> locks_;
+  bool locks_sorted_ = true;
   std::atomic<uint64_t> firings_{0};
   std::atomic<Micros> total_exec_{0};
   std::atomic<Micros> last_exec_{0};

@@ -196,16 +196,17 @@ namespace {
 // tuples, output places count appended. Relaxed reads; concurrent firings
 // on disjoint places cannot touch these baskets (the conflict rule), so
 // the deltas attribute cleanly to this firing.
-uint64_t SumConsumed(const std::vector<BasketPtr>& baskets) {
-  uint64_t total = 0;
-  for (const BasketPtr& b : baskets) total += b->stats().consumed;
-  return total;
-}
+struct PlaceCounts {
+  uint64_t consumed = 0;
+  uint64_t appended = 0;
+};
 
-uint64_t SumAppended(const std::vector<BasketPtr>& baskets) {
-  uint64_t total = 0;
-  for (const BasketPtr& b : baskets) total += b->stats().appended;
-  return total;
+PlaceCounts ScanPlaces(const std::vector<BasketPtr>& in,
+                       const std::vector<BasketPtr>& out) {
+  PlaceCounts c;
+  for (const BasketPtr& b : in) c.consumed += b->consumed();
+  for (const BasketPtr& b : out) c.appended += b->appended();
+  return c;
 }
 
 }  // namespace
@@ -215,21 +216,24 @@ Result<bool> Scheduler::FireIfEligible(Node* node, bool* fired) {
   const Micros now = clock_->Now();
   if (!node->t->CanFire(now)) return false;
   *fired = true;
-  // The always-on cost per firing: two wall-clock reads, a relaxed-atomic
-  // scan of the place stats, up to four counter increments and one
-  // histogram record. The row deltas used to be trace-only; they are now
-  // unconditional because the cost-based optimizer reads per-transition
-  // rows_in/rows_out as its live selectivity feed.
+  // The always-on cost per firing: one wall-clock pair (the first read is
+  // `now` itself when the scheduler runs on the wall clock), one scan of
+  // the place counters before and after, up to four counter increments
+  // and one histogram record. The row deltas are unconditional because
+  // the cost-based optimizer reads per-transition rows_in/rows_out as its
+  // live selectivity feed; the measured time also feeds the transition's
+  // own stats (Transition::RecordExec).
   obs::TraceLog& trace = obs::TraceLog::Global();
   const bool tracing = trace.enabled();
-  const uint64_t in_before = SumConsumed(node->in_places);
-  const uint64_t out_before = SumAppended(node->out_places);
+  const PlaceCounts before = ScanPlaces(node->in_places, node->out_places);
   SystemClock* wall = SystemClock::Get();
-  const Micros fire_start = wall->Now();
-  Result<bool> worked = node->t->Fire(clock_->Now());
+  const Micros fire_start = clock_ == wall ? now : wall->Now();
+  Result<bool> worked = node->t->Fire(now);
   const Micros duration = wall->Now() - fire_start;
-  const uint64_t rows_in = SumConsumed(node->in_places) - in_before;
-  const uint64_t rows_out = SumAppended(node->out_places) - out_before;
+  const PlaceCounts after = ScanPlaces(node->in_places, node->out_places);
+  const uint64_t rows_in = after.consumed - before.consumed;
+  const uint64_t rows_out = after.appended - before.appended;
+  if (worked.ok()) node->t->RecordExec(duration);
   node->firings_metric->Increment();
   node->fire_hist->Record(duration);
   if (rows_in > 0) node->rows_in_metric->Increment(rows_in);
@@ -499,7 +503,6 @@ void Scheduler::WorkerLoop() {
         ops::ScopedMorselExecutor scoped(pool_size > 1 ? &executor : nullptr);
         worked = FireIfEligible(claimed, &fired);
       }
-      const Micros done_at = clock_->Now();
 
       lock.Lock();
       claimed->firing = false;
@@ -524,7 +527,7 @@ void Scheduler::WorkerLoop() {
         EnqueueLocked(claimed);
       } else if (!claimed->data_driven && fired) {
         // Dry poll: back off instead of spinning on the source.
-        claimed->park_until = done_at + kPollIntervalMicros;
+        claimed->park_until = clock_->Now() + kPollIntervalMicros;
       }
       // A completed firing may unblock conflicting ready transitions.
       if (!ready_.empty()) cv_.NotifyAll();

@@ -1,6 +1,7 @@
 #include "expr/eval.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -878,52 +879,61 @@ Result<std::optional<ColConstCmp>> MatchColConstCmp(const Table& table,
   return std::optional<ColConstCmp>{};
 }
 
-// Applies a column-vs-constant comparison over the candidate rows.
-Result<SelVector> SelectColConst(const ColConstCmp& cc,
-                                 const SelVector& candidates) {
+// Calls f(row) for every candidate row in ascending order; a null
+// candidate list means every row of an n-row table.
+template <typename F>
+void ForCandidates(const SelVector* candidates, size_t n, F&& f) {
+  if (candidates == nullptr) {
+    for (size_t r = 0; r < n; ++r) f(static_cast<uint32_t>(r));
+  } else {
+    for (uint32_t r : *candidates) f(r);
+  }
+}
+
+size_t NumCandidates(const SelVector* candidates, size_t n) {
+  return candidates == nullptr ? n : candidates->size();
+}
+
+// Applies a column-vs-constant comparison over the candidate rows,
+// appending the matches to `out`.
+Status SelectColConst(const ColConstCmp& cc, const SelVector* candidates,
+                      SelVector* out) {
   const Column& c = *cc.column;
-  SelVector out;
-  if (cc.constant.is_null()) return out;  // NULL never matches
-  out.reserve(candidates.size());
+  const size_t n = c.size();
+  if (cc.constant.is_null()) return Status::OK();  // NULL never matches
+  out->reserve(NumCandidates(candidates, n));
+  const bool nulls = c.has_nulls();
+  auto select = [&](auto&& match) {
+    ForCandidates(candidates, n, [&](uint32_t r) {
+      if ((!nulls || c.IsValid(r)) && match(r)) out->push_back(r);
+    });
+  };
   if (IsIntegerPhysical(c.type()) && cc.constant.is_int()) {
     const int64_t k = cc.constant.int_value();
     const auto& v = c.ints();
-    const bool nulls = c.has_nulls();
     switch (cc.op) {
       case BinaryOp::kEq:
-        for (uint32_t r : candidates) {
-          if ((!nulls || c.IsValid(r)) && v[r] == k) out.push_back(r);
-        }
+        select([&](uint32_t r) { return v[r] == k; });
         break;
       case BinaryOp::kNe:
-        for (uint32_t r : candidates) {
-          if ((!nulls || c.IsValid(r)) && v[r] != k) out.push_back(r);
-        }
+        select([&](uint32_t r) { return v[r] != k; });
         break;
       case BinaryOp::kLt:
-        for (uint32_t r : candidates) {
-          if ((!nulls || c.IsValid(r)) && v[r] < k) out.push_back(r);
-        }
+        select([&](uint32_t r) { return v[r] < k; });
         break;
       case BinaryOp::kLe:
-        for (uint32_t r : candidates) {
-          if ((!nulls || c.IsValid(r)) && v[r] <= k) out.push_back(r);
-        }
+        select([&](uint32_t r) { return v[r] <= k; });
         break;
       case BinaryOp::kGt:
-        for (uint32_t r : candidates) {
-          if ((!nulls || c.IsValid(r)) && v[r] > k) out.push_back(r);
-        }
+        select([&](uint32_t r) { return v[r] > k; });
         break;
       case BinaryOp::kGe:
-        for (uint32_t r : candidates) {
-          if ((!nulls || c.IsValid(r)) && v[r] >= k) out.push_back(r);
-        }
+        select([&](uint32_t r) { return v[r] >= k; });
         break;
       default:
         return Status::Internal("not a comparison");
     }
-    return out;
+    return Status::OK();
   }
   if (c.type() == DataType::kDouble &&
       (cc.constant.is_double() || cc.constant.is_int())) {
@@ -935,61 +945,50 @@ Result<SelVector> SelectColConst(const ColConstCmp& cc,
       return Status::Internal("not a comparison");
     }
     const auto& v = c.doubles();
-    const bool nulls = c.has_nulls();
-    for (uint32_t r : candidates) {
-      if (nulls && !c.IsValid(r)) continue;
-      if (simd::CmpMatchesF64(op, v[r], k)) out.push_back(r);
-    }
-    return out;
+    select([&](uint32_t r) { return simd::CmpMatchesF64(op, v[r], k); });
+    return Status::OK();
   }
   if (c.type() == DataType::kString && cc.constant.is_string()) {
     const auto& v = c.strings();
     const std::string& k = cc.constant.string_value();
-    const bool nulls = c.has_nulls();
-    for (uint32_t r : candidates) {
-      if (nulls && !c.IsValid(r)) continue;
-      int cmp = v[r].compare(k);
-      if (CmpMatches(cc.op, cmp)) out.push_back(r);
-    }
-    return out;
+    select([&](uint32_t r) { return CmpMatches(cc.op, v[r].compare(k)); });
+    return Status::OK();
   }
   if (c.type() == DataType::kBool && cc.constant.is_bool()) {
     const auto& v = c.bools();
     const bool k = cc.constant.bool_value();
-    const bool nulls = c.has_nulls();
-    for (uint32_t r : candidates) {
-      if (nulls && !c.IsValid(r)) continue;
-      int cmp = static_cast<int>(v[r] != 0) - static_cast<int>(k);
-      if (CmpMatches(cc.op, cmp)) out.push_back(r);
-    }
-    return out;
+    select([&](uint32_t r) {
+      return CmpMatches(cc.op,
+                        static_cast<int>(v[r] != 0) - static_cast<int>(k));
+    });
+    return Status::OK();
   }
   // Mixed numeric (int column vs double constant etc.): generic numeric.
   if (IsNumeric(c.type()) && (cc.constant.is_int() || cc.constant.is_double())) {
     ASSIGN_OR_RETURN(double k, cc.constant.AsDouble());
-    const bool nulls = c.has_nulls();
-    for (uint32_t r : candidates) {
-      if (nulls && !c.IsValid(r)) continue;
-      double x = NumAt(c, r);
-      int cmp = x < k ? -1 : (x > k ? 1 : 0);
-      if (CmpMatches(cc.op, cmp)) out.push_back(r);
-    }
-    return out;
+    select([&](uint32_t r) {
+      const double x = NumAt(c, r);
+      return CmpMatches(cc.op, x < k ? -1 : (x > k ? 1 : 0));
+    });
+    return Status::OK();
   }
   return Status::TypeMismatch("predicate compares incompatible types");
 }
 
 // `int64 column (op int-literal)* <cmp> int-literal`, e.g. `a * 3 + 7 < k`
-// or `a % 8 <> 1`, with at least one arithmetic step; literals may sit on
-// either side of each operator.
+// or `a % 8 <> 1`, with one to kMaxSteps arithmetic steps; literals may
+// sit on either side of each operator. Held inline, so matching one
+// allocates nothing.
 struct IntChainCmp {
+  static constexpr size_t kMaxSteps = 8;
   struct Step {
     BinaryOp op;
     int64_t k;
     bool literal_left;
   };
   const Column* column = nullptr;
-  std::vector<Step> steps;  // innermost first
+  std::array<Step, kMaxSteps> steps{};  // innermost first
+  size_t num_steps = 0;
   BinaryOp cmp = BinaryOp::kEq;
   int64_t k = 0;
 };
@@ -1023,19 +1022,20 @@ std::optional<IntChainCmp> MatchIntChainCmp(const Table& table,
     return std::nullopt;
   }
   while (chain->kind == ExprKind::kBinary && IsArithmeticOp(chain->bop)) {
+    if (m.num_steps == IntChainCmp::kMaxSteps) return std::nullopt;
     const Expr& l = *chain->children[0];
     const Expr& r = *chain->children[1];
     if (IsIntLiteral(r)) {
-      m.steps.push_back({chain->bop, r.literal.int_value(), false});
+      m.steps[m.num_steps++] = {chain->bop, r.literal.int_value(), false};
       chain = &l;
     } else if (IsIntLiteral(l)) {
-      m.steps.push_back({chain->bop, l.literal.int_value(), true});
+      m.steps[m.num_steps++] = {chain->bop, l.literal.int_value(), true};
       chain = &r;
     } else {
       return std::nullopt;
     }
   }
-  if (m.steps.empty() || chain->kind != ExprKind::kColumnRef) {
+  if (m.num_steps == 0 || chain->kind != ExprKind::kColumnRef) {
     return std::nullopt;
   }
   const int idx = table.schema().FindField(chain->column);
@@ -1044,7 +1044,7 @@ std::optional<IntChainCmp> MatchIntChainCmp(const Table& table,
   if (m.column->type() != DataType::kInt64 || m.column->has_nulls()) {
     return std::nullopt;
   }
-  std::reverse(m.steps.begin(), m.steps.end());
+  std::reverse(m.steps.begin(), m.steps.begin() + m.num_steps);
   return m;
 }
 
@@ -1062,71 +1062,79 @@ void ChainStep(int64_t* v, uint8_t* ok, size_t n, int64_t k,
 
 // Evaluates an IntChainCmp over the candidate rows only, in fixed-size
 // blocks: gather, one loop per step, then compare through double (as the
-// generic int-vs-int compare does) into the output selection. Selects
-// exactly the rows the generic evaluator does.
-Result<SelVector> SelectIntChain(const IntChainCmp& m,
-                                 const SelVector& candidates) {
+// generic int-vs-int compare does), appending the matches to `out`.
+// Selects exactly the rows the generic evaluator does.
+Status SelectIntChain(const IntChainCmp& m, const SelVector* candidates,
+                      SelVector* out) {
+  // Block scratch is written before it is read: no zero-fill per call,
+  // which would cost more than a small candidate list's whole evaluation.
   constexpr size_t kBlock = 256;
-  int64_t v[kBlock] = {};
-  uint8_t ok[kBlock] = {};
+  int64_t v[kBlock];
+  uint8_t ok[kBlock];
+  uint32_t identity[kBlock];
   const int64_t* col = m.column->ints().data();
   const double k = static_cast<double>(m.k);
-  SelVector out(candidates.size());
-  size_t w = 0;
-  for (size_t base = 0; base < candidates.size(); base += kBlock) {
-    const size_t n = std::min(kBlock, candidates.size() - base);
-    const uint32_t* rows = candidates.data() + base;
+  const size_t total = NumCandidates(candidates, m.column->size());
+  size_t w = out->size();
+  out->resize(w + total);
+  uint32_t* dst = out->data();
+  for (size_t base = 0; base < total; base += kBlock) {
+    const size_t n = std::min(kBlock, total - base);
+    const uint32_t* rows = identity;
+    if (candidates != nullptr) {
+      rows = candidates->data() + base;
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        identity[i] = static_cast<uint32_t>(base + i);
+      }
+    }
     for (size_t i = 0; i < n; ++i) {
       v[i] = col[rows[i]];
       ok[i] = 1;
     }
-    for (const IntChainCmp::Step& s : m.steps) {
-      RETURN_NOT_OK(WithArithOp(s.op, [&](auto tag) {
-        ChainStep<decltype(tag)::value>(v, ok, n, s.k, s.literal_left);
+    for (size_t s = 0; s < m.num_steps; ++s) {
+      const IntChainCmp::Step& step = m.steps[s];
+      RETURN_NOT_OK(WithArithOp(step.op, [&](auto tag) {
+        ChainStep<decltype(tag)::value>(v, ok, n, step.k, step.literal_left);
       }));
     }
     RETURN_NOT_OK(WithCompareOp(m.cmp, [&](auto tag) {
       for (size_t i = 0; i < n; ++i) {
-        out[w] = rows[i];
+        dst[w] = rows[i];
         w += ok[i] & static_cast<uint8_t>(NumMatches<decltype(tag)::value>(
                          static_cast<double>(v[i]), k));
       }
     }));
   }
-  out.resize(w);
-  return out;
+  out->resize(w);
+  return Status::OK();
 }
 
-SelVector UnionSorted(const SelVector& a, const SelVector& b) {
-  SelVector out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  return out;
-}
-
-Result<SelVector> SelectWhere(const Table& table, const Expr& expr,
-                              const SelVector& candidates,
-                              const EvalContext& ctx) {
-  // AND: refine left-to-right (candidate-list pattern).
+// Appends to `out` the rows matching `expr` among `candidates` (null: all
+// rows), ascending. AND refines left to right; OR unions both sides.
+Status SelectWhere(const Table& table, const Expr& expr,
+                   const SelVector* candidates, const EvalContext& ctx,
+                   SelVector* out) {
   if (expr.kind == ExprKind::kBinary && expr.bop == BinaryOp::kAnd) {
-    ASSIGN_OR_RETURN(SelVector lhs,
-                     SelectWhere(table, *expr.children[0], candidates, ctx));
-    return SelectWhere(table, *expr.children[1], lhs, ctx);
+    SelVector lhs;
+    RETURN_NOT_OK(SelectWhere(table, *expr.children[0], candidates, ctx, &lhs));
+    return SelectWhere(table, *expr.children[1], &lhs, ctx, out);
   }
-  // OR: union of both sides over the same candidates.
   if (expr.kind == ExprKind::kBinary && expr.bop == BinaryOp::kOr) {
-    ASSIGN_OR_RETURN(SelVector lhs,
-                     SelectWhere(table, *expr.children[0], candidates, ctx));
-    ASSIGN_OR_RETURN(SelVector rhs,
-                     SelectWhere(table, *expr.children[1], candidates, ctx));
-    return UnionSorted(lhs, rhs);
+    SelVector lhs;
+    SelVector rhs;
+    RETURN_NOT_OK(SelectWhere(table, *expr.children[0], candidates, ctx, &lhs));
+    RETURN_NOT_OK(SelectWhere(table, *expr.children[1], candidates, ctx, &rhs));
+    out->reserve(out->size() + lhs.size() + rhs.size());
+    std::set_union(lhs.begin(), lhs.end(), rhs.begin(), rhs.end(),
+                   std::back_inserter(*out));
+    return Status::OK();
   }
   // Column-vs-constant comparison fast path.
   ASSIGN_OR_RETURN(auto cc, MatchColConstCmp(table, expr, ctx));
-  if (cc.has_value()) return SelectColConst(*cc, candidates);
+  if (cc.has_value()) return SelectColConst(*cc, candidates, out);
   if (std::optional<IntChainCmp> chain = MatchIntChainCmp(table, expr)) {
-    return SelectIntChain(*chain, candidates);
+    return SelectIntChain(*chain, candidates, out);
   }
   // Generic fallback: evaluate a boolean column, then filter candidates.
   ASSIGN_OR_RETURN(Handle h, EvalRec(table, expr, ctx));
@@ -1134,55 +1142,50 @@ Result<SelVector> SelectWhere(const Table& table, const Expr& expr,
   if (b.type() != DataType::kBool) {
     return Status::TypeMismatch("predicate is not boolean: " + expr.ToString());
   }
-  SelVector out;
-  out.reserve(candidates.size());
-  for (uint32_t r : candidates) {
-    if (b.IsValid(r) && b.bools()[r] != 0) out.push_back(r);
-  }
-  return out;
-}
-
-SelVector AllRows(size_t n) {
-  SelVector all(n);
-  for (size_t i = 0; i < n; ++i) all[i] = static_cast<uint32_t>(i);
-  return all;
+  const auto bits = b.bools();
+  out->reserve(out->size() + NumCandidates(candidates, b.size()));
+  ForCandidates(candidates, b.size(), [&](uint32_t r) {
+    if (b.IsValid(r) && bits[r] != 0) out->push_back(r);
+  });
+  return Status::OK();
 }
 
 // Dense fast path: runs a column-vs-constant comparison over *all* rows
 // through the vectorized compare kernel (compare-mask + compressed-store,
-// morsel-gridded) instead of walking a materialized AllRows candidate
-// list row by row. Returns nullopt when the type pairing has no kernel
-// (string/bool/mixed numeric) and the caller must fall back.
-std::optional<SelVector> TryDenseColConst(const ColConstCmp& cc) {
+// morsel-gridded) into `out` instead of walking the rows one by one.
+// Returns false when the type pairing has no kernel (string/bool/mixed
+// numeric) and the caller must fall back.
+bool TryDenseColConst(const ColConstCmp& cc, SelVector* out) {
   simd::Cmp op;
-  if (!ops::kern::CmpFromBinaryOp(cc.op, &op)) return std::nullopt;
+  if (!ops::kern::CmpFromBinaryOp(cc.op, &op)) return false;
   const Column& c = *cc.column;
-  if (cc.constant.is_null()) return SelVector{};  // NULL never matches
+  if (cc.constant.is_null()) return true;  // NULL never matches
   if (IsIntegerPhysical(c.type()) && cc.constant.is_int()) {
-    return ops::kern::SelectCmpI64Col(c, op, cc.constant.int_value());
+    ops::kern::SelectCmpI64Col(c, op, cc.constant.int_value(), out);
+    return true;
   }
   if (c.type() == DataType::kDouble &&
       (cc.constant.is_double() || cc.constant.is_int())) {
     Result<double> k = cc.constant.AsDouble();
-    if (!k.ok()) return std::nullopt;
-    return ops::kern::SelectCmpF64Col(c, op, k.value());
+    if (!k.ok()) return false;
+    ops::kern::SelectCmpF64Col(c, op, k.value(), out);
+    return true;
   }
-  return std::nullopt;
+  return false;
 }
 
 // Applies every conjunct of an AND-chain except the leftmost leaf (which
-// the dense kernel already turned into `cands`), preserving SelectWhere's
-// left-to-right refinement order.
-Result<SelVector> RefineRestConjuncts(const Table& table, const Expr& e,
-                                      SelVector cands,
-                                      const EvalContext& ctx) {
+// the dense kernel already turned into `*sel`), preserving SelectWhere's
+// left-to-right refinement order; `*sel` holds the result.
+Status RefineRestConjuncts(const Table& table, const Expr& e,
+                           const EvalContext& ctx, SelVector* sel) {
   if (e.kind == ExprKind::kBinary && e.bop == BinaryOp::kAnd) {
-    ASSIGN_OR_RETURN(SelVector lhs, RefineRestConjuncts(
-                                        table, *e.children[0],
-                                        std::move(cands), ctx));
-    return SelectWhere(table, *e.children[1], lhs, ctx);
+    RETURN_NOT_OK(RefineRestConjuncts(table, *e.children[0], ctx, sel));
+    SelVector next;
+    RETURN_NOT_OK(SelectWhere(table, *e.children[1], sel, ctx, &next));
+    sel->swap(next);
   }
-  return cands;
+  return Status::OK();
 }
 
 }  // namespace
@@ -1193,30 +1196,42 @@ Result<Column> EvalScalar(const Table& table, const Expr& expr,
   return std::move(h).ToOwned();
 }
 
-Result<SelVector> EvalPredicate(const Table& table, const Expr& expr,
-                                const EvalContext& ctx) {
-  // Classify the leftmost conjunct: a simple `col <cmp> literal` there
-  // goes through the SIMD compare kernel to produce the initial candidate
-  // list, and only residual conjuncts fall back to expression eval.
-  const Expr* leftmost = &expr;
-  while (leftmost->kind == ExprKind::kBinary &&
-         leftmost->bop == BinaryOp::kAnd) {
-    leftmost = leftmost->children[0].get();
-  }
-  ASSIGN_OR_RETURN(auto cc, MatchColConstCmp(table, *leftmost, ctx));
-  if (cc.has_value()) {
-    if (std::optional<SelVector> dense = TryDenseColConst(*cc)) {
-      if (leftmost == &expr) return std::move(*dense);
-      return RefineRestConjuncts(table, expr, std::move(*dense), ctx);
+Status EvalPredicateInto(const Table& table, const Expr& expr,
+                         const SelVector* candidates, const EvalContext& ctx,
+                         SelVector* out) {
+  DC_DCHECK(out != candidates);
+  out->clear();
+  if (candidates == nullptr) {
+    // Classify the leftmost conjunct: a simple `col <cmp> literal` there
+    // goes through the SIMD compare kernel to produce the initial
+    // candidate list, and only residual conjuncts fall back to
+    // expression eval.
+    const Expr* leftmost = &expr;
+    while (leftmost->kind == ExprKind::kBinary &&
+           leftmost->bop == BinaryOp::kAnd) {
+      leftmost = leftmost->children[0].get();
+    }
+    ASSIGN_OR_RETURN(auto cc, MatchColConstCmp(table, *leftmost, ctx));
+    if (cc.has_value() && TryDenseColConst(*cc, out)) {
+      return RefineRestConjuncts(table, expr, ctx, out);
     }
   }
-  return SelectWhere(table, expr, AllRows(table.num_rows()), ctx);
+  return SelectWhere(table, expr, candidates, ctx, out);
+}
+
+Result<SelVector> EvalPredicate(const Table& table, const Expr& expr,
+                                const EvalContext& ctx) {
+  SelVector out;
+  RETURN_NOT_OK(EvalPredicateInto(table, expr, nullptr, ctx, &out));
+  return out;
 }
 
 Result<SelVector> EvalPredicateOn(const Table& table, const Expr& expr,
                                   const SelVector& candidates,
                                   const EvalContext& ctx) {
-  return SelectWhere(table, expr, candidates, ctx);
+  SelVector out;
+  RETURN_NOT_OK(EvalPredicateInto(table, expr, &candidates, ctx, &out));
+  return out;
 }
 
 }  // namespace datacell

@@ -43,6 +43,14 @@ Result<SelVector> EvalPredicateOn(const Table& table, const Expr& expr,
                                   const SelVector& candidates,
                                   const EvalContext& ctx);
 
+/// The kernel behind both: the selection over `candidates` (null = every
+/// row, as EvalPredicate) replaces the contents of `*out`, which must not
+/// be `candidates`. A caller that keeps `*out` across calls reuses its
+/// capacity, so a firing's selection allocates nothing once warm.
+Status EvalPredicateInto(const Table& table, const Expr& expr,
+                         const SelVector* candidates, const EvalContext& ctx,
+                         SelVector* out);
+
 }  // namespace datacell
 
 #endif  // DATACELL_EXPR_EVAL_H_

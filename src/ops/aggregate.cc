@@ -1,5 +1,6 @@
 #include "ops/aggregate.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <type_traits>
 #include <unordered_map>
@@ -172,11 +173,13 @@ Column CountGroups(const uint8_t* valid, const std::vector<uint32_t>& rg,
   return out;
 }
 
-// Validity of a group fold's output: groups that folded a value.
-std::vector<uint8_t> Folded(const std::vector<int64_t>& count) {
+// Marks the groups of a fold's output that folded no value as NULL. The
+// common case, where every group folded one, allocates no validity.
+void SetFolded(const std::vector<int64_t>& count, Column* out) {
+  if (std::find(count.begin(), count.end(), 0) == count.end()) return;
   std::vector<uint8_t> seen(count.size());
   for (size_t g = 0; g < count.size(); ++g) seen[g] = count[g] > 0;
-  return seen;
+  out->SetValidity(std::move(seen));
 }
 
 // sum over int64: wraps mod 2^64 (through uint64, never signed-overflow
@@ -185,18 +188,26 @@ Column SumIntGroups(const Column& arg, const std::vector<uint32_t>& rg,
                    size_t groups) {
   const int64_t* x = arg.ints().data();
   const uint8_t* valid = arg.raw_validity();
-  std::vector<uint64_t> sum(groups, 0);
+  Column out(DataType::kInt64);
+  std::vector<int64_t>& o = out.ints();
+  o.assign(groups, 0);
+  auto add = [&o](uint32_t g, int64_t v) {
+    o[g] = static_cast<int64_t>(static_cast<uint64_t>(o[g]) +
+                                static_cast<uint64_t>(v));
+  };
+  // Group ids come from the rows, so with no NULL argument and at least
+  // one row every group folded a value and none needs counting.
+  if (valid == nullptr && !rg.empty()) {
+    for (size_t i = 0; i < rg.size(); ++i) add(rg[i], x[i]);
+    return out;
+  }
   std::vector<int64_t> count(groups, 0);
   for (size_t i = 0; i < rg.size(); ++i) {
     const bool ok = valid == nullptr || valid[i] != 0;
-    sum[rg[i]] += ok ? static_cast<uint64_t>(x[i]) : 0;
+    add(rg[i], ok ? x[i] : 0);
     count[rg[i]] += ok;
   }
-  Column out(DataType::kInt64);
-  std::vector<int64_t>& o = out.ints();
-  o.resize(groups);
-  for (size_t g = 0; g < groups; ++g) o[g] = static_cast<int64_t>(sum[g]);
-  out.SetValidity(Folded(count));
+  SetFolded(count, &out);
   return out;
 }
 
@@ -220,7 +231,7 @@ Column SumF64Groups(const T* x, const uint8_t* valid,
       if (count[g] > 0) sum[g] /= static_cast<double>(count[g]);
     }
   }
-  out.SetValidity(Folded(count));
+  SetFolded(count, &out);
   return out;
 }
 
@@ -249,7 +260,7 @@ Column MinMaxGroups(const Column& arg, View x, const std::vector<uint32_t>& rg,
   } else {
     out.strings() = std::move(best);
   }
-  out.SetValidity(Folded(count));
+  SetFolded(count, &out);
   return out;
 }
 
@@ -387,6 +398,7 @@ Result<Table> Aggregate(const Table& table, const std::vector<GroupItem>& groups
   // any other key list the encoded-key map.
   std::vector<uint32_t> row_group(n, 0);
   std::vector<uint32_t> group_rep;  // representative row per group
+  if (!groups.empty()) group_rep.reserve(n);
   if (groups.size() == 1 && IsIntegerPhysical(key_cols[0].type())) {
     AssignIntGroups(key_cols[0], row_group.data(), &group_rep);
   } else if (!groups.empty()) {
@@ -396,11 +408,12 @@ Result<Table> Aggregate(const Table& table, const std::vector<GroupItem>& groups
 
   // Output: group columns (the representative rows' keys), then one folded
   // column per aggregate.
-  Schema out_schema;
+  std::vector<Field> fields;
   std::vector<Column> out_cols;
+  fields.reserve(groups.size() + aggs.size());
   out_cols.reserve(groups.size() + aggs.size());
   for (size_t g = 0; g < groups.size(); ++g) {
-    RETURN_NOT_OK(out_schema.AddField({groups[g].name, key_cols[g].type()}));
+    fields.push_back({groups[g].name, key_cols[g].type()});
     out_cols.push_back(key_cols[g].Take(group_rep));
   }
   for (size_t a = 0; a < aggs.size(); ++a) {
@@ -409,7 +422,7 @@ Result<Table> Aggregate(const Table& table, const std::vector<GroupItem>& groups
     DataType arg_t =
         item.func == AggFunc::kCountStar ? DataType::kInt64 : arg.type();
     ASSIGN_OR_RETURN(DataType out_t, AggOutputType(item.func, arg_t));
-    RETURN_NOT_OK(out_schema.AddField({item.name, out_t}));
+    fields.push_back({item.name, out_t});
     if (groups.empty() && item.func != AggFunc::kCountStar &&
         IsNumeric(arg.type())) {
       out_cols.push_back(FoldGlobalNumeric(item, arg, out_t));
@@ -418,10 +431,8 @@ Result<Table> Aggregate(const Table& table, const std::vector<GroupItem>& groups
     ASSIGN_OR_RETURN(Column c, FoldGroups(item, arg, row_group, num_groups));
     out_cols.push_back(std::move(c));
   }
-  Table out(out_schema);
-  for (size_t c = 0; c < out_cols.size(); ++c) {
-    RETURN_NOT_OK(out.column(c).AppendColumn(out_cols[c]));
-  }
+  ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
+  Table out(std::move(schema), std::move(out_cols));
   return out;
 }
 

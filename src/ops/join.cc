@@ -1,5 +1,6 @@
 #include "ops/join.h"
 
+#include <algorithm>
 #include <cstring>
 #include <unordered_map>
 
@@ -203,16 +204,16 @@ Result<JoinMatches> NestedLoopJoin(const Table& left, const Table& right,
 Result<Table> MaterializeJoin(const Table& left, const Table& right,
                               const JoinMatches& matches) {
   DC_CHECK(matches.left.size() == matches.right.size());
-  Schema schema;
-  for (const Field& f : left.schema().fields()) {
-    RETURN_NOT_OK(schema.AddField(f));
-  }
+  std::vector<Field> fields = left.schema().fields();
+  fields.reserve(left.num_columns() + right.num_columns());
   for (const Field& f : right.schema().fields()) {
-    std::string name = f.name;
-    if (schema.FindField(name) >= 0) name = "r_" + name;
-    RETURN_NOT_OK(schema.AddField({name, f.type}));
+    const bool taken =
+        std::any_of(fields.begin(), fields.end(),
+                    [&](const Field& l) { return l.name == f.name; });
+    fields.push_back({taken ? "r_" + f.name : f.name, f.type});
   }
-  Table out(schema);
+  ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
+  Table out(std::move(schema));
   const size_t lcols = left.num_columns();
   for (size_t c = 0; c < lcols; ++c) {
     RETURN_NOT_OK(out.column(c).AppendColumnRows(left.column(c), matches.left));

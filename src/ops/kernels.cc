@@ -5,15 +5,16 @@ namespace datacell::ops::kern {
 namespace {
 
 // Runs an index-emitting kernel per morsel into per-morsel chunks and
-// concatenates them in morsel order. EmitChunk(begin, end, base, *chunk)
-// appends ascending indices for rows [begin, end).
+// concatenates them in morsel order into `*out` (cleared first; a single
+// morsel emits straight into it, reusing its capacity). EmitChunk(begin,
+// end, *chunk) appends ascending indices for rows [begin, end).
 template <typename EmitChunk>
-SelVector SelectChunked(size_t n, EmitChunk emit) {
+void SelectChunked(size_t n, EmitChunk emit, SelVector* out) {
+  out->clear();
   const size_t num = NumMorsels(n);
   if (num <= 1) {
-    SelVector out;
-    emit(size_t{0}, n, &out);
-    return out;
+    emit(size_t{0}, n, out);
+    return;
   }
   std::vector<SelVector> chunks(num);
   // The emitters cannot fail; RunMorsels' Status is for kernels that can.
@@ -23,10 +24,8 @@ SelVector SelectChunked(size_t n, EmitChunk emit) {
   }).IgnoreError();
   size_t total = 0;
   for (const SelVector& c : chunks) total += c.size();
-  SelVector out;
-  out.reserve(total);
-  for (const SelVector& c : chunks) out.insert(out.end(), c.begin(), c.end());
-  return out;
+  out->reserve(total);
+  for (const SelVector& c : chunks) out->insert(out->end(), c.begin(), c.end());
 }
 
 template <typename FoldChunk>
@@ -71,49 +70,75 @@ bool CmpFromBinaryOp(BinaryOp op, simd::Cmp* out) {
   }
 }
 
-SelVector SelectCmpI64Col(const Column& col, simd::Cmp op, int64_t k) {
+void SelectCmpI64Col(const Column& col, simd::Cmp op, int64_t k,
+                     SelVector* out) {
   const ColumnView<int64_t> v = col.ints();
   const uint8_t* valid = col.raw_validity();
-  return SelectChunked(v.size(), [&](size_t begin, size_t end,
-                                     SelVector* chunk) {
-    simd::SelectCmpI64(v.data() + begin, valid ? valid + begin : nullptr,
-                       end - begin, op, k, static_cast<uint32_t>(begin),
-                       chunk);
-  });
+  SelectChunked(
+      v.size(),
+      [&](size_t begin, size_t end, SelVector* chunk) {
+        simd::SelectCmpI64(v.data() + begin, valid ? valid + begin : nullptr,
+                           end - begin, op, k, static_cast<uint32_t>(begin),
+                           chunk);
+      },
+      out);
+}
+
+void SelectCmpF64Col(const Column& col, simd::Cmp op, double k,
+                     SelVector* out) {
+  const ColumnView<double> v = col.doubles();
+  const uint8_t* valid = col.raw_validity();
+  SelectChunked(
+      v.size(),
+      [&](size_t begin, size_t end, SelVector* chunk) {
+        simd::SelectCmpF64(v.data() + begin, valid ? valid + begin : nullptr,
+                           end - begin, op, k, static_cast<uint32_t>(begin),
+                           chunk);
+      },
+      out);
+}
+
+SelVector SelectCmpI64Col(const Column& col, simd::Cmp op, int64_t k) {
+  SelVector out;
+  SelectCmpI64Col(col, op, k, &out);
+  return out;
 }
 
 SelVector SelectCmpF64Col(const Column& col, simd::Cmp op, double k) {
-  const ColumnView<double> v = col.doubles();
-  const uint8_t* valid = col.raw_validity();
-  return SelectChunked(v.size(), [&](size_t begin, size_t end,
-                                     SelVector* chunk) {
-    simd::SelectCmpF64(v.data() + begin, valid ? valid + begin : nullptr,
-                       end - begin, op, k, static_cast<uint32_t>(begin),
-                       chunk);
-  });
+  SelVector out;
+  SelectCmpF64Col(col, op, k, &out);
+  return out;
 }
 
 SelVector SelectRangeI64Col(const Column& col, int64_t a, int64_t b) {
   const ColumnView<int64_t> v = col.ints();
   const uint8_t* valid = col.raw_validity();
-  return SelectChunked(v.size(), [&](size_t begin, size_t end,
-                                     SelVector* chunk) {
-    simd::SelectRangeI64(v.data() + begin, valid ? valid + begin : nullptr,
-                         end - begin, a, b, static_cast<uint32_t>(begin),
-                         chunk);
-  });
+  SelVector out;
+  SelectChunked(
+      v.size(),
+      [&](size_t begin, size_t end, SelVector* chunk) {
+        simd::SelectRangeI64(v.data() + begin, valid ? valid + begin : nullptr,
+                             end - begin, a, b, static_cast<uint32_t>(begin),
+                             chunk);
+      },
+      &out);
+  return out;
 }
 
 SelVector SelectRangeF64Col(const Column& col, double lo, bool lo_inclusive,
                             double hi, bool hi_inclusive) {
   const ColumnView<double> v = col.doubles();
   const uint8_t* valid = col.raw_validity();
-  return SelectChunked(v.size(), [&](size_t begin, size_t end,
-                                     SelVector* chunk) {
-    simd::SelectRangeF64(v.data() + begin, valid ? valid + begin : nullptr,
-                         end - begin, lo, lo_inclusive, hi, hi_inclusive,
-                         static_cast<uint32_t>(begin), chunk);
-  });
+  SelVector out;
+  SelectChunked(
+      v.size(),
+      [&](size_t begin, size_t end, SelVector* chunk) {
+        simd::SelectRangeF64(v.data() + begin, valid ? valid + begin : nullptr,
+                             end - begin, lo, lo_inclusive, hi, hi_inclusive,
+                             static_cast<uint32_t>(begin), chunk);
+      },
+      &out);
+  return out;
 }
 
 simd::FoldState FoldNumeric(const Column& col) {

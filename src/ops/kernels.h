@@ -27,6 +27,12 @@ bool CmpFromBinaryOp(BinaryOp op, simd::Cmp* out);
 /// (I64 flavor) or kDouble (F64 flavor).
 SelVector SelectCmpI64Col(const Column& col, simd::Cmp op, int64_t k);
 SelVector SelectCmpF64Col(const Column& col, simd::Cmp op, double k);
+/// The same selections written into `*out` (its contents replaced), so a
+/// caller that keeps `*out` reuses its capacity.
+void SelectCmpI64Col(const Column& col, simd::Cmp op, int64_t k,
+                     SelVector* out);
+void SelectCmpF64Col(const Column& col, simd::Cmp op, double k,
+                     SelVector* out);
 
 /// Dense range-select, bounds inclusive (int bounds pre-normalized by
 /// the caller; double keeps open/closed flags).

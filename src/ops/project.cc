@@ -16,18 +16,19 @@ Result<Table> Project(const Table& table,
     restricted = table.Take(*sel);
     input = &restricted;
   }
-  Schema out_schema;
+  // One reserved field list per call; the output adopts the evaluated
+  // columns as they are.
+  std::vector<Field> fields;
   std::vector<Column> out_columns;
+  fields.reserve(items.size());
   out_columns.reserve(items.size());
   for (const ProjectionItem& item : items) {
     ASSIGN_OR_RETURN(Column col, EvalScalar(*input, *item.expr, ctx));
-    RETURN_NOT_OK(out_schema.AddField({item.name, col.type()}));
+    fields.push_back({item.name, col.type()});
     out_columns.push_back(std::move(col));
   }
-  Table out(out_schema);
-  for (size_t i = 0; i < out_columns.size(); ++i) {
-    RETURN_NOT_OK(out.column(i).AppendColumn(out_columns[i]));
-  }
+  ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
+  Table out(std::move(schema), std::move(out_columns));
   return out;
 }
 

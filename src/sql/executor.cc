@@ -1,6 +1,7 @@
 #include "sql/executor.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <optional>
 #include <utility>
@@ -1090,11 +1091,11 @@ Result<Table> Runner::Merge(const PreparedWindow& w, const WindowExprs& ex) {
 }
 
 Result<Table> Runner::Select(const PreparedSelect& s) {
-  std::vector<Table> inputs;
-  inputs.reserve(s.sources.size());
-  for (const PreparedSource& src : s.sources) {
-    ASSIGN_OR_RETURN(Table t, Source(src));
-    inputs.push_back(std::move(t));
+  // FROM reads at most two sources (Prepare rejects more).
+  DC_DCHECK(s.sources.size() <= 2);
+  std::array<Table, 2> inputs;
+  for (size_t i = 0; i < s.sources.size(); ++i) {
+    ASSIGN_OR_RETURN(inputs[i], Source(s.sources[i]));
   }
   // Scalar subqueries run after FROM: a consuming FROM acts first.
   SelectExprs substituted;
@@ -1107,9 +1108,9 @@ Result<Table> Runner::Select(const PreparedSelect& s) {
   }
 
   Table combined;
-  if (inputs.empty()) {
+  if (s.sources.empty()) {
     combined = s.dummy;
-  } else if (inputs.size() == 1) {
+  } else if (s.sources.size() == 1) {
     combined = std::move(inputs[0]);
   } else {
     const Table& ltab = inputs[0];
@@ -1182,7 +1183,8 @@ Result<Table> Runner::Insert(PreparedStmt& s) {
       rows.push_back(std::move(row));
     }
     // Infer a schema from the first non-null value in each position.
-    Schema schema;
+    std::vector<Field> fields;
+    fields.reserve(rows[0].size());
     for (size_t c = 0; c < rows[0].size(); ++c) {
       DataType t = DataType::kInt64;
       for (const Row& r : rows) {
@@ -1193,9 +1195,9 @@ Result<Table> Runner::Insert(PreparedStmt& s) {
           break;
         }
       }
-      RETURN_NOT_OK(schema.AddField({"v" + std::to_string(c), t}));
+      fields.push_back({"v" + std::to_string(c), t});
     }
-    source = Table(schema);
+    source = Table(Schema(std::move(fields)));
     for (const Row& r : rows) {
       RETURN_NOT_OK(source.AppendRow(r));
     }
@@ -1215,18 +1217,15 @@ Result<Table> Runner::Insert(PreparedStmt& s) {
     }
     source = std::move(widened);
   } else if (s.trim_column >= 0) {
-    Schema trimmed;
-    std::vector<size_t> keep;
+    std::vector<Field> fields;
+    std::vector<Column> columns;
     for (size_t c = 0; c < source.num_columns(); ++c) {
       if (static_cast<int>(c) == s.trim_column) continue;
-      RETURN_NOT_OK(trimmed.AddField(source.schema().field(c)));
-      keep.push_back(c);
+      fields.push_back(source.schema().field(c));
+      columns.push_back(source.column(c));
     }
-    Table t(trimmed);
-    for (size_t k = 0; k < keep.size(); ++k) {
-      RETURN_NOT_OK(t.column(k).AppendColumn(source.column(keep[k])));
-    }
-    source = std::move(t);
+    ASSIGN_OR_RETURN(Schema trimmed, Schema::Make(std::move(fields)));
+    source = Table(std::move(trimmed), std::move(columns));
   }
 
   ASSIGN_OR_RETURN(Table aligned, ConvertTableTo(s.target_schema, source));

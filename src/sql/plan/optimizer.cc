@@ -71,18 +71,44 @@ QuerySetOptimizer::QuerySetOptimizer(core::Engine* engine,
 // leaf gets exactly one AppendAligned per delivery, from the firing
 // thread, once its node's level is done.
 Status QuerySetOptimizer::Walk(const std::vector<TrieNode>& nodes,
+                               WalkScratch* scratch,
                                core::FactoryContext& ctx) {
   const Table batch = ctx.input(0).TakeAll();
   if (batch.num_rows() == 0) return Status::OK();
   const EvalContext ectx = ctx.eval();
-  std::vector<Table> out(nodes.size());
+  std::vector<Table>& out = scratch->out;
+  std::vector<SelVector>& sel = scratch->sel;
+  if (out.size() != nodes.size()) {
+    out.assign(nodes.size(), Table());
+    sel.assign(2 * nodes.size(), SelVector());
+  }
   auto input_of = [&](size_t i) -> const Table& {
     return i == 0 ? batch : out[nodes[i].parent];
   };
   auto eval = [&](size_t i) {
-    return EvalNode(nodes[i], input_of(i), ectx, &out[i]);
+    return EvalNode(nodes[i], input_of(i), ectx, &sel[2 * i], &sel[2 * i + 1],
+                    &out[i]);
   };
-  for (size_t begin = 0, prev = 0, end = 0; begin < nodes.size();
+  // Survivor tables share the leaves' buffers once appended, so none may
+  // outlive the firing: a leaf's next write would copy them instead.
+  // Selections keep their capacity for the next firing, up to a morsel's
+  // worth of rows across the whole scratch: small deliveries reuse all of
+  // it, a bulk delivery's large selections are freed.
+  auto release = [&]() {
+    for (Table& t : out) {
+      if (t.num_columns() > 0) t = Table();
+    }
+    size_t kept = 0;
+    for (SelVector& v : sel) {
+      kept += v.capacity();
+      if (kept > ops::kMorselRows) {
+        kept -= v.capacity();
+        SelVector().swap(v);
+      }
+    }
+  };
+  Status st = Status::OK();
+  for (size_t begin = 0, prev = 0, end = 0; st.ok() && begin < nodes.size();
        prev = begin, begin = end) {
     size_t rows = 0;
     for (end = begin; end < nodes.size() &&
@@ -95,49 +121,58 @@ Status QuerySetOptimizer::Walk(const std::vector<TrieNode>& nodes,
     ops::MorselExecutor* exec = ops::CurrentMorselExecutor();
     if (end - begin > 1 && rows >= ops::kMorselRows && exec != nullptr &&
         exec->parallelism() > 1) {
-      RETURN_NOT_OK(exec->Run(end - begin, 1, [&](size_t m, size_t, size_t) {
+      st = exec->Run(end - begin, 1, [&](size_t m, size_t, size_t) {
         return eval(begin + m);
-      }));
+      });
     } else {
-      for (size_t i = begin; i < end; ++i) RETURN_NOT_OK(eval(i));
+      for (size_t i = begin; i < end && st.ok(); ++i) st = eval(i);
     }
-    for (size_t i = begin; i < end; ++i) {
+    for (size_t i = begin; i < end && st.ok(); ++i) {
       if (out[i].num_rows() == 0) continue;
       for (const core::BasketPtr& leaf : nodes[i].leaves) {
-        ASSIGN_OR_RETURN(size_t appended,
-                         leaf->AppendAligned(out[i], ctx.now()));
-        (void)appended;
+        Result<size_t> appended = leaf->AppendAligned(out[i], ctx.now());
+        if (!appended.ok()) {
+          st = appended.status();
+          break;
+        }
       }
     }
     // The previous level's survivors have no readers left.
-    for (size_t i = prev; i < begin; ++i) out[i] = Table();
+    for (size_t i = prev; i < begin; ++i) {
+      if (out[i].num_columns() > 0) out[i] = Table();
+    }
   }
-  return Status::OK();
+  release();
+  return st;
 }
 
 Status QuerySetOptimizer::EvalNode(const TrieNode& node, const Table& in,
-                                   const EvalContext& ectx, Table* out) {
+                                   const EvalContext& ectx, SelVector* a,
+                                   SelVector* b, Table* out) {
   const size_t n = in.num_rows();
   if (n == 0) return Status::OK();
   node.counters->rows_in.fetch_add(n, std::memory_order_relaxed);
   // While every row survives, the next conjunct runs over the whole table,
   // where the dense compare kernel applies; compact with one Take only
-  // when a conjunct dropped rows.
-  SelVector sel;
+  // when a conjunct dropped rows. `a` holds the latest selection.
   bool all = true;
-  for (size_t k = 0; k < node.conjuncts.size() && (all || !sel.empty());
+  for (size_t k = 0; k < node.conjuncts.size() && (all || !a->empty());
        ++k) {
     obs::PlanCounters& c = *node.conjunct_counters[k];
     const Expr& e = *node.conjuncts[k].expr;
-    c.rows_in.fetch_add(all ? n : sel.size(), std::memory_order_relaxed);
-    ASSIGN_OR_RETURN(sel, all ? EvalPredicate(in, e, ectx)
-                              : EvalPredicateOn(in, e, sel, ectx));
-    all = sel.size() == n;
-    c.rows_out.fetch_add(sel.size(), std::memory_order_relaxed);
+    c.rows_in.fetch_add(all ? n : a->size(), std::memory_order_relaxed);
+    RETURN_NOT_OK(EvalPredicateInto(in, e, all ? nullptr : a, ectx, b));
+    std::swap(a, b);
+    all = a->size() == n;
+    c.rows_out.fetch_add(a->size(), std::memory_order_relaxed);
   }
-  const size_t kept = all ? n : sel.size();
+  const size_t kept = all ? n : a->size();
   node.counters->rows_out.fetch_add(kept, std::memory_order_relaxed);
-  if (kept > 0) *out = all ? in : in.Take(sel);
+  if (all) {
+    *out = in;
+  } else if (kept > 0) {
+    *out = in.Take(*a);
+  }
   return Status::OK();
 }
 
@@ -435,8 +470,10 @@ Status QuerySetOptimizer::RebuildSubnet(const std::string& basket) {
       }
     }
     auto walk = std::make_shared<core::Factory>(
-        net.nodes[0].name, [nodes = net.nodes](core::FactoryContext& ctx) {
-          return Walk(nodes, ctx);
+        net.nodes[0].name,
+        [nodes = net.nodes, scratch = WalkScratch()](
+            core::FactoryContext& ctx) mutable {
+          return Walk(nodes, &scratch, ctx);
         });
     walk->AddInput(source, 1);
     // Every leaf is an output place, so no leaf fires while the walk runs.

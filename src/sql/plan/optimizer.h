@@ -174,12 +174,23 @@ class QuerySetOptimizer {
 
   /// The fused transition's body: one walk of `nodes` (Subnet order) over
   /// everything the source holds.
-  static Status Walk(const std::vector<TrieNode>& nodes,
+  /// Per-node working state one fused transition keeps across firings:
+  /// slot i is written only by node i's evaluation, so a level's nodes can
+  /// run on the pool side by side. Sized on the first firing, emptied of
+  /// tables after every firing; between firings the selections keep at
+  /// most ops::kMorselRows entries of capacity in all.
+  struct WalkScratch {
+    std::vector<Table> out;      // node i's survivors
+    std::vector<SelVector> sel;  // node i's selections: 2i and 2i + 1
+  };
+  static Status Walk(const std::vector<TrieNode>& nodes, WalkScratch* scratch,
                      core::FactoryContext& ctx);
-  /// Evaluates one node's conjunct run over its parent's survivors `in`;
-  /// leaves `*out` empty when no row survives.
+  /// Evaluates one node's conjunct run over its parent's survivors `in`,
+  /// ping-ponging between the selections `a` and `b`; leaves `*out` empty
+  /// when no row survives.
   static Status EvalNode(const TrieNode& node, const Table& in,
-                         const EvalContext& ectx, Table* out);
+                         const EvalContext& ectx, SelVector* a, SelVector* b,
+                         Table* out);
 
   core::Engine* engine_;
   FactoryBuilder build_factory_;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "column/catalog.h"
 #include "column/column.h"
 #include "column/table.h"
@@ -159,6 +164,205 @@ TEST(ColumnTest, EraseRowsWithNulls) {
   EXPECT_FALSE(c.IsValid(0));
   EXPECT_TRUE(c.IsValid(1));
   EXPECT_EQ(c.ints()[1], 2);
+}
+
+// --- Columns with no rows -------------------------------------------------
+// A column that holds no rows may own no buffer at all; every read and
+// every first write must behave exactly as over an empty buffer.
+
+TEST(EmptyColumnTest, ViewsAreEmpty) {
+  for (DataType t : {DataType::kInt64, DataType::kDouble, DataType::kBool,
+                     DataType::kString, DataType::kTimestamp}) {
+    const Column c(t);
+    EXPECT_EQ(c.size(), 0u);
+    EXPECT_TRUE(c.empty());
+    EXPECT_EQ(c.PhysicalSize(), 0u);
+    EXPECT_FALSE(c.has_nulls());
+    EXPECT_EQ(c.raw_validity(), nullptr);
+  }
+  const Column i(DataType::kInt64);
+  EXPECT_TRUE(i.ints().empty());
+  EXPECT_EQ(i.ints().begin(), i.ints().end());
+  EXPECT_TRUE(i.ints() == std::vector<int64_t>{});
+  EXPECT_TRUE(Column(DataType::kDouble).doubles().empty());
+  EXPECT_TRUE(Column(DataType::kBool).bools().empty());
+  EXPECT_TRUE(Column(DataType::kString).strings().empty());
+}
+
+TEST(EmptyColumnTest, TwoEmptyColumnsShareNoStorage) {
+  const Column a(DataType::kInt64);
+  const Column b(DataType::kInt64);
+  EXPECT_FALSE(a.SharesStorageWith(b));
+  EXPECT_FALSE(b.SharesStorageWith(a));
+  EXPECT_FALSE(a.SharesStorageWith(Column(DataType::kDouble)));
+}
+
+TEST(EmptyColumnTest, AppendColumnIntoAndFromEmpty) {
+  Column src(DataType::kInt64);
+  src.AppendInt(1);
+  src.AppendNull();
+  // Into an empty column: adopts the source's buffers.
+  Column dst(DataType::kInt64);
+  ASSERT_TRUE(dst.AppendColumn(src).ok());
+  ASSERT_EQ(dst.size(), 2u);
+  EXPECT_TRUE(dst.SharesStorageWith(src));
+  EXPECT_FALSE(dst.IsValid(1));
+  // From an empty column: a no-op on either side.
+  const Column none(DataType::kInt64);
+  ASSERT_TRUE(dst.AppendColumn(none).ok());
+  EXPECT_EQ(dst.size(), 2u);
+  Column still_empty(DataType::kInt64);
+  ASSERT_TRUE(still_empty.AppendColumn(none).ok());
+  EXPECT_TRUE(still_empty.empty());
+  EXPECT_FALSE(still_empty.SharesStorageWith(none));
+  // The adopted buffer detaches on the first write; the source is intact.
+  dst.AppendInt(3);
+  EXPECT_EQ(src.size(), 2u);
+  EXPECT_EQ(dst.size(), 3u);
+  EXPECT_EQ(dst.ints()[2], 3);
+  EXPECT_FALSE(dst.SharesStorageWith(src));
+}
+
+TEST(EmptyColumnTest, ErasePrefixToEmptyThenAppend) {
+  Column c(DataType::kString);
+  c.AppendString("a");
+  c.AppendString("b");
+  const Column snapshot = c;
+  c.ErasePrefix(2);
+  EXPECT_TRUE(c.empty());
+  EXPECT_EQ(c.head(), 0u);
+  EXPECT_TRUE(c.strings().empty());
+  EXPECT_FALSE(c.SharesStorageWith(snapshot));
+  c.AppendString("c");
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_EQ(c.strings()[0], "c");
+  // The snapshot kept the consumed rows.
+  ASSERT_EQ(snapshot.size(), 2u);
+  EXPECT_EQ(snapshot.strings()[1], "b");
+  // Clear, then the bulk append path.
+  c.Clear();
+  EXPECT_TRUE(c.empty());
+  ASSERT_TRUE(c.AppendColumn(snapshot).ok());
+  EXPECT_EQ(c.size(), 2u);
+}
+
+TEST(EmptyColumnTest, TakeWithEmptySelection) {
+  Column c(DataType::kDouble);
+  c.AppendDouble(1.5);
+  const Column none = c.Take({});
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.type(), DataType::kDouble);
+  EXPECT_FALSE(none.SharesStorageWith(c));
+  const Column from_empty = Column(DataType::kDouble).Take({});
+  EXPECT_TRUE(from_empty.empty());
+  Column dst(DataType::kDouble);
+  ASSERT_TRUE(dst.AppendColumnRows(c, {}).ok());
+  EXPECT_TRUE(dst.empty());
+  ASSERT_TRUE(dst.AppendColumnRows(c, {0, 0}).ok());
+  EXPECT_EQ(dst.doubles() == std::vector<double>({1.5, 1.5}), true);
+  const Table t(Schema({{"a", DataType::kInt64}, {"b", DataType::kString}}));
+  const Table taken = t.Take({});
+  EXPECT_EQ(taken.num_columns(), 2u);
+  EXPECT_EQ(taken.num_rows(), 0u);
+}
+
+TEST(EmptyColumnTest, AppendNullAndSetValidityOnFreshColumn) {
+  Column n(DataType::kString);
+  n.AppendNull();
+  ASSERT_EQ(n.size(), 1u);
+  EXPECT_TRUE(n.has_nulls());
+  EXPECT_FALSE(n.IsValid(0));
+  EXPECT_EQ(n.strings()[0], "");
+  Column v(DataType::kInt64);
+  v.SetValidity({});
+  EXPECT_TRUE(v.empty());
+  EXPECT_FALSE(v.has_nulls());
+  v.ints().assign({4, 5});
+  v.SetValidity({1, 0});
+  EXPECT_TRUE(v.IsValid(0));
+  EXPECT_FALSE(v.IsValid(1));
+  EXPECT_EQ(v.ints()[1], 0);
+  Column m(DataType::kBool);
+  m.bools().push_back(1);
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_EQ(m.GetValue(0), Value(true));
+}
+
+// --- Schema sharing -----------------------------------------------------
+
+TEST(SchemaTest, AddFieldOnCopyLeavesOriginal) {
+  const Schema base({{"a", DataType::kInt64}, {"b", DataType::kString}});
+  Schema derived = base;
+  EXPECT_TRUE(derived == base);
+  ASSERT_TRUE(derived.AddField({"c", DataType::kDouble}).ok());
+  EXPECT_EQ(base.num_fields(), 2u);
+  EXPECT_EQ(base.FindField("c"), -1);
+  EXPECT_EQ(derived.num_fields(), 3u);
+  EXPECT_EQ(derived.FindField("c"), 2);
+  EXPECT_EQ(derived.FindField("b"), 1);
+  EXPECT_FALSE(derived == base);
+  EXPECT_EQ(derived.AddField({"a", DataType::kBool}).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(derived.num_fields(), 3u);
+  // Equality is by content, not by shared storage.
+  const Schema rebuilt({{"a", DataType::kInt64},
+                        {"b", DataType::kString},
+                        {"c", DataType::kDouble}});
+  EXPECT_TRUE(rebuilt == derived);
+  EXPECT_TRUE(Schema() == Schema(std::vector<Field>{}));
+  EXPECT_EQ(Schema().num_fields(), 0u);
+  EXPECT_EQ(Schema().FindField("a"), -1);
+  EXPECT_EQ(Schema().ToString(), "()");
+}
+
+TEST(SchemaTest, TableCopyKeepsSchemaWhenOriginalGrows) {
+  Table t(Schema({{"a", DataType::kInt64}}));
+  ASSERT_TRUE(t.AppendRow({Value(1)}).ok());
+  const Table copy = t;
+  Schema grown = t.schema();
+  ASSERT_TRUE(grown.AddField({"b", DataType::kInt64}).ok());
+  EXPECT_EQ(copy.schema().num_fields(), 1u);
+  EXPECT_EQ(t.schema().num_fields(), 1u);
+  EXPECT_EQ(copy.GetRow(0)[0], Value(1));
+}
+
+// Copies of one shared Schema and Table taken on several threads, while
+// another thread derives new schemas from its own copy: the shared field
+// list is only ever read, so this is race-free (run under TSan).
+TEST(SchemaTest, ConcurrentCopiesWhileDeriving) {
+  const Schema shared({{"id", DataType::kInt64}, {"v", DataType::kDouble}});
+  Table table(shared);
+  ASSERT_TRUE(table.AppendRow({Value(1), Value(2.0)}).ok());
+  const Table& frozen = table;
+  constexpr int kReaders = 3;
+  constexpr int kRounds = 2000;
+  std::vector<std::thread> threads;
+  std::atomic<int> bad{0};
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kRounds; ++i) {
+        const Schema s = shared;
+        const Table t = frozen;
+        if (s.num_fields() != 2 || s.FindField("v") != 1 ||
+            t.schema().num_fields() != 2 || t.num_rows() != 1) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      Schema derived = shared;
+      if (!derived.AddField({"x" + std::to_string(i % 7), DataType::kBool})
+               .ok() ||
+          derived.num_fields() != 3) {
+        bad.fetch_add(1);
+      }
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(shared.num_fields(), 2u);
 }
 
 Schema TwoColSchema() {

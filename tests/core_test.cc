@@ -319,6 +319,93 @@ TEST(FactoryTest, FireReportsNoWorkWhenNothingChanges) {
   EXPECT_FALSE(*worked);  // body touched nothing
 }
 
+// Quiescence is decided by whether a firing moved tokens. These pin down
+// what counts as movement, both for one Fire and for a scheduler round.
+TEST(QuiescenceTest, ConsumingAndAppendingAsManyRowsIsWork) {
+  SimulatedClock clock;
+  auto in = std::make_shared<Basket>("in", StreamSchema());
+  auto out = std::make_shared<Basket>("out", in->schema(), false);
+  // k rows leave `in` and k rows enter `out`: the total is unchanged.
+  auto f = std::make_shared<Factory>("move", [](FactoryContext& ctx) -> Status {
+    Table batch = ctx.input(0).TakeAll();
+    ASSIGN_OR_RETURN(size_t n, ctx.output(0).AppendAligned(batch, ctx.now()));
+    (void)n;
+    return Status::OK();
+  });
+  f->AddInput(in).AddOutput(out);
+  ASSERT_TRUE(in->Append(MakeBatch({1, 2, 3}), 0).ok());
+  auto worked = f->Fire(clock.Now());
+  ASSERT_TRUE(worked.ok());
+  EXPECT_TRUE(*worked);
+  EXPECT_EQ(out->size(), 3u);
+
+  Scheduler sched(&clock);
+  sched.Register(f);
+  ASSERT_TRUE(in->Append(MakeBatch({4, 5}), 0).ok());
+  auto rounds = sched.RunUntilQuiescent();
+  ASSERT_TRUE(rounds.ok());
+  EXPECT_EQ(*rounds, 1u);
+  EXPECT_EQ(in->size(), 0u);
+  EXPECT_EQ(out->size(), 5u);
+}
+
+TEST(QuiescenceTest, PeekOnlyIsNoWork) {
+  SimulatedClock clock;
+  auto in = std::make_shared<Basket>("in", StreamSchema());
+  int runs = 0;
+  auto f = std::make_shared<Factory>("peek", [&](FactoryContext& ctx) -> Status {
+    ++runs;
+    const Table snapshot = ctx.input(0).Peek();
+    EXPECT_EQ(snapshot.num_rows(), 2u);
+    return Status::OK();
+  });
+  f->AddInput(in);
+  ASSERT_TRUE(in->Append(MakeBatch({1, 2}), 0).ok());
+  auto worked = f->Fire(clock.Now());
+  ASSERT_TRUE(worked.ok());
+  EXPECT_FALSE(*worked);
+
+  // Still eligible (its rows stay), yet a round that only peeks is idle.
+  Scheduler sched(&clock);
+  sched.Register(f);
+  auto rounds = sched.RunUntilQuiescent();
+  ASSERT_TRUE(rounds.ok());
+  EXPECT_EQ(*rounds, 0u);
+  EXPECT_GE(runs, 2);
+  EXPECT_TRUE(f->CanFire(clock.Now()));
+}
+
+TEST(QuiescenceTest, AppendsAllDroppedByConstraintAreNoWork) {
+  SimulatedClock clock;
+  auto in = std::make_shared<Basket>("in", StreamSchema());
+  auto out = std::make_shared<Basket>("out", in->schema(), false);
+  out->AddConstraint(
+      Expr::Bin(BinaryOp::kLt, Expr::Col("payload"), Expr::Lit(0)));
+  // Appends every row it sees without consuming any; the constraint
+  // drops them all, so no place changes.
+  auto f = std::make_shared<Factory>("drop", [](FactoryContext& ctx) -> Status {
+    const Table snapshot = ctx.input(0).Peek();
+    ASSIGN_OR_RETURN(size_t n,
+                     ctx.output(0).AppendAligned(snapshot, ctx.now()));
+    EXPECT_EQ(n, 0u);
+    return Status::OK();
+  });
+  f->AddInput(in).AddOutput(out);
+  ASSERT_TRUE(in->Append(MakeBatch({1, 2, 3}), 0).ok());
+  auto worked = f->Fire(clock.Now());
+  ASSERT_TRUE(worked.ok());
+  EXPECT_FALSE(*worked);
+  EXPECT_EQ(out->stats().dropped, 3u);
+
+  Scheduler sched(&clock);
+  sched.Register(f);
+  auto rounds = sched.RunUntilQuiescent();
+  ASSERT_TRUE(rounds.ok());
+  EXPECT_EQ(*rounds, 0u);
+  EXPECT_EQ(out->size(), 0u);
+  EXPECT_EQ(in->size(), 3u);
+}
+
 TEST(BasketTest, PeekRowsSelectsWithoutConsuming) {
   Basket b("b", StreamSchema());
   ASSERT_TRUE(b.Append(MakeBatch({10, 20, 30}), 0).ok());
