@@ -6,9 +6,13 @@
 //
 // The firing benchmarks also report `allocs_per_firing`: heap allocations
 // made inside the timed firing, counted by the replacement global
-// operator new below.
+// operator new below. They and BM_GroupByAggregate report
+// `minflt_per_firing` too: the process's minor page faults
+// (getrusage ru_minflt) per firing, which counts the large buffers a
+// firing faults in afresh instead of reusing (column/recycler.h).
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
@@ -50,21 +54,43 @@ std::atomic<uint64_t> g_allocs{0};
 namespace datacell {
 namespace {
 
-// Times `fire` and counts the allocations it makes; returns the count.
+// Minor page faults of the whole process so far.
+uint64_t MinorFaults() {
+  struct rusage ru {};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<uint64_t>(ru.ru_minflt);
+}
+
+void ReportFaults(benchmark::State& state, uint64_t faults) {
+  state.counters["minflt_per_firing"] = benchmark::Counter(
+      static_cast<double>(faults), benchmark::Counter::kAvgIterations);
+}
+
+// What the timed firings cost besides time, summed over iterations.
+struct FiringCost {
+  uint64_t allocs = 0;
+  uint64_t faults = 0;
+};
+
+// Times `fire` and adds the allocations and page faults it makes to
+// `*cost`.
 template <typename F>
-uint64_t TimedFiring(benchmark::State& state, F&& fire) {
+void TimedFiring(benchmark::State& state, FiringCost* cost, F&& fire) {
+  const uint64_t f0 = MinorFaults();
   const uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
   fire();
   const auto t1 = std::chrono::steady_clock::now();
   const uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
   state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
-  return a1 - a0;
+  cost->allocs += a1 - a0;
+  cost->faults += MinorFaults() - f0;
 }
 
-void ReportAllocs(benchmark::State& state, uint64_t allocs) {
+void ReportCost(benchmark::State& state, const FiringCost& cost) {
   state.counters["allocs_per_firing"] = benchmark::Counter(
-      static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
+      static_cast<double>(cost.allocs), benchmark::Counter::kAvgIterations);
+  ReportFaults(state, cost.faults);
 }
 
 Schema StreamSchema() {
@@ -214,10 +240,12 @@ void BM_GroupByAggregate(benchmark::State& state) {
   std::vector<ops::AggItem> aggs = {
       {ops::AggFunc::kCountStar, nullptr, "n"},
       {ops::AggFunc::kAvg, Expr::Col("payload"), "avg"}};
+  const uint64_t f0 = MinorFaults();
   for (auto _ : state) {
     auto out = ops::Aggregate(t, groups, aggs, ctx);
     benchmark::DoNotOptimize(out);
   }
+  ReportFaults(state, MinorFaults() - f0);
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_GroupByAggregate)->Arg(100'000);
@@ -288,12 +316,12 @@ void LeafFiring(benchmark::State& state, const std::string& sql) {
     batch.column(2).AppendInt(8000 + static_cast<int64_t>(rng.Uniform(2000)));
     batch.column(3).AppendInt(0);  // the source's arrival column
   }
-  uint64_t allocs = 0;
+  FiringCost cost;
   for (auto _ : state) {
     auto appended = basket->AppendAligned(batch, 0);
     benchmark::DoNotOptimize(appended);
     Result<bool> fired = false;
-    allocs += TimedFiring(state, [&] { fired = (*leaf)->Fire(0); });
+    TimedFiring(state, &cost, [&] { fired = (*leaf)->Fire(0); });
     if (!fired.ok()) {
       state.SkipWithError(fired.status().ToString().c_str());
       return;
@@ -301,7 +329,7 @@ void LeafFiring(benchmark::State& state, const std::string& sql) {
   }
   benchmark::DoNotOptimize(rows_out);
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  ReportAllocs(state, allocs);
+  ReportCost(state, cost);
 }
 
 void BM_LeafFirePassThrough(benchmark::State& state) {
@@ -321,7 +349,9 @@ BENCHMARK(BM_LeafFireGroupBy)->Arg(8)->Arg(32'768)->UseManualTime();
 // group-bys sharing `payload >= 8000`), fed one delivery of range(0) rows
 // per iteration. The timed region is one cooperative scheduler round,
 // which fires only the root (the leaves it feeds become ready during the
-// round); the leaves then drain outside the timed region.
+// round); the leaves then drain outside the timed region. At 131072 rows
+// it is `sql_bulk`'s delivery: the root gathers megabytes of survivors,
+// which the leaves release again before the next firing.
 void BM_FusedRootFire(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   core::Engine engine(SystemClock::Get());
@@ -373,14 +403,15 @@ void BM_FusedRootFire(benchmark::State& state) {
     state.SkipWithError("no source basket");
     return;
   }
-  // A pool of distinct deliveries, replayed in order.
-  constexpr size_t kPool = 256;
+  // A pool of distinct deliveries, replayed in order (as few as perfbench
+  // replays for bulk deliveries, so the pool stays a few megabytes).
+  const size_t pool_size = n >= 4096 ? 8 : 256;
   Random rng(7);
   const Schema user({{"id", DataType::kInt64},
                      {"k", DataType::kInt64},
                      {"payload", DataType::kInt64}});
   std::vector<Table> pool;
-  for (size_t d = 0; d < kPool; ++d) {
+  for (size_t d = 0; d < pool_size; ++d) {
     Table t(user);
     for (size_t i = 0; i < n; ++i) {
       t.column(0).AppendInt(static_cast<int64_t>(d * n + i));
@@ -390,13 +421,13 @@ void BM_FusedRootFire(benchmark::State& state) {
     pool.push_back(std::move(t));
   }
   core::Scheduler& scheduler = engine.scheduler();
-  uint64_t allocs = 0;
+  FiringCost cost;
   size_t d = 0;
   for (auto _ : state) {
-    auto appended = (*source)->Append(pool[d++ % kPool], 0);
+    auto appended = (*source)->Append(pool[d++ % pool_size], 0);
     benchmark::DoNotOptimize(appended);
     Result<bool> round = false;
-    allocs += TimedFiring(state, [&] { round = scheduler.RunOnce(); });
+    TimedFiring(state, &cost, [&] { round = scheduler.RunOnce(); });
     auto drained = scheduler.RunUntilQuiescent();
     if (!round.ok() || !drained.ok()) {
       state.SkipWithError("firing failed");
@@ -405,9 +436,9 @@ void BM_FusedRootFire(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(rows_out);
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  ReportAllocs(state, allocs);
+  ReportCost(state, cost);
 }
-BENCHMARK(BM_FusedRootFire)->Arg(8)->UseManualTime();
+BENCHMARK(BM_FusedRootFire)->Arg(8)->Arg(131'072)->UseManualTime();
 
 void BM_CodecEncodeDecode(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "column/recycler.h"
 #include "util/logging.h"
 #include "util/simd.h"
 
@@ -21,6 +22,43 @@ template <typename It>
 It At(It begin, size_t offset) {
   return begin + static_cast<typename std::iterator_traits<It>::difference_type>(
                      offset);
+}
+
+// The owner of a recyclable column buffer: when the last Column or
+// snapshot drops it, its destructor (the shared pointer's deleter) parks
+// the vector's storage in the recycler instead of freeing it.
+template <typename T>
+struct ParkingBuffer {
+  explicit ParkingBuffer(std::vector<T> v) : vec(std::move(v)) {}
+  ~ParkingBuffer() { recycler::Park(&vec); }
+  ParkingBuffer(const ParkingBuffer&) = delete;
+  ParkingBuffer& operator=(const ParkingBuffer&) = delete;
+
+  std::vector<T> vec;
+};
+
+// Wraps `v` as a column buffer: one allocation for the control block and
+// the vector, as make_shared, and a parking deleter for the recyclable
+// element types.
+template <typename T>
+std::shared_ptr<std::vector<T>> NewBuffer(std::vector<T> v) {
+  if constexpr (recycler::kRecyclable<T>) {
+    auto owner = std::make_shared<ParkingBuffer<T>>(std::move(v));
+    std::vector<T>* vec = &owner->vec;
+    return std::shared_ptr<std::vector<T>>(std::move(owner), vec);
+  } else {
+    return std::make_shared<std::vector<T>>(std::move(v));
+  }
+}
+
+// A buffer holding the live rows [head, end) of `src`, with room for
+// `extra` more.
+template <typename T>
+std::shared_ptr<std::vector<T>> CopyLive(const std::vector<T>& src,
+                                         size_t head, size_t extra) {
+  std::vector<T> copy = recycler::Take<T>(src.size() - head + extra);
+  copy.insert(copy.end(), At(src.begin(), head), src.end());
+  return NewBuffer(std::move(copy));
 }
 
 }  // namespace
@@ -70,35 +108,42 @@ bool Column::SharesStorageWith(const Column& other) const {
       data_);
 }
 
-void Column::Detach(bool compact) {
+void Column::Reserve(size_t rows) { Detach(/*compact=*/false, rows); }
+
+void Column::Detach(bool compact, size_t extra) {
   // One dispatch on the buffer type for the whole check: the typed
   // appends call this once per value.
   std::visit(
       [&](auto& buf) {
-        using Vec = typename std::decay_t<decltype(buf)>::element_type;
+        using T =
+            typename std::decay_t<decltype(buf)>::element_type::value_type;
         if (buf == nullptr) {
           // First write into an unallocated column (head_ is 0 and there
           // is no validity here).
-          buf = std::make_shared<Vec>();
+          buf = NewBuffer(recycler::Take<T>(extra));
           return;
         }
-        const bool shared = SharedBuffer(buf);
-        if (!shared && (!compact || head_ == 0)) return;
-        if (shared) {
+        if (SharedBuffer(buf)) {
           // Copy only the live rows; the snapshot keeps the old buffer.
-          buf = std::make_shared<Vec>(At(buf->begin(), head_), buf->end());
-          if (valid_ != nullptr) {
-            valid_ = std::make_shared<std::vector<uint8_t>>(
-                At(valid_->begin(), head_), valid_->end());
-          }
-        } else {
+          buf = CopyLive(*buf, head_, extra);
+          if (valid_ != nullptr) valid_ = CopyLive(*valid_, head_, extra);
+          head_ = 0;
+          return;
+        }
+        if (compact && head_ > 0) {
           // Exclusive owner with a stale prefix: reclaim it in place.
           buf->erase(buf->begin(), At(buf->begin(), head_));
           if (valid_ != nullptr) {
             valid_->erase(valid_->begin(), At(valid_->begin(), head_));
           }
+          head_ = 0;
         }
-        head_ = 0;
+        if (extra > 0) {
+          recycler::Reserve(buf.get(), buf->size() + extra);
+          if (valid_ != nullptr) {
+            recycler::Reserve(valid_.get(), valid_->size() + extra);
+          }
+        }
       },
       data_);
 }
@@ -109,9 +154,12 @@ void Column::MaybeCompact() {
   Detach(/*compact=*/true);
 }
 
-void Column::EnsureValidity() {
+void Column::EnsureValidity(size_t extra) {
   if (valid_ == nullptr) {
-    valid_ = std::make_shared<std::vector<uint8_t>>(PhysicalSize(), 1);
+    std::vector<uint8_t> valid =
+        recycler::Take<uint8_t>(PhysicalSize() + extra);
+    valid.assign(PhysicalSize(), 1);
+    valid_ = NewBuffer(std::move(valid));
   }
 }
 
@@ -196,7 +244,7 @@ void Column::SetValidity(std::vector<uint8_t> valid) {
         }
       },
       data_);
-  valid_ = std::make_shared<std::vector<uint8_t>>(std::move(valid));
+  valid_ = NewBuffer(std::move(valid));
 }
 
 Status Column::AppendColumn(const Column& other) {
@@ -214,8 +262,8 @@ Status Column::AppendColumn(const Column& other) {
     head_ = other.head_;
     return Status::OK();
   }
-  Detach(false);
-  if (other.has_nulls()) EnsureValidity();
+  Detach(false, other.size());
+  if (other.has_nulls()) EnsureValidity(other.size());
   std::visit(
       [&](auto& dst) {
         using P = std::decay_t<decltype(dst)>;
@@ -241,8 +289,8 @@ Status Column::AppendColumnRows(const Column& other, const SelVector& sel) {
                                 DataTypeName(type_));
   }
   if (sel.empty()) return Status::OK();
-  Detach(false);
-  if (other.has_nulls()) EnsureValidity();
+  Detach(false, sel.size());
+  if (other.has_nulls()) EnsureValidity(sel.size());
   std::visit(
       [&](auto& dst) {
         using P = std::decay_t<decltype(dst)>;
@@ -266,7 +314,6 @@ Status Column::AppendColumnRows(const Column& other, const SelVector& sel) {
             return;
           }
         }
-        dst->reserve(old + sel.size());
         for (uint32_t r : sel) dst->push_back(src[other.head_ + r]);
       },
       data_);

@@ -81,6 +81,11 @@ class ColumnView {
 ///
 /// Nulls are tracked in an optional validity vector that is only
 /// materialized once the first null is appended.
+///
+/// Numeric and validity buffers are recycled: when the last column or
+/// snapshot drops one of at least recycler::kMinBytes, its storage is
+/// parked in the column kernel's recycler (column/recycler.h), and bulk
+/// writes (Take, Reserve, a detaching copy) draw from it.
 class Column {
  public:
   explicit Column(DataType type);
@@ -148,6 +153,12 @@ class Column {
   Status AppendColumn(const Column& other);
   /// Appends the selected rows of `other`.
   Status AppendColumnRows(const Column& other, const SelVector& sel);
+
+  /// Makes room for `rows` more rows (detaching from snapshots first), so
+  /// a bulk kernel that writes n values through ints()/doubles()/bools()
+  /// resizes without reallocating. A large buffer comes from the recycler
+  /// (column/recycler.h).
+  void Reserve(size_t rows);
 
   /// Boxed read of row i.
   Value GetValue(size_t i) const;
@@ -242,8 +253,9 @@ class Column {
   // head offset is also folded away (required before handing out raw
   // vectors or shifting rows); without it an already-exclusive buffer
   // keeps its head untouched, so appends after prefix consumption stay
-  // O(1).
-  void Detach(bool compact);
+  // O(1). Room for `extra` more rows is reserved in the data and validity
+  // buffers; a large buffer allocated here comes from the recycler.
+  void Detach(bool compact, size_t extra = 0);
 
   // Amortized reclamation of the consumed prefix; no-op while shared.
   void MaybeCompact();
@@ -254,9 +266,9 @@ class Column {
   template <typename Vec>
   static void EraseRowsIn(Vec& v, const SelVector& sorted_sel);
 
-  // Lazily materializes the validity vector (all rows currently valid).
-  // Caller must have detached already.
-  void EnsureValidity();
+  // Lazily materializes the validity vector (all rows currently valid),
+  // with room for `extra` more rows. Caller must have detached already.
+  void EnsureValidity(size_t extra = 0);
 
   DataType type_;
   std::variant<BufPtr<int64_t>, BufPtr<double>, BufPtr<uint8_t>,

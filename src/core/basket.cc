@@ -138,9 +138,9 @@ Result<size_t> Basket::Append(const Table& tuples, Micros now) {
   for (size_t c = 0; c < tuples.num_columns(); ++c) {
     RETURN_NOT_OK(widened.column(c).AppendColumn(tuples.column(c)));
   }
-  widened.column(widened.num_columns() - 1)
-      .ints()
-      .assign(tuples.num_rows(), now);
+  Column& stamp = widened.column(widened.num_columns() - 1);
+  stamp.Reserve(tuples.num_rows());
+  stamp.ints().assign(tuples.num_rows(), now);
   return AppendAligned(widened, now);
 }
 

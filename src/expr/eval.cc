@@ -7,6 +7,7 @@
 #include <optional>
 #include <type_traits>
 
+#include "column/recycler.h"
 #include "ops/kernels.h"
 #include "util/logging.h"
 #include "util/simd.h"
@@ -296,16 +297,26 @@ class Handle {
 Result<Handle> EvalRec(const Table& table, const Expr& expr,
                        const EvalContext& ctx);
 
+// n bytes of `v` (validity or truth values); a large vector comes from the
+// recycler.
+std::vector<uint8_t> Bytes(size_t n, uint8_t v) {
+  std::vector<uint8_t> out = recycler::Take<uint8_t>(n);
+  out.assign(n, v);
+  return out;
+}
+
 // Broadcasts a constant to an n-row column in one fill. Type is derived
 // from the value; integer constants (and NULL) become kInt64.
 Column Broadcast(const Value& v, size_t n) {
   if (v.is_double()) {
     Column c(DataType::kDouble);
+    c.Reserve(n);
     c.doubles().assign(n, v.double_value());
     return c;
   }
   if (v.is_bool()) {
     Column c(DataType::kBool);
+    c.Reserve(n);
     c.bools().assign(n, v.bool_value() ? 1 : 0);
     return c;
   }
@@ -315,8 +326,9 @@ Column Broadcast(const Value& v, size_t n) {
     return c;
   }
   Column c(DataType::kInt64);
+  c.Reserve(n);
   c.ints().assign(n, v.is_int() ? v.int_value() : 0);
-  if (v.is_null()) c.SetValidity(std::vector<uint8_t>(n, 0));
+  if (v.is_null()) c.SetValidity(Bytes(n, 0));
   return c;
 }
 
@@ -334,7 +346,9 @@ bool BothInt(const Column& a, const Column& b) {
 std::vector<uint8_t> ValidityOf(const Column& c) {
   const uint8_t* v = c.raw_validity();
   if (v == nullptr) return {};
-  return std::vector<uint8_t>(v, v + c.size());
+  std::vector<uint8_t> out = recycler::Take<uint8_t>(c.size());
+  out.assign(v, v + c.size());
+  return out;
 }
 
 // Validity of a binary kernel's output before the kernel's own NULLs: the
@@ -345,7 +359,7 @@ std::vector<uint8_t> AndValidity(const Column& l, const Column& r) {
   if (a == nullptr) return ValidityOf(r);
   if (b == nullptr) return ValidityOf(l);
   const size_t n = l.size();
-  std::vector<uint8_t> v(n);
+  std::vector<uint8_t> v = Bytes(n, 0);
   for (size_t i = 0; i < n; ++i) v[i] = a[i] & b[i];
   return v;
 }
@@ -354,7 +368,7 @@ std::vector<uint8_t> AndValidity(const Column& l, const Column& r) {
 // validity on first use. Only runs once a kernel saw such a row.
 template <typename Ok>
 void ClearInvalidRows(size_t n, std::vector<uint8_t>* valid, Ok ok) {
-  if (valid->empty()) valid->assign(n, 1);
+  if (valid->empty()) *valid = Bytes(n, 1);
   for (size_t i = 0; i < n; ++i) {
     if (!ok(i)) (*valid)[i] = 0;
   }
@@ -426,6 +440,7 @@ Result<Column> EvalArith(BinaryOp op, const Column& l, const Column& r) {
                          ? DataType::kTimestamp
                          : DataType::kInt64;
     Column out(out_t);
+    out.Reserve(n);
     std::vector<int64_t>& o = out.ints();
     o.resize(n);
     const int64_t* a = l.ints().data();
@@ -437,6 +452,7 @@ Result<Column> EvalArith(BinaryOp op, const Column& l, const Column& r) {
     return out;
   }
   Column out(DataType::kDouble);
+  out.Reserve(n);
   std::vector<double>& o = out.doubles();
   o.resize(n);
   RETURN_NOT_OK(WithNumericPair(l, r, [&](const auto* a, const auto* b) {
@@ -511,7 +527,7 @@ void NumCompare(const A* a, const B* b, size_t n, uint8_t* o) {
 
 Result<Column> EvalCompare(BinaryOp op, const Column& l, const Column& r) {
   const size_t n = l.size();
-  const std::vector<uint8_t> valid = AndValidity(l, r);
+  std::vector<uint8_t> valid = AndValidity(l, r);
   const bool ls = l.type() == DataType::kString;
   const bool rs = r.type() == DataType::kString;
   const bool lb = l.type() == DataType::kBool;
@@ -530,6 +546,7 @@ Result<Column> EvalCompare(BinaryOp op, const Column& l, const Column& r) {
     }
   }
   Column out(DataType::kBool);
+  out.Reserve(n);
   std::vector<uint8_t>& o = out.bools();
   o.resize(n);
   if (!compatible) {
@@ -555,20 +572,20 @@ Result<Column> EvalCompare(BinaryOp op, const Column& l, const Column& r) {
   // SQL: comparison with NULL is unknown; we fold unknown to false.
   if (!valid.empty()) {
     for (size_t i = 0; i < n; ++i) o[i] &= valid[i];
+    recycler::Park(&valid);
   }
   return out;
 }
 
-// Bool column as 0/1 bytes with NULL rows read as false.
-std::vector<uint8_t> TruthOf(const Column& c) {
+// Bool column as 0/1 bytes with NULL rows read as false, into `t`.
+void TruthOf(const Column& c, std::vector<uint8_t>* t) {
   const size_t n = c.size();
   const uint8_t* a = c.bools().data();
   const uint8_t* v = c.raw_validity();
-  std::vector<uint8_t> t(n);
+  t->resize(n);
   for (size_t i = 0; i < n; ++i) {
-    t[i] = static_cast<uint8_t>((a[i] != 0) & (v == nullptr || v[i] != 0));
+    (*t)[i] = static_cast<uint8_t>((a[i] != 0) & (v == nullptr || v[i] != 0));
   }
-  return t;
 }
 
 Result<Column> EvalLogical(BinaryOp op, const Column& l, const Column& r) {
@@ -576,16 +593,19 @@ Result<Column> EvalLogical(BinaryOp op, const Column& l, const Column& r) {
     return Status::TypeMismatch("logical op on non-bool columns");
   }
   // Null booleans participate as false.
-  const std::vector<uint8_t> a = TruthOf(l);
-  const std::vector<uint8_t> b = TruthOf(r);
   const size_t n = l.size();
+  recycler::Scratch<uint8_t> a(n);
+  recycler::Scratch<uint8_t> b(n);
+  TruthOf(l, &*a);
+  TruthOf(r, &*b);
   Column out(DataType::kBool);
+  out.Reserve(n);
   std::vector<uint8_t>& o = out.bools();
   o.resize(n);
   if (op == BinaryOp::kAnd) {
-    for (size_t i = 0; i < n; ++i) o[i] = a[i] & b[i];
+    for (size_t i = 0; i < n; ++i) o[i] = (*a)[i] & (*b)[i];
   } else {
-    for (size_t i = 0; i < n; ++i) o[i] = a[i] | b[i];
+    for (size_t i = 0; i < n; ++i) o[i] = (*a)[i] | (*b)[i];
   }
   return out;
 }
@@ -596,6 +616,7 @@ template <typename F>
 Column IntUnary(const Column& c, F f) {
   const size_t n = c.size();
   Column out(c.type());
+  out.Reserve(n);
   std::vector<int64_t>& o = out.ints();
   o.resize(n);
   const int64_t* a = c.ints().data();
@@ -617,6 +638,7 @@ template <typename F>
 Column F64Unary(const Column& c, F f) {
   const size_t n = c.size();
   Column out(DataType::kDouble);
+  out.Reserve(n);
   std::vector<double>& o = out.doubles();
   o.resize(n);
   const double* a = c.doubles().data();
@@ -631,6 +653,7 @@ Result<Column> EvalCall(const Table& table, const Expr& expr,
   const size_t n = table.num_rows();
   if (expr.func == "now") {
     Column out(DataType::kTimestamp);
+    out.Reserve(n);
     out.ints().assign(n, ctx.now);
     return out;
   }
@@ -652,6 +675,7 @@ Result<Column> EvalCall(const Table& table, const Expr& expr,
       return Status::TypeMismatch("length on non-string column");
     }
     Column out(DataType::kInt64);
+    out.Reserve(n);
     std::vector<int64_t>& o = out.ints();
     o.resize(n);
     const auto s = args[0].strings();
@@ -759,6 +783,7 @@ Result<Handle> EvalRec(const Table& table, const Expr& expr,
         }
         const size_t n = c.size();
         Column out(DataType::kBool);
+        out.Reserve(n);
         std::vector<uint8_t>& o = out.bools();
         o.resize(n);
         const uint8_t* a = c.bools().data();
@@ -782,6 +807,7 @@ Result<Handle> EvalRec(const Table& table, const Expr& expr,
       const Column& c = v.get();
       const uint8_t* valid = c.raw_validity();
       Column out(DataType::kBool);
+      out.Reserve(c.size());
       // IS NOT NULL is the validity itself; IS NULL its complement.
       std::vector<uint8_t>& o = out.bools();
       o.assign(c.size(), expr.negated ? 1 : 0);
@@ -901,7 +927,7 @@ Status SelectColConst(const ColConstCmp& cc, const SelVector* candidates,
   const Column& c = *cc.column;
   const size_t n = c.size();
   if (cc.constant.is_null()) return Status::OK();  // NULL never matches
-  out->reserve(NumCandidates(candidates, n));
+  recycler::Reserve(out, out->size() + NumCandidates(candidates, n));
   const bool nulls = c.has_nulls();
   auto select = [&](auto&& match) {
     ForCandidates(candidates, n, [&](uint32_t r) {
@@ -1076,6 +1102,7 @@ Status SelectIntChain(const IntChainCmp& m, const SelVector* candidates,
   const double k = static_cast<double>(m.k);
   const size_t total = NumCandidates(candidates, m.column->size());
   size_t w = out->size();
+  recycler::Reserve(out, w + total);
   out->resize(w + total);
   uint32_t* dst = out->data();
   for (size_t base = 0; base < total; base += kBlock) {
@@ -1116,17 +1143,17 @@ Status SelectWhere(const Table& table, const Expr& expr,
                    const SelVector* candidates, const EvalContext& ctx,
                    SelVector* out) {
   if (expr.kind == ExprKind::kBinary && expr.bop == BinaryOp::kAnd) {
-    SelVector lhs;
-    RETURN_NOT_OK(SelectWhere(table, *expr.children[0], candidates, ctx, &lhs));
-    return SelectWhere(table, *expr.children[1], &lhs, ctx, out);
+    recycler::Scratch<uint32_t> lhs(0);
+    RETURN_NOT_OK(SelectWhere(table, *expr.children[0], candidates, ctx, &*lhs));
+    return SelectWhere(table, *expr.children[1], &*lhs, ctx, out);
   }
   if (expr.kind == ExprKind::kBinary && expr.bop == BinaryOp::kOr) {
-    SelVector lhs;
-    SelVector rhs;
-    RETURN_NOT_OK(SelectWhere(table, *expr.children[0], candidates, ctx, &lhs));
-    RETURN_NOT_OK(SelectWhere(table, *expr.children[1], candidates, ctx, &rhs));
-    out->reserve(out->size() + lhs.size() + rhs.size());
-    std::set_union(lhs.begin(), lhs.end(), rhs.begin(), rhs.end(),
+    recycler::Scratch<uint32_t> lhs(0);
+    recycler::Scratch<uint32_t> rhs(0);
+    RETURN_NOT_OK(SelectWhere(table, *expr.children[0], candidates, ctx, &*lhs));
+    RETURN_NOT_OK(SelectWhere(table, *expr.children[1], candidates, ctx, &*rhs));
+    recycler::Reserve(out, out->size() + lhs->size() + rhs->size());
+    std::set_union(lhs->begin(), lhs->end(), rhs->begin(), rhs->end(),
                    std::back_inserter(*out));
     return Status::OK();
   }
@@ -1143,7 +1170,7 @@ Status SelectWhere(const Table& table, const Expr& expr,
     return Status::TypeMismatch("predicate is not boolean: " + expr.ToString());
   }
   const auto bits = b.bools();
-  out->reserve(out->size() + NumCandidates(candidates, b.size()));
+  recycler::Reserve(out, out->size() + NumCandidates(candidates, b.size()));
   ForCandidates(candidates, b.size(), [&](uint32_t r) {
     if (b.IsValid(r) && bits[r] != 0) out->push_back(r);
   });
@@ -1181,9 +1208,9 @@ Status RefineRestConjuncts(const Table& table, const Expr& e,
                            const EvalContext& ctx, SelVector* sel) {
   if (e.kind == ExprKind::kBinary && e.bop == BinaryOp::kAnd) {
     RETURN_NOT_OK(RefineRestConjuncts(table, *e.children[0], ctx, sel));
-    SelVector next;
-    RETURN_NOT_OK(SelectWhere(table, *e.children[1], sel, ctx, &next));
-    sel->swap(next);
+    recycler::Scratch<uint32_t> next(0);
+    RETURN_NOT_OK(SelectWhere(table, *e.children[1], sel, ctx, &*next));
+    sel->swap(*next);
   }
   return Status::OK();
 }

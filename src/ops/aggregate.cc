@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 
+#include "column/recycler.h"
 #include "ops/kernels.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -78,6 +80,7 @@ Result<DataType> AggOutputType(AggFunc func, DataType arg) {
 // first-seen order, exactly as the encoded-key map does. The table starts
 // at twice the row count, capped at 2^16 slots, so a batch of mostly
 // distinct keys never rehashes and a large batch of few keys stays small.
+// The slot arrays come from the recycler.
 void AssignIntGroups(const Column& key, uint32_t* row_group,
                      std::vector<uint32_t>* group_rep) {
   constexpr uint32_t kEmpty = UINT32_MAX;
@@ -86,17 +89,23 @@ void AssignIntGroups(const Column& key, uint32_t* row_group,
   const uint8_t* valid = key.raw_validity();
   int bits = 4;
   while (bits < 16 && (size_t{1} << bits) < 2 * n) ++bits;
-  std::vector<int64_t> keys(size_t{1} << bits);
-  std::vector<uint32_t> gids(size_t{1} << bits, kEmpty);
+  recycler::Scratch<int64_t> keys_buf(size_t{1} << bits);
+  recycler::Scratch<uint32_t> gids_buf(size_t{1} << bits);
+  std::vector<int64_t>& keys = *keys_buf;
+  std::vector<uint32_t>& gids = *gids_buf;
+  keys.resize(size_t{1} << bits);
+  gids.assign(size_t{1} << bits, kEmpty);
   auto home = [](int64_t v, int b) {
     return static_cast<size_t>((static_cast<uint64_t>(v) * simd::kHashMul) >>
                                (64 - b));
   };
   auto grow = [&] {
-    std::vector<int64_t> old_keys = std::move(keys);
-    std::vector<uint32_t> old_gids = std::move(gids);
     ++bits;
-    keys.assign(size_t{1} << bits, 0);
+    std::vector<int64_t> old_keys =
+        std::exchange(keys, recycler::Take<int64_t>(size_t{1} << bits));
+    std::vector<uint32_t> old_gids =
+        std::exchange(gids, recycler::Take<uint32_t>(size_t{1} << bits));
+    keys.resize(size_t{1} << bits);
     gids.assign(size_t{1} << bits, kEmpty);
     const size_t mask = gids.size() - 1;
     for (size_t s = 0; s < old_gids.size(); ++s) {
@@ -106,6 +115,8 @@ void AssignIntGroups(const Column& key, uint32_t* row_group,
       keys[h] = old_keys[s];
       gids[h] = old_gids[s];
     }
+    recycler::Park(&old_keys);
+    recycler::Park(&old_gids);
   };
   uint32_t next_gid = 0;
   uint32_t null_gid = kEmpty;
@@ -157,12 +168,14 @@ void AssignEncodedGroups(const std::vector<Column>& key_cols,
 // The per-group folds below are shared by every group-id scheme. Each
 // runs one typed loop over the rows and returns the finished output
 // column; NULL arguments are skipped, and a group that folded nothing
-// outputs NULL (counts output 0).
+// outputs NULL (counts output 0). Outputs and per-group counts draw their
+// storage from the recycler.
 
 // count(*) when `valid` is null, count(x) otherwise.
 Column CountGroups(const uint8_t* valid, const std::vector<uint32_t>& rg,
                    size_t groups) {
   Column out(DataType::kInt64);
+  out.Reserve(groups);
   std::vector<int64_t>& count = out.ints();
   count.assign(groups, 0);
   if (valid == nullptr) {
@@ -177,7 +190,8 @@ Column CountGroups(const uint8_t* valid, const std::vector<uint32_t>& rg,
 // common case, where every group folded one, allocates no validity.
 void SetFolded(const std::vector<int64_t>& count, Column* out) {
   if (std::find(count.begin(), count.end(), 0) == count.end()) return;
-  std::vector<uint8_t> seen(count.size());
+  std::vector<uint8_t> seen = recycler::Take<uint8_t>(count.size());
+  seen.resize(count.size());
   for (size_t g = 0; g < count.size(); ++g) seen[g] = count[g] > 0;
   out->SetValidity(std::move(seen));
 }
@@ -189,6 +203,7 @@ Column SumIntGroups(const Column& arg, const std::vector<uint32_t>& rg,
   const int64_t* x = arg.ints().data();
   const uint8_t* valid = arg.raw_validity();
   Column out(DataType::kInt64);
+  out.Reserve(groups);
   std::vector<int64_t>& o = out.ints();
   o.assign(groups, 0);
   auto add = [&o](uint32_t g, int64_t v) {
@@ -201,13 +216,14 @@ Column SumIntGroups(const Column& arg, const std::vector<uint32_t>& rg,
     for (size_t i = 0; i < rg.size(); ++i) add(rg[i], x[i]);
     return out;
   }
-  std::vector<int64_t> count(groups, 0);
+  recycler::Scratch<int64_t> count(groups);
+  count->assign(groups, 0);
   for (size_t i = 0; i < rg.size(); ++i) {
     const bool ok = valid == nullptr || valid[i] != 0;
     add(rg[i], ok ? x[i] : 0);
-    count[rg[i]] += ok;
+    (*count)[rg[i]] += ok;
   }
-  SetFolded(count, &out);
+  SetFolded(*count, &out);
   return out;
 }
 
@@ -218,20 +234,22 @@ Column SumF64Groups(const T* x, const uint8_t* valid,
                     const std::vector<uint32_t>& rg, size_t groups,
                     bool avg) {
   Column out(DataType::kDouble);
+  out.Reserve(groups);
   std::vector<double>& sum = out.doubles();
   sum.assign(groups, 0);
-  std::vector<int64_t> count(groups, 0);
+  recycler::Scratch<int64_t> count(groups);
+  count->assign(groups, 0);
   for (size_t i = 0; i < rg.size(); ++i) {
     if (valid != nullptr && valid[i] == 0) continue;
     sum[rg[i]] += static_cast<double>(x[i]);
-    ++count[rg[i]];
+    ++(*count)[rg[i]];
   }
   if (avg) {
     for (size_t g = 0; g < groups; ++g) {
-      if (count[g] > 0) sum[g] /= static_cast<double>(count[g]);
+      if ((*count)[g] > 0) sum[g] /= static_cast<double>((*count)[g]);
     }
   }
-  SetFolded(count, &out);
+  SetFolded(*count, &out);
   return out;
 }
 
@@ -241,12 +259,14 @@ template <typename T, typename View>
 Column MinMaxGroups(const Column& arg, View x, const std::vector<uint32_t>& rg,
                     size_t groups, bool want_max) {
   const uint8_t* valid = arg.raw_validity();
-  std::vector<T> best(groups);
-  std::vector<int64_t> count(groups, 0);
+  std::vector<T> best = recycler::Take<T>(groups);
+  best.resize(groups);
+  recycler::Scratch<int64_t> count(groups);
+  count->assign(groups, 0);
   for (size_t i = 0; i < rg.size(); ++i) {
     if (valid != nullptr && valid[i] == 0) continue;
     const uint32_t g = rg[i];
-    if (count[g]++ == 0 || (want_max ? best[g] < x[i] : x[i] < best[g])) {
+    if ((*count)[g]++ == 0 || (want_max ? best[g] < x[i] : x[i] < best[g])) {
       best[g] = x[i];
     }
   }
@@ -260,7 +280,7 @@ Column MinMaxGroups(const Column& arg, View x, const std::vector<uint32_t>& rg,
   } else {
     out.strings() = std::move(best);
   }
-  SetFolded(count, &out);
+  SetFolded(*count, &out);
   return out;
 }
 
@@ -396,15 +416,16 @@ Result<Table> Aggregate(const Table& table, const std::vector<GroupItem>& groups
   // Group id per input row; groups 0..k-1 in first-seen order. Only this
   // step depends on the key: a single integer key probes an int64 table,
   // any other key list the encoded-key map.
-  std::vector<uint32_t> row_group(n, 0);
-  std::vector<uint32_t> group_rep;  // representative row per group
-  if (!groups.empty()) group_rep.reserve(n);
+  recycler::Scratch<uint32_t> row_group(n);
+  row_group->resize(n);
+  // Representative row per group.
+  recycler::Scratch<uint32_t> group_rep(groups.empty() ? 0 : n);
   if (groups.size() == 1 && IsIntegerPhysical(key_cols[0].type())) {
-    AssignIntGroups(key_cols[0], row_group.data(), &group_rep);
+    AssignIntGroups(key_cols[0], row_group->data(), &*group_rep);
   } else if (!groups.empty()) {
-    AssignEncodedGroups(key_cols, row_group.data(), &group_rep);
+    AssignEncodedGroups(key_cols, row_group->data(), &*group_rep);
   }
-  const size_t num_groups = groups.empty() ? 1 : group_rep.size();
+  const size_t num_groups = groups.empty() ? 1 : group_rep->size();
 
   // Output: group columns (the representative rows' keys), then one folded
   // column per aggregate.
@@ -414,7 +435,7 @@ Result<Table> Aggregate(const Table& table, const std::vector<GroupItem>& groups
   out_cols.reserve(groups.size() + aggs.size());
   for (size_t g = 0; g < groups.size(); ++g) {
     fields.push_back({groups[g].name, key_cols[g].type()});
-    out_cols.push_back(key_cols[g].Take(group_rep));
+    out_cols.push_back(key_cols[g].Take(*group_rep));
   }
   for (size_t a = 0; a < aggs.size(); ++a) {
     const AggItem& item = aggs[a];
@@ -428,7 +449,7 @@ Result<Table> Aggregate(const Table& table, const std::vector<GroupItem>& groups
       out_cols.push_back(FoldGlobalNumeric(item, arg, out_t));
       continue;
     }
-    ASSIGN_OR_RETURN(Column c, FoldGroups(item, arg, row_group, num_groups));
+    ASSIGN_OR_RETURN(Column c, FoldGroups(item, arg, *row_group, num_groups));
     out_cols.push_back(std::move(c));
   }
   ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));

@@ -1,5 +1,7 @@
 #include "ops/kernels.h"
 
+#include "column/recycler.h"
+
 namespace datacell::ops::kern {
 
 namespace {
@@ -7,25 +9,33 @@ namespace {
 // Runs an index-emitting kernel per morsel into per-morsel chunks and
 // concatenates them in morsel order into `*out` (cleared first; a single
 // morsel emits straight into it, reusing its capacity). EmitChunk(begin,
-// end, *chunk) appends ascending indices for rows [begin, end).
+// end, *chunk) appends ascending indices for rows [begin, end). Every
+// buffer has room for its worst case (all rows match), so the emitters
+// never reallocate; large ones come from, and the chunks go back to, the
+// recycler.
 template <typename EmitChunk>
 void SelectChunked(size_t n, EmitChunk emit, SelVector* out) {
   out->clear();
   const size_t num = NumMorsels(n);
   if (num <= 1) {
+    recycler::Reserve(out, n);
     emit(size_t{0}, n, out);
     return;
   }
   std::vector<SelVector> chunks(num);
   // The emitters cannot fail; RunMorsels' Status is for kernels that can.
   RunMorsels(n, [&](size_t m, size_t begin, size_t end) {
+    chunks[m] = recycler::Take<uint32_t>(end - begin);
     emit(begin, end, &chunks[m]);
     return Status::OK();
   }).IgnoreError();
   size_t total = 0;
   for (const SelVector& c : chunks) total += c.size();
-  out->reserve(total);
-  for (const SelVector& c : chunks) out->insert(out->end(), c.begin(), c.end());
+  recycler::Reserve(out, total);
+  for (SelVector& c : chunks) {
+    out->insert(out->end(), c.begin(), c.end());
+    recycler::Park(&c);
+  }
 }
 
 template <typename FoldChunk>

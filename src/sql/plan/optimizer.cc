@@ -4,6 +4,7 @@
 #include <deque>
 #include <utility>
 
+#include "column/recycler.h"
 #include "expr/eval.h"
 #include "ops/morsel.h"
 #include "sql/plan/rewrite.h"
@@ -91,21 +92,14 @@ Status QuerySetOptimizer::Walk(const std::vector<TrieNode>& nodes,
   };
   // Survivor tables share the leaves' buffers once appended, so none may
   // outlive the firing: a leaf's next write would copy them instead.
-  // Selections keep their capacity for the next firing, up to a morsel's
-  // worth of rows across the whole scratch: small deliveries reuse all of
-  // it, a bulk delivery's large selections are freed.
+  // Small selections keep their capacity for the next firing; a bulk
+  // delivery's large ones go back to the recycler, where the next bulk
+  // delivery (of this or any other transition) takes them again.
   auto release = [&]() {
     for (Table& t : out) {
       if (t.num_columns() > 0) t = Table();
     }
-    size_t kept = 0;
-    for (SelVector& v : sel) {
-      kept += v.capacity();
-      if (kept > ops::kMorselRows) {
-        kept -= v.capacity();
-        SelVector().swap(v);
-      }
-    }
+    for (SelVector& v : sel) recycler::Park(&v);
   };
   Status st = Status::OK();
   for (size_t begin = 0, prev = 0, end = 0; st.ok() && begin < nodes.size();

@@ -177,8 +177,9 @@ class QuerySetOptimizer {
   /// Per-node working state one fused transition keeps across firings:
   /// slot i is written only by node i's evaluation, so a level's nodes can
   /// run on the pool side by side. Sized on the first firing, emptied of
-  /// tables after every firing; between firings the selections keep at
-  /// most ops::kMorselRows entries of capacity in all.
+  /// tables after every firing; between firings small selections keep
+  /// their capacity and large ones are parked in the column kernel's
+  /// recycler (column/recycler.h).
   struct WalkScratch {
     std::vector<Table> out;      // node i's survivors
     std::vector<SelVector> sel;  // node i's selections: 2i and 2i + 1

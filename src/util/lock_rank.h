@@ -8,7 +8,7 @@
 /// Every datacell::Mutex / RecursiveMutex carries a LockRank. The global
 /// hierarchy (DESIGN.md "Concurrency invariants") is
 ///
-///     metrics < catalog < engine < scheduler < basket
+///     recycler < metrics < catalog < engine < scheduler < basket
 ///
 /// where a < b means a is *inner* to b: a thread already holding a
 /// lower-ranked lock must not acquire a higher-ranked one. Acquisitions
@@ -30,6 +30,11 @@ namespace datacell {
 enum class LockRank : int {
   /// Innermost: the log-line mutex, acquirable while holding anything.
   kLogging = 0,
+  /// The column kernel's large-buffer recycler (column/recycler.h). Inner
+  /// to everything except logging: a column's last buffer reference may
+  /// drop, and park the buffer, under any other lock. Nothing is logged
+  /// while it is held.
+  kBufferRecycler = 1,
   /// Observability registry / trace ring (src/obs). Inner to everything
   /// except logging: metric registration and trace recording may happen
   /// from firing bodies (basket lock held) and from the scheduler, and

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "column/catalog.h"
 #include "column/column.h"
+#include "column/recycler.h"
 #include "column/table.h"
 #include "column/type.h"
 #include "column/value.h"
@@ -499,6 +501,195 @@ TEST_P(ErasePropertyTest, EraseAndKeepPartition) {
 INSTANTIATE_TEST_SUITE_P(Masks, ErasePropertyTest,
                          ::testing::Values(0, 1, 0x5555, 0xAAAA, 0x1234, 0xFFFF,
                                            42, 777));
+
+// --- Large-buffer recycler (column/recycler.h) -------------------------------
+
+// Rows of an int64 column that fill `bytes`.
+constexpr size_t RowsOf(size_t bytes) { return bytes / sizeof(int64_t); }
+
+TEST(RecyclerTest, RecycledBufferComesBackEmpty) {
+  const size_t n = RowsOf(2 * recycler::kMinBytes);
+  std::vector<int64_t> v = recycler::Take<int64_t>(n);
+  EXPECT_TRUE(v.empty());
+  EXPECT_GE(v.capacity(), n);
+  v.assign(n, 42);
+  const int64_t* data = v.data();
+  recycler::Park(&v);
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(v.capacity(), 0u);
+
+  std::vector<int64_t> again = recycler::Take<int64_t>(n);
+  EXPECT_EQ(again.data(), data);
+  EXPECT_TRUE(again.empty());
+  EXPECT_GE(again.capacity(), n);
+  recycler::Park(&again);
+}
+
+TEST(RecyclerTest, SmallBuffersAreNeverParked) {
+  const size_t before = recycler::ParkedBytes();
+  std::vector<int64_t> v = recycler::Take<int64_t>(16);
+  v.assign(16, 1);
+  recycler::Park(&v);
+  EXPECT_EQ(v.size(), 16u);  // a small vector is left as it is
+  {
+    Column c(DataType::kInt64);
+    c.Reserve(RowsOf(recycler::kMinBytes) - 1);
+    for (int i = 0; i < 1000; ++i) c.AppendInt(i);
+  }
+  EXPECT_EQ(recycler::ParkedBytes(), before);
+}
+
+TEST(RecyclerTest, SnapshotPinsBufferUntilItsLastReferenceDrops) {
+  const size_t n = RowsOf(4 * recycler::kMinBytes);
+  Column c(DataType::kInt64);
+  c.Reserve(n);
+  for (size_t i = 0; i < n; ++i) c.AppendInt(static_cast<int64_t>(i));
+  // Reads go through const references: the mutable accessors detach.
+  Column snap = c;
+  Column snap_copy = snap;
+  const Column& snap_ro = snap;
+  const Column& copy_ro = snap_copy;
+  const int64_t* data = snap_ro.ints().data();
+
+  // Clearing the writer drops one of three references: nothing is parked.
+  const size_t before_clear = recycler::ParkedBytes();
+  c.Clear();
+  EXPECT_EQ(recycler::ParkedBytes(), before_clear);
+
+  // The writer refills, consumes a prefix and appends (detaching from its
+  // own new snapshot); the old snapshot keeps its buffer and rows.
+  c.Reserve(n);
+  for (size_t i = 0; i < n; ++i) c.AppendInt(-1);
+  const Column snap2 = c;
+  c.ErasePrefix(n / 2);
+  c.AppendInt(-2);
+  ASSERT_EQ(snap_ro.size(), n);
+  EXPECT_EQ(snap_ro.ints().data(), data);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(snap_ro.ints()[i], static_cast<int64_t>(i));
+  }
+  ASSERT_EQ(snap2.size(), n);
+  for (size_t i = 0; i < n; ++i) ASSERT_EQ(snap2.ints()[i], -1);
+
+  const size_t before_drop = recycler::ParkedBytes();
+  snap = Column(DataType::kInt64);
+  EXPECT_EQ(recycler::ParkedBytes(), before_drop);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(copy_ro.ints()[i], static_cast<int64_t>(i));
+  }
+  snap_copy = Column(DataType::kInt64);  // the last reference: parked
+  EXPECT_EQ(recycler::ParkedBytes(), before_drop + n * sizeof(int64_t));
+}
+
+TEST(RecyclerTest, ParkedBytesStayUnderTheCapOldestEvictedFirst) {
+  const size_t mib = size_t{1} << 20;
+  const size_t count = recycler::kCapBytes / mib;
+  std::vector<std::vector<int64_t>> bufs;
+  std::vector<const int64_t*> data;
+  for (size_t i = 0; i < count; ++i) {
+    bufs.push_back(recycler::Take<int64_t>(RowsOf(mib)));
+    data.push_back(bufs.back().data());
+  }
+  // Parking them fills the cap exactly: whatever was parked before is
+  // older and makes room.
+  for (std::vector<int64_t>& b : bufs) {
+    recycler::Park(&b);
+    EXPECT_LE(recycler::ParkedBytes(), recycler::kCapBytes);
+  }
+  EXPECT_EQ(recycler::ParkedBytes(), recycler::kCapBytes);
+
+  // A 2 MiB buffer (a size class of its own) evicts the two oldest.
+  std::vector<int64_t> big = recycler::Take<int64_t>(RowsOf(2 * mib));
+  recycler::Park(&big);
+  EXPECT_EQ(recycler::ParkedBytes(), recycler::kCapBytes);
+
+  std::set<const int64_t*> newest(data.begin() + 2, data.end());
+  std::set<const int64_t*> taken;
+  for (size_t i = 2; i < count; ++i) {
+    bufs[i] = recycler::Take<int64_t>(RowsOf(mib));
+    taken.insert(bufs[i].data());
+  }
+  EXPECT_EQ(taken, newest);
+  for (size_t i = 2; i < count; ++i) recycler::Park(&bufs[i]);
+}
+
+TEST(RecyclerTest, ReusedValidityBufferCarriesNoStaleNulls) {
+  // 100000 one-byte validity entries: the buffer lands inside a size
+  // class, so the next request for one more row still fits it.
+  const size_t n = 100000;
+  const uint8_t* reused = nullptr;
+  {
+    Column c(DataType::kInt64);
+    c.Reserve(n);
+    c.ints().assign(n, 7);
+    std::vector<uint8_t> valid = recycler::Take<uint8_t>(n);
+    valid.assign(n, 0);
+    valid[1] = 1;
+    c.SetValidity(std::move(valid));
+    ASSERT_TRUE(c.has_nulls());
+    reused = c.raw_validity();
+  }
+  Column d(DataType::kInt64);
+  d.Reserve(n);
+  for (size_t i = 0; i < n; ++i) d.AppendInt(static_cast<int64_t>(i));
+  Column tail(DataType::kInt64);
+  tail.AppendNull();
+  ASSERT_TRUE(d.AppendColumn(tail).ok());
+  EXPECT_EQ(d.raw_validity(), reused);
+  for (size_t i = 0; i < n; ++i) ASSERT_TRUE(d.IsValid(i)) << i;
+  EXPECT_FALSE(d.IsValid(n));
+}
+
+// Threads take and park buffers while copying and dropping snapshots of
+// their own columns; every snapshot keeps reading its own rows. Run under
+// TSan: the recycler's lock is the only hand-off between threads.
+TEST(RecyclerTest, ConcurrentTakeParkAndSnapshots) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 60;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &bad] {
+      for (int round = 0; round < kRounds; ++round) {
+        const size_t n = RowsOf(recycler::kMinBytes) + 997 * (round % 5);
+        const int64_t tag = t * 1000 + round;
+        Column c(DataType::kInt64);
+        c.Reserve(n);
+        for (size_t i = 0; i < n; ++i) c.AppendInt(tag);
+        const Column snap = c;
+        if (round % 3 == 0) {
+          c.Clear();
+        } else if (round % 3 == 1) {
+          c.ErasePrefix(n / 2);
+        } else {
+          c.AppendInt(-1);
+        }
+        std::vector<uint32_t> sel = recycler::Take<uint32_t>(n);
+        sel.assign(n, static_cast<uint32_t>(tag));
+        for (size_t i = 0; i < n; ++i) {
+          if (snap.ints()[i] != tag || sel[i] != static_cast<uint32_t>(tag)) {
+            bad.fetch_add(1);
+            break;
+          }
+        }
+        recycler::Park(&sel);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_LE(recycler::ParkedBytes(), recycler::kCapBytes);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(RecyclerDeathTest, ParkedBufferIsPoisonedUnderAsan) {
+  std::vector<int64_t> v = recycler::Take<int64_t>(RowsOf(recycler::kMinBytes));
+  v.assign(RowsOf(recycler::kMinBytes), 5);
+  volatile const int64_t* stale = v.data();
+  recycler::Park(&v);
+  EXPECT_DEATH((void)stale[3], "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace datacell

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "column/recycler.h"
 #include "core/basket.h"
 
 namespace datacell {
@@ -45,19 +46,23 @@ void LockDescendingAddresses(const core::Basket* hi, const core::Basket* lo)
 
 TEST(LockRankTest, DecreasingRankOrderPasses) {
   // The full documented hierarchy, outermost first: basket, scheduler,
-  // actuator, engine, catalog, logging.
+  // actuator, engine, catalog, metrics, recycler, logging.
   Mutex basket(LockRank::kBasket);
   Mutex scheduler(LockRank::kScheduler);
   Mutex actuator(LockRank::kActuator);
   Mutex engine(LockRank::kEngine);
   Mutex catalog(LockRank::kCatalog);
+  Mutex metrics(LockRank::kMetrics);
+  Mutex buffers(LockRank::kBufferRecycler);
   Mutex logging(LockRank::kLogging);
   MutexLock a(&basket);
   MutexLock b(&scheduler);
   MutexLock c(&actuator);
   MutexLock d(&engine);
   MutexLock e(&catalog);
-  MutexLock f(&logging);
+  MutexLock f(&metrics);
+  MutexLock g(&buffers);
+  MutexLock h(&logging);
 }
 
 TEST(LockRankTest, RankSkippingPasses) {
@@ -96,6 +101,25 @@ TEST(LockRankTest, ReleaseAndReacquirePasses) {
     core::BasketLock firing(&basket);
   }
   lock.Lock();
+}
+
+TEST(LockRankTest, ParkingABufferUnderABasketLockPasses) {
+  // A column's last buffer reference may drop inside a firing, with the
+  // basket (and the metrics registry) locked: parking it takes the
+  // recycler's lock, which is inner to both.
+  core::Basket basket("p", StreamSchema());
+  Mutex metrics(LockRank::kMetrics);
+  const size_t rows = 2 * recycler::kMinBytes / sizeof(int64_t);
+  Column c(DataType::kInt64);
+  c.Reserve(rows);
+  c.ints().assign(rows, 1);
+  core::BasketLock firing(&basket);
+  MutexLock registry(&metrics);
+  c.Clear();
+  EXPECT_GE(recycler::ParkedBytes(), rows * sizeof(int64_t));
+  std::vector<int64_t> again = recycler::Take<int64_t>(rows);
+  EXPECT_GE(again.capacity(), rows);
+  recycler::Park(&again);
 }
 
 TEST(LockRankDeathTest, HierarchyInversionAborts) {

@@ -811,5 +811,75 @@ TEST(VectorizedKernelTest, ConcurrentMorselReadersVsSnapshotWriter) {
   EXPECT_GT(live.size(), n);
 }
 
+// --- Recycled buffers ---------------------------------------------------------
+
+// Every value and validity byte of two tables, compared as raw bytes.
+void ExpectTablesByteIdentical(const Table& a, const Table& b) {
+  ASSERT_EQ(a.num_columns(), b.num_columns());
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    const Column& x = a.column(c);
+    const Column& y = b.column(c);
+    ASSERT_EQ(x.type(), y.type()) << "column " << c;
+    ASSERT_EQ(x.has_nulls(), y.has_nulls()) << "column " << c;
+    const size_t n = x.size();
+    if (x.has_nulls()) {
+      EXPECT_EQ(std::memcmp(x.raw_validity(), y.raw_validity(), n), 0);
+    }
+    switch (x.type()) {
+      case DataType::kInt64:
+      case DataType::kTimestamp:
+        EXPECT_EQ(std::memcmp(x.ints().data(), y.ints().data(), n * 8), 0);
+        break;
+      case DataType::kDouble:
+        EXPECT_EQ(std::memcmp(x.doubles().data(), y.doubles().data(), n * 8),
+                  0);
+        break;
+      case DataType::kBool:
+        EXPECT_EQ(std::memcmp(x.bools().data(), y.bools().data(), n), 0);
+        break;
+      case DataType::kString:
+        EXPECT_TRUE(x.strings() == y.strings());
+        break;
+    }
+  }
+}
+
+// One bulk firing's worth of kernels over `t`: a filter with an arithmetic
+// residual, then a group-by over the survivors.
+Table FilterThenGroup(const Table& t) {
+  EvalContext ctx;
+  const ExprPtr pred = Expr::Bin(
+      BinaryOp::kAnd, Expr::Bin(BinaryOp::kGe, Expr::Col("v"), Expr::Lit(-400)),
+      Expr::Bin(BinaryOp::kNe,
+                Expr::Bin(BinaryOp::kMod, Expr::Col("v"), Expr::Lit(8)),
+                Expr::Lit(3)));
+  Result<SelVector> sel = EvalPredicate(t, *pred, ctx);
+  EXPECT_TRUE(sel.ok()) << sel.status().ToString();
+  const Table survivors = t.Take(*sel);
+  Result<Table> grouped =
+      ops::Aggregate(survivors, {{Expr::Col("k"), "k"}}, AllAggs(), ctx);
+  EXPECT_TRUE(grouped.ok()) << grouped.status().ToString();
+  return grouped.ok() ? *grouped : Table();
+}
+
+// The second run draws every large buffer the first one parked: its output
+// must be byte-identical, serially and on a morsel pool.
+TEST(RecycledBufferTest, RepeatedBulkFiringsAreByteIdentical) {
+  const Table t = KeyedRows(DataType::kInt64, 4 * ops::kMorselRows, 29);
+  ASSERT_GE(t.num_rows(), 131072u);
+  const Table serial_first = FilterThenGroup(t);
+  const Table serial_second = FilterThenGroup(t);
+  ASSERT_GT(serial_first.num_rows(), 0u);
+  ExpectTablesByteIdentical(serial_first, serial_second);
+
+  ops::PoolMorselExecutor pool(3);
+  ops::ScopedMorselExecutor scoped(&pool);
+  const Table pooled_first = FilterThenGroup(t);
+  const Table pooled_second = FilterThenGroup(t);
+  ExpectTablesByteIdentical(serial_first, pooled_first);
+  ExpectTablesByteIdentical(serial_first, pooled_second);
+}
+
 }  // namespace
 }  // namespace datacell
