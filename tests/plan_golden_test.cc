@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "lroad/queries_sql.h"
 #include "sql/session.h"
 #include "util/clock.h"
 
@@ -172,6 +173,45 @@ TEST_F(GoldenFixture, NonTrivialWindowKeepsOuterFilterPostWindow) {
       "select * from [select top 5 from s where a > 10 order by b] as w "
       "where w.b < 100");
   CheckGolden("window_blocks_outer_pushdown", out);
+}
+
+TEST_F(GoldenFixture, LinearRoadChains) {
+  // The full EXPLAIN of every one of the 38 Linear Road statements on a
+  // fresh session: each statement's header and its prepared chain.
+  for (const std::string& ddl : lroad::LinearRoadSchemaSql()) Exec(ddl);
+  std::string out;
+  for (const lroad::LogicalQuery& q : lroad::LinearRoadQueriesSql()) {
+    out += std::string("-- ") + q.collection + "/" + q.name + " --\n";
+    out += Explain(q.sql);
+  }
+  CheckGolden("lroad_explain", out);
+}
+
+TEST_F(GoldenFixture, ChainShapes) {
+  // Statement shapes the other goldens leave out: a nested-loop join, a
+  // no-FROM select, INSERT .. VALUES, SET, DISTINCT with ORDER BY and a
+  // limit, a window whose WHERE holds a scalar subquery, a `top n` window
+  // joined with a table (its input fires at n tuples) and an INSERT with a
+  // column list.
+  Exec("create table t (v int, w int)");
+  Exec("create basket s (v int)");
+  const char* shapes[] = {
+      "select * from t a, t b where a.v < b.v",
+      "select 1",
+      "insert into t values (1, 2)",
+      "set x = 1",
+      "select distinct v from t order by v limit 3",
+      "select * from [select * from s where v > (select max(v) from t)]",
+      "select count(*) from [select top 4 from s order by v] as x, t "
+      "where x.v = t.w",
+      "insert into t (w) select v from [select * from s]",
+  };
+  std::string out;
+  for (const char* sql : shapes) {
+    out += std::string("-- ") + sql + " --\n";
+    out += Explain(sql);
+  }
+  CheckGolden("chain_shapes", out);
 }
 
 }  // namespace
