@@ -344,10 +344,76 @@ void BM_LeafFireGroupBy(benchmark::State& state) {
 }
 BENCHMARK(BM_LeafFireGroupBy)->Arg(8)->Arg(32'768)->UseManualTime();
 
-// The fused root of perfbench's `sql_small_batch` net: the same 32
-// standing queries over `s` (24 filters sharing `payload < 1000`, 8
-// group-bys sharing `payload >= 8000`), fed one delivery of range(0) rows
-// per iteration. The timed region is one cooperative scheduler round,
+// Registers perfbench's 32 standing queries over `s` (sql_workloads.cc):
+// 24 filters sharing `payload < 1000`, 8 group-bys sharing
+// `payload >= 8000`. The statements are built by appends, which keeps
+// GCC 12's -Wrestrict false positive on `"lit" + string` quiet at -O3.
+bool RegisterQuerySet(sql::Session& session, const core::Emitter::Sink& sink) {
+  auto add = [&](const char* prefix, int i, const std::string& head, int n,
+                 const char* tail) {
+    std::string name = prefix;
+    name += std::to_string(i);
+    std::string sql = head;
+    sql += std::to_string(n);
+    sql += tail;
+    return session.RegisterContinuousSelect(name, sql, sink).ok();
+  };
+  for (int i = 0; i < 24; ++i) {
+    if (!add("f", i,
+             "select * from [select * from s where payload < 1000 and "
+             "payload * 3 + 7 < ",
+             307 + 120 * i, "]")) {
+      return false;
+    }
+  }
+  for (int g = 0; g < 8; ++g) {
+    if (!add("g", g,
+             "select k, count(*), sum(payload) from [select * from s where "
+             "payload >= 8000 and payload % 8 <> ",
+             g, "] group by k")) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Registration of the standing-query set above on a fresh Session with
+// sharing on: parse, prepare, trie rebuilds and factory wiring, timed
+// per whole set. Reports `allocs_per_registration`: heap allocations per
+// registered query.
+void BM_RegisterQuerySet(benchmark::State& state) {
+  uint64_t allocs = 0;
+  for (auto _ : state) {
+    core::Engine engine(SystemClock::Get());
+    sql::Session session(&engine);
+    session.set_sharing_enabled(true);
+    if (!session.Execute("create basket s (id int, k int, payload int)").ok()) {
+      state.SkipWithError("create basket failed");
+      return;
+    }
+    const uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+    const auto t0 = std::chrono::steady_clock::now();
+    const bool ok = RegisterQuerySet(session, nullptr);
+    const auto t1 = std::chrono::steady_clock::now();
+    allocs += g_allocs.load(std::memory_order_relaxed) - a0;
+    state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
+    if (!ok) {
+      state.SkipWithError("register failed");
+      return;
+    }
+  }
+  state.counters["allocs_per_registration"] = benchmark::Counter(
+      static_cast<double>(allocs) /
+      static_cast<double>(state.range(0) * state.iterations()));
+}
+BENCHMARK(BM_RegisterQuerySet)
+    ->Arg(32)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The fused root of perfbench's `sql_small_batch` net: the query set
+// above, fed one delivery of range(0) rows per iteration. The timed
+// region is one cooperative scheduler round,
 // which fires only the root (the leaves it feeds become ready during the
 // round); the leaves then drain outside the timed region. At 131072 rows
 // it is `sql_bulk`'s delivery: the root gathers megabytes of survivors,
@@ -366,37 +432,9 @@ void BM_FusedRootFire(benchmark::State& state) {
     rows_out += t.num_rows();
     return Status::OK();
   };
-  // The statements are perfbench's (sql_workloads.cc); built by appends,
-  // which keeps GCC 12's -Wrestrict false positive on `"lit" + string`
-  // quiet at -O3.
-  auto add = [&](const std::string& name, const std::string& head, int n,
-                 const char* tail) {
-    std::string sql = head;
-    sql += std::to_string(n);
-    sql += tail;
-    return session.RegisterContinuousSelect(name, sql, sink).ok();
-  };
-  for (int i = 0; i < 24; ++i) {
-    std::string name = "f";
-    name += std::to_string(i);
-    if (!add(name,
-             "select * from [select * from s where payload < 1000 and "
-             "payload * 3 + 7 < ",
-             307 + 120 * i, "]")) {
-      state.SkipWithError("register failed");
-      return;
-    }
-  }
-  for (int g = 0; g < 8; ++g) {
-    std::string name = "g";
-    name += std::to_string(g);
-    if (!add(name,
-             "select k, count(*), sum(payload) from [select * from s where "
-             "payload >= 8000 and payload % 8 <> ",
-             g, "] group by k")) {
-      state.SkipWithError("register failed");
-      return;
-    }
+  if (!RegisterQuerySet(session, sink)) {
+    state.SkipWithError("register failed");
+    return;
   }
   auto source = engine.GetBasket("s");
   if (!source.ok()) {

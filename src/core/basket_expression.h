@@ -55,6 +55,7 @@ class BasketExpression {
 
   const BasketPtr& source() const { return source_; }
   const ExprPtr& predicate() const { return predicate_; }
+  const std::vector<ops::SortKey>& order_by() const { return order_by_; }
   ConsumePolicy consume() const { return consume_; }
   std::optional<size_t> top_n() const { return top_n_; }
 

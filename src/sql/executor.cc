@@ -1,10 +1,12 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <array>
 #include <map>
+#include <numeric>
 #include <optional>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/basket.h"
@@ -27,128 +29,20 @@ namespace datacell::sql {
 
 // --- The prepared form -------------------------------------------------------
 //
-// Every expression below is bound: its column references name actual
-// columns of the table it runs over. Scalar subqueries stay in place as
-// Call("__subquery", i) until a run substitutes their values; the indices
-// a unit references are listed in its `subqueries`, so units without any
-// never copy an expression.
+// Prepare builds each SELECT body, and each INSERT, as a chain: a flat list
+// of operators held by value. Each owns its bound expressions (their column
+// references name actual columns of the table it runs over) and its state;
+// its Run takes the previous operator's table, and its Describe is its
+// segment of the EXPLAIN chain.
+//
+// Scalar subqueries stay in place as Call("__subquery", i) until a run
+// substitutes their values. Each unit evaluates the ones it references at
+// one place: a window before it reads its baskets, VALUES before its rows, a
+// select after its FROM (at Chain::from, or in its join between reading the
+// sources and joining them). Only an operator whose own expressions
+// reference one copies them to substitute the values.
 
-// The expressions of one basket expression, kept apart from its baskets so
-// that a run with scalar subqueries substitutes into a copy of only these.
-struct WindowExprs {
-  ExprPtr where;                       // one basket: the window predicate
-  std::vector<ops::SortKey> order_by;  // one basket
-  ExprPtr residual;                    // merge: what the hash keys leave
-  std::vector<ops::ProjectionItem> proj;  // empty for a plain `select *`
-
-  template <typename F>
-  void ForEach(F&& f) {
-    f(where);
-    for (ops::SortKey& k : order_by) f(k.expr);
-    f(residual);
-    for (ops::ProjectionItem& p : proj) f(p.expr);
-  }
-};
-
-// A bracketed basket expression (§3.4) bound to its baskets.
-struct PreparedWindow {
-  core::BasketPtr left;   // the basket read (the left side of a merge)
-  core::BasketPtr right;  // a two-basket merge; null otherwise
-  std::optional<size_t> top_n;
-  std::vector<ops::JoinKey> keys;  // merge
-  bool plain_star = false;
-  WindowExprs exprs;
-  // The one-basket window, built once; a run with scalar subqueries builds
-  // its own from the substituted expressions.
-  std::optional<core::BasketExpression> window;
-  std::vector<size_t> subqueries;
-  std::vector<std::string> out_names;
-};
-
-// One FROM item.
-struct PreparedSource {
-  enum class Kind { kWindow, kTemp, kBasket, kTable, kVirtual };
-  Kind kind = Kind::kTable;
-  std::string name;   // the relation (kTemp/kBasket/kTable/kVirtual)
-  std::string alias;  // the binding name the scope uses
-  std::unique_ptr<PreparedWindow> window;  // kWindow
-  std::shared_ptr<Table> temp;             // kTemp: the WITH binding's slot
-  core::BasketPtr basket;                  // kBasket: read without consuming
-  std::shared_ptr<Table> table;            // kTable
-  std::vector<std::string> names;          // the columns the scope binds
-};
-
-// Every expression one SELECT evaluates (see WindowExprs).
-struct SelectExprs {
-  ExprPtr where;  // over the single source, or over the no-FROM row
-  ExprPtr join;   // two sources: the hash join's residual, else the
-                  // nested-loop predicate
-  std::vector<ops::GroupItem> groups;
-  std::vector<ops::AggItem> aggs;
-  ExprPtr having;
-  std::vector<ops::ProjectionItem> proj;
-  std::vector<ops::SortKey> pre_sort;   // ORDER BY over the input
-  std::vector<ops::SortKey> post_sort;  // ORDER BY over the output
-
-  template <typename F>
-  void ForEach(F&& f) {
-    f(where);
-    f(join);
-    for (ops::GroupItem& g : groups) f(g.expr);
-    for (ops::AggItem& a : aggs) f(a.arg);
-    f(having);
-    for (ops::ProjectionItem& p : proj) f(p.expr);
-    for (ops::SortKey& k : pre_sort) f(k.expr);
-    for (ops::SortKey& k : post_sort) f(k.expr);
-  }
-};
-
-struct PreparedSelect {
-  std::vector<PreparedSource> sources;
-  Table dummy;                         // the one row of a no-FROM select
-  std::vector<ops::JoinKey> join_keys;  // two sources; empty = nested loop
-  bool aggregated = false;
-  bool distinct = false;
-  std::vector<ops::GroupItem> distinct_groups;
-  std::optional<size_t> top_n;
-  SelectExprs exprs;
-  std::vector<size_t> subqueries;
-  std::vector<std::string> out_names;
-};
-
-struct PreparedStmt {
-  const Statement* ast = nullptr;
-  std::unique_ptr<PreparedSelect> select;  // SELECT, INSERT .. SELECT
-  // INSERT .. VALUES rows, and the SET value.
-  std::vector<std::vector<ExprPtr>> values;
-  ExprPtr value;
-  // INSERT target. One that does not exist at prepare resolves on a run.
-  bool target_resolved = false;
-  core::BasketPtr target_basket;
-  std::shared_ptr<Table> target_table;
-  Schema target_schema;        // user columns (no arrival column)
-  std::vector<int> positions;  // explicit column list, into target_schema
-  int trim_column = -1;        // source arrival column the target lacks
-  // WITH: the binding's window fills `slot`, which body sources read.
-  std::unique_ptr<PreparedWindow> binding;
-  std::shared_ptr<Table> slot;
-  std::vector<PreparedStmt> body;
-  std::vector<size_t> subqueries;  // VALUES / SET
-};
-
-struct PreparedStatement {
-  const Statement* ast = nullptr;
-  PreparedStmt root;
-  std::vector<std::unique_ptr<PreparedSelect>> subqueries;  // by index
-  // Some bound expression holds a name that is no column: only such a
-  // name can be a session variable, so only then does a run snapshot them.
-  bool needs_vars = false;
-  // Reads a catalog table (or a dc_* table a new one could shadow), or
-  // inserts into a target that does not exist yet: a run re-prepares when
-  // the catalog changed since `catalog_generation`.
-  bool reads_catalog = false;
-  uint64_t catalog_generation = 0;
-};
+struct PreparedStmt;
 
 namespace {
 
@@ -169,49 +63,44 @@ std::string ItemName(const SelectItem& item, size_t index) {
   return "col" + std::to_string(index);
 }
 
-// Converts `src` to exactly `target` (positional): identical types copy,
-// int widens to double; anything else is a type error.
-Result<Table> ConvertTableTo(const Schema& target, const Table& src) {
-  if (src.num_columns() != target.num_fields()) {
+// Aligns `src` to `target`: source column c fills target column
+// positions[c] (c itself when `positions` is empty, none when -1), the
+// rest are NULL. Identical types copy, int converts to timestamp and back
+// and widens to double; anything else is a type error.
+Result<Table> Align(const Schema& target, const Table& src,
+                    const std::vector<int>& positions) {
+  if (positions.empty() && src.num_columns() != target.num_fields()) {
     return Status::TypeMismatch(
         "source arity " + std::to_string(src.num_columns()) +
         " does not match target " + target.ToString());
   }
+  std::vector<int> from(target.num_fields(), -1);
+  for (size_t c = 0; c < src.num_columns(); ++c) {
+    const int t = positions.empty() ? static_cast<int>(c) : positions[c];
+    if (t >= 0) from[static_cast<size_t>(t)] = static_cast<int>(c);
+  }
   Table out(target);
-  for (size_t c = 0; c < target.num_fields(); ++c) {
-    const Column& in = src.column(c);
-    Column& dst = out.column(c);
-    const DataType want = target.field(c).type;
-    if (in.type() == want ||
-        (IsIntegerPhysical(in.type()) && IsIntegerPhysical(want))) {
-      if (in.type() == want) {
-        RETURN_NOT_OK(dst.AppendColumn(in));
-      } else {
-        // int <-> timestamp: same physical representation.
-        for (size_t i = 0; i < in.size(); ++i) {
-          if (!in.IsValid(i)) {
-            dst.AppendNull();
-          } else {
-            dst.AppendInt(in.ints()[i]);
-          }
-        }
-      }
+  for (size_t t = 0; t < target.num_fields(); ++t) {
+    Column& dst = out.column(t);
+    if (from[t] < 0) {
+      for (size_t i = 0; i < src.num_rows(); ++i) dst.AppendNull();
       continue;
     }
-    if (want == DataType::kDouble && IsIntegerPhysical(in.type())) {
+    const Column& in = src.column(static_cast<size_t>(from[t]));
+    const DataType want = target.field(t).type;
+    if (in.type() == want) {
+      RETURN_NOT_OK(dst.AppendColumn(in));
+    } else if (IsIntegerPhysical(in.type()) &&
+               (IsIntegerPhysical(want) || want == DataType::kDouble)) {
       for (size_t i = 0; i < in.size(); ++i) {
-        if (!in.IsValid(i)) {
-          dst.AppendNull();
-        } else {
-          dst.AppendDouble(static_cast<double>(in.ints()[i]));
-        }
+        RETURN_NOT_OK(dst.AppendValue(in.GetValue(i)));
       }
-      continue;
+    } else {
+      return Status::TypeMismatch("cannot insert " +
+                                  std::string(DataTypeName(in.type())) +
+                                  " into column '" + target.field(t).name +
+                                  "' of type " + DataTypeName(want));
     }
-    return Status::TypeMismatch("cannot insert " +
-                                std::string(DataTypeName(in.type())) +
-                                " into column '" + target.field(c).name +
-                                "' of type " + DataTypeName(want));
   }
   return out;
 }
@@ -285,39 +174,36 @@ std::vector<std::pair<std::string, std::string>> VisibleSelf(
   return out;
 }
 
-std::vector<std::string> FieldNames(const Schema& schema) {
-  std::vector<std::string> out;
-  out.reserve(schema.num_fields());
-  for (const Field& f : schema.fields()) out.push_back(f.name);
-  return out;
+// The scope over a two-source FROM. The combined table renames a right
+// column the left side also has to r_<name>, as MaterializeJoin does;
+// `combined_to_right` maps those names back for ExtractEquiJoin.
+NameScope JoinScope(const std::string& lalias,
+                    const std::vector<std::string>& lnames,
+                    const std::string& ralias,
+                    const std::vector<std::string>& rnames,
+                    std::map<std::string, std::string>* combined_to_right) {
+  std::vector<std::pair<std::string, std::string>> rvisible;
+  for (const std::string& name : rnames) {
+    std::string actual = name;
+    if (std::find(lnames.begin(), lnames.end(), name) != lnames.end()) {
+      actual = "r_" + name;
+    }
+    (*combined_to_right)[actual] = name;
+    rvisible.emplace_back(name, std::move(actual));
+  }
+  NameScope scope;
+  scope.AddSource(lalias, VisibleSelf(lnames));
+  scope.AddSource(ralias, std::move(rvisible));
+  return scope;
 }
 
-std::vector<std::string> ItemNames(
-    const std::vector<ops::ProjectionItem>& items) {
+// The names of a schema's fields or of projection items.
+template <typename T>
+std::vector<std::string> Names(const std::vector<T>& items) {
   std::vector<std::string> out;
   out.reserve(items.size());
-  for (const ops::ProjectionItem& p : items) out.push_back(p.name);
+  for (const T& item : items) out.push_back(item.name);
   return out;
-}
-
-Schema SchemaFromColumns(
-    const std::vector<std::pair<std::string, std::string>>& columns,
-    Status* status) {
-  Schema schema;
-  for (const auto& [name, type_name] : columns) {
-    Result<DataType> type = DataTypeFromName(type_name);
-    if (!type.ok()) {
-      *status = type.status();
-      return schema;
-    }
-    Status st = schema.AddField({name, *type});
-    if (!st.ok()) {
-      *status = st;
-      return schema;
-    }
-  }
-  *status = Status::OK();
-  return schema;
 }
 
 bool IsSubquery(const Expr& e) {
@@ -342,17 +228,474 @@ ExprPtr Substitute(const ExprPtr& e, const SubqueryValues& values) {
   return clone == nullptr ? e : ExprPtr(std::move(clone));
 }
 
+// Calls `f` on each expression of an operator's item list (or on one
+// expression).
+template <typename T, typename F>
+void ForEachExpr(T& x, F&& f) {
+  if constexpr (std::is_same_v<std::remove_const_t<T>, ExprPtr>) {
+    f(x);
+  } else {
+    for (auto& item : x) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(item)>,
+                                   ops::AggItem>) {
+        f(item.arg);
+      } else {
+        f(item.expr);
+      }
+    }
+  }
+}
+
+bool HasSubquery(const ExprPtr& e) {
+  if (e == nullptr) return false;
+  if (IsSubquery(*e)) return true;
+  return std::any_of(e->children.begin(), e->children.end(),
+                     [](const ExprPtr& c) { return HasSubquery(c); });
+}
+
+// The texts of `items`, separated by `sep`.
+template <typename T, typename F>
+std::string Joined(const std::vector<T>& items, const char* sep, F&& text) {
+  std::string out;
+  for (const T& item : items) {
+    if (!out.empty()) out += sep;
+    out += text(item);
+  }
+  return out;
+}
+
+std::string KeysText(const std::vector<ops::SortKey>& keys) {
+  return Joined(keys, ", ", [](const ops::SortKey& k) {
+    return k.expr->ToString() + (k.ascending ? "" : " desc");
+  });
+}
+
+std::string KeysText(const std::vector<ops::JoinKey>& keys) {
+  return Joined(keys, " and ", [](const ops::JoinKey& k) {
+    return k.left + " = " + k.right;
+  });
+}
+
+std::string AggText(const ops::AggItem& a) {
+  switch (a.func) {
+    case ops::AggFunc::kCountStar: return "count(*)";
+    case ops::AggFunc::kCount: return "count(" + a.arg->ToString() + ")";
+    case ops::AggFunc::kSum: return "sum(" + a.arg->ToString() + ")";
+    case ops::AggFunc::kAvg: return "avg(" + a.arg->ToString() + ")";
+    case ops::AggFunc::kMin: return "min(" + a.arg->ToString() + ")";
+    case ops::AggFunc::kMax: return "max(" + a.arg->ToString() + ")";
+  }
+  return "?";
+}
+
+struct Chain;
+
+// One run of a prepared statement: one EvalContext (one clock read), the
+// session variables when some bound expression may name one, and the
+// scalar subqueries' values.
+struct Runner {
+  Runner(core::Engine* e, const PreparedStatement* prepared);
+
+  Result<Table> Stmt(const PreparedStmt& s);
+
+  // Passes a table down the chain, each operator taking the previous one's.
+  Result<Table> Run(const Chain& chain);
+
+  // Evaluates the scalar subqueries `ids` into `values`.
+  Status Subqueries(const std::vector<size_t>& ids);
+
+  // `x` as an operator evaluates it: its prepared expressions, or a copy in
+  // `*copy` with the values substituted when they reference a subquery.
+  template <typename T>
+  const T& Bound(const T& x, T* copy) const {
+    bool refs = false;
+    if (!values.empty()) {
+      ForEachExpr(x, [&](const ExprPtr& e) { refs = refs || HasSubquery(e); });
+    }
+    if (!refs) return x;
+    *copy = x;
+    ForEachExpr(*copy, [&](ExprPtr& e) { e = Substitute(e, values); });
+    return *copy;
+  }
+
+  core::Engine* engine;
+  const PreparedStatement* p;
+  std::map<std::string, Value> vars;
+  EvalContext eval;
+  SubqueryValues values;
+};
+
+// --- Operators ---------------------------------------------------------------
+
+// A one-basket window (§3.4): `take b where .. order by .. top n`.
+struct TakeOp {
+  core::BasketExpression window;
+  std::vector<size_t> subqueries;  // the window's
+
+  Result<Table> Run(const Table&, Runner& r) const {
+    if (subqueries.empty()) return window.Evaluate(r.eval);
+    RETURN_NOT_OK(r.Subqueries(subqueries));
+    ExprPtr where;
+    std::vector<ops::SortKey> order_by;
+    core::BasketExpression bound = window;
+    bound.Where(r.Bound(window.predicate(), &where))
+        .OrderBy(r.Bound(window.order_by(), &order_by));
+    return bound.Evaluate(r.eval);
+  }
+  std::string Describe() const {
+    const ExprPtr& where = window.predicate();
+    const std::optional<size_t> top_n = window.top_n();
+    std::string out = "take " + window.source()->name();
+    if (where != nullptr) out += " where " + where->ToString();
+    if (!window.order_by().empty()) {
+      out += " order by " + KeysText(window.order_by());
+    }
+    if (top_n.has_value()) out += " top " + std::to_string(*top_n);
+    return out;
+  }
+};
+
+// A two-basket merge (§5 split & merge): a hash join of the two baskets
+// that consumes exactly the matched tuples.
+struct MergeOp {
+  core::BasketPtr left;
+  core::BasketPtr right;
+  std::vector<ops::JoinKey> keys;
+  ExprPtr residual;  // what the hash keys leave
+  std::vector<size_t> subqueries;  // the window's
+
+  Result<Table> Run(const Table&, Runner& r) const {
+    RETURN_NOT_OK(r.Subqueries(subqueries));
+    // Lock both baskets for the whole read-join-delete sequence, so the
+    // matched row indices computed against the zero-copy snapshots below
+    // still describe the baskets when the deletes run. Ascending address
+    // order is the canonical basket-lock order (Factory::Fire), so two
+    // sessions merging the same pair in opposite FROM orders cannot
+    // deadlock.
+    core::Basket* const lo = std::min(left.get(), right.get());
+    core::Basket* const hi = std::max(left.get(), right.get());
+    core::BasketLock lock_lo(lo);
+    core::BasketLock lock_hi(hi);
+    Table ltab = left->Peek();
+    Table rtab = right->Peek();
+
+    ASSIGN_OR_RETURN(ops::JoinMatches matches,
+                     ops::HashJoinIndices(ltab, rtab, keys));
+    ASSIGN_OR_RETURN(Table combined, ops::MaterializeJoin(ltab, rtab, matches));
+    SelVector surviving(combined.num_rows());
+    std::iota(surviving.begin(), surviving.end(), 0u);
+    if (residual != nullptr) {
+      ExprPtr copy;
+      ASSIGN_OR_RETURN(surviving, EvalPredicate(combined,
+                                                *r.Bound(residual, &copy),
+                                                r.eval));
+    }
+    Table result = combined.Take(surviving);
+
+    // Consume exactly the matched tuples on both sides (non-matching tuples
+    // remain, waiting for delayed arrivals).
+    auto erase_side = [&](core::Basket* basket, const SelVector& match_rows) {
+      SelVector rows;
+      rows.reserve(surviving.size());
+      for (uint32_t s : surviving) rows.push_back(match_rows[s]);
+      std::sort(rows.begin(), rows.end());
+      rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+      return basket->EraseRows(rows);
+    };
+    RETURN_NOT_OK(erase_side(left.get(), matches.left));
+    RETURN_NOT_OK(erase_side(right.get(), matches.right));
+    return result;
+  }
+  std::string Describe() const {
+    std::string out = "merge " + left->name() + ", " + right->name() +
+                      " on " + KeysText(keys);
+    if (residual != nullptr) out += " where " + residual->ToString();
+    return out;
+  }
+};
+
+// A basket read outside a basket expression: a zero-copy COW snapshot, so
+// the rest of the query runs over a stable view without copying the stream
+// or holding the basket lock, and nothing is consumed.
+struct PeekOp {
+  core::BasketPtr basket;
+
+  Result<Table> Run(const Table&, Runner&) const { return basket->Peek(); }
+  std::string Describe() const { return "peek " + basket->name(); }
+};
+
+// A WITH binding, from the slot its window fills on each run.
+struct ReadOp {
+  std::string name;
+  std::shared_ptr<Table> slot;
+
+  Result<Table> Run(const Table&, Runner&) const { return *slot; }
+  std::string Describe() const { return "read " + name; }
+};
+
+// A catalog table or, with no `table`, a dc_* table: each run materializes
+// a fresh snapshot of the engine's metrics / trace state — the R-GMA
+// pattern of monitoring-as-relations.
+struct ScanOp {
+  std::string name;
+  std::shared_ptr<Table> table;
+
+  Result<Table> Run(const Table&, Runner& r) const {
+    if (table == nullptr) return obs::VirtualTable(r.engine, name);
+    return *table;
+  }
+  std::string Describe() const { return "scan " + name; }
+};
+
+// The one row a no-FROM select runs over.
+struct RowOp {
+  Table row;
+
+  Result<Table> Run(const Table&, Runner&) const { return row; }
+  std::string Describe() const { return "row"; }
+};
+
+// INSERT .. VALUES rows, appended straight into a table of the columns they
+// fill: it takes NULL in any column and widens int to double.
+struct ValuesOp {
+  std::vector<std::vector<ExprPtr>> rows;
+  Schema schema;
+  std::vector<size_t> subqueries;
+
+  Result<Table> Run(const Table&, Runner& r) const {
+    RETURN_NOT_OK(r.Subqueries(subqueries));
+    Table out(schema);
+    for (const std::vector<ExprPtr>& exprs : rows) {
+      Row row;
+      for (const ExprPtr& e : exprs) {
+        ExprPtr copy;
+        ASSIGN_OR_RETURN(Value v, EvalConst(*r.Bound(e, &copy), r.eval));
+        row.push_back(std::move(v));
+      }
+      RETURN_NOT_OK(out.AppendRow(row));
+    }
+    return out;
+  }
+  std::string Describe() const { return "values"; }
+};
+
+// A two-source FROM: a hash join on `keys` with `pred` as residual, or
+// (no keys) a nested-loop join on `pred`.
+struct JoinOp {
+  std::vector<Chain> sources;  // left, right
+  std::vector<ops::JoinKey> keys;
+  ExprPtr pred;
+  std::vector<size_t> subqueries;  // the select's
+
+  Result<Table> Run(const Table&, Runner& r) const;
+  std::string Describe() const;
+};
+
+// WHERE, or HAVING over the aggregation output.
+struct FilterOp {
+  ExprPtr pred;
+  bool having = false;
+
+  Result<Table> Run(const Table& in, Runner& r) const {
+    ExprPtr copy;
+    ASSIGN_OR_RETURN(SelVector sel,
+                     EvalPredicate(in, *r.Bound(pred, &copy), r.eval));
+    return in.Take(sel);
+  }
+  std::string Describe() const {
+    return having ? "having" : "filter " + pred->ToString();
+  }
+};
+
+struct AggregateOp {
+  std::vector<ops::GroupItem> groups;
+  std::vector<ops::AggItem> aggs;
+
+  Result<Table> Run(const Table& in, Runner& r) const {
+    std::vector<ops::GroupItem> g;
+    std::vector<ops::AggItem> a;
+    return ops::Aggregate(in, r.Bound(groups, &g), r.Bound(aggs, &a),
+                          r.eval);
+  }
+  std::string Describe() const {
+    std::string out = "aggregate";
+    if (!groups.empty()) {
+      out += " group by " + Joined(groups, ", ", [](const ops::GroupItem& g) {
+               return g.expr->ToString();
+             });
+    }
+    if (!aggs.empty()) out += " [" + Joined(aggs, ", ", AggText) + "]";
+    return out;
+  }
+};
+
+struct SortOp {
+  std::vector<ops::SortKey> keys;
+
+  Result<Table> Run(const Table& in, Runner& r) const {
+    std::vector<ops::SortKey> copy;
+    return ops::SortTable(in, r.Bound(keys, &copy), r.eval);
+  }
+  std::string Describe() const { return "sort by " + KeysText(keys); }
+};
+
+struct ProjectOp {
+  std::vector<ops::ProjectionItem> items;
+
+  Result<Table> Run(const Table& in, Runner& r) const {
+    std::vector<ops::ProjectionItem> copy;
+    return ops::Project(in, r.Bound(items, &copy), r.eval);
+  }
+  std::string Describe() const { return "project"; }
+};
+
+struct DistinctOp {
+  std::vector<ops::GroupItem> groups;  // every output column
+
+  Result<Table> Run(const Table& in, Runner& r) const {
+    return ops::Aggregate(in, groups, {}, r.eval);
+  }
+  std::string Describe() const { return "distinct"; }
+};
+
+// An outer TOP / LIMIT: a plain prefix.
+struct TopOp {
+  size_t n = 0;
+
+  Result<Table> Run(const Table& in, Runner&) const {
+    if (in.num_rows() <= n) return in;
+    SelVector prefix(n);
+    std::iota(prefix.begin(), prefix.end(), 0u);
+    return in.Take(prefix);
+  }
+  std::string Describe() const { return "top " + std::to_string(n); }
+};
+
+// Appends its input to a basket or table. Without either, the target did
+// not exist at prepare and the insert fails (the statement prepares again
+// on its next run).
+struct InsertOp {
+  std::string target;
+  core::BasketPtr basket;
+  std::shared_ptr<Table> table;
+  Schema schema;  // user columns (no arrival column)
+  // The target column each input column fills (-1: a forwarded arrival
+  // column the target lacks); empty when they match one for one.
+  std::vector<int> positions;
+
+  Result<Table> Run(const Table& in, Runner& r) const {
+    if (basket == nullptr && table == nullptr) {
+      return r.engine->catalog().GetTable(target).status();
+    }
+    ASSIGN_OR_RETURN(Table aligned, Align(schema, in, positions));
+    if (basket != nullptr) {
+      RETURN_NOT_OK(basket->Append(aligned, r.eval.now).status());
+    } else {
+      RETURN_NOT_OK(table->AppendTable(aligned));
+    }
+    return Table();
+  }
+  std::string Describe() const { return "insert into " + target; }
+};
+
+using Op = std::variant<TakeOp, MergeOp, PeekOp, ReadOp, ScanOp, RowOp,
+                        ValuesOp, JoinOp, FilterOp, AggregateOp, SortOp,
+                        ProjectOp, DistinctOp, TopOp, InsertOp>;
+
+struct Chain {
+  std::vector<Op> ops;
+  // A select's scalar subqueries, evaluated once its first `from`
+  // operators (its FROM) ran.
+  size_t from = 0;
+  std::vector<size_t> subqueries;
+
+  std::string Describe() const {
+    std::string out;
+    for (const Op& op : ops) {
+      if (!out.empty()) out += kThen;
+      out += std::visit([](const auto& o) { return o.Describe(); }, op);
+    }
+    return out;
+  }
+};
+
+Result<Table> JoinOp::Run(const Table&, Runner& r) const {
+  ASSIGN_OR_RETURN(Table ltab, r.Run(sources[0]));
+  ASSIGN_OR_RETURN(Table rtab, r.Run(sources[1]));
+  // The select's scalar subqueries run after its FROM: a consuming source
+  // acts first.
+  RETURN_NOT_OK(r.Subqueries(subqueries));
+  ExprPtr copy;
+  const ExprPtr& p = r.Bound(pred, &copy);
+  ops::JoinMatches matches;
+  if (!keys.empty()) {
+    ASSIGN_OR_RETURN(matches, ops::HashJoinIndices(ltab, rtab, keys));
+  } else {
+    ASSIGN_OR_RETURN(matches, ops::NestedLoopJoin(ltab, rtab, *p, r.eval));
+  }
+  ASSIGN_OR_RETURN(Table combined, ops::MaterializeJoin(ltab, rtab, matches));
+  if (!keys.empty() && p != nullptr) {
+    ASSIGN_OR_RETURN(SelVector sel, EvalPredicate(combined, *p, r.eval));
+    combined = combined.Take(sel);
+  }
+  return combined;
+}
+
+std::string JoinOp::Describe() const {
+  std::string out = "(" + sources[0].Describe() + "), (" +
+                    sources[1].Describe() + ")" + kThen;
+  if (keys.empty()) return out + "nested-loop join on " + pred->ToString();
+  out += "hash join on " + KeysText(keys);
+  if (pred != nullptr) out += " where " + pred->ToString();
+  return out;
+}
+
+}  // namespace
+
+struct PreparedStmt {
+  const Statement* ast = nullptr;
+  Chain chain;  // SELECT and INSERT; a WITH block's binding window
+  // SET: the value and its scalar subqueries.
+  ExprPtr value;
+  std::vector<size_t> subqueries;
+  // WITH: the binding's window fills `slot`, which body sources read.
+  std::shared_ptr<Table> slot;
+  std::vector<PreparedStmt> body;
+};
+
+struct PreparedStatement {
+  const Statement* ast = nullptr;
+  PreparedStmt root;
+  std::vector<Chain> subqueries;  // by index; no operators = unreferenced
+  FactoryPlaces places;
+  // Some bound expression holds a name that is no column: only such a
+  // name can be a session variable, so only then does a run snapshot them.
+  bool needs_vars = false;
+  // Reads a catalog table (or a dc_* table a new one could shadow), or
+  // inserts into a table or a target that does not exist yet: a run
+  // re-prepares when the catalog changed since `catalog_generation`.
+  bool reads_catalog = false;
+  uint64_t catalog_generation = 0;
+  // Inserts into a target that did not exist: a run prepares again first,
+  // until one finds it.
+  bool pending_target = false;
+};
+
+namespace {
+
 // CREATE TABLE / CREATE BASKET.
 Result<Table> ExecCreate(core::Engine* engine, const CreateStmt& stmt) {
-  Status st;
-  Schema schema = SchemaFromColumns(stmt.columns, &st);
-  RETURN_NOT_OK(st);
+  Schema schema;
+  for (const auto& [name, type_name] : stmt.columns) {
+    ASSIGN_OR_RETURN(DataType type, DataTypeFromName(type_name));
+    RETURN_NOT_OK(schema.AddField({name, type}));
+  }
   if (stmt.is_basket) {
     ASSIGN_OR_RETURN(auto b, engine->CreateBasket(stmt.name, schema));
     // CHECK constraints resolve against the basket's full schema and act
     // as the §3.2 silent filter.
     NameScope scope;
-    scope.AddSource(stmt.name, VisibleSelf(FieldNames(b->schema())));
+    scope.AddSource(stmt.name, VisibleSelf(Names(b->schema().fields())));
     for (const ExprPtr& check : stmt.checks) {
       ASSIGN_OR_RETURN(ExprPtr resolved, ResolveColumns(check, scope, true));
       b->AddConstraint(std::move(resolved));
@@ -361,19 +704,16 @@ Result<Table> ExecCreate(core::Engine* engine, const CreateStmt& stmt) {
     if (engine->HasBasket(stmt.name)) {
       return Status::AlreadyExists("a basket named '" + stmt.name + "' exists");
     }
-    ASSIGN_OR_RETURN(auto t, engine->catalog().CreateTable(stmt.name, schema));
-    (void)t;
+    RETURN_NOT_OK(engine->catalog().CreateTable(stmt.name, schema).status());
   }
   return Table();
 }
 
-Result<Table> ExecDrop(core::Engine* engine, const DropStmt& stmt) {
-  if (stmt.is_basket) {
-    RETURN_NOT_OK(engine->DropBasket(stmt.name));
-  } else {
-    RETURN_NOT_OK(engine->catalog().DropTable(stmt.name));
-  }
-  return Table();
+// A knob's 0/1 or boolean value.
+Result<bool> KnobSwitch(const std::string& name, const Value& v) {
+  if (v.is_int()) return v.int_value() != 0;
+  if (v.is_bool()) return v.bool_value();
+  return Status::InvalidArgument("SET " + name + " expects 0/1 or a boolean");
 }
 
 // Applies the side effects of the observability, durability and sharding
@@ -384,15 +724,7 @@ Status ApplyKnob(const std::string& name, const Value& v) {
   // optional hot-path instrumentation. The variable is still stored, so
   // `SELECT` of it reflects the toggle.
   if (name == "dc_trace" || name == "dc_metrics") {
-    bool on = false;
-    if (v.is_int()) {
-      on = v.int_value() != 0;
-    } else if (v.is_bool()) {
-      on = v.bool_value();
-    } else {
-      return Status::InvalidArgument("SET " + name +
-                                     " expects 0/1 or a boolean");
-    }
+    ASSIGN_OR_RETURN(bool on, KnobSwitch(name, v));
     if (name == "dc_trace") {
       obs::TraceLog::Global().set_enabled(on);
     } else {
@@ -403,14 +735,7 @@ Status ApplyKnob(const std::string& name, const Value& v) {
   // gate, `SET dc_fsync = 'none'|'batch'|'always'` retunes every open
   // ingest log's fsync policy.
   if (name == "dc_spill") {
-    bool on = false;
-    if (v.is_int()) {
-      on = v.int_value() != 0;
-    } else if (v.is_bool()) {
-      on = v.bool_value();
-    } else {
-      return Status::InvalidArgument("SET dc_spill expects 0/1 or a boolean");
-    }
+    ASSIGN_OR_RETURN(bool on, KnobSwitch(name, v));
     storage::SetSpillEnabled(on);
   }
   if (name == "dc_fsync") {
@@ -445,48 +770,6 @@ Status ApplyKnob(const std::string& name, const Value& v) {
   return Status::OK();
 }
 
-// Resolves an INSERT target: its user schema, the explicit column list's
-// positions and the arrival column a forwarded stream row must drop.
-Status ResolveInsertTarget(core::Engine* engine, PreparedStmt* s) {
-  const InsertStmt& stmt = *s->ast->insert;
-  if (engine->HasBasket(stmt.target)) {
-    ASSIGN_OR_RETURN(s->target_basket, engine->GetBasket(stmt.target));
-    std::vector<Field> fields(s->target_basket->schema().fields());
-    if (s->target_basket->has_arrival_column()) fields.pop_back();
-    s->target_schema = Schema(std::move(fields));
-  } else {
-    ASSIGN_OR_RETURN(s->target_table, engine->catalog().GetTable(stmt.target));
-    s->target_schema = s->target_table->schema();
-  }
-  const size_t arity = s->select != nullptr ? s->select->out_names.size()
-                                            : s->values[0].size();
-  if (!stmt.columns.empty()) {
-    // Scatter the source columns into place, filling the rest with NULLs.
-    if (stmt.columns.size() != arity) {
-      return Status::InvalidArgument(
-          "INSERT column list arity does not match source");
-    }
-    s->positions.clear();
-    for (const std::string& col : stmt.columns) {
-      const int idx = s->target_schema.FindField(col);
-      if (idx < 0) {
-        return Status::BindError("no column '" + col + "' in '" +
-                                 stmt.target + "'");
-      }
-      s->positions.push_back(idx);
-    }
-  } else if (s->select != nullptr &&
-             arity == s->target_schema.num_fields() + 1) {
-    // A full-schema stream row (including dc_arrival) forwarded into a
-    // basket/table without that column: drop the arrival column by name.
-    const std::vector<std::string>& names = s->select->out_names;
-    auto it = std::find(names.begin(), names.end(), core::kArrivalColumn);
-    s->trim_column = it == names.end() ? -1 : static_cast<int>(it - names.begin());
-  }
-  s->target_resolved = true;
-  return Status::OK();
-}
-
 // --- Prepare -----------------------------------------------------------------
 
 class Binder {
@@ -497,9 +780,25 @@ class Binder {
   Result<PreparedStmt> Stmt(const Statement& stmt);
 
  private:
-  Result<std::unique_ptr<PreparedSelect>> Select(const SelectStmt& stmt);
-  Result<std::unique_ptr<PreparedWindow>> Window(const SelectStmt& stmt);
-  Result<PreparedSource> Source(const FromItem& item);
+  // Each appends the operators of one select, basket expression or FROM
+  // item to `chain` and the columns they produce to `names`.
+  Status Select(const SelectStmt& stmt, Chain* chain,
+                std::vector<std::string>* names);
+  Status Window(const SelectStmt& stmt, Chain* chain,
+                std::vector<std::string>* names);
+  // Returns the binding name the FROM scope uses.
+  Result<std::string> Source(const FromItem& item, Chain* chain,
+                             std::vector<std::string>* names);
+  // Binds a select list without aggregates over `scope`. A star expands
+  // to the scope's columns; a name both sides of a join produce gets an r_
+  // prefix on its second occurrence.
+  Status Items(const SelectStmt& stmt, const NameScope& scope,
+               std::vector<size_t>* subs,
+               std::vector<ops::ProjectionItem>* proj);
+  Status Insert(const InsertStmt& ins, PreparedStmt* s);
+
+  // Records a basket the statement consumes, keeping its largest threshold.
+  void Consume(const core::BasketPtr& basket, size_t min_tuples);
 
   // Resolves `e` against `scope`. Notes a name that resolves to no column
   // (a session variable) and prepares the scalar subqueries `e` references,
@@ -526,6 +825,18 @@ class Binder {
   std::map<std::string, Temp> temps_;
 };
 
+void Binder::Consume(const core::BasketPtr& basket, size_t min_tuples) {
+  std::vector<PreparedInput>& inputs = out_->places.inputs;
+  auto it = std::find_if(inputs.begin(), inputs.end(), [&](const auto& in) {
+    return in.basket->name() >= basket->name();
+  });
+  if (it == inputs.end() || it->basket != basket) {
+    inputs.insert(it, PreparedInput{basket, min_tuples});
+  } else {
+    it->min_tuples = std::max(it->min_tuples, min_tuples);
+  }
+}
+
 Status Binder::NoteSubqueries(const Expr& e, std::vector<size_t>* subs) {
   if (IsSubquery(e)) {
     const int64_t index = e.children[0]->literal.int_value();
@@ -537,11 +848,14 @@ Status Binder::NoteSubqueries(const Expr& e, std::vector<size_t>* subs) {
     if (std::find(subs->begin(), subs->end(), i) == subs->end()) {
       subs->push_back(i);
     }
-    if (out_->subqueries[i] == nullptr) {
-      ASSIGN_OR_RETURN(out_->subqueries[i], Select(*(*asts_)[i]));
-      if (out_->subqueries[i]->out_names.size() != 1) {
+    if (out_->subqueries[i].ops.empty()) {
+      Chain chain;
+      std::vector<std::string> names;
+      RETURN_NOT_OK(Select(*(*asts_)[i], &chain, &names));
+      if (names.size() != 1) {
         return Status::BindError("scalar subquery must produce one column");
       }
+      out_->subqueries[i] = std::move(chain);
     }
     return Status::OK();
   }
@@ -586,7 +900,33 @@ Result<ExprPtr> Binder::BindConst(const ExprPtr& e, std::vector<size_t>* subs) {
   return e;
 }
 
-Result<std::unique_ptr<PreparedWindow>> Binder::Window(const SelectStmt& stmt) {
+
+Status Binder::Items(const SelectStmt& stmt, const NameScope& scope,
+                     std::vector<size_t>* subs,
+                     std::vector<ops::ProjectionItem>* proj) {
+  for (size_t i = 0; i < stmt.items.size(); ++i) {
+    const SelectItem& item = stmt.items[i];
+    if (!item.star) {
+      ASSIGN_OR_RETURN(ExprPtr e, Bind(item.expr, scope, subs));
+      proj->push_back({std::move(e), ItemName(item, i)});
+      continue;
+    }
+    if (stmt.from.empty()) {
+      return Status::BindError("SELECT * requires a FROM clause");
+    }
+    ASSIGN_OR_RETURN(auto cols, scope.StarColumns(item.star_qualifier));
+    for (const auto& [vis, actual] : cols) {
+      const bool dup =
+          std::any_of(proj->begin(), proj->end(),
+                      [&](const auto& p) { return p.name == vis; });
+      proj->push_back({Expr::Col(actual), dup ? "r_" + vis : vis});
+    }
+  }
+  return Status::OK();
+}
+
+Status Binder::Window(const SelectStmt& stmt, Chain* chain,
+                      std::vector<std::string>* names) {
   if (stmt.from.empty() || stmt.from.size() > 2) {
     return Status::BindError(
         "a basket expression must read one or two baskets");
@@ -606,49 +946,39 @@ Result<std::unique_ptr<PreparedWindow>> Binder::Window(const SelectStmt& stmt) {
         "DISTINCT/GROUP BY/HAVING are not allowed inside a basket "
         "expression; aggregate in the enclosing query");
   }
-  auto w = std::make_unique<PreparedWindow>();
   auto alias_of = [](const FromItem& f) {
     return f.alias.empty() ? f.relation : f.alias;
   };
+  std::vector<size_t> subs;
+  std::vector<ops::ProjectionItem> proj;
 
   if (stmt.from.size() == 1) {
-    ASSIGN_OR_RETURN(w->left, engine_->GetBasket(stmt.from[0].relation));
-    const std::vector<std::string> names = FieldNames(w->left->schema());
+    ASSIGN_OR_RETURN(core::BasketPtr basket,
+                     engine_->GetBasket(stmt.from[0].relation));
+    std::vector<std::string> columns = Names(basket->schema().fields());
     NameScope scope;
-    scope.AddSource(alias_of(stmt.from[0]), VisibleSelf(names));
-    ASSIGN_OR_RETURN(w->exprs.where, Bind(stmt.where, scope, &w->subqueries));
+    scope.AddSource(alias_of(stmt.from[0]), VisibleSelf(columns));
+    ASSIGN_OR_RETURN(ExprPtr where, Bind(stmt.where, scope, &subs));
+    std::vector<ops::SortKey> order_by;
     for (const OrderItem& o : stmt.order_by) {
-      ASSIGN_OR_RETURN(ExprPtr e, Bind(o.expr, scope, &w->subqueries));
-      w->exprs.order_by.push_back({std::move(e), o.ascending});
+      ASSIGN_OR_RETURN(ExprPtr e, Bind(o.expr, scope, &subs));
+      order_by.push_back({std::move(e), o.ascending});
     }
-    w->top_n = stmt.top_n;
     // Inner projection. A plain `select *` keeps the full window (including
     // the arrival column, so enclosing queries can window on it).
-    w->plain_star = stmt.items.size() == 1 && stmt.items[0].star &&
-                    stmt.items[0].star_qualifier.empty();
-    if (w->plain_star) {
-      w->out_names = names;
-    } else {
-      for (size_t i = 0; i < stmt.items.size(); ++i) {
-        const SelectItem& item = stmt.items[i];
-        if (item.star) {
-          ASSIGN_OR_RETURN(auto cols, scope.StarColumns(item.star_qualifier));
-          for (const auto& [vis, actual] : cols) {
-            w->exprs.proj.push_back({Expr::Col(actual), vis});
-          }
-          continue;
-        }
-        ASSIGN_OR_RETURN(ExprPtr e, Bind(item.expr, scope, &w->subqueries));
-        w->exprs.proj.push_back({std::move(e), ItemName(item, i)});
-      }
-      w->out_names = ItemNames(w->exprs.proj);
-    }
-    if (w->subqueries.empty()) {
-      w->window.emplace(w->left);
-      w->window->Where(w->exprs.where).OrderBy(w->exprs.order_by);
-      if (w->top_n.has_value()) w->window->Top(*w->top_n);
-    }
-    return w;
+    const bool plain_star = stmt.items.size() == 1 && stmt.items[0].star &&
+                            stmt.items[0].star_qualifier.empty();
+    if (!plain_star) RETURN_NOT_OK(Items(stmt, scope, &subs, &proj));
+    // A single-source `top n` window needs n tuples before it can produce
+    // output (§4.1 batch/window control).
+    Consume(basket, stmt.top_n.value_or(1));
+    core::BasketExpression window(std::move(basket));
+    window.Where(std::move(where)).OrderBy(std::move(order_by));
+    if (stmt.top_n.has_value()) window.Top(*stmt.top_n);
+    chain->ops.push_back(TakeOp{std::move(window), std::move(subs)});
+    *names = plain_star ? std::move(columns) : Names(proj);
+    if (!plain_star) chain->ops.push_back(ProjectOp{std::move(proj)});
+    return Status::OK();
   }
 
   // Two-basket merge (§5 split & merge): delete-on-match join semantics.
@@ -659,159 +989,130 @@ Result<std::unique_ptr<PreparedWindow>> Binder::Window(const SelectStmt& stmt) {
   if (stmt.where == nullptr) {
     return Status::BindError("a two-basket merge requires a join predicate");
   }
-  ASSIGN_OR_RETURN(w->left, engine_->GetBasket(stmt.from[0].relation));
-  ASSIGN_OR_RETURN(w->right, engine_->GetBasket(stmt.from[1].relation));
-  const std::vector<std::string> lnames = FieldNames(w->left->schema());
-
-  // Combined-name mapping (right columns renamed on collision, as in
-  // MaterializeJoin).
+  MergeOp merge;
+  ASSIGN_OR_RETURN(merge.left, engine_->GetBasket(stmt.from[0].relation));
+  ASSIGN_OR_RETURN(merge.right, engine_->GetBasket(stmt.from[1].relation));
+  const std::vector<std::string> lnames = Names(merge.left->schema().fields());
   std::map<std::string, std::string> combined_to_right;
-  std::vector<std::pair<std::string, std::string>> rvisible;
-  for (const Field& f : w->right->schema().fields()) {
-    std::string actual = f.name;
-    if (w->left->schema().FindField(actual) >= 0) actual = "r_" + actual;
-    combined_to_right[actual] = f.name;
-    rvisible.emplace_back(f.name, actual);
-  }
-  NameScope scope;
-  scope.AddSource(alias_of(stmt.from[0]), VisibleSelf(lnames));
-  scope.AddSource(alias_of(stmt.from[1]), std::move(rvisible));
+  const NameScope scope =
+      JoinScope(alias_of(stmt.from[0]), lnames, alias_of(stmt.from[1]),
+                Names(merge.right->schema().fields()), &combined_to_right);
 
-  ASSIGN_OR_RETURN(ExprPtr where, Bind(stmt.where, scope, &w->subqueries));
+  ASSIGN_OR_RETURN(ExprPtr where, Bind(stmt.where, scope, &subs));
   ASSIGN_OR_RETURN(EquiJoinPlan plan,
                    ExtractEquiJoin(where, lnames, combined_to_right));
   if (plan.keys.empty()) {
     return Status::BindError(
         "a two-basket merge requires at least one equality predicate");
   }
-  w->keys = std::move(plan.keys);
-  w->exprs.residual = std::move(plan.residual);
-
+  merge.keys = std::move(plan.keys);
+  merge.residual = std::move(plan.residual);
   // Inner projection over the combined result.
-  for (size_t i = 0; i < stmt.items.size(); ++i) {
-    const SelectItem& item = stmt.items[i];
-    if (item.star) {
-      ASSIGN_OR_RETURN(auto cols, scope.StarColumns(item.star_qualifier));
-      for (const auto& [vis, actual] : cols) {
-        // Collapse duplicate output names from the two sides.
-        bool dup = false;
-        for (const auto& p : w->exprs.proj) {
-          if (p.name == vis) dup = true;
-        }
-        w->exprs.proj.push_back({Expr::Col(actual), dup ? "r_" + vis : vis});
-      }
-      continue;
-    }
-    ASSIGN_OR_RETURN(ExprPtr e, Bind(item.expr, scope, &w->subqueries));
-    w->exprs.proj.push_back({std::move(e), ItemName(item, i)});
-  }
-  w->out_names = ItemNames(w->exprs.proj);
-  return w;
+  RETURN_NOT_OK(Items(stmt, scope, &subs, &proj));
+  *names = Names(proj);
+  Consume(merge.left, 1);
+  Consume(merge.right, 1);
+  merge.subqueries = std::move(subs);
+  chain->ops.push_back(std::move(merge));
+  chain->ops.push_back(ProjectOp{std::move(proj)});
+  return Status::OK();
 }
 
-Result<PreparedSource> Binder::Source(const FromItem& item) {
-  PreparedSource src;
+Result<std::string> Binder::Source(const FromItem& item, Chain* chain,
+                                   std::vector<std::string>* names) {
   if (item.kind == FromItem::Kind::kBasketExpr) {
-    src.kind = PreparedSource::Kind::kWindow;
-    src.alias = item.alias;
-    ASSIGN_OR_RETURN(src.window, Window(*item.basket_query));
-    src.names = src.window->out_names;
-    return src;
+    RETURN_NOT_OK(Window(*item.basket_query, chain, names));
+    return item.alias;
   }
-  src.name = item.relation;
-  src.alias = item.alias.empty() ? item.relation : item.alias;
+  const std::string& name = item.relation;
   // Resolution order: WITH binding, basket (peek), catalog table, dc_*
   // observability virtual table (so a user relation shadows it).
-  if (auto it = temps_.find(src.name); it != temps_.end()) {
-    src.kind = PreparedSource::Kind::kTemp;
-    src.temp = it->second.slot;
-    src.names = it->second.names;
-    return src;
-  }
-  if (engine_->HasBasket(src.name)) {
+  if (auto it = temps_.find(name); it != temps_.end()) {
+    *names = it->second.names;
+    chain->ops.push_back(ReadOp{name, it->second.slot});
+  } else if (engine_->HasBasket(name)) {
     // A basket inspected outside a basket expression behaves as a
     // temporary table: tuples are not removed (§3.4).
-    src.kind = PreparedSource::Kind::kBasket;
-    ASSIGN_OR_RETURN(src.basket, engine_->GetBasket(src.name));
-    src.names = FieldNames(src.basket->schema());
-    return src;
+    ASSIGN_OR_RETURN(core::BasketPtr basket, engine_->GetBasket(name));
+    *names = Names(basket->schema().fields());
+    chain->ops.push_back(PeekOp{std::move(basket)});
+  } else {
+    out_->reads_catalog = true;
+    std::shared_ptr<Table> table;
+    if (!engine_->catalog().HasTable(name) && obs::IsVirtualTable(name)) {
+      ASSIGN_OR_RETURN(Table t, obs::VirtualTable(engine_, name));
+      *names = Names(t.schema().fields());
+    } else {
+      ASSIGN_OR_RETURN(table, engine_->catalog().GetTable(name));
+      *names = Names(table->schema().fields());
+    }
+    chain->ops.push_back(ScanOp{name, std::move(table)});
   }
-  out_->reads_catalog = true;
-  if (!engine_->catalog().HasTable(src.name) &&
-      obs::IsVirtualTable(src.name)) {
-    src.kind = PreparedSource::Kind::kVirtual;
-    ASSIGN_OR_RETURN(Table t, obs::VirtualTable(engine_, src.name));
-    src.names = FieldNames(t.schema());
-    return src;
-  }
-  src.kind = PreparedSource::Kind::kTable;
-  ASSIGN_OR_RETURN(src.table, engine_->catalog().GetTable(src.name));
-  src.names = FieldNames(src.table->schema());
-  return src;
+  return item.alias.empty() ? name : item.alias;
 }
 
-Result<std::unique_ptr<PreparedSelect>> Binder::Select(const SelectStmt& stmt) {
-  auto s = std::make_unique<PreparedSelect>();
-  for (const FromItem& f : stmt.from) {
-    ASSIGN_OR_RETURN(PreparedSource src, Source(f));
-    s->sources.push_back(std::move(src));
-  }
-  if (s->sources.size() > 2) {
+Status Binder::Select(const SelectStmt& stmt, Chain* chain,
+                      std::vector<std::string>* out_names) {
+  if (stmt.from.size() > 2) {
     return Status::Unsupported("more than two FROM sources");
   }
-  SelectExprs& ex = s->exprs;
-  std::vector<size_t>* subs = &s->subqueries;
+  std::vector<size_t> subs;
 
   // --- FROM scope -----------------------------------------------------------
   NameScope scope;
-  if (s->sources.empty()) {
+  ExprPtr where;
+  JoinOp join;
+  if (stmt.from.empty()) {
     // SELECT with no FROM: one synthetic row.
-    s->dummy = Table(Schema({{"_one", DataType::kInt64}}));
-    RETURN_NOT_OK(s->dummy.AppendRow({Value(1)}));
-    ASSIGN_OR_RETURN(ex.where, BindConst(stmt.where, subs));
-  } else if (s->sources.size() == 1) {
-    scope.AddSource(s->sources[0].alias, VisibleSelf(s->sources[0].names));
-    ASSIGN_OR_RETURN(ex.where, Bind(stmt.where, scope, subs));
+    Table row(Schema({{"_one", DataType::kInt64}}));
+    RETURN_NOT_OK(row.AppendRow({Value(1)}));
+    chain->ops.push_back(RowOp{std::move(row)});
+    ASSIGN_OR_RETURN(where, BindConst(stmt.where, &subs));
+  } else if (stmt.from.size() == 1) {
+    std::vector<std::string> names;
+    ASSIGN_OR_RETURN(std::string alias, Source(stmt.from[0], chain, &names));
+    scope.AddSource(alias, VisibleSelf(names));
+    ASSIGN_OR_RETURN(where, Bind(stmt.where, scope, &subs));
   } else {
-    const std::vector<std::string>& lnames = s->sources[0].names;
+    join.sources.resize(2);
+    std::vector<std::string> lnames;
+    std::vector<std::string> rnames;
+    ASSIGN_OR_RETURN(std::string lalias,
+                     Source(stmt.from[0], &join.sources[0], &lnames));
+    ASSIGN_OR_RETURN(std::string ralias,
+                     Source(stmt.from[1], &join.sources[1], &rnames));
     std::map<std::string, std::string> combined_to_right;
-    std::vector<std::pair<std::string, std::string>> rvisible;
-    for (const std::string& name : s->sources[1].names) {
-      std::string actual = name;
-      if (std::find(lnames.begin(), lnames.end(), actual) != lnames.end()) {
-        actual = "r_" + actual;
-      }
-      combined_to_right[actual] = name;
-      rvisible.emplace_back(name, actual);
-    }
-    scope.AddSource(s->sources[0].alias, VisibleSelf(lnames));
-    scope.AddSource(s->sources[1].alias, std::move(rvisible));
+    scope = JoinScope(lalias, lnames, ralias, rnames, &combined_to_right);
     if (stmt.where == nullptr) {
       // Cross product via nested loop with a TRUE predicate.
-      ex.join = Expr::Lit(Value(true));
+      join.pred = Expr::Lit(Value(true));
     } else {
-      ASSIGN_OR_RETURN(ExprPtr w, Bind(stmt.where, scope, subs));
+      ASSIGN_OR_RETURN(ExprPtr w, Bind(stmt.where, scope, &subs));
       ASSIGN_OR_RETURN(EquiJoinPlan plan,
                        ExtractEquiJoin(w, lnames, combined_to_right));
-      s->join_keys = std::move(plan.keys);
-      ex.join = s->join_keys.empty() ? w : plan.residual;
+      join.keys = std::move(plan.keys);
+      join.pred = join.keys.empty() ? w : plan.residual;
     }
   }
 
   // --- aggregation ------------------------------------------------------------
-  s->aggregated = !stmt.group_by.empty() || stmt.having != nullptr;
-  for (const SelectItem& item : stmt.items) {
-    if (!item.star && item.expr != nullptr && ContainsAggregate(*item.expr)) {
-      s->aggregated = true;
-    }
-  }
-
-  if (s->aggregated) {
+  const bool aggregated =
+      !stmt.group_by.empty() || stmt.having != nullptr ||
+      std::any_of(stmt.items.begin(), stmt.items.end(), [](const auto& item) {
+        return !item.star && item.expr != nullptr &&
+               ContainsAggregate(*item.expr);
+      });
+  AggregateOp aggregate;
+  ExprPtr having;
+  std::vector<ops::ProjectionItem> proj;
+  std::vector<ops::SortKey> pre_sort;   // ORDER BY over the input
+  std::vector<ops::SortKey> post_sort;  // ORDER BY over the output
+  if (aggregated) {
     std::vector<ExprPtr> group_resolved;
     for (size_t g = 0; g < stmt.group_by.size(); ++g) {
-      ASSIGN_OR_RETURN(ExprPtr e, Bind(stmt.group_by[g], scope, subs));
+      ASSIGN_OR_RETURN(ExprPtr e, Bind(stmt.group_by[g], scope, &subs));
       group_resolved.push_back(e);
-      ex.groups.push_back({e, "_g" + std::to_string(g)});
+      aggregate.groups.push_back({e, "_g" + std::to_string(g)});
     }
     // Rewrite select items and having over the aggregation output.
     for (size_t i = 0; i < stmt.items.size(); ++i) {
@@ -819,120 +1120,173 @@ Result<std::unique_ptr<PreparedSelect>> Binder::Select(const SelectStmt& stmt) {
       if (item.star) {
         return Status::BindError("SELECT * is not valid in an aggregate query");
       }
-      ASSIGN_OR_RETURN(ExprPtr e, Bind(item.expr, scope, subs));
+      ASSIGN_OR_RETURN(ExprPtr e, Bind(item.expr, scope, &subs));
       e = SubstituteGroupExprs(e, group_resolved);
-      ASSIGN_OR_RETURN(e, ExtractAggregates(e, &ex.aggs));
-      ex.proj.push_back({std::move(e), ItemName(item, i)});
+      ASSIGN_OR_RETURN(e, ExtractAggregates(e, &aggregate.aggs));
+      proj.push_back({std::move(e), ItemName(item, i)});
     }
     if (stmt.having != nullptr) {
-      ASSIGN_OR_RETURN(ExprPtr h, Bind(stmt.having, scope, subs));
+      ASSIGN_OR_RETURN(ExprPtr h, Bind(stmt.having, scope, &subs));
       h = SubstituteGroupExprs(h, group_resolved);
-      ASSIGN_OR_RETURN(ex.having, ExtractAggregates(h, &ex.aggs));
+      ASSIGN_OR_RETURN(having, ExtractAggregates(h, &aggregate.aggs));
     }
-    DedupeNames(&ex.proj);
+    DedupeNames(&proj);
   } else {
-    for (size_t i = 0; i < stmt.items.size(); ++i) {
-      const SelectItem& item = stmt.items[i];
-      if (item.star) {
-        if (s->sources.empty()) {
-          return Status::BindError("SELECT * requires a FROM clause");
-        }
-        ASSIGN_OR_RETURN(auto cols, scope.StarColumns(item.star_qualifier));
-        for (const auto& [vis, actual] : cols) {
-          bool dup = false;
-          for (const auto& p : ex.proj) {
-            if (p.name == vis) dup = true;
-          }
-          ex.proj.push_back({Expr::Col(actual), dup ? "r_" + vis : vis});
-        }
-        continue;
-      }
-      ASSIGN_OR_RETURN(ExprPtr e, Bind(item.expr, scope, subs));
-      ex.proj.push_back({std::move(e), ItemName(item, i)});
-    }
-    DedupeNames(&ex.proj);
+    RETURN_NOT_OK(Items(stmt, scope, &subs, &proj));
+    DedupeNames(&proj);
     // ORDER BY keys referencing input columns dropped by the projection
     // (standard SQL allows this) sort the combined input *before*
     // projecting; keys binding to the output sort afterwards.
     if (!stmt.order_by.empty()) {
       NameScope out_scope;
-      out_scope.AddSource("", VisibleSelf(ItemNames(ex.proj)));
+      out_scope.AddSource("", VisibleSelf(Names(proj)));
       bool all_bind_output = true;
       for (const OrderItem& o : stmt.order_by) {
         if (!BindsAgainst(*o.expr, out_scope, scope)) all_bind_output = false;
       }
       if (!all_bind_output) {
         for (const OrderItem& o : stmt.order_by) {
-          ASSIGN_OR_RETURN(ExprPtr e, Bind(o.expr, scope, subs));
-          ex.pre_sort.push_back({std::move(e), o.ascending});
+          ASSIGN_OR_RETURN(ExprPtr e, Bind(o.expr, scope, &subs));
+          pre_sort.push_back({std::move(e), o.ascending});
         }
       }
     }
   }
-  s->out_names = ItemNames(ex.proj);
+  *out_names = Names(proj);
 
   // --- DISTINCT, ORDER BY, LIMIT -------------------------------------------------
-  s->distinct = stmt.distinct;
-  if (s->distinct) {
-    for (const std::string& name : s->out_names) {
-      s->distinct_groups.push_back({Expr::Col(name), name});
-    }
-  }
-  if (!stmt.order_by.empty() && ex.pre_sort.empty()) {
+  if (!stmt.order_by.empty() && pre_sort.empty()) {
     NameScope out_scope;
-    out_scope.AddSource("", VisibleSelf(s->out_names));
+    out_scope.AddSource("", VisibleSelf(*out_names));
     for (const OrderItem& o : stmt.order_by) {
-      ASSIGN_OR_RETURN(ExprPtr e, BindOutput(o.expr, out_scope, subs));
-      ex.post_sort.push_back({std::move(e), o.ascending});
+      ASSIGN_OR_RETURN(ExprPtr e, BindOutput(o.expr, out_scope, &subs));
+      post_sort.push_back({std::move(e), o.ascending});
     }
   }
-  s->top_n = stmt.top_n;
-  return s;
+
+  // --- the chain ------------------------------------------------------------
+  if (join.sources.empty()) {
+    chain->from = chain->ops.size();
+    chain->subqueries = std::move(subs);
+  } else {
+    join.subqueries = std::move(subs);
+    chain->ops.push_back(std::move(join));
+  }
+  if (where != nullptr) chain->ops.push_back(FilterOp{std::move(where)});
+  if (aggregated) {
+    chain->ops.push_back(std::move(aggregate));
+    if (having != nullptr) {
+      chain->ops.push_back(FilterOp{std::move(having), /*having=*/true});
+    }
+  }
+  if (!pre_sort.empty()) chain->ops.push_back(SortOp{std::move(pre_sort)});
+  chain->ops.push_back(ProjectOp{std::move(proj)});
+  if (stmt.distinct) {
+    DistinctOp distinct;
+    for (const std::string& name : *out_names) {
+      distinct.groups.push_back({Expr::Col(name), name});
+    }
+    chain->ops.push_back(std::move(distinct));
+  }
+  if (!post_sort.empty()) chain->ops.push_back(SortOp{std::move(post_sort)});
+  if (stmt.top_n.has_value()) chain->ops.push_back(TopOp{*stmt.top_n});
+  return Status::OK();
+}
+
+Status Binder::Insert(const InsertStmt& ins, PreparedStmt* s) {
+  ValuesOp values;
+  std::vector<std::string> names;  // a SELECT source's columns
+  if (ins.select != nullptr) {
+    RETURN_NOT_OK(Select(*ins.select, &s->chain, &names));
+  } else if (ins.values.empty()) {
+    return Status::InvalidArgument("INSERT without VALUES or SELECT");
+  }
+  for (const auto& row : ins.values) {
+    std::vector<ExprPtr> bound;
+    for (const ExprPtr& e : row) {
+      ASSIGN_OR_RETURN(ExprPtr b, BindConst(e, &values.subqueries));
+      bound.push_back(std::move(b));
+    }
+    values.rows.push_back(std::move(bound));
+  }
+  const size_t arity =
+      ins.select != nullptr ? names.size() : ins.values[0].size();
+  InsertOp insert;
+  insert.target = ins.target;
+  if (engine_->HasBasket(ins.target)) {
+    ASSIGN_OR_RETURN(insert.basket, engine_->GetBasket(ins.target));
+    std::vector<Field> fields(insert.basket->schema().fields());
+    if (insert.basket->has_arrival_column()) fields.pop_back();
+    insert.schema = Schema(std::move(fields));
+    out_->places.outputs.push_back(insert.basket);
+  } else if (engine_->catalog().HasTable(ins.target)) {
+    ASSIGN_OR_RETURN(insert.table, engine_->catalog().GetTable(ins.target));
+    insert.schema = insert.table->schema();
+  } else {
+    // Nothing to type VALUES rows by: the insert fails on its target until
+    // a run finds it.
+    out_->pending_target = true;
+    values.rows.clear();
+  }
+  // A table target (or one created later) is a catalog dependency.
+  if (insert.basket == nullptr) out_->reads_catalog = true;
+  const bool resolved = insert.basket != nullptr || insert.table != nullptr;
+  std::vector<Field> filled;  // the columns a VALUES row fills
+  if (!ins.columns.empty() && resolved) {
+    // Scatter the source columns into place, filling the rest with NULLs.
+    if (ins.columns.size() != arity) {
+      return Status::InvalidArgument(
+          "INSERT column list arity does not match source");
+    }
+    for (const std::string& col : ins.columns) {
+      const int idx = insert.schema.FindField(col);
+      if (idx < 0) {
+        return Status::BindError("no column '" + col + "' in '" + ins.target +
+                                 "'");
+      }
+      insert.positions.push_back(idx);
+      filled.push_back(insert.schema.field(idx));
+    }
+  } else if (resolved && ins.select != nullptr &&
+             arity == insert.schema.num_fields() + 1) {
+    // A full-schema stream row (including dc_arrival) forwarded into a
+    // basket/table without that column: drop the arrival column by name.
+    auto it = std::find(names.begin(), names.end(), core::kArrivalColumn);
+    const int trim = static_cast<int>(it - names.begin());
+    for (int c = 0; it != names.end() && c < static_cast<int>(arity); ++c) {
+      insert.positions.push_back(c < trim ? c : c == trim ? -1 : c - 1);
+    }
+  }
+  if (ins.select == nullptr) {
+    values.schema = filled.empty() ? insert.schema : Schema(std::move(filled));
+    s->chain.ops.push_back(std::move(values));
+  }
+  s->chain.ops.push_back(std::move(insert));
+  return Status::OK();
 }
 
 Result<PreparedStmt> Binder::Stmt(const Statement& stmt) {
   PreparedStmt s;
   s.ast = &stmt;
+  std::vector<std::string> names;
   switch (stmt.kind) {
-    case Statement::Kind::kSelect: {
-      ASSIGN_OR_RETURN(s.select, Select(*stmt.select));
+    case Statement::Kind::kSelect:
+      RETURN_NOT_OK(Select(*stmt.select, &s.chain, &names));
       break;
-    }
-    case Statement::Kind::kInsert: {
-      const InsertStmt& ins = *stmt.insert;
-      if (!ins.values.empty()) {
-        for (const auto& row : ins.values) {
-          std::vector<ExprPtr> bound;
-          for (const ExprPtr& e : row) {
-            ASSIGN_OR_RETURN(ExprPtr b, BindConst(e, &s.subqueries));
-            bound.push_back(std::move(b));
-          }
-          s.values.push_back(std::move(bound));
-        }
-      } else if (ins.select != nullptr) {
-        ASSIGN_OR_RETURN(s.select, Select(*ins.select));
-      } else {
-        return Status::InvalidArgument("INSERT without VALUES or SELECT");
-      }
-      if (engine_->HasBasket(ins.target) ||
-          engine_->catalog().HasTable(ins.target)) {
-        RETURN_NOT_OK(ResolveInsertTarget(engine_, &s));
-      }
-      // A table target (or one created later) is a catalog dependency.
-      if (s.target_basket == nullptr) out_->reads_catalog = true;
+    case Statement::Kind::kInsert:
+      RETURN_NOT_OK(Insert(*stmt.insert, &s));
       break;
-    }
     case Statement::Kind::kSet: {
       ASSIGN_OR_RETURN(s.value, BindConst(stmt.set->value, &s.subqueries));
       break;
     }
     case Statement::Kind::kWithBlock: {
       const WithBlockStmt& with = *stmt.with_block;
-      ASSIGN_OR_RETURN(s.binding, Window(*with.basket_query));
+      RETURN_NOT_OK(Window(*with.basket_query, &s.chain, &names));
       s.slot = std::make_shared<Table>();
       // Body statements bind against the binding's output columns.
       const std::map<std::string, Temp> outer = temps_;
-      temps_[with.binding] = Temp{s.slot, s.binding->out_names};
+      temps_[with.binding] = Temp{s.slot, std::move(names)};
       for (const StatementPtr& body : with.body) {
         Result<PreparedStmt> b = Stmt(*body);
         if (!b.ok()) return b.status();
@@ -957,322 +1311,76 @@ Result<PreparedStmt> Binder::Stmt(const Statement& stmt) {
 
 // --- Run ---------------------------------------------------------------------
 
-class Runner {
- public:
-  Runner(core::Engine* engine, PreparedStatement* p) : engine_(engine), p_(p) {
-    ctx_.now = engine_->Now();
-    if (p_->needs_vars) {
-      vars_ = engine_->VariablesSnapshot();
-      ctx_.variables = &vars_;
-    }
+Runner::Runner(core::Engine* e, const PreparedStatement* prepared)
+    : engine(e), p(prepared) {
+  eval.now = engine->Now();
+  if (p->needs_vars) {
+    vars = engine->VariablesSnapshot();
+    eval.variables = &vars;
   }
-  Runner(const Runner&) = delete;
-  Runner& operator=(const Runner&) = delete;
+}
 
-  Result<Table> Stmt(PreparedStmt& s);
-
- private:
-  Result<Table> Select(const PreparedSelect& s);
-  Result<Table> Window(const PreparedWindow& w);
-  Result<Table> Merge(const PreparedWindow& w, const WindowExprs& ex);
-  Result<Table> Source(const PreparedSource& src);
-  Result<Table> Insert(PreparedStmt& s);
-  Result<SubqueryValues> Subqueries(const std::vector<size_t>& ids);
-  // A SET or DECLARE ran: later statements of this run see the new value.
-  void RefreshVariables() {
-    if (p_->needs_vars) vars_ = engine_->VariablesSnapshot();
+Result<Table> Runner::Run(const Chain& chain) {
+  Table t;
+  for (size_t i = 0; i < chain.ops.size(); ++i) {
+    // Scalar subqueries run after FROM: a consuming FROM acts first.
+    if (i == chain.from) RETURN_NOT_OK(Subqueries(chain.subqueries));
+    Result<Table> out = std::visit(
+        [&](const auto& op) { return op.Run(t, *this); },
+        chain.ops[i]);
+    if (!out.ok()) return out.status();
+    t = std::move(*out);
   }
+  return t;
+}
 
-  core::Engine* engine_;
-  PreparedStatement* p_;
-  std::map<std::string, Value> vars_;
-  EvalContext ctx_;
-};
-
-Result<SubqueryValues> Runner::Subqueries(const std::vector<size_t>& ids) {
-  SubqueryValues values;
+Status Runner::Subqueries(const std::vector<size_t>& ids) {
   for (size_t i : ids) {
-    ASSIGN_OR_RETURN(Table result, Select(*p_->subqueries[i]));
+    ASSIGN_OR_RETURN(Table result, Run(p->subqueries[i]));
     if (result.num_rows() > 1) {
       return Status::InvalidArgument("scalar subquery produced " +
                                      std::to_string(result.num_rows()) +
                                      " rows");
     }
     values[i] = result.num_rows() == 0 ? Value::Null()
-                                       : result.column(0).GetValue(0);
+                                        : result.column(0).GetValue(0);
   }
-  return values;
+  return Status::OK();
 }
 
-Result<Table> Runner::Source(const PreparedSource& src) {
-  switch (src.kind) {
-    case PreparedSource::Kind::kWindow:
-      return Window(*src.window);
-    case PreparedSource::Kind::kTemp:
-      return *src.temp;
-    case PreparedSource::Kind::kBasket:
-      // Peek is a zero-copy COW snapshot, so the rest of the query runs
-      // over a stable view without copying the stream or holding the
-      // basket lock.
-      return src.basket->Peek();
-    case PreparedSource::Kind::kTable:
-      return *src.table;
-    case PreparedSource::Kind::kVirtual:
-      // Each SELECT materializes a fresh snapshot of the engine's metrics /
-      // trace state — the R-GMA pattern of monitoring-as-relations.
-      return obs::VirtualTable(engine_, src.name);
-  }
-  return Status::Internal("unknown source kind");
-}
-
-Result<Table> Runner::Window(const PreparedWindow& w) {
-  WindowExprs substituted;
-  const WindowExprs* ex = &w.exprs;
-  if (!w.subqueries.empty()) {
-    ASSIGN_OR_RETURN(SubqueryValues values, Subqueries(w.subqueries));
-    substituted = w.exprs;
-    substituted.ForEach([&](ExprPtr& e) { e = Substitute(e, values); });
-    ex = &substituted;
-  }
-  if (w.right != nullptr) return Merge(w, *ex);
-  Table window;
-  if (w.window.has_value()) {
-    ASSIGN_OR_RETURN(window, w.window->Evaluate(ctx_));
-  } else {
-    core::BasketExpression be(w.left);
-    be.Where(ex->where).OrderBy(ex->order_by);
-    if (w.top_n.has_value()) be.Top(*w.top_n);
-    ASSIGN_OR_RETURN(window, be.Evaluate(ctx_));
-  }
-  if (w.plain_star) return window;
-  return ops::Project(window, ex->proj, ctx_);
-}
-
-Result<Table> Runner::Merge(const PreparedWindow& w, const WindowExprs& ex) {
-  // Lock both baskets for the whole read-join-delete sequence: the matched
-  // row indices computed against the snapshots below must still describe
-  // the baskets when the deletes run. The snapshots themselves are
-  // zero-copy, so holding the locks costs contention, not copying. The
-  // locks are taken in ascending address order — the canonical basket-lock
-  // order (Factory::Fire) — so two sessions merging the same pair with
-  // opposite FROM orders cannot deadlock.
-  core::Basket* const lo = std::min(w.left.get(), w.right.get());
-  core::Basket* const hi = std::max(w.left.get(), w.right.get());
-  core::BasketLock lock_lo(lo);
-  core::BasketLock lock_hi(hi);
-  Table ltab = w.left->Peek();
-  Table rtab = w.right->Peek();
-
-  ASSIGN_OR_RETURN(ops::JoinMatches matches,
-                   ops::HashJoinIndices(ltab, rtab, w.keys));
-  ASSIGN_OR_RETURN(Table combined, ops::MaterializeJoin(ltab, rtab, matches));
-  SelVector surviving(combined.num_rows());
-  for (size_t i = 0; i < surviving.size(); ++i) {
-    surviving[i] = static_cast<uint32_t>(i);
-  }
-  if (ex.residual != nullptr) {
-    ASSIGN_OR_RETURN(surviving, EvalPredicate(combined, *ex.residual, ctx_));
-  }
-  Table result = combined.Take(surviving);
-
-  // Consume exactly the matched tuples on both sides (non-matching tuples
-  // remain, waiting for delayed arrivals).
-  auto erase_side = [&](core::Basket* basket, const SelVector& match_rows) {
-    SelVector rows;
-    rows.reserve(surviving.size());
-    for (uint32_t s : surviving) rows.push_back(match_rows[s]);
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-    return basket->EraseRows(rows);
-  };
-  RETURN_NOT_OK(erase_side(w.left.get(), matches.left));
-  RETURN_NOT_OK(erase_side(w.right.get(), matches.right));
-  return ops::Project(result, ex.proj, ctx_);
-}
-
-Result<Table> Runner::Select(const PreparedSelect& s) {
-  // FROM reads at most two sources (Prepare rejects more).
-  DC_DCHECK(s.sources.size() <= 2);
-  std::array<Table, 2> inputs;
-  for (size_t i = 0; i < s.sources.size(); ++i) {
-    ASSIGN_OR_RETURN(inputs[i], Source(s.sources[i]));
-  }
-  // Scalar subqueries run after FROM: a consuming FROM acts first.
-  SelectExprs substituted;
-  const SelectExprs* ex = &s.exprs;
-  if (!s.subqueries.empty()) {
-    ASSIGN_OR_RETURN(SubqueryValues values, Subqueries(s.subqueries));
-    substituted = s.exprs;
-    substituted.ForEach([&](ExprPtr& e) { e = Substitute(e, values); });
-    ex = &substituted;
-  }
-
-  Table combined;
-  if (s.sources.empty()) {
-    combined = s.dummy;
-  } else if (s.sources.size() == 1) {
-    combined = std::move(inputs[0]);
-  } else {
-    const Table& ltab = inputs[0];
-    const Table& rtab = inputs[1];
-    ops::JoinMatches matches;
-    if (!s.join_keys.empty()) {
-      ASSIGN_OR_RETURN(matches, ops::HashJoinIndices(ltab, rtab, s.join_keys));
-    } else {
-      ASSIGN_OR_RETURN(matches, ops::NestedLoopJoin(ltab, rtab, *ex->join, ctx_));
-    }
-    ASSIGN_OR_RETURN(combined, ops::MaterializeJoin(ltab, rtab, matches));
-    if (!s.join_keys.empty() && ex->join != nullptr) {
-      ASSIGN_OR_RETURN(SelVector sel, EvalPredicate(combined, *ex->join, ctx_));
-      combined = combined.Take(sel);
-    }
-  }
-  if (ex->where != nullptr) {
-    ASSIGN_OR_RETURN(SelVector sel, EvalPredicate(combined, *ex->where, ctx_));
-    combined = combined.Take(sel);
-  }
-
-  Table projected;
-  if (s.aggregated) {
-    ASSIGN_OR_RETURN(Table intermediate,
-                     ops::Aggregate(combined, ex->groups, ex->aggs, ctx_));
-    if (ex->having != nullptr) {
-      ASSIGN_OR_RETURN(SelVector sel,
-                       EvalPredicate(intermediate, *ex->having, ctx_));
-      intermediate = intermediate.Take(sel);
-    }
-    ASSIGN_OR_RETURN(projected, ops::Project(intermediate, ex->proj, ctx_));
-  } else {
-    if (!ex->pre_sort.empty()) {
-      ASSIGN_OR_RETURN(combined, ops::SortTable(combined, ex->pre_sort, ctx_));
-    }
-    ASSIGN_OR_RETURN(projected, ops::Project(combined, ex->proj, ctx_));
-  }
-  if (s.distinct) {
-    ASSIGN_OR_RETURN(projected,
-                     ops::Aggregate(projected, s.distinct_groups, {}, ctx_));
-  }
-  if (!ex->post_sort.empty()) {
-    ASSIGN_OR_RETURN(projected, ops::SortTable(projected, ex->post_sort, ctx_));
-  }
-  if (s.top_n.has_value() && projected.num_rows() > *s.top_n) {
-    SelVector prefix(*s.top_n);
-    for (size_t i = 0; i < prefix.size(); ++i) {
-      prefix[i] = static_cast<uint32_t>(i);
-    }
-    projected = projected.Take(prefix);
-  }
-  return projected;
-}
-
-Result<Table> Runner::Insert(PreparedStmt& s) {
-  // Materialize the source rows.
-  Table source;
-  if (!s.values.empty()) {
-    SubqueryValues values;
-    if (!s.subqueries.empty()) {
-      ASSIGN_OR_RETURN(values, Subqueries(s.subqueries));
-    }
-    std::vector<Row> rows;
-    for (const auto& exprs : s.values) {
-      Row row;
-      for (const ExprPtr& e : exprs) {
-        ASSIGN_OR_RETURN(Value v, EvalConst(*Substitute(e, values), ctx_));
-        row.push_back(std::move(v));
-      }
-      rows.push_back(std::move(row));
-    }
-    // Infer a schema from the first non-null value in each position.
-    std::vector<Field> fields;
-    fields.reserve(rows[0].size());
-    for (size_t c = 0; c < rows[0].size(); ++c) {
-      DataType t = DataType::kInt64;
-      for (const Row& r : rows) {
-        if (c < r.size() && !r[c].is_null()) {
-          if (r[c].is_double()) t = DataType::kDouble;
-          if (r[c].is_bool()) t = DataType::kBool;
-          if (r[c].is_string()) t = DataType::kString;
-          break;
-        }
-      }
-      fields.push_back({"v" + std::to_string(c), t});
-    }
-    source = Table(Schema(std::move(fields)));
-    for (const Row& r : rows) {
-      RETURN_NOT_OK(source.AppendRow(r));
-    }
-  } else {
-    ASSIGN_OR_RETURN(source, Select(*s.select));
-  }
-
-  if (!s.target_resolved) RETURN_NOT_OK(ResolveInsertTarget(engine_, &s));
-  if (!s.positions.empty()) {
-    Table widened(s.target_schema);
-    for (size_t r = 0; r < source.num_rows(); ++r) {
-      Row row(s.target_schema.num_fields(), Value::Null());
-      for (size_t c = 0; c < s.positions.size(); ++c) {
-        row[static_cast<size_t>(s.positions[c])] = source.column(c).GetValue(r);
-      }
-      RETURN_NOT_OK(widened.AppendRow(row));
-    }
-    source = std::move(widened);
-  } else if (s.trim_column >= 0) {
-    std::vector<Field> fields;
-    std::vector<Column> columns;
-    for (size_t c = 0; c < source.num_columns(); ++c) {
-      if (static_cast<int>(c) == s.trim_column) continue;
-      fields.push_back(source.schema().field(c));
-      columns.push_back(source.column(c));
-    }
-    ASSIGN_OR_RETURN(Schema trimmed, Schema::Make(std::move(fields)));
-    source = Table(std::move(trimmed), std::move(columns));
-  }
-
-  ASSIGN_OR_RETURN(Table aligned, ConvertTableTo(s.target_schema, source));
-  if (s.target_basket != nullptr) {
-    ASSIGN_OR_RETURN(size_t n, s.target_basket->Append(aligned, ctx_.now));
-    (void)n;
-  } else {
-    RETURN_NOT_OK(s.target_table->AppendTable(aligned));
-  }
-  return Table();
-}
-
-Result<Table> Runner::Stmt(PreparedStmt& s) {
+Result<Table> Runner::Stmt(const PreparedStmt& s) {
   const Statement& stmt = *s.ast;
   switch (stmt.kind) {
     case Statement::Kind::kSelect:
-      return Select(*s.select);
     case Statement::Kind::kInsert:
-      return Insert(s);
+      return Run(s.chain);
     case Statement::Kind::kCreate:
-      return ExecCreate(engine_, *stmt.create);
+      return ExecCreate(engine, *stmt.create);
     case Statement::Kind::kDrop:
-      return ExecDrop(engine_, *stmt.drop);
+      RETURN_NOT_OK(stmt.drop->is_basket
+                        ? engine->DropBasket(stmt.drop->name)
+                        : engine->catalog().DropTable(stmt.drop->name));
+      return Table();
     case Statement::Kind::kDeclare:
-      engine_->SetVariable(stmt.declare->name, Value::Null());
-      RefreshVariables();
+      engine->SetVariable(stmt.declare->name, Value::Null());
+      // Later statements of this run see the new value.
+      if (p->needs_vars) vars = engine->VariablesSnapshot();
       return Table();
     case Statement::Kind::kSet: {
-      SubqueryValues values;
-      if (!s.subqueries.empty()) {
-        ASSIGN_OR_RETURN(values, Subqueries(s.subqueries));
-      }
-      ASSIGN_OR_RETURN(Value v, EvalConst(*Substitute(s.value, values), ctx_));
+      RETURN_NOT_OK(Subqueries(s.subqueries));
+      ExprPtr copy;
+      ASSIGN_OR_RETURN(Value v, EvalConst(*Bound(s.value, &copy), eval));
       RETURN_NOT_OK(ApplyKnob(stmt.set->name, v));
-      engine_->SetVariable(stmt.set->name, std::move(v));
-      RefreshVariables();
+      engine->SetVariable(stmt.set->name, std::move(v));
+      if (p->needs_vars) vars = engine->VariablesSnapshot();
       return Table();
     }
     case Statement::Kind::kWithBlock: {
-      ASSIGN_OR_RETURN(*s.slot, Window(*s.binding));
+      ASSIGN_OR_RETURN(*s.slot, Run(s.chain));
       Status st;
-      for (PreparedStmt& body : s.body) {
-        Result<Table> r = Stmt(body);
-        if (!r.ok()) {
-          st = r.status();
-          break;
-        }
+      for (const PreparedStmt& body : s.body) {
+        st = Stmt(body).status();
+        if (!st.ok()) break;
       }
       *s.slot = Table();
       RETURN_NOT_OK(st);
@@ -1284,134 +1392,17 @@ Result<Table> Runner::Stmt(PreparedStmt& s) {
   return Status::Internal("unknown statement kind");
 }
 
-// --- Describe ----------------------------------------------------------------
-
-std::string Joined(const std::vector<std::string>& parts, const char* sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
-std::string KeysText(const std::vector<ops::SortKey>& keys) {
-  std::vector<std::string> parts;
-  parts.reserve(keys.size());
-  for (const ops::SortKey& k : keys) {
-    parts.push_back(k.expr->ToString() + (k.ascending ? "" : " desc"));
-  }
-  return Joined(parts, ", ");
-}
-
-std::string AggText(const ops::AggItem& a) {
-  switch (a.func) {
-    case ops::AggFunc::kCountStar: return "count(*)";
-    case ops::AggFunc::kCount: return "count(" + a.arg->ToString() + ")";
-    case ops::AggFunc::kSum: return "sum(" + a.arg->ToString() + ")";
-    case ops::AggFunc::kAvg: return "avg(" + a.arg->ToString() + ")";
-    case ops::AggFunc::kMin: return "min(" + a.arg->ToString() + ")";
-    case ops::AggFunc::kMax: return "max(" + a.arg->ToString() + ")";
-  }
-  return "?";
-}
-
-std::string DescribeWindow(const PreparedWindow& w) {
-  const WindowExprs& ex = w.exprs;
-  std::string out;
-  if (w.right != nullptr) {
-    std::vector<std::string> keys;
-    keys.reserve(w.keys.size());
-    for (const ops::JoinKey& k : w.keys) keys.push_back(k.left + " = " + k.right);
-    out = "merge " + w.left->name() + ", " + w.right->name() + " on " +
-          Joined(keys, " and ");
-    if (ex.residual != nullptr) out += " where " + ex.residual->ToString();
-  } else {
-    out = "take " + w.left->name();
-    if (ex.where != nullptr) out += " where " + ex.where->ToString();
-    if (!ex.order_by.empty()) out += " order by " + KeysText(ex.order_by);
-    if (w.top_n.has_value()) out += " top " + std::to_string(*w.top_n);
-  }
-  if (!w.plain_star) out += std::string(kThen) + "project";
-  return out;
-}
-
-std::string DescribeSource(const PreparedSource& src) {
-  switch (src.kind) {
-    case PreparedSource::Kind::kWindow:
-      return DescribeWindow(*src.window);
-    case PreparedSource::Kind::kTemp:
-      return "read " + src.name;
-    case PreparedSource::Kind::kBasket:
-      return "peek " + src.name;
-    case PreparedSource::Kind::kTable:
-    case PreparedSource::Kind::kVirtual:
-      return "scan " + src.name;
-  }
-  return "?";
-}
-
-std::string DescribeSelect(const PreparedSelect& s) {
-  const SelectExprs& ex = s.exprs;
-  std::string out;
-  if (s.sources.empty()) {
-    out = "row";
-  } else if (s.sources.size() == 1) {
-    out = DescribeSource(s.sources[0]);
-  } else {
-    out = "(" + DescribeSource(s.sources[0]) + "), (" +
-          DescribeSource(s.sources[1]) + ")" + kThen;
-    if (!s.join_keys.empty()) {
-      std::vector<std::string> keys;
-      keys.reserve(s.join_keys.size());
-      for (const ops::JoinKey& k : s.join_keys) {
-        keys.push_back(k.left + " = " + k.right);
-      }
-      out += "hash join on " + Joined(keys, " and ");
-      if (ex.join != nullptr) out += " where " + ex.join->ToString();
-    } else {
-      out += "nested-loop join on " + ex.join->ToString();
-    }
-  }
-  if (ex.where != nullptr) out += std::string(kThen) + "filter " + ex.where->ToString();
-  if (s.aggregated) {
-    out += std::string(kThen) + "aggregate";
-    std::vector<std::string> groups;
-    std::vector<std::string> aggs;
-    groups.reserve(ex.groups.size());
-    aggs.reserve(ex.aggs.size());
-    for (const ops::GroupItem& g : ex.groups) groups.push_back(g.expr->ToString());
-    for (const ops::AggItem& a : ex.aggs) aggs.push_back(AggText(a));
-    if (!groups.empty()) out += " group by " + Joined(groups, ", ");
-    if (!aggs.empty()) out += " [" + Joined(aggs, ", ") + "]";
-    if (ex.having != nullptr) out += std::string(kThen) + "having";
-  }
-  if (!ex.pre_sort.empty()) out += std::string(kThen) + "sort by " + KeysText(ex.pre_sort);
-  out += std::string(kThen) + "project";
-  if (s.distinct) out += std::string(kThen) + "distinct";
-  if (!ex.post_sort.empty()) out += std::string(kThen) + "sort by " + KeysText(ex.post_sort);
-  if (s.top_n.has_value()) out += std::string(kThen) + "top " + std::to_string(*s.top_n);
-  return out;
-}
-
 std::string DescribeStmt(const PreparedStmt& s) {
   const Statement& stmt = *s.ast;
   switch (stmt.kind) {
     case Statement::Kind::kSelect:
-      return DescribeSelect(*s.select);
     case Statement::Kind::kInsert:
-      return (s.select != nullptr ? DescribeSelect(*s.select) : "values") +
-             kThen + "insert into " + stmt.insert->target;
+      return s.chain.Describe();
     case Statement::Kind::kSet:
       return "set " + stmt.set->name;
-    case Statement::Kind::kWithBlock: {
-      std::vector<std::string> body;
-      body.reserve(s.body.size());
-      for (const PreparedStmt& b : s.body) body.push_back(DescribeStmt(b));
-      return "with " + stmt.with_block->binding + " = " +
-             DescribeWindow(*s.binding) + kThen + "{ " + Joined(body, "; ") +
-             " }";
-    }
+    case Statement::Kind::kWithBlock:
+      return "with " + stmt.with_block->binding + " = " + s.chain.Describe() +
+             kThen + "{ " + Joined(s.body, "; ", DescribeStmt) + " }";
     case Statement::Kind::kCreate:
       return "create " + stmt.create->name;
     case Statement::Kind::kDrop:
@@ -1442,10 +1433,12 @@ Result<PreparedPtr> Executor::Prepare(const Statement& stmt) const {
 }
 
 Result<Table> Executor::Run(PreparedStatement& prepared) const {
-  if (prepared.reads_catalog &&
-      engine_->catalog().generation() != prepared.catalog_generation) {
-    // A table was created or dropped since binding: bind again, so a
-    // recreated table (possibly with reordered columns) is read afresh.
+  if (prepared.pending_target ||
+      (prepared.reads_catalog &&
+       engine_->catalog().generation() != prepared.catalog_generation)) {
+    // A table was created or dropped since binding, or an INSERT target
+    // was missing: bind again, so a recreated table (possibly with
+    // reordered columns) is read afresh and a new target is found.
     ASSIGN_OR_RETURN(PreparedPtr fresh, Prepare(*prepared.ast));
     prepared = std::move(*fresh);
   }
@@ -1455,6 +1448,10 @@ Result<Table> Executor::Run(PreparedStatement& prepared) const {
 
 std::string Executor::Describe(const PreparedStatement& prepared) {
   return DescribeStmt(prepared.root);
+}
+
+const FactoryPlaces& Executor::Places(const PreparedStatement& prepared) {
+  return prepared.places;
 }
 
 }  // namespace datacell::sql

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/engine.h"
 #include "sql/ast.h"
@@ -12,10 +13,26 @@ namespace datacell::sql {
 
 /// A statement bound against the engine once: its baskets, tables and WITH
 /// bindings are looked up, every name is resolved, aggregates are
-/// extracted, ORDER BY is placed and joins are planned. Opaque outside the
-/// executor.
+/// extracted, ORDER BY is placed, joins are planned, and each SELECT body
+/// is one list of operators. Opaque outside the executor.
 struct PreparedStatement;
 using PreparedPtr = std::shared_ptr<PreparedStatement>;
+
+/// A basket a statement consumes through a basket expression, with the
+/// number of tuples a firing waits for: n for a one-basket `top n` window
+/// (§4.1), else 1.
+struct PreparedInput {
+  core::BasketPtr basket;
+  size_t min_tuples = 1;
+};
+
+/// Where a continuous statement's factory sits in the Petri net, as Prepare
+/// resolved it: its consumed baskets (by name, each with its largest
+/// threshold) and the existing baskets it inserts into (statement order).
+struct FactoryPlaces {
+  std::vector<PreparedInput> inputs;
+  std::vector<core::BasketPtr> outputs;
+};
 
 /// Runs SQL statements against a core::Engine in two steps.
 ///
@@ -50,8 +67,12 @@ class Executor {
   Result<Table> Run(PreparedStatement& prepared) const;
 
   /// The operator chain the prepared statement runs, for example
-  /// "take s → aggregate group by k [count(*)] → project".
+  /// "take s → aggregate group by k [count(*)] → project": each operator's
+  /// own description, joined with " → ".
   static std::string Describe(const PreparedStatement& prepared);
+
+  /// The factory places the prepared statement recorded while binding.
+  static const FactoryPlaces& Places(const PreparedStatement& prepared);
 
  private:
   core::Engine* engine_;

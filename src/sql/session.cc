@@ -1,7 +1,6 @@
 #include "sql/session.h"
 
 #include <cstdio>
-#include <map>
 #include <set>
 
 #include "sql/parser.h"
@@ -10,86 +9,6 @@
 #include "util/logging.h"
 
 namespace datacell::sql {
-
-namespace {
-
-void CollectThresholds(const SelectStmt& stmt,
-                       std::map<std::string, size_t>* out);
-
-// Adds the source baskets of one basket expression with their firing
-// thresholds: a single-source `top n` window needs n tuples before it can
-// produce output (§4.1 batch/window control); every other source fires at
-// one tuple.
-void CollectBasketExpr(const SelectStmt& basket_expr,
-                       std::map<std::string, size_t>* out) {
-  const size_t need =
-      basket_expr.from.size() == 1 ? basket_expr.top_n.value_or(1) : 1;
-  for (const FromItem& src : basket_expr.from) {
-    if (src.kind == FromItem::Kind::kRelation) {
-      size_t& cur = (*out)[src.relation];
-      cur = std::max(cur, need);
-    }
-  }
-  CollectThresholds(basket_expr, out);
-}
-
-// Walks a SELECT's FROM list for basket expressions.
-void CollectThresholds(const SelectStmt& stmt,
-                       std::map<std::string, size_t>* out) {
-  for (const FromItem& f : stmt.from) {
-    if (f.kind == FromItem::Kind::kBasketExpr && f.basket_query != nullptr) {
-      CollectBasketExpr(*f.basket_query, out);
-    }
-  }
-}
-
-// Computes, per basket-expression source basket, the firing threshold the
-// statement's factory is wired with.
-void CollectThresholds(const Statement& stmt,
-                       std::map<std::string, size_t>* out) {
-  switch (stmt.kind) {
-    case Statement::Kind::kSelect:
-      CollectThresholds(*stmt.select, out);
-      break;
-    case Statement::Kind::kInsert:
-      if (stmt.insert->select != nullptr) {
-        CollectThresholds(*stmt.insert->select, out);
-      }
-      break;
-    case Statement::Kind::kWithBlock:
-      CollectBasketExpr(*stmt.with_block->basket_query, out);
-      for (const StatementPtr& body : stmt.with_block->body) {
-        CollectThresholds(*body, out);
-      }
-      break;
-    default:
-      break;
-  }
-  for (const auto& sub : stmt.subqueries) {
-    if (sub != nullptr) CollectThresholds(*sub, out);
-  }
-}
-
-// Collects INSERT targets that are baskets (the factory's output places).
-void CollectBasketTargets(const Statement& stmt, core::Engine* engine,
-                          std::vector<std::string>* out) {
-  switch (stmt.kind) {
-    case Statement::Kind::kInsert:
-      if (engine->HasBasket(stmt.insert->target)) {
-        out->push_back(stmt.insert->target);
-      }
-      break;
-    case Statement::Kind::kWithBlock:
-      for (const StatementPtr& body : stmt.with_block->body) {
-        CollectBasketTargets(*body, engine, out);
-      }
-      break;
-    default:
-      break;
-  }
-}
-
-}  // namespace
 
 Result<Table> Session::Execute(const std::string& sql) {
   ASSIGN_OR_RETURN(std::vector<StatementPtr> stmts, Parse(sql));
@@ -144,19 +63,20 @@ Result<Table> Session::RenderPlan(const Statement& target) {
                        plan::MakeLeafStatement(engine_, *cq,
                                                cq->source_basket, strip));
     }
-  } else if (IsContinuous(target)) {
-    text += "continuous plan (direct)\n";
-    std::map<std::string, size_t> thresholds;
-    CollectThresholds(target, &thresholds);
-    for (const auto& [basket, min_tuples] : thresholds) {
-      text += "  input basket '" + basket + "' (fires at >= " +
-              std::to_string(min_tuples) + " tuple(s))\n";
-    }
-  } else {
-    text += "one-time plan\n";
   }
   ASSIGN_OR_RETURN(PreparedPtr prepared,
                    executor_.Prepare(chain_of != nullptr ? *chain_of : target));
+  if (!cq.ok()) {
+    // A statement that consumes no basket is a one-time one; else a direct
+    // factory is wired with the inputs Prepare found.
+    const std::vector<PreparedInput>& inputs =
+        Executor::Places(*prepared).inputs;
+    text += inputs.empty() ? "one-time plan\n" : "continuous plan (direct)\n";
+    for (const PreparedInput& in : inputs) {
+      text += "  input basket '" + in.basket->name() + "' (fires at >= " +
+              std::to_string(in.min_tuples) + " tuple(s))\n";
+    }
+  }
   text += "  chain: " + Executor::Describe(*prepared) + "\n";
 
   Table out(Schema({{"plan", DataType::kString}}));
@@ -178,16 +98,14 @@ Result<plan::BuiltQuery> Session::BuildFactory(const std::string& name,
         "statement contains no basket expression; it is a one-time query "
         "(wrap stream reads in [...])");
   }
-  std::map<std::string, size_t> thresholds;
-  CollectThresholds(*stmt, &thresholds);
-
   // All binding happens here, once; each firing only runs the prepared
   // statement's kernels and hands the result to the sink.
   PreparedEntry& entry = prepared_[stmt.get()];
   PreparedPtr prepared = entry.prepared.lock();
   if (prepared == nullptr) {
     ASSIGN_OR_RETURN(prepared, executor_.Prepare(*stmt));
-    entry = PreparedEntry{prepared, Executor::Describe(*prepared)};
+    entry = PreparedEntry{prepared, Executor::Describe(*prepared),
+                          Executor::Places(*prepared)};
     std::erase_if(prepared_, [](const auto& e) {
       return e.second.prepared.expired();
     });
@@ -205,15 +123,13 @@ Result<plan::BuiltQuery> Session::BuildFactory(const std::string& name,
         return Status::OK();
       });
 
-  for (const auto& [basket_name, min_tuples] : thresholds) {
-    ASSIGN_OR_RETURN(core::BasketPtr b, engine_->GetBasket(basket_name));
-    built.factory->AddInput(b, min_tuples);
+  // The places Prepare resolved: the baskets its basket expressions
+  // consume, and the baskets it inserts into.
+  for (const PreparedInput& in : entry.places.inputs) {
+    built.factory->AddInput(in.basket, in.min_tuples);
   }
-  std::vector<std::string> targets;
-  CollectBasketTargets(*stmt, engine_, &targets);
-  for (const std::string& target : targets) {
-    ASSIGN_OR_RETURN(core::BasketPtr b, engine_->GetBasket(target));
-    built.factory->AddOutput(b);
+  for (const core::BasketPtr& out : entry.places.outputs) {
+    built.factory->AddOutput(out);
   }
   return built;
 }

@@ -106,9 +106,12 @@ class Session {
   /// factory still runs it (that factory also keeps the statement alive,
   /// so its address names it): a subnet rebuild that hands over a leaf's
   /// unchanged statement reuses the binding instead of preparing again.
+  /// Its chain text and factory places are copied at prepare, since a
+  /// firing may re-prepare the statement in place.
   struct PreparedEntry {
     std::weak_ptr<PreparedStatement> prepared;
     std::string pipeline;
+    FactoryPlaces places;
   };
   std::map<const Statement*, PreparedEntry> prepared_;
   plan::QuerySetOptimizer optimizer_;

@@ -311,6 +311,43 @@ TEST_F(SqlTest, IntWidensOnInsert) {
   EXPECT_EQ(r.GetRow(0)[0], Value(3.0));
 }
 
+TEST_F(SqlTest, InsertValuesTypesByTargetColumns) {
+  // VALUES rows take the target's column types: a NULL fits any column,
+  // and an int in a double column widens, whatever the other rows hold.
+  Exec("create table t (name string, x double)");
+  Exec("insert into t values (NULL, 2.0)");
+  Exec("insert into t values ('b', 1), ('c', 2.5)");
+  Table r = Exec("select name, x from t");
+  ASSERT_EQ(r.num_rows(), 3u);
+  EXPECT_TRUE(r.GetRow(0)[0].is_null());
+  EXPECT_EQ(r.GetRow(0)[1], Value(2.0));
+  EXPECT_EQ(r.GetRow(1)[0], Value(std::string("b")));
+  EXPECT_EQ(r.GetRow(1)[1], Value(1.0));
+  EXPECT_EQ(r.GetRow(2)[1], Value(2.5));
+}
+
+TEST_F(SqlTest, InsertValuesColumnListTypesByTarget) {
+  Exec("create table t (a int, b string, c double)");
+  Exec("insert into t (b, c) values (NULL, 1), ('y', 2.5)");
+  Table r = Exec("select a, b, c from t");
+  ASSERT_EQ(r.num_rows(), 2u);
+  EXPECT_TRUE(r.GetRow(0)[0].is_null());
+  EXPECT_TRUE(r.GetRow(0)[1].is_null());
+  EXPECT_EQ(r.GetRow(0)[2], Value(1.0));
+  EXPECT_EQ(r.GetRow(1)[1], Value(std::string("y")));
+  EXPECT_EQ(r.GetRow(1)[2], Value(2.5));
+}
+
+TEST_F(SqlTest, InsertValuesMismatchFailsAndLeavesTableUnchanged) {
+  Exec("create table t (a int, b int)");
+  Exec("insert into t values (7, 8)");
+  const Status st = ExecStatus("insert into t values (2, 3), (1, 'x')");
+  EXPECT_EQ(st.code(), StatusCode::kTypeMismatch) << st.ToString();
+  Table r = Exec("select a, b from t");
+  ASSERT_EQ(r.num_rows(), 1u);
+  EXPECT_EQ(r.GetRow(0)[0], Value(7));
+}
+
 TEST_F(SqlTest, TypeErrors) {
   Exec("create table t (a int)");
   EXPECT_FALSE(ExecStatus("insert into t values ('x')").ok());
@@ -456,6 +493,36 @@ TEST_F(SqlTest, WithBlockSplitsStream) {
   EXPECT_EQ(Exec("select count(*) n from y").GetRow(0)[0], Value(int64_t{2}));
   EXPECT_EQ(Exec("select count(*) n from z").GetRow(0)[0], Value(int64_t{2}));
   EXPECT_EQ((*engine_.GetBasket("x"))->size(), 0u);
+}
+
+TEST_F(SqlTest, FactoryPlacesComeFromThePreparedStatement) {
+  // The factory consumes every basket a basket expression reads, a scalar
+  // subquery's included, and waits for n tuples of a one-basket `top n`
+  // window (the largest n when a basket is read twice); it outputs into the
+  // target baskets that exist, not into tables.
+  Exec("create basket a (v int)");
+  Exec("create basket b (v int)");
+  Exec("create basket y (v int)");
+  Exec("create table t (v int)");
+  auto f = session_.RegisterContinuousQuery(
+      "q",
+      "with w as [select top 3 from a] begin "
+      "insert into y select v from w "
+      "where v > (select count(*) from [select top 2 from b]); "
+      "insert into t select v from w "
+      "where v > (select count(*) from [select top 4 from a]); "
+      "end");
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  ASSERT_EQ((*f)->num_inputs(), 2u);
+  EXPECT_EQ((*f)->input(0)->name(), "a");
+  EXPECT_EQ((*f)->input(1)->name(), "b");
+  ASSERT_EQ((*f)->num_outputs(), 1u);
+  EXPECT_EQ((*f)->output(0)->name(), "y");
+  Exec("insert into a values (1), (2), (3)");
+  Exec("insert into b values (1), (2)");
+  EXPECT_FALSE((*f)->CanFire(0));  // `a` waits for 4 tuples
+  Exec("insert into a values (4)");
+  EXPECT_TRUE((*f)->CanFire(0));
 }
 
 TEST_F(SqlTest, MergeJoinConsumesMatched) {
