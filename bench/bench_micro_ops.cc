@@ -344,41 +344,55 @@ void BM_LeafFireGroupBy(benchmark::State& state) {
 }
 BENCHMARK(BM_LeafFireGroupBy)->Arg(8)->Arg(32'768)->UseManualTime();
 
-// Registers perfbench's 32 standing queries over `s` (sql_workloads.cc):
-// 24 filters sharing `payload < 1000`, 8 group-bys sharing
-// `payload >= 8000`. The statements are built by appends, which keeps
-// GCC 12's -Wrestrict false positive on `"lit" + string` quiet at -O3.
-bool RegisterQuerySet(sql::Session& session, const core::Emitter::Sink& sink) {
-  auto add = [&](const char* prefix, int i, const std::string& head, int n,
+// Registers query i (0..31) of perfbench's 32 standing queries over `s`
+// (sql_workloads.cc): 24 filters sharing `payload < 1000`, then 8
+// group-bys sharing `payload >= 8000`. The statements are built by
+// appends, which keeps GCC 12's -Wrestrict false positive on
+// `"lit" + string` quiet at -O3.
+bool RegisterSetQuery(sql::Session& session, int i,
+                      const core::Emitter::Sink& sink) {
+  auto add = [&](const char* prefix, int k, const std::string& head, int n,
                  const char* tail) {
     std::string name = prefix;
-    name += std::to_string(i);
+    name += std::to_string(k);
     std::string sql = head;
     sql += std::to_string(n);
     sql += tail;
     return session.RegisterContinuousSelect(name, sql, sink).ok();
   };
-  for (int i = 0; i < 24; ++i) {
-    if (!add("f", i,
-             "select * from [select * from s where payload < 1000 and "
-             "payload * 3 + 7 < ",
-             307 + 120 * i, "]")) {
-      return false;
-    }
+  if (i < 24) {
+    return add("f", i,
+               "select * from [select * from s where payload < 1000 and "
+               "payload * 3 + 7 < ",
+               307 + 120 * i, "]");
   }
-  for (int g = 0; g < 8; ++g) {
-    if (!add("g", g,
+  return add("g", i - 24,
              "select k, count(*), sum(payload) from [select * from s where "
              "payload >= 8000 and payload % 8 <> ",
-             g, "] group by k")) {
-      return false;
-    }
+             i - 24, "] group by k");
+}
+
+bool RegisterQuerySet(sql::Session& session, const core::Emitter::Sink& sink) {
+  for (int i = 0; i < 32; ++i) {
+    if (!RegisterSetQuery(session, i, sink)) return false;
   }
   return true;
 }
 
+// Query i of Fig 5b's disjoint range queries: 9 payload values each.
+bool RegisterRangeQuery(sql::Session& session, int i) {
+  std::string name = "r";
+  name += std::to_string(i);
+  std::string sql = "select * from [select * from s where payload >= ";
+  sql += std::to_string(9 * i);
+  sql += " and payload < ";
+  sql += std::to_string(9 * i + 9);
+  sql += "]";
+  return session.RegisterContinuousSelect(name, sql, nullptr).ok();
+}
+
 // Registration of the standing-query set above on a fresh Session with
-// sharing on: parse, prepare, trie rebuilds and factory wiring, timed
+// sharing on: parse, prepare, trie layouts and factory wiring, timed
 // per whole set. Reports `allocs_per_registration`: heap allocations per
 // registered query.
 void BM_RegisterQuerySet(benchmark::State& state) {
@@ -410,6 +424,60 @@ BENCHMARK(BM_RegisterQuerySet)
     ->Arg(32)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
+
+// The n-th registration on a fresh Session with sharing on, after n - 1
+// standing queries: n = 32 is perfbench's query set (its last group-by),
+// n = 1024 Fig 5b's disjoint range queries. Only the n-th is timed; it
+// reports `allocs_per_registration` (its heap allocations) and
+// `all_registrations_ms` (all n registrations, untimed by the harness).
+void BM_RegisterNth(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  auto add = [n](sql::Session& session, int i) {
+    return n == 32 ? RegisterSetQuery(session, i, nullptr)
+                   : RegisterRangeQuery(session, i);
+  };
+  uint64_t allocs = 0;
+  double all_ms = 0;
+  for (auto _ : state) {
+    core::Engine engine(SystemClock::Get());
+    sql::Session session(&engine);
+    session.set_sharing_enabled(true);
+    if (!session.Execute("create basket s (id int, k int, payload int)").ok()) {
+      state.SkipWithError("create basket failed");
+      return;
+    }
+    bool ok = true;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i + 1 < n && ok; ++i) ok = add(session, i);
+    const uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+    const auto t1 = std::chrono::steady_clock::now();
+    ok = ok && add(session, n - 1);
+    const auto t2 = std::chrono::steady_clock::now();
+    allocs += g_allocs.load(std::memory_order_relaxed) - a0;
+    state.SetIterationTime(std::chrono::duration<double>(t2 - t1).count());
+    all_ms += std::chrono::duration<double, std::milli>(t2 - t0).count();
+    if (!ok) {
+      state.SkipWithError("register failed");
+      return;
+    }
+  }
+  state.counters["allocs_per_registration"] = benchmark::Counter(
+      static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
+  state.counters["all_registrations_ms"] =
+      benchmark::Counter(all_ms, benchmark::Counter::kAvgIterations);
+}
+// Each iteration registers n - 1 queries untimed, so the iteration count
+// is fixed rather than grown to fill the harness's minimum time.
+BENCHMARK(BM_RegisterNth)
+    ->Arg(32)
+    ->Iterations(200)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RegisterNth)
+    ->Arg(1024)
+    ->Iterations(3)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // The fused root of perfbench's `sql_small_batch` net: the query set
 // above, fed one delivery of range(0) rows per iteration. The timed

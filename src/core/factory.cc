@@ -68,8 +68,8 @@ Result<bool> Factory::Fire(Micros now) {
   // sharing baskets cannot deadlock; recursive mutexes let the body keep
   // using the public Basket API underneath. The set is sorted and
   // de-duplicated once, by the first firing after the places changed: a
-  // subnet rebuild builds many factories that never fire, so
-  // registration does not pay for it.
+  // burst of registrations builds fused roots that are replaced before
+  // they ever fire, so registration does not pay for it.
   if (!locks_sorted_) {
     std::sort(locks_.begin(), locks_.end());
     locks_.erase(std::unique(locks_.begin(), locks_.end()), locks_.end());

@@ -36,11 +36,11 @@ Scheduler::~Scheduler() {
 void Scheduler::Register(TransitionPtr transition) {
   auto node = std::make_shared<Node>();
   node->t = std::move(transition);
-  const std::vector<BasketPtr> inputs = node->t->input_places();
-  const std::vector<BasketPtr> outputs = node->t->output_places();
+  node->in_places = node->t->input_places();
+  node->out_places = node->t->output_places();
+  const std::vector<BasketPtr>& inputs = node->in_places;
+  const std::vector<BasketPtr>& outputs = node->out_places;
   node->data_driven = !inputs.empty();
-  node->in_places = inputs;
-  node->out_places = outputs;
   if (!inputs.empty()) node->trigger = inputs.front()->name();
   {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -62,7 +62,6 @@ void Scheduler::Register(TransitionPtr transition) {
   Node* raw = node.get();
   {
     MutexLock lock(&mu_);
-    raw->index = nodes_.size();
     nodes_.push_back(std::move(node));
   }
   // Subscribe outside mu_: AddListener takes the basket lock and the

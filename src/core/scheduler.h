@@ -69,7 +69,8 @@ class Scheduler {
   /// transition will never fire again. This is the teardown half of the
   /// multi-query optimizer's shared-subnet rewiring (dropping one query
   /// must not tear down transitions other queries still use, so the
-  /// planner unregisters exactly the factories it rebuilds). Safe against
+  /// planner unregisters exactly the fused root it replaces and the
+  /// leaving query's leaf). Safe against
   /// concurrent workers and Register calls; in cooperative mode it must be
   /// called from the driving thread (the thread running RunOnce), which is
   /// the Session registration thread in practice. Returns NotFound if the
@@ -143,7 +144,6 @@ class Scheduler {
   // checker, not by annotations.
   struct Node {
     TransitionPtr t;
-    size_t index = 0;                  // registration order
     std::vector<Basket*> places;       // sorted unique input ∪ output set
     // Distinct input/output place sets for the trace's consumed/produced
     // deltas, plus the name of the first input place (the trace trigger).

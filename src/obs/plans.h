@@ -13,22 +13,27 @@
 
 /// Published view of the multi-query optimizer's compiled net (the
 /// `dc_plans` virtual table). The optimizer pushes plain data rows here
-/// after every rebuild; readers (dc_plans materialization) copy them out
-/// under the registry lock and join the live rows_in/rows_out counters at
-/// read time: a row's own PlanCounters when it has them, else the
-/// transition.<stage>.* metrics. Keeping this a passive mirror — rather
+/// for every query whose plan a registration changed; readers (dc_plans
+/// materialization) copy them out under the registry lock and join the
+/// live figures at read time: a trie node's PlanCounters (rows, sharing
+/// count and estimate), else the transition.<stage>.* metrics. Keeping this a passive mirror — rather
 /// than a callback into planner state — means a factory body that SELECTs
 /// dc_plans while holding basket locks (rank kBasket) only ever descends
 /// to kMetrics, and the optimizer's rebuild path never takes a lock a
 /// reader might hold.
 namespace datacell::obs {
 
-/// Live row counters for a plan row that is not a transition of its own
-/// (a node of a fused shared-predicate trie). The owner bumps them with
-/// relaxed atomics from inside its firings.
+/// Live figures of a plan row that is not a transition of its own (a node
+/// of a fused shared-predicate trie). The owner bumps the row counts with
+/// relaxed atomics from inside its firings. The optimizer stores the
+/// sharing count and the estimate whenever a registration on the node's
+/// basket moves them, so the rows of queries it did not re-plan still
+/// read current values.
 struct PlanCounters {
   std::atomic<uint64_t> rows_in{0};
   std::atomic<uint64_t> rows_out{0};
+  std::atomic<int64_t> shared_by{0};
+  std::atomic<double> est_rows{0};
 };
 
 /// One stage of one query's compiled pipeline, in pipeline order.
@@ -40,8 +45,12 @@ struct PlanRow {
   std::string fingerprint;  // conjunct fingerprints (hex), "" if n/a
   int64_t shared_by = 1;    // number of standing queries using this stage
   double est_rows = 0;      // cost-model estimated output cardinality
-  /// The stage's own counters; null joins transition.<stage>.rows_in/out.
+  /// The stage's own figures; null joins transition.<stage>.rows_in/out
+  /// and keeps shared_by and est_rows as published.
   std::shared_ptr<const PlanCounters> counters;
+  /// A shared query's leaf: the trie node feeding it, whose est_rows the
+  /// row shows.
+  std::shared_ptr<const PlanCounters> fed_by;
 };
 
 /// Process-global registry of published plans. Mutex rank kMetrics (same
@@ -51,7 +60,7 @@ class PlansRegistry {
   static PlansRegistry& Global();
 
   /// Replaces the published rows for `query`. Called by the optimizer
-  /// after (re)compiling the standing set.
+  /// when a registration changes the query's plan.
   void Publish(const std::string& query, std::vector<PlanRow> rows)
       DC_EXCLUDES(mu_);
 

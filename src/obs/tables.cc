@@ -96,10 +96,10 @@ Result<Table> TransitionsTable(core::Engine* engine) {
   return t;
 }
 
-// The optimizer publishes plan rows (plain data) after each rebuild; the
-// live rows_in/rows_out are joined in here — a trie node's own counters,
-// else the transition's by name — so observed cardinalities sit next to
-// the cost model's estimates.
+// The optimizer publishes plan rows (plain data) when a query's plan
+// changes; the live figures are joined in here — a trie node's own
+// counters, sharing count and estimate, else the transition's counters by
+// name — so observed cardinalities sit next to the cost model's estimates.
 Result<Table> PlansTable() {
   Table t(Schema({{"query", DataType::kString},
                   {"stage", DataType::kString},
@@ -114,11 +114,15 @@ Result<Table> PlansTable() {
   for (const PlanRow& r : PlansRegistry::Global().Snapshot()) {
     int64_t rows_in = 0;
     int64_t rows_out = 0;
+    int64_t shared_by = r.shared_by;
+    double est_rows = r.est_rows;
     if (r.counters != nullptr) {
       rows_in = static_cast<int64_t>(
           r.counters->rows_in.load(std::memory_order_relaxed));
       rows_out = static_cast<int64_t>(
           r.counters->rows_out.load(std::memory_order_relaxed));
+      shared_by = r.counters->shared_by.load(std::memory_order_relaxed);
+      est_rows = r.counters->est_rows.load(std::memory_order_relaxed);
     } else if (!r.stage.empty()) {
       const std::string prefix = "transition." + r.stage + ".";
       rows_in =
@@ -126,9 +130,12 @@ Result<Table> PlansTable() {
       rows_out =
           static_cast<int64_t>(reg.GetCounter(prefix + "rows_out")->value());
     }
+    if (r.fed_by != nullptr) {
+      est_rows = r.fed_by->est_rows.load(std::memory_order_relaxed);
+    }
     RETURN_NOT_OK(t.AppendRow({Value(r.query), Value(r.stage), Value(r.kind),
                                Value(r.detail), Value(r.fingerprint),
-                               Value(r.shared_by), Value(r.est_rows),
+                               Value(shared_by), Value(est_rows),
                                Value(rows_in), Value(rows_out)}));
   }
   return t;

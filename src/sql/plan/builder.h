@@ -28,7 +28,7 @@ struct CompiledQuery {
   /// The original statement, untouched (the leaf rewrite clones it).
   std::shared_ptr<Statement> stmt;
   /// Shareable conjuncts (inner WHERE always; outer WHERE only when the
-  /// window is trivial). Unordered — the optimizer orders them per rebuild
+  /// window is trivial). Unordered — the optimizer orders them in its trie
   /// by (sharing count, estimated selectivity).
   std::vector<Conjunct> shared;
   /// Petri-net firing threshold of the source/leaf basket (top_n or 1).

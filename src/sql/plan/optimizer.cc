@@ -1,7 +1,7 @@
 #include "sql/plan/optimizer.h"
 
 #include <algorithm>
-#include <deque>
+#include <set>
 #include <utility>
 
 #include "column/recycler.h"
@@ -35,25 +35,6 @@ void UnregisterOrWarn(core::Scheduler& scheduler,
   }
 }
 
-std::string ConjunctsText(const std::vector<Conjunct>& cs) {
-  if (cs.empty()) return "replicate";
-  std::string out;
-  for (size_t i = 0; i < cs.size(); ++i) {
-    if (i > 0) out += " and ";
-    out += cs[i].expr->ToString();
-  }
-  return out;
-}
-
-std::string ConjunctsFps(const std::vector<Conjunct>& cs) {
-  std::string out;
-  for (size_t i = 0; i < cs.size(); ++i) {
-    if (i > 0) out += ",";
-    out += cs[i].fp;
-  }
-  return out;
-}
-
 std::shared_ptr<obs::PlanCounters> CountersFor(
     std::map<std::string, std::shared_ptr<obs::PlanCounters>>* map,
     const std::string& key) {
@@ -71,9 +52,9 @@ QuerySetOptimizer::QuerySetOptimizer(core::Engine* engine,
 // Takes every delivered row once and walks the trie level by level; every
 // leaf gets exactly one AppendAligned per delivery, from the firing
 // thread, once its node's level is done.
-Status QuerySetOptimizer::Walk(const std::vector<TrieNode>& nodes,
-                               WalkScratch* scratch,
+Status QuerySetOptimizer::Walk(const Trie& trie, WalkScratch* scratch,
                                core::FactoryContext& ctx) {
+  const std::vector<Trie::Node>& nodes = trie.nodes;
   const Table batch = ctx.input(0).TakeAll();
   if (batch.num_rows() == 0) return Status::OK();
   const EvalContext ectx = ctx.eval();
@@ -87,8 +68,8 @@ Status QuerySetOptimizer::Walk(const std::vector<TrieNode>& nodes,
     return i == 0 ? batch : out[nodes[i].parent];
   };
   auto eval = [&](size_t i) {
-    return EvalNode(nodes[i], input_of(i), ectx, &sel[2 * i], &sel[2 * i + 1],
-                    &out[i]);
+    return EvalNode(nodes[i], trie.conjuncts(nodes[i]), input_of(i), ectx,
+                    &sel[2 * i], &sel[2 * i + 1], &out[i]);
   };
   // Survivor tables share the leaves' buffers once appended, so none may
   // outlive the firing: a leaf's next write would copy them instead.
@@ -123,7 +104,7 @@ Status QuerySetOptimizer::Walk(const std::vector<TrieNode>& nodes,
     }
     for (size_t i = begin; i < end && st.ok(); ++i) {
       if (out[i].num_rows() == 0) continue;
-      for (const core::BasketPtr& leaf : nodes[i].leaves) {
+      for (core::Basket* leaf : trie.leaves_of(nodes[i])) {
         Result<size_t> appended = leaf->AppendAligned(out[i], ctx.now());
         if (!appended.ok()) {
           st = appended.status();
@@ -140,9 +121,10 @@ Status QuerySetOptimizer::Walk(const std::vector<TrieNode>& nodes,
   return st;
 }
 
-Status QuerySetOptimizer::EvalNode(const TrieNode& node, const Table& in,
-                                   const EvalContext& ectx, SelVector* a,
-                                   SelVector* b, Table* out) {
+Status QuerySetOptimizer::EvalNode(const Trie::Node& node,
+                                   std::span<const Trie::Step> conjuncts,
+                                   const Table& in, const EvalContext& ectx,
+                                   SelVector* a, SelVector* b, Table* out) {
   const size_t n = in.num_rows();
   if (n == 0) return Status::OK();
   node.counters->rows_in.fetch_add(n, std::memory_order_relaxed);
@@ -150,10 +132,9 @@ Status QuerySetOptimizer::EvalNode(const TrieNode& node, const Table& in,
   // where the dense compare kernel applies; compact with one Take only
   // when a conjunct dropped rows. `a` holds the latest selection.
   bool all = true;
-  for (size_t k = 0; k < node.conjuncts.size() && (all || !a->empty());
-       ++k) {
-    obs::PlanCounters& c = *node.conjunct_counters[k];
-    const Expr& e = *node.conjuncts[k].expr;
+  for (size_t k = 0; k < conjuncts.size() && (all || !a->empty()); ++k) {
+    obs::PlanCounters& c = *conjuncts[k].counters;
+    const Expr& e = *conjuncts[k].expr;
     c.rows_in.fetch_add(all ? n : a->size(), std::memory_order_relaxed);
     RETURN_NOT_OK(EvalPredicateInto(in, e, all ? nullptr : a, ectx, b));
     std::swap(a, b);
@@ -222,6 +203,7 @@ Status QuerySetOptimizer::AddReplicated(const std::string& name,
     }
   };
   std::map<std::string, std::string> redirect;
+  std::vector<core::BasketPtr> sources;
   for (const std::string& basket : read) {
     Result<core::BasketPtr> source = engine_->GetBasket(basket);
     Result<core::BasketPtr> leaf =
@@ -233,6 +215,7 @@ Status QuerySetOptimizer::AddReplicated(const std::string& name,
       drop_replicas();
       return leaf.status();
     }
+    sources.push_back(*source);
     info.replicas[basket] = *leaf;
     redirect[basket] = ReplicaBasketName(name, basket);
   }
@@ -244,34 +227,14 @@ Status QuerySetOptimizer::AddReplicated(const std::string& name,
   }
   info.factory = std::move(built->factory);
   info.pipeline = std::move(built->pipeline);
-  queries_[name] = info;
-  if (Status st = RebuildSubnets(read, [&] { queries_.erase(name); });
-      !st.ok()) {
-    drop_replicas();
-    return st;
+  QueryInfo& q = queries_[name] = std::move(info);
+  // Every source is resolved, so nothing below fails.
+  for (size_t i = 0; i < read.size(); ++i) {
+    NetFor(read[i]).replicas[name] = q.replicas.at(read[i]);
+    SwapRoot(read[i], sources[i], nullptr, nullptr);
   }
-  engine_->scheduler().Register(info.factory);
-  PublishDirect(name, info.pipeline);
-  return Status::OK();
-}
-
-Status QuerySetOptimizer::RebuildSubnets(
-    const std::vector<std::string>& baskets,
-    const std::function<void()>& restore) {
-  for (size_t i = 0; i < baskets.size(); ++i) {
-    Status st = RebuildSubnet(baskets[i]);
-    if (st.ok()) continue;
-    // RebuildSubnet left baskets[i]'s old net running; the ones before it
-    // already swapped, so rebuild them for the restored query set.
-    restore();
-    for (size_t j = 0; j < i; ++j) {
-      if (Status undo = RebuildSubnet(baskets[j]); !undo.ok()) {
-        DC_LOG(Warn) << "optimizer rollback: rebuild of " << baskets[j]
-                     << " failed: " << undo.ToString();
-      }
-    }
-    return st;
-  }
+  engine_->scheduler().Register(q.factory);
+  PublishDirect(name, q.pipeline);
   return Status::OK();
 }
 
@@ -282,17 +245,31 @@ Status QuerySetOptimizer::AddShared(const std::string& name, QueryInfo info) {
       info.leaf,
       engine_->CreateBasket(LeafBasketName(name), source->schema(),
                             /*add_arrival_ts=*/false));
-  queries_[name] = std::move(info);
-  Status rebuilt = RebuildSubnet(basket);
-  if (!rebuilt.ok()) {
-    // The old net was never touched: only the new query is undone.
-    queries_.erase(name);
+  // The leaf runs the statement minus every conjunct the trie evaluates on
+  // the way to it: all of its shared ones, wherever the layout puts them,
+  // so the leaf stays as built while the query stands.
+  std::set<std::string> strip;
+  if (factoring_enabled_) {
+    for (const Conjunct& c : info.cq.shared) strip.insert(c.fp);
+  }
+  Result<std::shared_ptr<Statement>> leaf_stmt =
+      MakeLeafStatement(engine_, info.cq, LeafBasketName(name), strip);
+  Result<BuiltQuery> built =
+      leaf_stmt.ok() ? build_factory_(name, *leaf_stmt, info.sink)
+                     : leaf_stmt.status();
+  if (!built.ok()) {
+    // The old net was never touched: only the new leaf basket is undone.
     if (Status st = engine_->DropBasket(LeafBasketName(name)); !st.ok()) {
       DC_LOG(Warn) << "optimizer AddQuery rollback: drop leaf basket failed: "
                    << st.ToString();
     }
-    return rebuilt;
+    return built.status();
   }
+  info.factory = std::move(built->factory);
+  info.pipeline = std::move(built->pipeline);
+  QueryInfo& q = queries_[name] = std::move(info);
+  Join(&NetFor(basket), name, &q);
+  SwapRoot(basket, source, q.factory, nullptr);
   return Status::OK();
 }
 
@@ -301,245 +278,372 @@ Status QuerySetOptimizer::RemoveQuery(const std::string& name) {
   if (it == queries_.end()) {
     return Status::NotFound("no such continuous query: " + name);
   }
-  QueryInfo info = std::move(it->second);
-  queries_.erase(it);
-  // The nets this query rides are rebuilt without it; a failed rebuild
-  // leaves the old net, this query included, running.
+  QueryInfo& q = it->second;
+  // The nets this query rides get a new root without it. Their sources are
+  // resolved first: a net that cannot be rebuilt leaves it, and the old
+  // nets, running.
   std::vector<std::string> nets;
-  if (!info.direct) nets.push_back(info.cq.source_basket);
-  for (const auto& [basket, leaf] : info.replicas) nets.push_back(basket);
-  RETURN_NOT_OK(RebuildSubnets(nets, [&] { queries_[name] = info; }));
-  if (info.direct) {
-    UnregisterOrWarn(engine_->scheduler(), info.factory, "RemoveQuery");
+  if (!q.direct) nets.push_back(q.cq.source_basket);
+  for (const auto& [basket, leaf] : q.replicas) nets.push_back(basket);
+  std::vector<core::BasketPtr> sources;
+  for (const std::string& basket : nets) {
+    const Subnet& net = subnets_.at(basket);
+    core::BasketPtr source;
+    if (net.members.size() + net.replicas.size() > 1) {
+      ASSIGN_OR_RETURN(source, engine_->GetBasket(basket));
+    }
+    sources.push_back(std::move(source));
+  }
+  for (size_t i = 0; i < nets.size(); ++i) {
+    Subnet& net = subnets_.at(nets[i]);
+    if (q.direct) {
+      net.replicas.erase(name);
+    } else {
+      Leave(&net, name, &q);
+    }
+    SwapRoot(nets[i], sources[i], nullptr, q.direct ? nullptr : q.factory);
+  }
+  if (q.direct) {
+    UnregisterOrWarn(engine_->scheduler(), q.factory, "RemoveQuery");
   }
   obs::PlansRegistry::Global().Retract(name);
   Status dropped;
-  if (!info.direct) {
-    peak_retired_ = std::max(peak_retired_, info.leaf->stats().peak_rows);
+  if (!q.direct) {
+    peak_retired_ = std::max(peak_retired_, q.leaf->stats().peak_rows);
     dropped = engine_->DropBasket(LeafBasketName(name));
   }
-  for (const auto& [basket, leaf] : info.replicas) {
+  for (const auto& [basket, leaf] : q.replicas) {
     peak_retired_ = std::max(peak_retired_, leaf->stats().peak_rows);
     Status st = engine_->DropBasket(ReplicaBasketName(name, basket));
     if (dropped.ok()) dropped = st;
   }
+  queries_.erase(it);
   return dropped;
 }
 
-void QuerySetOptimizer::BuildTrie(const std::string& basket,
-                                  const std::vector<std::string>& members,
-                                  bool open_root, Subnet* out) {
-  // How many members share each conjunct: widely shared conjuncts order
-  // first so common prefixes factor into one node; estimated selectivity
-  // (live observations override heuristics) breaks ties, fingerprints make
-  // the order deterministic.
-  std::map<std::string, size_t> share_count;
-  for (const std::string& qname : members) {
-    for (const Conjunct& c : queries_[qname].cq.shared) {
-      share_count[c.fp] += 1;
-    }
+QuerySetOptimizer::Subnet& QuerySetOptimizer::NetFor(
+    const std::string& basket) {
+  auto [it, fresh] = subnets_.try_emplace(basket);
+  Subnet& net = it->second;
+  if (fresh) {
+    net.basket = basket;
+    net.est_epoch = cost_epoch_;
+    net.trie.id = next_proto_id_++;
+    net.trie.name = "mqo." + basket + ".root";
+    net.trie.counters = CountersFor(&node_counters_, net.trie.name);
   }
+  return net;
+}
 
-  struct Proto {
-    std::map<std::string, Proto> kids;  // edge fingerprint -> child
-    Conjunct edge;                      // conjunct on the edge into this
-    std::vector<std::string> attached;
-  };
-  Proto root;
-  for (const std::string& qname : members) {
-    std::vector<Conjunct> ordered;
-    if (factoring_enabled_) {
-      ordered = queries_[qname].cq.shared;
-      for (Conjunct& c : ordered) {
-        c.est_sel = cost_.EstimateSelectivity(*c.expr, c.fp);
+void QuerySetOptimizer::Join(Subnet* net, const std::string& name,
+                             QueryInfo* q) {
+  if (factoring_enabled_) {
+    for (const Conjunct& c : q->cq.shared) {
+      auto [at, fresh] = net->ids.try_emplace(c.fp, 0);
+      if (fresh) {
+        if (net->free_ids.empty()) {
+          at->second = static_cast<uint32_t>(net->conjs.size());
+          net->conjs.emplace_back();
+        } else {
+          at->second = net->free_ids.back();
+          net->free_ids.pop_back();
+        }
+        SharedConjunct& s = net->conjs[at->second];
+        s.c = c;
+        s.c.est_sel = cost_.EstimateSelectivity(*c.expr, c.fp);
+        s.counters = CountersFor(&conjunct_counters_, c.fp);
       }
-      std::sort(ordered.begin(), ordered.end(),
-                [&](const Conjunct& a, const Conjunct& b) {
-                  const size_t ca = share_count[a.fp];
-                  const size_t cb = share_count[b.fp];
-                  if (ca != cb) return ca > cb;
-                  if (a.est_sel != b.est_sel) return a.est_sel < b.est_sel;
-                  return a.fp < b.fp;
-                });
+      SharedConjunct& s = net->conjs[at->second];
+      ++s.share;
+      s.users.insert(name);
+      q->path.push_back(at->second);
     }
-    Proto* cur = &root;
-    for (const Conjunct& c : ordered) {
-      cur = &cur->kids[c.fp];
-      cur->edge = c;
-    }
-    cur->attached.push_back(qname);
   }
+  net->members.emplace(name, q);
+  if (net->est_epoch != cost_epoch_) {
+    Replan(net);
+    return;
+  }
+  // Only members sharing a conjunct with the new one see a count change.
+  std::set<std::string> moved;
+  for (const uint32_t id : q->path) {
+    moved.insert(net->conjs[id].users.begin(), net->conjs[id].users.end());
+  }
+  moved.erase(name);
+  Reorder(net, moved);
+  Order(*net, &q->path);
+  Place(net, name, q);
+}
 
-  // Breadth-first, so each level is contiguous, with path compression:
-  // runs of unattached single-child nodes collapse into one node
-  // evaluating the whole conjunct run.
-  struct Pending {
-    const Proto* proto;
-    std::vector<Conjunct> lead;
-    size_t parent;
-  };
-  std::deque<Pending> queue;
-  queue.push_back({&root, {}, 0});
-  while (!queue.empty()) {
-    Pending p = std::move(queue.front());
-    queue.pop_front();
-    const Proto* n = p.proto;
-    const bool keep_open = open_root && n == &root;
-    while (!keep_open && n->attached.empty() && n->kids.size() == 1) {
-      n = &n->kids.begin()->second;
-      p.lead.push_back(n->edge);
-    }
-    const size_t idx = out->nodes.size();
-    TrieNode node;
-    node.parent = p.parent;
-    if (idx > 0) {
-      node.level = out->nodes[p.parent].level + 1;
-      node.cum = out->nodes[p.parent].cum;
-    }
-    std::string path;
-    for (const Conjunct& c : p.lead) node.cum.insert(c.fp);
-    for (const std::string& fp : node.cum) path += fp;
-    node.name = "mqo." + basket +
-                (idx == 0 ? ".root" : ".s" + FingerprintHex(path).substr(0, 8));
-    node.conjuncts = std::move(p.lead);
-    for (const Conjunct& c : node.conjuncts) {
-      node.conjunct_counters.push_back(CountersFor(&conjunct_counters_, c.fp));
-    }
-    node.counters = CountersFor(&node_counters_, node.name);
-    node.attached = n->attached;
-    node.shared_by = n->attached.size();
-    for (const std::string& qname : n->attached) {
-      node.leaves.push_back(queries_[qname].leaf);
-    }
-    out->nodes.push_back(std::move(node));
-    for (const auto& [fp, kid] : n->kids) {
-      queue.push_back({&kid, {kid.edge}, idx});
+void QuerySetOptimizer::Leave(Subnet* net, const std::string& name,
+                              QueryInfo* q) {
+  Unplace(net, name, q->path);
+  net->members.erase(name);
+  for (const uint32_t id : q->path) {
+    --net->conjs[id].share;
+    net->conjs[id].users.erase(name);
+  }
+  std::set<std::string> moved;
+  for (const uint32_t id : q->path) {
+    SharedConjunct& s = net->conjs[id];
+    if (s.share > 0) {
+      moved.insert(s.users.begin(), s.users.end());
+    } else if (s.c.expr != nullptr) {
+      net->ids.erase(s.c.fp);
+      s = SharedConjunct();
+      net->free_ids.push_back(id);
     }
   }
-  for (size_t i = out->nodes.size(); i-- > 1;) {
-    out->nodes[out->nodes[i].parent].shared_by += out->nodes[i].shared_by;
+  q->path.clear();
+  if (net->est_epoch != cost_epoch_) {
+    Replan(net);
+    return;
+  }
+  Reorder(net, moved);
+}
+
+void QuerySetOptimizer::Replan(Subnet* net) {
+  for (SharedConjunct& s : net->conjs) {
+    if (s.c.expr != nullptr) {
+      s.c.est_sel = cost_.EstimateSelectivity(*s.c.expr, s.c.fp);
+    }
+  }
+  net->est_epoch = cost_epoch_;
+  net->trie.kids.clear();
+  net->trie.attached.clear();
+  net->protos = 1;
+  for (const auto& [name, q] : net->members) {
+    Order(*net, &q->path);
+    Place(net, name, q);
   }
 }
 
-Status QuerySetOptimizer::RebuildSubnet(const std::string& basket) {
-  std::vector<std::string> members;
-  std::vector<core::BasketPtr> replicas;
-  for (const auto& [qname, q] : queries_) {
-    if (!q.direct && q.cq.source_basket == basket) members.push_back(qname);
-    if (auto r = q.replicas.find(basket); r != q.replicas.end()) {
-      replicas.push_back(r->second);
-    }
+void QuerySetOptimizer::Reorder(Subnet* net,
+                                const std::set<std::string>& members) {
+  for (const std::string& name : members) {
+    QueryInfo* q = net->members.at(name);
+    std::vector<uint32_t> path = q->path;
+    Order(*net, &path);
+    if (path == q->path) continue;
+    Unplace(net, name, q->path);
+    q->path = std::move(path);
+    Place(net, name, q);
   }
-  const bool empty = members.empty() && replicas.empty();
+}
 
-  // Build the complete new net before touching the old one.
-  Subnet net;
-  struct Leaf {
-    BuiltQuery built;
-    std::shared_ptr<Statement> stmt;
+void QuerySetOptimizer::Order(const Subnet& net, std::vector<uint32_t>* path) {
+  // Estimated selectivity (live observations override heuristics) breaks
+  // ties; fingerprints make the order deterministic.
+  std::sort(path->begin(), path->end(), [&](uint32_t a, uint32_t b) {
+    const SharedConjunct& x = net.conjs[a];
+    const SharedConjunct& y = net.conjs[b];
+    if (x.share != y.share) return x.share > y.share;
+    if (x.c.est_sel != y.c.est_sel) return x.c.est_sel < y.c.est_sel;
+    return x.c.fp < y.c.fp;
+  });
+}
+
+void QuerySetOptimizer::Place(Subnet* net, const std::string& name,
+                              QueryInfo* q) {
+  Proto* cur = &net->trie;
+  for (size_t d = 0; d < q->path.size(); ++d) {
+    auto [kid, fresh] = cur->kids.try_emplace(net->conjs[q->path[d]].c.fp);
+    cur = &kid->second;
+    if (!fresh) continue;
+    // Named by the set of fingerprints evaluated at or above it.
     std::set<std::string> cum;
-  };
-  std::map<std::string, Leaf> leaves;
-  if (!empty) {
-    ASSIGN_OR_RETURN(core::BasketPtr source, engine_->GetBasket(basket));
-    BuildTrie(basket, members, /*open_root=*/!replicas.empty(), &net);
+    for (size_t i = 0; i <= d; ++i) cum.insert(net->conjs[q->path[i]].c.fp);
+    std::string joined;
+    for (const std::string& fp : cum) joined += fp;
+    ++net->protos;
+    cur->id = next_proto_id_++;
+    cur->edge = q->path[d];
+    cur->name =
+        "mqo." + net->basket + ".s" + FingerprintHex(joined).substr(0, 8);
+    cur->counters = CountersFor(&node_counters_, cur->name);
+  }
+  cur->attached.emplace(name, q);
+  cur->fresh = true;
+}
+
+void QuerySetOptimizer::Unplace(Subnet* net, const std::string& name,
+                                const std::vector<uint32_t>& path) {
+  std::vector<Proto*> chain = {&net->trie};
+  for (const uint32_t id : path) {
+    chain.push_back(&chain.back()->kids.at(net->conjs[id].c.fp));
+  }
+  chain.back()->attached.erase(name);
+  for (size_t d = path.size(); d > 0; --d) {
+    if (!chain[d]->attached.empty() || !chain[d]->kids.empty()) break;
+    chain[d - 1]->kids.erase(net->conjs[path[d - 1]].c.fp);
+    --net->protos;
+  }
+}
+
+void QuerySetOptimizer::LayOut(Subnet* net, Trie* trie,
+                               std::vector<Proto*>* ends) {
+  const bool open_root = !net->replicas.empty();
+  trie->nodes.reserve(net->protos);
+  trie->steps.reserve(net->protos - 1);
+  trie->leaves.reserve(net->members.size() + net->replicas.size());
+  std::vector<std::pair<Proto*, size_t>> queue = {{&net->trie, 0}};
+  queue.reserve(net->protos);
+  for (size_t head = 0; head < queue.size(); ++head) {
+    Proto* n = queue[head].first;
+    const size_t idx = trie->nodes.size();
+    auto step = [&](const Proto* p) {
+      const SharedConjunct& s = net->conjs[p->edge];
+      trie->steps.push_back(Trie::Step{s.c.expr, s.counters, p->edge});
+    };
+    Trie::Node node;
+    node.parent = queue[head].second;
+    node.steps = trie->steps.size();
+    if (idx > 0) {
+      node.level = trie->nodes[node.parent].level + 1;
+      step(n);
+    }
+    while (!(open_root && idx == 0) && n->attached.empty() &&
+           n->kids.size() == 1) {
+      n->under = 0;  // inside a run: ends no node
+      n = &n->kids.begin()->second;
+      step(n);
+    }
+    node.steps_end = trie->steps.size();
+    node.counters = idx == 0 ? net->trie.counters : n->counters;
+    node.leaves = trie->leaves.size();
+    for (const auto& [qname, q] : n->attached) {
+      trie->leaves.push_back(q->leaf.get());
+    }
     // Replica leaves take every row: they hang off the root.
-    for (const core::BasketPtr& r : replicas) net.nodes[0].leaves.push_back(r);
-    // Leaf factories: the original statement with the conjuncts evaluated
-    // on the way to its node stripped and its FROM redirected to the leaf.
-    // A leaf whose stripped set is unchanged keeps its statement.
-    for (const TrieNode& t : net.nodes) {
-      for (const std::string& qname : t.attached) {
-        const QueryInfo& q = queries_[qname];
-        Leaf& leaf = leaves[qname];
-        leaf.cum = t.cum;
-        if (q.leaf_stmt != nullptr && q.leaf_cum == t.cum) {
-          leaf.stmt = q.leaf_stmt;
-        } else {
-          ASSIGN_OR_RETURN(leaf.stmt, MakeLeafStatement(engine_, q.cq,
-                                                        LeafBasketName(qname),
-                                                        t.cum));
-        }
-        ASSIGN_OR_RETURN(leaf.built, build_factory_(qname, leaf.stmt, q.sink));
+    if (idx == 0) {
+      for (const auto& [qname, replica] : net->replicas) {
+        trie->leaves.push_back(replica.get());
       }
     }
-    auto walk = std::make_shared<core::Factory>(
-        net.nodes[0].name,
-        [nodes = net.nodes, scratch = WalkScratch()](
-            core::FactoryContext& ctx) mutable {
-          return Walk(nodes, &scratch, ctx);
+    node.leaves_end = trie->leaves.size();
+    trie->nodes.push_back(std::move(node));
+    ends->push_back(n);
+    for (auto& [fp, kid] : n->kids) queue.emplace_back(&kid, idx);
+  }
+}
+
+void QuerySetOptimizer::SwapRoot(const std::string& basket,
+                                 const core::BasketPtr& source,
+                                 const core::FactoryPtr& joining,
+                                 const core::FactoryPtr& leaving) {
+  core::Scheduler& scheduler = engine_->scheduler();
+  Subnet& net = subnets_.at(basket);
+  const bool empty = net.members.empty() && net.replicas.empty();
+  auto trie = std::make_shared<Trie>();
+  std::vector<Proto*> ends;
+  core::FactoryPtr root;
+  if (!empty) {
+    LayOut(&net, trie.get(), &ends);
+    root = std::make_shared<core::Factory>(
+        net.trie.name, [trie = std::shared_ptr<const Trie>(trie),
+                        scratch = WalkScratch()](
+                           core::FactoryContext& ctx) mutable {
+          return Walk(*trie, &scratch, ctx);
         });
-    walk->AddInput(source, 1);
+    root->AddInput(source, 1);
     // Every leaf is an output place, so no leaf fires while the walk runs.
-    for (const TrieNode& t : net.nodes) {
-      for (const core::BasketPtr& leaf : t.leaves) walk->AddOutput(leaf);
-    }
-    net.transitions.push_back(std::move(walk));
-    for (const auto& [qname, leaf] : leaves) {
-      net.transitions.push_back(leaf.built.factory);
-    }
+    for (const auto& [qname, q] : net.members) root->AddOutput(q->leaf);
+    for (const auto& [qname, replica] : net.replicas) root->AddOutput(replica);
   }
 
-  // Swap. Unregister waits out in-flight firings; rows resident in the
-  // source and leaf baskets carry over to the new transitions.
-  if (auto old = subnets_.find(basket); old != subnets_.end()) {
-    for (const core::FactoryPtr& t : old->second.transitions) {
-      UnregisterOrWarn(engine_->scheduler(), t, "RebuildSubnet");
-    }
-    subnets_.erase(old);
-  }
-  if (empty) return Status::OK();
-  for (auto& [qname, leaf] : leaves) {
-    QueryInfo& q = queries_[qname];
-    q.factory = std::move(leaf.built.factory);
-    q.pipeline = std::move(leaf.built.pipeline);
-    q.leaf_stmt = std::move(leaf.stmt);
-    q.leaf_cum = std::move(leaf.cum);
-  }
+  // Swap. Unregister waits out the old root's in-flight firing; rows
+  // resident in the source and leaf baskets carry over to the new root.
+  if (net.root != nullptr) UnregisterOrWarn(scheduler, net.root, "SwapRoot");
   // Leaves before the fused transition, so its first firing signals
   // already-listening consumers (Register re-checks eligibility, so rows
   // already in a leaf wake it immediately).
-  for (size_t i = 1; i < net.transitions.size(); ++i) {
-    engine_->scheduler().Register(net.transitions[i]);
+  if (joining != nullptr) scheduler.Register(joining);
+  if (leaving != nullptr) UnregisterOrWarn(scheduler, leaving, "SwapRoot");
+  if (empty) {
+    subnets_.erase(basket);
+    return;
   }
-  engine_->scheduler().Register(net.transitions[0]);
-  PublishPlans(net);
-  subnets_[basket] = std::move(net);
-  return Status::OK();
+  scheduler.Register(root);
+  net.root = std::move(root);
+  double base = static_cast<double>(source->size());
+  if (base <= 0) base = 1000;
+  PublishChanged(&net, *trie, ends, base);
+}
+
+void QuerySetOptimizer::PublishChanged(Subnet* net, const Trie& trie,
+                                       const std::vector<Proto*>& ends,
+                                       double base) {
+  const std::vector<Trie::Node>& nodes = trie.nodes;
+  // The figures any change may move live on the nodes, where dc_plans
+  // reads them.
+  std::vector<int64_t> shared_by(nodes.size());
+  std::vector<double> est(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    shared_by[i] = static_cast<int64_t>(ends[i]->attached.size());
+    double e = i == 0 ? base : est[nodes[i].parent];
+    for (const Trie::Step& c : trie.conjuncts(nodes[i])) {
+      e *= net->conjs[c.id].c.est_sel;
+    }
+    est[i] = std::max(e, 1.0);
+  }
+  for (size_t i = nodes.size(); i-- > 1;) {
+    shared_by[nodes[i].parent] += shared_by[i];
+  }
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    nodes[i].counters->shared_by.store(shared_by[i],
+                                       std::memory_order_relaxed);
+    nodes[i].counters->est_rows.store(est[i], std::memory_order_relaxed);
+  }
+
+  // A node's rows (name, conjunct run, counters) follow from the Proto
+  // ending it and the one ending its parent, so a query's rows change only
+  // when a node on its path hangs under another node than at the last
+  // layout (or the root's run changed), or when it was attached anew.
+  std::vector<char> moved(nodes.size());
+  std::vector<size_t> path;
+  for (size_t at = 0; at < nodes.size(); ++at) {
+    Proto* end = ends[at];
+    const uint64_t under = at == 0 ? 0 : ends[nodes[at].parent]->id;
+    moved[at] = at == 0 ? end->id != net->root_end
+                        : moved[nodes[at].parent] || end->under != under;
+    end->under = under;
+    if (!moved[at] && !end->fresh) continue;
+    end->fresh = false;
+    path.clear();
+    for (size_t i = at; i != 0; i = nodes[i].parent) path.push_back(i);
+    path.push_back(0);
+    std::reverse(path.begin(), path.end());
+    for (const auto& [qname, q] : end->attached) {
+      std::vector<obs::PlanRow> rows;
+      rows.reserve(path.size() + 1);
+      for (const size_t i : path) {
+        std::string text;
+        std::string fps;
+        for (const Trie::Step& c : trie.conjuncts(nodes[i])) {
+          if (!text.empty()) text += " and ";
+          text += c.expr->ToString();
+          if (!fps.empty()) fps += ",";
+          fps += net->conjs[c.id].c.fp;
+        }
+        if (text.empty()) text = "replicate";
+        rows.push_back(obs::PlanRow{
+            qname, i == 0 ? net->trie.name : ends[i]->name, "node",
+            std::move(text), std::move(fps), shared_by[i], est[i],
+            nodes[i].counters, nullptr});
+      }
+      rows.push_back(obs::PlanRow{qname, qname, "leaf", q->pipeline, "", 1,
+                                  est[at], nullptr, nodes[at].counters});
+      obs::PlansRegistry::Global().Publish(qname, std::move(rows));
+    }
+  }
+  net->root_end = ends[0]->id;
 }
 
 void QuerySetOptimizer::PublishDirect(const std::string& name,
                                       const std::string& pipeline) {
   obs::PlansRegistry::Global().Publish(
-      name, {obs::PlanRow{name, name, "direct", pipeline, "", 1, 0, nullptr}});
-}
-
-void QuerySetOptimizer::PublishPlans(const Subnet& net) {
-  double base = static_cast<double>(net.transitions[0]->input(0)->size());
-  if (base <= 0) base = 1000;
-  for (size_t at = 0; at < net.nodes.size(); ++at) {
-    std::vector<size_t> path = {at};  // root first
-    while (path.front() != 0) {
-      path.insert(path.begin(), net.nodes[path.front()].parent);
-    }
-    for (const std::string& qname : net.nodes[at].attached) {
-      std::vector<obs::PlanRow> rows;
-      double est = base;
-      for (const size_t i : path) {
-        const TrieNode& t = net.nodes[i];
-        for (const Conjunct& c : t.conjuncts) est *= c.est_sel;
-        est = std::max(est, 1.0);
-        rows.push_back(obs::PlanRow{
-            qname, t.name, "node", ConjunctsText(t.conjuncts),
-            ConjunctsFps(t.conjuncts), static_cast<int64_t>(t.shared_by),
-            est, t.counters});
-      }
-      rows.push_back(obs::PlanRow{qname, qname, "leaf",
-                                  queries_.at(qname).pipeline, "", 1, est,
-                                  nullptr});
-      obs::PlansRegistry::Global().Publish(qname, std::move(rows));
-    }
-  }
+      name, {obs::PlanRow{name, name, "direct", pipeline, "", 1, 0, nullptr,
+                          nullptr}});
 }
 
 size_t QuerySetOptimizer::SharedCount(const std::string& basket,
@@ -574,18 +678,20 @@ Result<size_t> QuerySetOptimizer::Reoptimize() {
                          counters->rows_in.load(std::memory_order_relaxed),
                          counters->rows_out.load(std::memory_order_relaxed));
   }
+  ++cost_epoch_;
   std::vector<std::string> drifted;
   for (const auto& [basket, net] : subnets_) {
     bool dirty = false;
-    for (const TrieNode& t : net.nodes) {
-      for (const Conjunct& c : t.conjuncts) {
-        dirty = dirty || cost_.Drifted(c.est_sel, c.fp);
-      }
+    for (const SharedConjunct& s : net.conjs) {
+      dirty = dirty ||
+              (s.c.expr != nullptr && cost_.Drifted(s.c.est_sel, s.c.fp));
     }
     if (dirty) drifted.push_back(basket);
   }
   for (const std::string& basket : drifted) {
-    RETURN_NOT_OK(RebuildSubnet(basket));
+    ASSIGN_OR_RETURN(core::BasketPtr source, engine_->GetBasket(basket));
+    Replan(&subnets_.at(basket));
+    SwapRoot(basket, source, nullptr, nullptr);
   }
   return drifted.size();
 }

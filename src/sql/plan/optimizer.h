@@ -5,7 +5,9 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/engine.h"
@@ -38,12 +40,14 @@
 ///
 /// Thread-model: registration, removal and re-optimization happen on one
 /// driver thread (the same discipline as sql::Session); the built net is
-/// what scheduler workers execute. A rebuild builds the whole new net
-/// first and only then unregisters the old one (the scheduler waits out
-/// in-flight firings) and registers the new: a failed build leaves the old
-/// net running. Only the source and the leaf baskets hold rows between
-/// firings, and both carry over, so no tuple is lost, duplicated or
-/// reordered across a rebuild.
+/// what scheduler workers execute. A registration builds what it changes
+/// and nothing else: the new query's leaf factory (registered once, kept
+/// until the query is removed) and a new fused transition over the trie
+/// laid out again for the new member set. Everything new is built before
+/// the old fused transition is unregistered (the scheduler waits out its
+/// in-flight firing): a failed build leaves the old net running. Only the
+/// source and the leaf baskets hold rows between firings, and both carry
+/// over, so no tuple is lost, duplicated or reordered across a swap.
 namespace datacell::sql::plan {
 
 /// What the factory builder returns: the (unregistered) factory that runs a
@@ -71,7 +75,8 @@ class QuerySetOptimizer {
   /// With factoring off (but sharing on) the shared net still replicates
   /// the stream to per-query leaf baskets but factors nothing — every leaf
   /// evaluates its full predicate. The sharing ablation's baseline: same
-  /// delivery semantics, none of the shared work.
+  /// delivery semantics, none of the shared work. Like sharing, it applies
+  /// to queries registered afterwards.
   void set_factoring_enabled(bool on) { factoring_enabled_ = on; }
   bool factoring_enabled() const { return factoring_enabled_; }
 
@@ -82,8 +87,9 @@ class QuerySetOptimizer {
                                     std::shared_ptr<Statement> stmt,
                                     core::Emitter::Sink sink);
 
-  /// Unregisters one query. In a shared subnet the remaining queries'
-  /// trie is rebuilt, so their result streams are unaffected.
+  /// Unregisters one query. In a shared subnet the remaining queries keep
+  /// their leaves and only the fused transition is rebuilt, so their
+  /// result streams are unaffected.
   Status RemoveQuery(const std::string& name);
 
   bool HasQuery(const std::string& name) const {
@@ -92,8 +98,8 @@ class QuerySetOptimizer {
   size_t num_queries() const { return queries_.size(); }
 
   /// Feeds observed per-conjunct selectivities into the cost model and
-  /// rebuilds every subnet whose as-built estimates have drifted past
-  /// CostModel::kDriftRatio. Returns the number of subnets rebuilt.
+  /// lays out again every subnet whose as-built estimates have drifted
+  /// past CostModel::kDriftRatio. Returns the number of subnets rebuilt.
   Result<size_t> Reoptimize();
 
   /// Standing queries on `basket` sharing conjunct `fp` (EXPLAIN's
@@ -112,40 +118,89 @@ class QuerySetOptimizer {
     std::shared_ptr<Statement> stmt;
     core::Emitter::Sink sink;
     bool direct = true;
-    core::FactoryPtr factory;  // direct factory or current leaf factory
+    /// The direct factory or the leaf factory: built and registered once.
+    core::FactoryPtr factory;
     std::string pipeline;      // the operator chain `factory` runs
     core::BasketPtr leaf;      // shared mode: engine basket "mqo.q.<name>"
-    /// Shared mode: the statement the leaf factory runs and the conjuncts
-    /// stripped from it. A rebuild that strips the same set hands the same
-    /// statement to the builder, which then reuses its binding.
-    std::shared_ptr<Statement> leaf_stmt;
-    std::set<std::string> leaf_cum;
+    /// Shared mode: the shared conjuncts the trie evaluates for the query,
+    /// as ids into its subnet's conjunct table, in evaluation order (empty
+    /// when it registered with factoring off).
+    std::vector<uint32_t> path;
     /// Shared mode, direct query: source basket -> its replica leaf.
     std::map<std::string, core::BasketPtr> replicas;
   };
 
-  /// One node of a source basket's shared-predicate trie: a conjunct run
-  /// evaluated once per delivery over its parent's survivors.
-  struct TrieNode {
-    std::string name;   // mqo.<basket>.root, else mqo.<basket>.s<hash>
-    size_t parent = 0;  // the root is its own parent
-    size_t level = 0;
-    std::vector<Conjunct> conjuncts;
-    std::set<std::string> cum;  // conjunct fps evaluated at or above it
-    std::vector<std::string> attached;    // queries whose leaf it feeds
-    std::vector<core::BasketPtr> leaves;  // the attached queries' leaves
-    size_t shared_by = 0;                 // queries fed from here or below
-    /// Live feeds the walk bumps: one per conjunct, and the node's own.
-    std::vector<std::shared_ptr<obs::PlanCounters>> conjunct_counters;
+  /// One shared conjunct of a subnet's members, interned by fingerprint.
+  struct SharedConjunct {
+    Conjunct c;  // est_sel: the estimate the trie is ordered by
+    size_t share = 0;             // occurrences in the members' paths
+    std::set<std::string> users;  // members whose path holds it
+    std::shared_ptr<obs::PlanCounters> counters;  // live selectivity feed
+  };
+
+  /// One node of a subnet's uncompressed trie: a conjunct per edge, kids
+  /// by fingerprint. It persists across registrations, so a member's path
+  /// is inserted and erased only when its order changes, and a node is
+  /// named and its counters found once.
+  struct Proto {
+    uint64_t id = 0;    // never reused
+    uint32_t edge = 0;  // conjunct on the edge into it
+    std::string name;   // mqo.<basket>.s<hash of the fps at or above it>
     std::shared_ptr<obs::PlanCounters> counters;
+    std::map<std::string, Proto> kids;
+    std::map<std::string, QueryInfo*> attached;  // members ending here
+    /// As of the last layout: the id of the Proto ending the node this one
+    /// ended a node under (0 when it ended none, or the root node), and
+    /// whether a member was attached here since.
+    uint64_t under = 0;
+    bool fresh = false;
+  };
+
+  /// What one fused transition walks: built whole when the net changes and
+  /// never changed after, so the walk shares it. Nodes are in level order
+  /// (index 0 is the root, each level is contiguous and parents precede
+  /// children); node i evaluates a run of conjuncts once per delivery over
+  /// its parent's survivors and feeds a run of leaves, both ranges of the
+  /// flat arrays.
+  struct Trie {
+    struct Step {
+      ExprPtr expr;
+      std::shared_ptr<obs::PlanCounters> counters;  // the conjunct's feed
+      uint32_t id = 0;                              // SharedConjunct
+    };
+    struct Node {
+      size_t parent = 0;  // the root is its own parent
+      size_t level = 0;
+      size_t steps = 0, steps_end = 0;    // its conjuncts in `steps`
+      size_t leaves = 0, leaves_end = 0;  // its leaves in `leaves`
+      std::shared_ptr<obs::PlanCounters> counters;
+    };
+    std::vector<Node> nodes;
+    std::vector<Step> steps;
+    /// Attached queries' leaves and replicas; the fused transition's output
+    /// places own them.
+    std::vector<core::Basket*> leaves;
+
+    std::span<const Step> conjuncts(const Node& n) const {
+      return {steps.data() + n.steps, n.steps_end - n.steps};
+    }
+    std::span<core::Basket* const> leaves_of(const Node& n) const {
+      return {leaves.data() + n.leaves, n.leaves_end - n.leaves};
+    }
   };
 
   struct Subnet {
-    /// Level order: index 0 is the root, each level is contiguous and
-    /// parents precede children.
-    std::vector<TrieNode> nodes;
-    /// The fused transition (named after the root), then the leaves.
-    std::vector<core::FactoryPtr> transitions;
+    std::string basket;  // the source
+    std::vector<SharedConjunct> conjs;
+    std::unordered_map<std::string, uint32_t> ids;  // by fingerprint
+    std::vector<uint32_t> free_ids;
+    uint64_t est_epoch = 0;  // cost_epoch_ the estimates were taken at
+    Proto trie;              // the root; named mqo.<basket>.root
+    size_t protos = 1;       // in `trie`, the root included
+    uint64_t root_end = 0;   // Proto::id ending the root node, last layout
+    std::map<std::string, QueryInfo*> members;
+    std::map<std::string, core::BasketPtr> replicas;  // by query
+    core::FactoryPtr root;  // the registered fused transition
   };
 
   Status AddDirect(const std::string& name, QueryInfo info);
@@ -153,27 +208,49 @@ class QuerySetOptimizer {
   /// Shared mode, outside the plannable subset: a direct factory over
   /// replica leaves of every basket the query's basket expressions read.
   Status AddReplicated(const std::string& name, QueryInfo info);
-  /// Rebuilds each of `baskets`' nets; on a failure, rebuilds the ones
-  /// already done again (for the restored query set) and returns it.
-  Status RebuildSubnets(const std::vector<std::string>& baskets,
-                        const std::function<void()>& restore);
 
-  /// Builds the net for `basket`'s standing shared queries (trie, leaf
-  /// factories, fused transition), then swaps it in for the current one.
-  /// Nothing is unregistered until the new net is complete. The only
-  /// mutation path for subnets_.
-  Status RebuildSubnet(const std::string& basket);
-  /// Lays out `members`' trie. With `open_root` the root evaluates no
-  /// conjunct (replica leaves hang off it and take every row).
-  void BuildTrie(const std::string& basket,
-                 const std::vector<std::string>& members, bool open_root,
-                 Subnet* out);
-  void PublishPlans(const Subnet& net);
+  Subnet& NetFor(const std::string& basket);
+  /// Adds member `name` to / removes it from `net`'s trie, moving only the
+  /// members whose conjunct order its share counts change.
+  void Join(Subnet* net, const std::string& name, QueryInfo* q);
+  void Leave(Subnet* net, const std::string& name, QueryInfo* q);
+  /// Re-estimates every conjunct and inserts every member's path again:
+  /// the full re-plan, taken after Reoptimize records observations.
+  void Replan(Subnet* net);
+  void Reorder(Subnet* net, const std::set<std::string>& members);
+  /// Sorts `path` by (share count, estimated selectivity, fingerprint):
+  /// widely shared conjuncts first so common prefixes factor into one node.
+  static void Order(const Subnet& net, std::vector<uint32_t>* path);
+  void Place(Subnet* net, const std::string& name, QueryInfo* q);
+  static void Unplace(Subnet* net, const std::string& name,
+                      const std::vector<uint32_t>& path);
+
+  /// Builds the fused transition walking `net`'s trie as laid out now and
+  /// swaps it in: unregisters the old one (waiting out its firing), then
+  /// registers `joining` (a new leaf), unregisters `leaving` (a removed
+  /// leaf) and registers the new one, and republishes the dc_plans rows of
+  /// the members whose path changed. With no member and no replica left it
+  /// only tears the net down. Nothing here can fail: callers resolve
+  /// `source` before they change the net.
+  void SwapRoot(const std::string& basket, const core::BasketPtr& source,
+                const core::FactoryPtr& joining,
+                const core::FactoryPtr& leaving);
+  /// Lays out `net`'s trie: breadth first, so each level is contiguous,
+  /// with runs of unattached single-child nodes collapsed into one node.
+  /// `ends[i]` is the Proto that node i's run ends at. With replicas the
+  /// root evaluates no conjunct (they hang off it and take every row).
+  static void LayOut(Subnet* net, Trie* trie, std::vector<Proto*>* ends);
+  /// Stores every node's sharing count and estimate (`base` rows in the
+  /// source) on its counters, and publishes the dc_plans rows of the
+  /// members attached since the last layout and of those whose path now
+  /// runs through a node that moved.
+  static void PublishChanged(Subnet* net, const Trie& trie,
+                             const std::vector<Proto*>& ends, double base);
   static void PublishDirect(const std::string& name,
                             const std::string& pipeline);
 
-  /// The fused transition's body: one walk of `nodes` (Subnet order) over
-  /// everything the source holds.
+  /// The fused transition's body: one walk of `trie` over everything the
+  /// source holds.
   /// Per-node working state one fused transition keeps across firings:
   /// slot i is written only by node i's evaluation, so a level's nodes can
   /// run on the pool side by side. Sized on the first firing, emptied of
@@ -184,12 +261,13 @@ class QuerySetOptimizer {
     std::vector<Table> out;      // node i's survivors
     std::vector<SelVector> sel;  // node i's selections: 2i and 2i + 1
   };
-  static Status Walk(const std::vector<TrieNode>& nodes, WalkScratch* scratch,
+  static Status Walk(const Trie& trie, WalkScratch* scratch,
                      core::FactoryContext& ctx);
   /// Evaluates one node's conjunct run over its parent's survivors `in`,
   /// ping-ponging between the selections `a` and `b`; leaves `*out` empty
   /// when no row survives.
-  static Status EvalNode(const TrieNode& node, const Table& in,
+  static Status EvalNode(const Trie::Node& node,
+                         std::span<const Trie::Step> conjuncts, const Table& in,
                          const EvalContext& ectx, SelVector* a, SelVector* b,
                          Table* out);
 
@@ -201,11 +279,15 @@ class QuerySetOptimizer {
 
   std::map<std::string, QueryInfo> queries_;
   std::map<std::string, Subnet> subnets_;  // by source basket
+  /// Bumped whenever Reoptimize records observations: a subnet estimated
+  /// at an older epoch re-plans on its next change.
+  uint64_t cost_epoch_ = 0;
+  uint64_t next_proto_id_ = 1;
   /// Live per-conjunct selectivity feed, keyed by conjunct fingerprint.
   std::map<std::string, std::shared_ptr<obs::PlanCounters>>
       conjunct_counters_;
-  /// Live per-node row counts (dc_plans), keyed by node name so they
-  /// survive rebuilds that keep the node.
+  /// Live per-node figures (dc_plans), keyed by node name so they survive
+  /// layouts that keep the node.
   std::map<std::string, std::shared_ptr<obs::PlanCounters>> node_counters_;
   /// Peak rows of dropped queries' leaf baskets, for PeakResidentRows.
   uint64_t peak_retired_ = 0;

@@ -29,7 +29,7 @@ std::string FingerprintHex(const std::string& s);
 struct Conjunct {
   ExprPtr expr;
   std::string fp;        // FingerprintHex(expr->ToString())
-  double est_sel = 1.0;  // cost-model estimate, refreshed at rebuild
+  double est_sel = 1.0;  // cost-model estimate, refreshed at re-plan
   /// Safe to evaluate in the shared upstream trie: fully resolved against
   /// the source basket schema, boolean-typed, and time-invariant (no
   /// now()), so a tuple's verdict never changes after arrival.

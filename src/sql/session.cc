@@ -100,18 +100,9 @@ Result<plan::BuiltQuery> Session::BuildFactory(const std::string& name,
   }
   // All binding happens here, once; each firing only runs the prepared
   // statement's kernels and hands the result to the sink.
-  PreparedEntry& entry = prepared_[stmt.get()];
-  PreparedPtr prepared = entry.prepared.lock();
-  if (prepared == nullptr) {
-    ASSIGN_OR_RETURN(prepared, executor_.Prepare(*stmt));
-    entry = PreparedEntry{prepared, Executor::Describe(*prepared),
-                          Executor::Places(*prepared)};
-    std::erase_if(prepared_, [](const auto& e) {
-      return e.second.prepared.expired();
-    });
-  }
+  ASSIGN_OR_RETURN(PreparedPtr prepared, executor_.Prepare(*stmt));
   plan::BuiltQuery built;
-  built.pipeline = entry.pipeline;
+  built.pipeline = Executor::Describe(*prepared);
   if (sink != nullptr) built.pipeline += " → sink";
   built.factory = std::make_shared<core::Factory>(
       name, [exec = executor_, stmt, prepared,
@@ -125,10 +116,11 @@ Result<plan::BuiltQuery> Session::BuildFactory(const std::string& name,
 
   // The places Prepare resolved: the baskets its basket expressions
   // consume, and the baskets it inserts into.
-  for (const PreparedInput& in : entry.places.inputs) {
+  const FactoryPlaces& places = Executor::Places(*prepared);
+  for (const PreparedInput& in : places.inputs) {
     built.factory->AddInput(in.basket, in.min_tuples);
   }
-  for (const core::BasketPtr& out : entry.places.outputs) {
+  for (const core::BasketPtr& out : places.outputs) {
     built.factory->AddOutput(out);
   }
   return built;

@@ -61,8 +61,9 @@ class Session {
 
   /// Drops a standing continuous query by registration name: its
   /// transitions are unregistered (in-flight firings complete first) and,
-  /// when it was part of a shared subnet, the net is rebuilt for the
-  /// remaining queries without disturbing their result streams.
+  /// when it was part of a shared subnet, the net's fused transition is
+  /// rebuilt for the remaining queries without disturbing their result
+  /// streams.
   Status UnregisterContinuousQuery(const std::string& name) {
     return optimizer_.RemoveQuery(name);
   }
@@ -72,7 +73,7 @@ class Session {
   void set_sharing_enabled(bool on) { optimizer_.set_sharing_enabled(on); }
   bool sharing_enabled() const { return optimizer_.sharing_enabled(); }
 
-  /// Feeds observed selectivities into the cost model and rebuilds any
+  /// Feeds observed selectivities into the cost model and re-plans any
   /// shared subnet whose as-built estimates drifted. Returns the number of
   /// subnets rebuilt.
   Result<size_t> Reoptimize() { return optimizer_.Reoptimize(); }
@@ -102,18 +103,6 @@ class Session {
 
   core::Engine* engine_;
   Executor executor_;
-  /// The prepared form of each statement BuildFactory bound, while some
-  /// factory still runs it (that factory also keeps the statement alive,
-  /// so its address names it): a subnet rebuild that hands over a leaf's
-  /// unchanged statement reuses the binding instead of preparing again.
-  /// Its chain text and factory places are copied at prepare, since a
-  /// firing may re-prepare the statement in place.
-  struct PreparedEntry {
-    std::weak_ptr<PreparedStatement> prepared;
-    std::string pipeline;
-    FactoryPlaces places;
-  };
-  std::map<const Statement*, PreparedEntry> prepared_;
   plan::QuerySetOptimizer optimizer_;
 };
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "sql/plan/rewrite.h"
 #include "sql/session.h"
 #include "util/clock.h"
+#include "util/random.h"
 #include "util/simd.h"
 
 namespace datacell::sql::plan {
@@ -380,17 +382,25 @@ TEST_F(PlanFixture, FailedRebuildKeepsTheOldNetRunning) {
   ASSERT_TRUE(engine_.GetBasket("s").ok());
   EXPECT_EQ((*engine_.GetBasket("s"))->size(), 0u);
 
-  // A removal whose rebuild fails leaves both queries running.
+  // A removal whose rebuild fails leaves both queries running. Removal
+  // builds no leaf, only a new fused transition over the net's source,
+  // which it resolves by name first: with `s` gone from the catalog that
+  // step fails, and the old net keeps walking the basket it holds.
   fail_for.clear();
   ASSERT_TRUE(opt.AddQuery("q2", parse("select * from [select * from s "
                                        "where a > 2]"),
                            Collect(&r2))
                   .ok());
-  fail_for = "q1";
-  EXPECT_EQ(opt.RemoveQuery("q2").code(), StatusCode::kInternal);
+  auto source = engine_.GetBasket("s");
+  ASSERT_TRUE(source.ok());
+  ASSERT_TRUE(engine_.DropBasket("s").ok());
+  EXPECT_EQ(opt.RemoveQuery("q2").code(), StatusCode::kNotFound);
   EXPECT_TRUE(opt.HasQuery("q2"));
+  EXPECT_TRUE(engine_.HasBasket("mqo.q.q2"));
   EXPECT_EQ(engine_.scheduler().num_transitions(), 3u);
-  Exec("insert into s values (9)");
+  Table nine(Schema({{"a", DataType::kInt64}}));
+  ASSERT_TRUE(nine.AppendRow({Value(int64_t{9})}).ok());
+  ASSERT_TRUE((*source)->Append(nine, 0).ok());
   ASSERT_TRUE(engine_.scheduler().RunUntilQuiescent().ok());
   EXPECT_EQ(r1.size(), 5u);
   EXPECT_EQ(r2.size(), 1u);
@@ -749,6 +759,284 @@ TEST_F(PlanFixture, PlansVirtualTableListsStages) {
   auto r = session_.Execute("select * from dc_plans");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GE(r->num_rows(), 2u);  // stage row + leaf row
+}
+
+// ---------------------------------------------------------------------------
+// Incremental registration
+// ---------------------------------------------------------------------------
+
+// The dc_plans rows (minus the live row counts, which depend on history)
+// of the queries `names`, each `prefix` + a suffix, with `prefix` replaced
+// by "q_" in every column so two sessions' rows compare. (The registry is
+// process-wide: a destroyed session's rows stay behind.)
+std::vector<std::string> PlanRows(Session& session, const std::string& prefix,
+                                  const std::set<std::string>& names) {
+  auto r = session.Execute(
+      "select query, stage, kind, detail, fingerprint, shared_by, est_rows "
+      "from dc_plans");
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  std::vector<std::string> out;
+  if (!r.ok()) return out;
+  for (size_t i = 0; i < r->num_rows(); ++i) {
+    const Row row = r->GetRow(i);
+    if (names.count(row[0].string_value()) == 0) continue;
+    std::string line;
+    for (const Value& v : row) line += v.ToString() + "|";
+    for (size_t at = line.find(prefix); at != std::string::npos;
+         at = line.find(prefix, at)) {
+      line.replace(at, prefix.size(), "q_");
+    }
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+// Seeded add/remove sequences over queries that share, nest and split
+// conjunct prefixes, with a replicated join query among them and a
+// Reoptimize now and then: after every step the incrementally maintained
+// net equals a fresh session that registers only the survivors, in its
+// trie and dc_plans rows (node names, levels, conjunct runs, attached
+// queries, shared_by, estimates) and in every query's results on the next
+// delivery.
+TEST(IncrementalRegistrationTest, AddRemoveSequencesMatchAFreshSession) {
+  const std::vector<std::string> atoms = {
+      "a > 10", "a < 60", "b = 1", "b = 2", "b <> 3", "a % 3 = 0", "a >= 20"};
+  for (const bool factoring : {true, false}) {
+    for (const uint64_t seed : {1u, 2u, 3u}) {
+      Random rng(seed);
+      std::vector<std::string> pool;
+      for (int i = 0; i < 10; ++i) {
+        std::string where;
+        const uint64_t n = 1 + rng.Uniform(3);
+        for (uint64_t k = 0; k < n; ++k) {
+          const std::string& atom = atoms[rng.Uniform(atoms.size())];
+          if (where.find(atom) != std::string::npos) continue;
+          where += (where.empty() ? "" : " and ") + atom;
+        }
+        pool.push_back(rng.Uniform(4) == 0
+                           ? "select b, count(*) from [select * from s where " +
+                                 where + "] group by b"
+                           : "select * from [select * from s where " + where +
+                                 "]");
+      }
+      pool.push_back("select * from [select * from s]");
+      pool.push_back(
+          "select x.a, t.name from [select * from s] as x, t where x.b = t.b");
+      auto name = [](const std::string& prefix, size_t i) {
+        return prefix + (i < 10 ? "0" : "") + std::to_string(i);
+      };
+      auto open = [&](Session* session) {
+        session->set_sharing_enabled(true);
+        session->optimizer().set_factoring_enabled(factoring);
+        EXPECT_TRUE(session->Execute("create basket s (a int, b int)").ok());
+        EXPECT_TRUE(session->Execute("create table t (b int, name string)").ok());
+        EXPECT_TRUE(
+            session->Execute("insert into t values (1, 'one'), (2, 'two')").ok());
+      };
+      SimulatedClock clock(0);
+      core::Engine engine(&clock);
+      Session session(&engine);
+      open(&session);
+      std::vector<std::vector<std::string>> got(pool.size());
+      std::vector<bool> standing(pool.size(), false);
+      for (int step = 0; step < 30; ++step) {
+        // Fewer rows than CostModel::kMinSample reach any conjunct, so
+        // this changes no estimate, but the next change re-plans the
+        // whole net (the path Reoptimize's observations take).
+        if (step % 7 == 6) {
+          auto rebuilt = session.Reoptimize();
+          ASSERT_TRUE(rebuilt.ok());
+          EXPECT_EQ(*rebuilt, 0u);
+        }
+        const size_t pick = rng.Uniform(pool.size());
+        if (standing[pick]) {
+          ASSERT_TRUE(
+              session.UnregisterContinuousQuery(name("qa_", pick)).ok());
+        } else {
+          ASSERT_TRUE(session
+                          .RegisterContinuousSelect(name("qa_", pick),
+                                                    pool[pick],
+                                                    Collect(&got[pick]))
+                          .ok())
+              << pool[pick];
+        }
+        standing[pick] = !standing[pick];
+
+        SimulatedClock ref_clock(0);
+        core::Engine ref_engine(&ref_clock);
+        Session ref(&ref_engine);
+        open(&ref);
+        std::vector<std::vector<std::string>> want(pool.size());
+        std::set<std::string> names, ref_names;
+        for (size_t i = 0; i < pool.size(); ++i) {
+          if (!standing[i]) continue;
+          names.insert(name("qa_", i));
+          ref_names.insert(name("qb_", i));
+          ASSERT_TRUE(ref.RegisterContinuousSelect(name("qb_", i), pool[i],
+                                                   Collect(&want[i]))
+                          .ok());
+        }
+        SCOPED_TRACE("factoring " + std::to_string(factoring) + " seed " +
+                     std::to_string(seed) + " step " + std::to_string(step));
+        EXPECT_EQ(engine.scheduler().num_transitions(),
+                  ref_engine.scheduler().num_transitions());
+        const std::vector<std::string> rows = PlanRows(session, "qa_", names);
+        EXPECT_GE(rows.size(), 2 * names.size() - standing.back());
+        EXPECT_EQ(rows, PlanRows(ref, "qb_", ref_names));
+
+        std::string feed = "insert into s values ";
+        for (int r = 0; r < 6; ++r) {
+          feed += (r > 0 ? ", (" : "(") + std::to_string(rng.Uniform(80)) +
+                  ", " + std::to_string(rng.Uniform(4)) + ")";
+        }
+        std::vector<size_t> before(pool.size());
+        for (size_t i = 0; i < pool.size(); ++i) before[i] = got[i].size();
+        ASSERT_TRUE(session.Execute(feed).ok());
+        ASSERT_TRUE(ref.Execute(feed).ok());
+        ASSERT_TRUE(engine.scheduler().RunUntilQuiescent().ok());
+        ASSERT_TRUE(ref_engine.scheduler().RunUntilQuiescent().ok());
+        for (size_t i = 0; i < pool.size(); ++i) {
+          if (!standing[i]) continue;
+          EXPECT_EQ(std::vector<std::string>(got[i].begin() + before[i],
+                                             got[i].end()),
+                    want[i])
+              << pool[i];
+        }
+      }
+    }
+  }
+}
+
+// Another query's registration or removal leaves a standing query's leaf
+// factory and its scheduler registration as they were: only the fused
+// root is swapped, so the transition count moves by exactly one.
+TEST_F(PlanFixture, StandingLeafKeepsItsFactoryAndRegistration) {
+  Exec("create basket s (a int, b int)");
+  session_.set_sharing_enabled(true);
+  std::vector<std::string> r1, r2, r3;
+  auto q1 = session_.RegisterContinuousSelect(
+      "q1", "select * from [select * from s where a > 10 and b = 1]",
+      Collect(&r1));
+  ASSERT_TRUE(q1.ok());
+  const core::FactoryPtr leaf = *q1;
+  core::Scheduler& sched = engine_.scheduler();
+  size_t transitions = sched.num_transitions();
+  uint64_t firings = leaf->stats().firings;
+  auto check = [&](const char* after, int64_t delta) {
+    SCOPED_TRACE(after);
+    EXPECT_EQ(static_cast<int64_t>(sched.num_transitions()),
+              static_cast<int64_t>(transitions) + delta);
+    transitions = sched.num_transitions();
+    // The very factory registered with q1 still fires.
+    Exec("insert into s values (11, 1), (12, 2)");
+    ASSERT_TRUE(sched.RunUntilQuiescent().ok());
+    EXPECT_GT(leaf->stats().firings, firings);
+    firings = leaf->stats().firings;
+  };
+  ASSERT_TRUE(session_
+                  .RegisterContinuousSelect(
+                      "q2", "select * from [select * from s where a > 10]",
+                      Collect(&r2))
+                  .ok());
+  check("add q2", 1);
+  ASSERT_TRUE(session_
+                  .RegisterContinuousSelect(
+                      "q3",
+                      "select * from [select * from s where a > 10 and b = 2]",
+                      Collect(&r3))
+                  .ok());
+  check("add q3", 1);
+  ASSERT_TRUE(session_.UnregisterContinuousQuery("q2").ok());
+  check("remove q2", -1);
+  ASSERT_TRUE(session_.UnregisterContinuousQuery("q3").ok());
+  check("remove q3", -1);
+  EXPECT_EQ(r1.size(), 4u);
+  // Still registered: unregistering it succeeds exactly once.
+  EXPECT_TRUE(sched.Unregister(leaf).ok());
+  EXPECT_EQ(sched.Unregister(leaf).code(), StatusCode::kNotFound);
+}
+
+// Queries come and go while a started scheduler fires deliveries on its
+// workers: every query that stands throughout gets exactly the rows a
+// plain evaluation of its predicate gives, in stream order.
+TEST(IncrementalRegistrationTest, RegisterWhileThreadedSchedulerFires) {
+  struct Standing {
+    std::string sql;
+    bool (*keep)(int64_t a, int64_t b);
+  };
+  const std::vector<Standing> standing = {
+      {"select * from [select * from s where a > 10]",
+       [](int64_t a, int64_t) { return a > 10; }},
+      {"select * from [select * from s where a > 10 and b = 1]",
+       [](int64_t a, int64_t b) { return a > 10 && b == 1; }},
+      {"select * from [select * from s where b <> 2]",
+       [](int64_t, int64_t b) { return b != 2; }},
+  };
+  const std::vector<std::string> churn = {
+      "select * from [select * from s where a > 10 and b = 2]",
+      "select * from [select * from s where a < 30]",
+      "select b, count(*) from [select * from s where a > 10] group by b",
+      "select * from [select * from s where b <> 2 and a % 2 = 0]",
+  };
+  core::Engine engine(SystemClock::Get(), 3);
+  Session session(&engine);
+  session.set_sharing_enabled(true);
+  ASSERT_TRUE(session.Execute("create basket s (a int, b int)").ok());
+  std::vector<std::vector<std::string>> got(standing.size());
+  for (size_t i = 0; i < standing.size(); ++i) {
+    ASSERT_TRUE(session
+                    .RegisterContinuousSelect("keep" + std::to_string(i),
+                                              standing[i].sql, Collect(&got[i]))
+                    .ok());
+  }
+  std::vector<std::vector<std::string>> churned(churn.size());
+  std::vector<bool> up(churn.size(), false);
+  auto source = engine.GetBasket("s");
+  ASSERT_TRUE(source.ok());
+  core::Scheduler& sched = engine.scheduler();
+  ASSERT_TRUE(sched.Start().ok());
+  std::vector<std::vector<std::string>> want(standing.size());
+  Random rng(17);
+  int64_t id = 0;
+  for (int round = 0; round < 60; ++round) {
+    Table batch(Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}}));
+    for (int r = 0; r < 16; ++r, ++id) {
+      const int64_t a = id % 50;
+      const int64_t b = static_cast<int64_t>(rng.Uniform(4));
+      batch.column(0).AppendInt(a);
+      batch.column(1).AppendInt(b);
+      for (size_t i = 0; i < standing.size(); ++i) {
+        if (standing[i].keep(a, b)) {
+          want[i].push_back(std::to_string(a) + "|" + std::to_string(b));
+        }
+      }
+    }
+    ASSERT_TRUE((*source)->Append(batch, 0).ok());
+    const size_t c = static_cast<size_t>(round) % churn.size();
+    const std::string name = "churn" + std::to_string(c);
+    if (up[c]) {
+      ASSERT_TRUE(session.UnregisterContinuousQuery(name).ok());
+    } else {
+      ASSERT_TRUE(
+          session.RegisterContinuousSelect(name, churn[c], Collect(&churned[c]))
+              .ok());
+    }
+    up[c] = !up[c];
+  }
+  auto quiet = [&] {
+    for (const std::string& basket : engine.ListBaskets()) {
+      if (!(*engine.GetBasket(basket))->empty()) return false;
+    }
+    return sched.Idle();
+  };
+  for (int i = 0; i < 60000 && !quiet(); ++i) {
+    SystemClock::Get()->SleepFor(500);
+  }
+  sched.Stop();
+  EXPECT_TRUE(sched.last_error().ok());
+  for (size_t i = 0; i < standing.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << standing[i].sql;
+  }
 }
 
 }  // namespace

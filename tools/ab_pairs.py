@@ -25,6 +25,9 @@ over pairs of change/base, how many pairs moved in the median's
 direction, whether the two sides' medians differ by more than the spread
 of the base's own runs (the distance between its quartiles), and whether
 the median ratio lies outside the metric's bound in the worse direction.
+When the base's spread is itself wider than the bound and the medians
+differ by less than it, such a ratio is reported "unresolved": the runs
+cannot tell that loss from noise, so it does not fail the comparison.
 The script reads only BENCHMARK.json and perfbench/ of each side; it
 changes nothing in the repository.
 """
@@ -100,7 +103,11 @@ def summarize(name, better, bound, base_vals, change_vals):
         agree = sum(r < 1 for r in ratios)
     worse = med > 1 + bound if better == "lower" else med < 1 - bound
     improved = med < 1 if better == "lower" else med > 1
-    if worse:
+    clears_iqr = abs(change_med - base_med) > q3 - q1
+    noisy = base_med > 0 and (q3 - q1) / base_med > bound
+    if worse and noisy and not clears_iqr:
+        verdict = "unresolved"
+    elif worse:
         verdict = "WORSE beyond bound"
     elif improved:
         verdict = "better"
@@ -112,7 +119,7 @@ def summarize(name, better, bound, base_vals, change_vals):
         "metric": name, "better": better, "bound": bound,
         "base_median": base_med, "change_median": change_med,
         "base_iqr": q3 - q1,
-        "clears_iqr": abs(change_med - base_med) > q3 - q1,
+        "clears_iqr": clears_iqr,
         "median_ratio": med, "agree": agree, "pairs": len(ratios),
         "ratios": ratios, "base": base_vals, "change": change_vals,
         "verdict": verdict,
