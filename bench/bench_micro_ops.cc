@@ -282,12 +282,13 @@ void BM_BasketExpressionWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_BasketExpressionWindow)->Arg(10'000)->Arg(100'000);
 
-// One Factory::Fire of a shared subnet's leaf, end to end: the prepared
-// statement runs over the rows its leaf basket holds and hands the result
-// to a sink. The query's whole predicate is evaluated upstream by the trie,
-// so the leaf is a pass-through window (`take` then project) or a
-// pass-through window feeding a group-by. Only the firing is timed; the
-// rows are appended to the leaf basket outside the timed region.
+// One firing of a one-query shared net, end to end: the fused root takes
+// the delivered rows, its trie evaluates the query's whole predicate, and
+// the query's leaf, inlined in the root, runs the rest of its prepared
+// chain over the survivors and hands the result to a sink. The leaf is a
+// pass-through window (`take` then project) or a pass-through window
+// feeding a group-by. Only the scheduler round that fires the root is
+// timed; the rows are appended to the source outside the timed region.
 void LeafFiring(benchmark::State& state, const std::string& sql) {
   const size_t n = static_cast<size_t>(state.range(0));
   core::Engine engine(SystemClock::Get());
@@ -298,32 +299,39 @@ void LeafFiring(benchmark::State& state, const std::string& sql) {
   }
   session.set_sharing_enabled(true);
   uint64_t rows_out = 0;
-  auto leaf = session.RegisterContinuousSelect(
+  auto root = session.RegisterContinuousSelect(
       "q", sql, [&rows_out](const Table& t) -> Status {
         rows_out += t.num_rows();
         return Status::OK();
       });
-  if (!leaf.ok()) {
-    state.SkipWithError(leaf.status().ToString().c_str());
+  if (!root.ok()) {
+    state.SkipWithError(root.status().ToString().c_str());
     return;
   }
-  const core::BasketPtr basket = (*leaf)->input(0);
+  if (engine.scheduler().num_transitions() != 1) {
+    state.SkipWithError("the leaf is not inlined in the root");
+    return;
+  }
+  const core::BasketPtr source = (*root)->input(0);
   Random rng(11);
-  Table batch(basket->schema());
+  Table batch(Schema({{"id", DataType::kInt64},
+                      {"k", DataType::kInt64},
+                      {"payload", DataType::kInt64}}));
   for (size_t i = 0; i < n; ++i) {
     batch.column(0).AppendInt(static_cast<int64_t>(i));
     batch.column(1).AppendInt(static_cast<int64_t>(rng.Uniform(1024)));
     batch.column(2).AppendInt(8000 + static_cast<int64_t>(rng.Uniform(2000)));
-    batch.column(3).AppendInt(0);  // the source's arrival column
   }
+  core::Scheduler& scheduler = engine.scheduler();
   FiringCost cost;
   for (auto _ : state) {
-    auto appended = basket->AppendAligned(batch, 0);
+    auto appended = source->Append(batch, 0);
     benchmark::DoNotOptimize(appended);
     Result<bool> fired = false;
-    TimedFiring(state, &cost, [&] { fired = (*leaf)->Fire(0); });
-    if (!fired.ok()) {
-      state.SkipWithError(fired.status().ToString().c_str());
+    TimedFiring(state, &cost, [&] { fired = scheduler.RunOnce(); });
+    if (!fired.ok() || !*fired) {
+      state.SkipWithError(fired.ok() ? "the root did not fire"
+                                     : fired.status().ToString().c_str());
       return;
     }
   }
@@ -481,11 +489,11 @@ BENCHMARK(BM_RegisterNth)
 
 // The fused root of perfbench's `sql_small_batch` net: the query set
 // above, fed one delivery of range(0) rows per iteration. The timed
-// region is one cooperative scheduler round,
-// which fires only the root (the leaves it feeds become ready during the
-// round); the leaves then drain outside the timed region. At 131072 rows
-// it is `sql_bulk`'s delivery: the root gathers megabytes of survivors,
-// which the leaves release again before the next firing.
+// region is one cooperative scheduler round, which fires the root: its
+// walk and every query's leaf, all of which it runs inline. Anything left
+// to fire (nothing, while every leaf is inlined) drains outside the timed
+// region. At 131072 rows it is `sql_bulk`'s delivery: the root gathers
+// megabytes of survivors and releases them before the next firing.
 void BM_FusedRootFire(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   core::Engine engine(SystemClock::Get());

@@ -300,6 +300,8 @@ struct Runner {
 
   // Passes a table down the chain, each operator taking the previous one's.
   Result<Table> Run(const Chain& chain);
+  // Passes `in` down the chain's operators from `first` on.
+  Result<Table> Run(const Chain& chain, size_t first, const Table& in);
 
   // Evaluates the scalar subqueries `ids` into `values`.
   Status Subqueries(const std::vector<size_t>& ids);
@@ -609,11 +611,12 @@ struct Chain {
   size_t from = 0;
   std::vector<size_t> subqueries;
 
-  std::string Describe() const {
+  // Its operators from `first` on, joined with " → ".
+  std::string Describe(size_t first = 0) const {
     std::string out;
-    for (const Op& op : ops) {
+    for (size_t i = first; i < ops.size(); ++i) {
       if (!out.empty()) out += kThen;
-      out += std::visit([](const auto& o) { return o.Describe(); }, op);
+      out += std::visit([](const auto& o) { return o.Describe(); }, ops[i]);
     }
     return out;
   }
@@ -1321,15 +1324,22 @@ Runner::Runner(core::Engine* e, const PreparedStatement* prepared)
 }
 
 Result<Table> Runner::Run(const Chain& chain) {
+  return Run(chain, 0, Table());
+}
+
+Result<Table> Runner::Run(const Chain& chain, size_t first, const Table& in) {
+  if (first >= chain.ops.size()) return in;
+  const Table* cur = &in;
   Table t;
-  for (size_t i = 0; i < chain.ops.size(); ++i) {
+  for (size_t i = first; i < chain.ops.size(); ++i) {
     // Scalar subqueries run after FROM: a consuming FROM acts first.
     if (i == chain.from) RETURN_NOT_OK(Subqueries(chain.subqueries));
     Result<Table> out = std::visit(
-        [&](const auto& op) { return op.Run(t, *this); },
+        [&](const auto& op) { return op.Run(*cur, *this); },
         chain.ops[i]);
     if (!out.ok()) return out.status();
     t = std::move(*out);
+    cur = &t;
   }
   return t;
 }
@@ -1446,8 +1456,32 @@ Result<Table> Executor::Run(PreparedStatement& prepared) const {
   return runner.Stmt(prepared.root);
 }
 
+bool Executor::PassThrough(const PreparedStatement& prepared) {
+  if (prepared.ast->kind != Statement::Kind::kSelect ||
+      prepared.reads_catalog || prepared.pending_target ||
+      prepared.places.inputs.size() != 1 ||
+      prepared.places.inputs[0].min_tuples != 1) {
+    return false;
+  }
+  const std::vector<Op>& ops = prepared.root.chain.ops;
+  const TakeOp* take = ops.empty() ? nullptr : std::get_if<TakeOp>(&ops[0]);
+  return take != nullptr && take->subqueries.empty() &&
+         take->window.predicate() == nullptr &&
+         take->window.order_by().empty() && !take->window.top_n().has_value();
+}
+
+Result<Table> Executor::RunOver(const PreparedStatement& prepared,
+                                const Table& rows) const {
+  Runner runner(engine_, &prepared);
+  return runner.Run(prepared.root.chain, 1, rows);
+}
+
 std::string Executor::Describe(const PreparedStatement& prepared) {
   return DescribeStmt(prepared.root);
+}
+
+std::string Executor::DescribeOver(const PreparedStatement& prepared) {
+  return prepared.root.chain.Describe(1);
 }
 
 const FactoryPlaces& Executor::Places(const PreparedStatement& prepared) {

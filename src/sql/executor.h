@@ -66,10 +66,27 @@ class Executor {
   /// Runs a prepared statement once.
   Result<Table> Run(PreparedStatement& prepared) const;
 
+  /// Whether the prepared statement keeps no state across runs: a SELECT
+  /// whose first operator is a pass-through `take` of one basket (no
+  /// predicate, ORDER BY or top n, at a threshold of 1), and which never
+  /// prepares again (it reads no catalog table and its targets exist).
+  /// Such a take consumes whatever its basket holds, so the rest of the
+  /// chain may run over any rows handed over in the basket's place.
+  static bool PassThrough(const PreparedStatement& prepared);
+
+  /// Runs a PassThrough statement's operators after its `take` over
+  /// `rows`, which stand in for what the take would consume. Like Run, one
+  /// thread at a time per prepared statement.
+  Result<Table> RunOver(const PreparedStatement& prepared,
+                        const Table& rows) const;
+
   /// The operator chain the prepared statement runs, for example
   /// "take s → aggregate group by k [count(*)] → project": each operator's
   /// own description, joined with " → ".
   static std::string Describe(const PreparedStatement& prepared);
+
+  /// The operators RunOver runs, rendered as Describe renders them.
+  static std::string DescribeOver(const PreparedStatement& prepared);
 
   /// The factory places the prepared statement recorded while binding.
   static const FactoryPlaces& Places(const PreparedStatement& prepared);

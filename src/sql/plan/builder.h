@@ -49,8 +49,8 @@ Result<CompiledQuery> CompileContinuous(core::Engine* engine,
                                         std::shared_ptr<Statement> stmt,
                                         const CostModel& cost);
 
-/// Builds the statement the leaf factory of a shared subnet executes: a
-/// clone of the original with the inner FROM redirected to `leaf_basket`
+/// Builds the statement the leaf of a shared subnet executes: a clone of
+/// the original with the inner FROM redirected to `leaf_basket`
 /// (binding name preserved, so every column reference still resolves) and
 /// every conjunct whose fingerprint is in `strip_fps` removed from the
 /// inner and outer WHERE — those are evaluated upstream by the shared trie.

@@ -49,9 +49,25 @@ QuerySetOptimizer::QuerySetOptimizer(core::Engine* engine,
                                      FactoryBuilder builder)
     : engine_(engine), build_factory_(std::move(builder)) {}
 
-// Takes every delivered row once and walks the trie level by level; every
-// leaf gets exactly one AppendAligned per delivery, from the firing
-// thread, once its node's level is done.
+QuerySetOptimizer::~QuerySetOptimizer() {
+  // The roots first: once none fires, no inlined chain runs and no leaf or
+  // replica basket is fed. Then each query goes as a removal takes it.
+  for (const auto& [basket, net] : subnets_) {
+    if (net.root != nullptr) {
+      UnregisterOrWarn(engine_->scheduler(), net.root, "teardown");
+    }
+  }
+  for (const auto& [name, q] : queries_) {
+    if (Status st = Retire(name, q); !st.ok()) {
+      DC_LOG(Warn) << "optimizer teardown: " << st.ToString();
+    }
+  }
+}
+
+// Takes every delivered row once and walks the trie level by level. Once a
+// level's nodes are done, every leaf basket of the level gets exactly one
+// AppendAligned, from the firing thread, and every inlined chain of the
+// level runs once on its node's survivors.
 Status QuerySetOptimizer::Walk(const Trie& trie, WalkScratch* scratch,
                                core::FactoryContext& ctx) {
   const std::vector<Trie::Node>& nodes = trie.nodes;
@@ -82,6 +98,33 @@ Status QuerySetOptimizer::Walk(const Trie& trie, WalkScratch* scratch,
     }
     for (SelVector& v : sel) recycler::Park(&v);
   };
+  // An inlined chain reads only its node's survivors and takes no basket
+  // lock, and each query has one chain per firing, so its sink sees its
+  // batches in delivery order.
+  auto run_inlined = [&](size_t k) -> Status {
+    const Trie::Inlined& leaf = trie.inlined[k];
+    const Table& rows = out[leaf.node];
+    if (rows.num_rows() == 0) return Status::OK();
+    leaf.counters->rows_in.fetch_add(rows.num_rows(),
+                                     std::memory_order_relaxed);
+    ASSIGN_OR_RETURN(const size_t emitted, (*leaf.run)(rows));
+    leaf.counters->rows_out.fetch_add(emitted, std::memory_order_relaxed);
+    return Status::OK();
+  };
+  // Tasks that only read tables the walk no longer writes and write their
+  // own slots: `n` of them over `rows` rows in all run on the scheduler's
+  // pool when there is more than one and they span a morsel or more.
+  auto fan_out = [](size_t n, size_t rows, const auto& task) -> Status {
+    ops::MorselExecutor* exec = ops::CurrentMorselExecutor();
+    if (n > 1 && rows >= ops::kMorselRows && exec != nullptr &&
+        exec->parallelism() > 1) {
+      return exec->Run(n, 1, [&](size_t m, size_t, size_t) {
+        return task(m);
+      });
+    }
+    for (size_t m = 0; m < n; ++m) RETURN_NOT_OK(task(m));
+    return Status::OK();
+  };
   Status st = Status::OK();
   for (size_t begin = 0, prev = 0, end = 0; st.ok() && begin < nodes.size();
        prev = begin, begin = end) {
@@ -91,17 +134,8 @@ Status QuerySetOptimizer::Walk(const Trie& trie, WalkScratch* scratch,
          ++end) {
       rows += input_of(end).num_rows();
     }
-    // Siblings only read their parents' tables and write their own slot,
-    // so a wide level runs as tasks on the scheduler's pool.
-    ops::MorselExecutor* exec = ops::CurrentMorselExecutor();
-    if (end - begin > 1 && rows >= ops::kMorselRows && exec != nullptr &&
-        exec->parallelism() > 1) {
-      st = exec->Run(end - begin, 1, [&](size_t m, size_t, size_t) {
-        return eval(begin + m);
-      });
-    } else {
-      for (size_t i = begin; i < end && st.ok(); ++i) st = eval(i);
-    }
+    // Siblings only read their parents' tables and write their own slot.
+    st = fan_out(end - begin, rows, [&](size_t m) { return eval(begin + m); });
     for (size_t i = begin; i < end && st.ok(); ++i) {
       if (out[i].num_rows() == 0) continue;
       for (core::Basket* leaf : trie.leaves_of(nodes[i])) {
@@ -111,6 +145,16 @@ Status QuerySetOptimizer::Walk(const Trie& trie, WalkScratch* scratch,
           break;
         }
       }
+    }
+    const size_t first = nodes[begin].inlined;
+    const size_t last = nodes[end - 1].inlined_end;
+    size_t inlined_rows = 0;
+    for (size_t k = first; k < last; ++k) {
+      inlined_rows += out[trie.inlined[k].node].num_rows();
+    }
+    if (st.ok()) {
+      st = fan_out(last - first, inlined_rows,
+                   [&](size_t m) { return run_inlined(first + m); });
     }
     // The previous level's survivors have no readers left.
     for (size_t i = prev; i < begin; ++i) {
@@ -168,17 +212,20 @@ Result<core::FactoryPtr> QuerySetOptimizer::AddQuery(
       info.cq = std::move(*compiled);
       info.direct = false;
       RETURN_NOT_OK(AddShared(name, std::move(info)));
+      const QueryInfo& q = queries_.at(name);
+      if (q.run != nullptr) return subnets_.at(q.cq.source_basket).root;
     } else {
       RETURN_NOT_OK(AddReplicated(name, std::move(info)));
     }
-    return queries_[name].factory;
+    return queries_.at(name).factory;
   }
   RETURN_NOT_OK(AddDirect(name, std::move(info)));
-  return queries_[name].factory;
+  return queries_.at(name).factory;
 }
 
 Status QuerySetOptimizer::AddDirect(const std::string& name, QueryInfo info) {
-  ASSIGN_OR_RETURN(BuiltQuery built, build_factory_(name, info.stmt, info.sink));
+  ASSIGN_OR_RETURN(BuiltQuery built,
+                   build_factory_(name, info.stmt, info.sink, false));
   info.factory = std::move(built.factory);
   info.pipeline = std::move(built.pipeline);
   engine_->scheduler().Register(info.factory);
@@ -220,7 +267,7 @@ Status QuerySetOptimizer::AddReplicated(const std::string& name,
     redirect[basket] = ReplicaBasketName(name, basket);
   }
   info.stmt = RedirectBasketSources(*info.stmt, redirect);
-  Result<BuiltQuery> built = build_factory_(name, info.stmt, info.sink);
+  Result<BuiltQuery> built = build_factory_(name, info.stmt, info.sink, false);
   if (!built.ok()) {
     drop_replicas();
     return built.status();
@@ -231,7 +278,7 @@ Status QuerySetOptimizer::AddReplicated(const std::string& name,
   // Every source is resolved, so nothing below fails.
   for (size_t i = 0; i < read.size(); ++i) {
     NetFor(read[i]).replicas[name] = q.replicas.at(read[i]);
-    SwapRoot(read[i], sources[i], nullptr, nullptr);
+    SwapRoot(read[i], sources[i], nullptr);
   }
   engine_->scheduler().Register(q.factory);
   PublishDirect(name, q.pipeline);
@@ -241,10 +288,6 @@ Status QuerySetOptimizer::AddReplicated(const std::string& name,
 Status QuerySetOptimizer::AddShared(const std::string& name, QueryInfo info) {
   const std::string basket = info.cq.source_basket;  // survives the move below
   ASSIGN_OR_RETURN(core::BasketPtr source, engine_->GetBasket(basket));
-  ASSIGN_OR_RETURN(
-      info.leaf,
-      engine_->CreateBasket(LeafBasketName(name), source->schema(),
-                            /*add_arrival_ts=*/false));
   // The leaf runs the statement minus every conjunct the trie evaluates on
   // the way to it: all of its shared ones, wherever the layout puts them,
   // so the leaf stays as built while the query stands.
@@ -252,24 +295,41 @@ Status QuerySetOptimizer::AddShared(const std::string& name, QueryInfo info) {
   if (factoring_enabled_) {
     for (const Conjunct& c : info.cq.shared) strip.insert(c.fp);
   }
-  Result<std::shared_ptr<Statement>> leaf_stmt =
-      MakeLeafStatement(engine_, info.cq, LeafBasketName(name), strip);
-  Result<BuiltQuery> built =
-      leaf_stmt.ok() ? build_factory_(name, *leaf_stmt, info.sink)
-                     : leaf_stmt.status();
-  if (!built.ok()) {
-    // The old net was never touched: only the new leaf basket is undone.
-    if (Status st = engine_->DropBasket(LeafBasketName(name)); !st.ok()) {
-      DC_LOG(Warn) << "optimizer AddQuery rollback: drop leaf basket failed: "
-                   << st.ToString();
+  // Prepared over the source first: a leaf that keeps no state needs no
+  // basket of its own, and the root runs its chain.
+  ASSIGN_OR_RETURN(std::shared_ptr<Statement> inline_stmt,
+                   MakeLeafStatement(engine_, info.cq, basket, strip));
+  ASSIGN_OR_RETURN(BuiltQuery built,
+                   build_factory_(name, inline_stmt, info.sink, true));
+  if (built.run != nullptr) {
+    info.run = std::move(built.run);
+    info.run_counters = std::make_shared<obs::PlanCounters>();
+    info.run_counters->shared_by.store(1, std::memory_order_relaxed);
+  } else {
+    ASSIGN_OR_RETURN(
+        info.leaf,
+        engine_->CreateBasket(LeafBasketName(name), source->schema(),
+                              /*add_arrival_ts=*/false));
+    Result<std::shared_ptr<Statement>> leaf_stmt =
+        MakeLeafStatement(engine_, info.cq, LeafBasketName(name), strip);
+    Result<BuiltQuery> leaf =
+        leaf_stmt.ok() ? build_factory_(name, *leaf_stmt, info.sink, false)
+                       : leaf_stmt.status();
+    if (!leaf.ok()) {
+      // The old net was never touched: only the new leaf basket is undone.
+      if (Status st = engine_->DropBasket(LeafBasketName(name)); !st.ok()) {
+        DC_LOG(Warn) << "optimizer AddQuery rollback: drop leaf basket failed: "
+                     << st.ToString();
+      }
+      return leaf.status();
     }
-    return built.status();
+    built = std::move(*leaf);
+    info.factory = std::move(built.factory);
   }
-  info.factory = std::move(built->factory);
-  info.pipeline = std::move(built->pipeline);
+  info.pipeline = std::move(built.pipeline);
   QueryInfo& q = queries_[name] = std::move(info);
   Join(&NetFor(basket), name, &q);
-  SwapRoot(basket, source, q.factory, nullptr);
+  SwapRoot(basket, source, q.factory);
   return Status::OK();
 }
 
@@ -301,14 +361,20 @@ Status QuerySetOptimizer::RemoveQuery(const std::string& name) {
     } else {
       Leave(&net, name, &q);
     }
-    SwapRoot(nets[i], sources[i], nullptr, q.direct ? nullptr : q.factory);
+    SwapRoot(nets[i], sources[i], nullptr);
   }
-  if (q.direct) {
-    UnregisterOrWarn(engine_->scheduler(), q.factory, "RemoveQuery");
+  Status dropped = Retire(name, q);
+  queries_.erase(it);
+  return dropped;
+}
+
+Status QuerySetOptimizer::Retire(const std::string& name, const QueryInfo& q) {
+  if (q.factory != nullptr) {
+    UnregisterOrWarn(engine_->scheduler(), q.factory, "Retire");
   }
   obs::PlansRegistry::Global().Retract(name);
   Status dropped;
-  if (!q.direct) {
+  if (q.leaf != nullptr) {
     peak_retired_ = std::max(peak_retired_, q.leaf->stats().peak_rows);
     dropped = engine_->DropBasket(LeafBasketName(name));
   }
@@ -317,7 +383,6 @@ Status QuerySetOptimizer::RemoveQuery(const std::string& name) {
     Status st = engine_->DropBasket(ReplicaBasketName(name, basket));
     if (dropped.ok()) dropped = st;
   }
-  queries_.erase(it);
   return dropped;
 }
 
@@ -486,6 +551,7 @@ void QuerySetOptimizer::LayOut(Subnet* net, Trie* trie,
   trie->nodes.reserve(net->protos);
   trie->steps.reserve(net->protos - 1);
   trie->leaves.reserve(net->members.size() + net->replicas.size());
+  trie->inlined.reserve(net->members.size());
   std::vector<std::pair<Proto*, size_t>> queue = {{&net->trie, 0}};
   queue.reserve(net->protos);
   for (size_t head = 0; head < queue.size(); ++head) {
@@ -511,8 +577,13 @@ void QuerySetOptimizer::LayOut(Subnet* net, Trie* trie,
     node.steps_end = trie->steps.size();
     node.counters = idx == 0 ? net->trie.counters : n->counters;
     node.leaves = trie->leaves.size();
+    node.inlined = trie->inlined.size();
     for (const auto& [qname, q] : n->attached) {
-      trie->leaves.push_back(q->leaf.get());
+      if (q->run != nullptr) {
+        trie->inlined.push_back(Trie::Inlined{q->run, q->run_counters, idx});
+      } else {
+        trie->leaves.push_back(q->leaf.get());
+      }
     }
     // Replica leaves take every row: they hang off the root.
     if (idx == 0) {
@@ -521,6 +592,7 @@ void QuerySetOptimizer::LayOut(Subnet* net, Trie* trie,
       }
     }
     node.leaves_end = trie->leaves.size();
+    node.inlined_end = trie->inlined.size();
     trie->nodes.push_back(std::move(node));
     ends->push_back(n);
     for (auto& [fp, kid] : n->kids) queue.emplace_back(&kid, idx);
@@ -529,8 +601,7 @@ void QuerySetOptimizer::LayOut(Subnet* net, Trie* trie,
 
 void QuerySetOptimizer::SwapRoot(const std::string& basket,
                                  const core::BasketPtr& source,
-                                 const core::FactoryPtr& joining,
-                                 const core::FactoryPtr& leaving) {
+                                 const core::FactoryPtr& joining) {
   core::Scheduler& scheduler = engine_->scheduler();
   Subnet& net = subnets_.at(basket);
   const bool empty = net.members.empty() && net.replicas.empty();
@@ -546,8 +617,11 @@ void QuerySetOptimizer::SwapRoot(const std::string& basket,
           return Walk(*trie, &scratch, ctx);
         });
     root->AddInput(source, 1);
-    // Every leaf is an output place, so no leaf fires while the walk runs.
-    for (const auto& [qname, q] : net.members) root->AddOutput(q->leaf);
+    // Every leaf basket is an output place, so no leaf fires while the walk
+    // runs. Inlined leaves have none: the root locks the source alone.
+    for (const auto& [qname, q] : net.members) {
+      if (q->leaf != nullptr) root->AddOutput(q->leaf);
+    }
     for (const auto& [qname, replica] : net.replicas) root->AddOutput(replica);
   }
 
@@ -558,7 +632,6 @@ void QuerySetOptimizer::SwapRoot(const std::string& basket,
   // already-listening consumers (Register re-checks eligibility, so rows
   // already in a leaf wake it immediately).
   if (joining != nullptr) scheduler.Register(joining);
-  if (leaving != nullptr) UnregisterOrWarn(scheduler, leaving, "SwapRoot");
   if (empty) {
     subnets_.erase(basket);
     return;
@@ -631,8 +704,12 @@ void QuerySetOptimizer::PublishChanged(Subnet* net, const Trie& trie,
             std::move(text), std::move(fps), shared_by[i], est[i],
             nodes[i].counters, nullptr});
       }
-      rows.push_back(obs::PlanRow{qname, qname, "leaf", q->pipeline, "", 1,
-                                  est[at], nullptr, nodes[at].counters});
+      // An inlined leaf runs under its node, with counters of its own.
+      const bool inlined = q->run != nullptr;
+      rows.push_back(obs::PlanRow{
+          qname, inlined ? rows.back().stage : qname, "leaf", q->pipeline, "",
+          1, est[at], inlined ? q->run_counters : nullptr,
+          nodes[at].counters});
       obs::PlansRegistry::Global().Publish(qname, std::move(rows));
     }
   }
@@ -691,7 +768,7 @@ Result<size_t> QuerySetOptimizer::Reoptimize() {
   for (const std::string& basket : drifted) {
     ASSIGN_OR_RETURN(core::BasketPtr source, engine_->GetBasket(basket));
     Replan(&subnets_.at(basket));
-    SwapRoot(basket, source, nullptr, nullptr);
+    SwapRoot(basket, source, nullptr);
   }
   return drifted.size();
 }

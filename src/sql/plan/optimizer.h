@@ -25,8 +25,15 @@
 ///
 ///   source basket -> one fused transition walking a trie of normalized
 ///   conjunct fingerprints (common prefixes factored into one node) ->
-///   per-query leaf basket -> leaf factory (the original statement with the
-///   shared conjuncts stripped and FROM redirected to the leaf).
+///   per-query leaf: the original statement with the shared conjuncts
+///   stripped.
+///
+/// A leaf that keeps no state across firings (its statement reads the
+/// stripped window with a pass-through `take`) is inlined: the fused
+/// transition runs the rest of its chain on its node's survivors and hands
+/// the result to the sink, so a net of such leaves fires once per delivery.
+/// Any other leaf reads its own leaf basket "mqo.q.<name>" through its own
+/// leaf factory (FROM redirected to the leaf).
 ///
 /// Everything else — and everything while sharing is disabled, the default
 /// — runs "direct": one factory per query, built by the injected factory
@@ -41,31 +48,48 @@
 /// Thread-model: registration, removal and re-optimization happen on one
 /// driver thread (the same discipline as sql::Session); the built net is
 /// what scheduler workers execute. A registration builds what it changes
-/// and nothing else: the new query's leaf factory (registered once, kept
-/// until the query is removed) and a new fused transition over the trie
-/// laid out again for the new member set. Everything new is built before
-/// the old fused transition is unregistered (the scheduler waits out its
-/// in-flight firing): a failed build leaves the old net running. Only the
-/// source and the leaf baskets hold rows between firings, and both carry
-/// over, so no tuple is lost, duplicated or reordered across a swap.
+/// and nothing else: the new query's leaf (an inlined chain, or a leaf
+/// factory registered once and kept until the query is removed) and a new
+/// fused transition over the trie laid out again for the new member set.
+/// Everything new is built before the old fused transition is unregistered
+/// (the scheduler waits out its in-flight firing): a failed build leaves
+/// the old net running. Only the source and the leaf baskets hold rows
+/// between firings, and both carry over, so no tuple is lost, duplicated
+/// or reordered across a swap. The optimizer's destructor takes down
+/// everything it registered.
 namespace datacell::sql::plan {
 
+/// An inlined leaf's chain: runs the operators after the leaf statement's
+/// pass-through `take` over `rows`, hands a non-empty result to the sink,
+/// and returns the result's row count.
+using LeafRun = std::function<Result<size_t>(const Table& rows)>;
+
 /// What the factory builder returns: the (unregistered) factory that runs a
-/// statement each firing, and the operator chain it runs (dc_plans).
+/// statement each firing, or for an inlined leaf only its chain; and the
+/// operators that run (dc_plans).
 struct BuiltQuery {
   core::FactoryPtr factory;
+  std::shared_ptr<const LeafRun> run;
   std::string pipeline;
 };
 
 class QuerySetOptimizer {
  public:
   /// Builds (without registering) the factory of one statement — injected
-  /// by the session so this layer needs no executor dependency.
+  /// by the session so this layer needs no executor dependency. With
+  /// `inline_leaf` it builds only the chain `run` of a leaf that keeps no
+  /// state across firings, and neither a chain nor a factory for any
+  /// other statement.
   using FactoryBuilder = std::function<Result<BuiltQuery>(
       const std::string& name, std::shared_ptr<Statement> stmt,
-      core::Emitter::Sink sink)>;
+      core::Emitter::Sink sink, bool inline_leaf)>;
 
   QuerySetOptimizer(core::Engine* engine, FactoryBuilder builder);
+  /// Unregisters every transition it registered, drops its baskets and
+  /// retracts its dc_plans rows, so no sink of its queries runs after it.
+  ~QuerySetOptimizer();
+  QuerySetOptimizer(const QuerySetOptimizer&) = delete;
+  QuerySetOptimizer& operator=(const QuerySetOptimizer&) = delete;
 
   /// Sharing is opt-in per session: off (default) keeps every query on the
   /// direct path.
@@ -80,9 +104,10 @@ class QuerySetOptimizer {
   void set_factoring_enabled(bool on) { factoring_enabled_ = on; }
   bool factoring_enabled() const { return factoring_enabled_; }
 
-  /// Registers a continuous query. Returns the transition that carries the
-  /// query's name: the direct factory, or the leaf factory of its shared
-  /// subnet. kAlreadyExists if the name is taken.
+  /// Registers a continuous query. Returns the transition that runs it: the
+  /// direct factory, the leaf factory of its shared subnet, or for an
+  /// inlined leaf the subnet's fused transition (replaced by the next
+  /// change to the subnet). kAlreadyExists if the name is taken.
   Result<core::FactoryPtr> AddQuery(const std::string& name,
                                     std::shared_ptr<Statement> stmt,
                                     core::Emitter::Sink sink);
@@ -120,8 +145,12 @@ class QuerySetOptimizer {
     bool direct = true;
     /// The direct factory or the leaf factory: built and registered once.
     core::FactoryPtr factory;
-    std::string pipeline;      // the operator chain `factory` runs
-    core::BasketPtr leaf;      // shared mode: engine basket "mqo.q.<name>"
+    /// Shared mode, inlined leaf (no factory and no leaf basket): its
+    /// chain, and its rows in and out (dc_plans).
+    std::shared_ptr<const LeafRun> run;
+    std::shared_ptr<obs::PlanCounters> run_counters;
+    std::string pipeline;      // the operator chain `factory` or `run` runs
+    core::BasketPtr leaf;      // stateful leaf: engine basket "mqo.q.<name>"
     /// Shared mode: the shared conjuncts the trie evaluates for the query,
     /// as ids into its subnet's conjunct table, in evaluation order (empty
     /// when it registered with factoring off).
@@ -161,25 +190,35 @@ class QuerySetOptimizer {
   /// (index 0 is the root, each level is contiguous and parents precede
   /// children); node i evaluates a run of conjuncts once per delivery over
   /// its parent's survivors and feeds a run of leaves, both ranges of the
-  /// flat arrays.
+  /// flat arrays. A level's inlined leaves are contiguous too.
   struct Trie {
     struct Step {
       ExprPtr expr;
       std::shared_ptr<obs::PlanCounters> counters;  // the conjunct's feed
       uint32_t id = 0;                              // SharedConjunct
     };
+    /// An attached query's inlined chain and the node whose survivors it
+    /// runs on. The trie shares ownership of the chain (and its sink), so
+    /// a walk never reaches into a removed query.
+    struct Inlined {
+      std::shared_ptr<const LeafRun> run;
+      std::shared_ptr<obs::PlanCounters> counters;
+      size_t node = 0;
+    };
     struct Node {
       size_t parent = 0;  // the root is its own parent
       size_t level = 0;
       size_t steps = 0, steps_end = 0;    // its conjuncts in `steps`
-      size_t leaves = 0, leaves_end = 0;  // its leaves in `leaves`
+      size_t leaves = 0, leaves_end = 0;  // its leaf baskets in `leaves`
+      size_t inlined = 0, inlined_end = 0;  // its chains in `inlined`
       std::shared_ptr<obs::PlanCounters> counters;
     };
     std::vector<Node> nodes;
     std::vector<Step> steps;
-    /// Attached queries' leaves and replicas; the fused transition's output
-    /// places own them.
+    /// Attached stateful queries' leaves and replicas; the fused
+    /// transition's output places own them.
     std::vector<core::Basket*> leaves;
+    std::vector<Inlined> inlined;
 
     std::span<const Step> conjuncts(const Node& n) const {
       return {steps.data() + n.steps, n.steps_end - n.steps};
@@ -204,6 +243,8 @@ class QuerySetOptimizer {
   };
 
   Status AddDirect(const std::string& name, QueryInfo info);
+  /// Shared mode, plannable: an inlined chain when the stripped leaf keeps
+  /// no state, else a leaf basket and a leaf factory.
   Status AddShared(const std::string& name, QueryInfo info);
   /// Shared mode, outside the plannable subset: a direct factory over
   /// replica leaves of every basket the query's basket expressions read.
@@ -227,14 +268,16 @@ class QuerySetOptimizer {
 
   /// Builds the fused transition walking `net`'s trie as laid out now and
   /// swaps it in: unregisters the old one (waiting out its firing), then
-  /// registers `joining` (a new leaf), unregisters `leaving` (a removed
-  /// leaf) and registers the new one, and republishes the dc_plans rows of
-  /// the members whose path changed. With no member and no replica left it
-  /// only tears the net down. Nothing here can fail: callers resolve
-  /// `source` before they change the net.
+  /// registers `joining` (a new leaf factory, if any) and the new one, and
+  /// republishes the dc_plans rows of the members whose path changed. With
+  /// no member and no replica left it only tears the net down. Nothing
+  /// here can fail: callers resolve `source` before they change the net.
   void SwapRoot(const std::string& basket, const core::BasketPtr& source,
-                const core::FactoryPtr& joining,
-                const core::FactoryPtr& leaving);
+                const core::FactoryPtr& joining);
+  /// Takes down what query `name` owns once no root feeds it: unregisters
+  /// its factory, retracts its dc_plans rows and drops its leaf and
+  /// replica baskets. Returns the first drop failure.
+  Status Retire(const std::string& name, const QueryInfo& q);
   /// Lays out `net`'s trie: breadth first, so each level is contiguous,
   /// with runs of unattached single-child nodes collapsed into one node.
   /// `ends[i]` is the Proto that node i's run ends at. With replicas the

@@ -77,7 +77,11 @@ Result<Table> Session::RenderPlan(const Statement& target) {
               std::to_string(in.min_tuples) + " tuple(s))\n";
     }
   }
-  text += "  chain: " + Executor::Describe(*prepared) + "\n";
+  if (chain_of != nullptr && Executor::PassThrough(*prepared)) {
+    text += "  chain (inlined): " + Executor::DescribeOver(*prepared) + "\n";
+  } else {
+    text += "  chain: " + Executor::Describe(*prepared) + "\n";
+  }
 
   Table out(Schema({{"plan", DataType::kString}}));
   size_t start = 0;
@@ -92,7 +96,8 @@ Result<Table> Session::RenderPlan(const Statement& target) {
 
 Result<plan::BuiltQuery> Session::BuildFactory(const std::string& name,
                                                std::shared_ptr<Statement> stmt,
-                                               core::Emitter::Sink sink) {
+                                               core::Emitter::Sink sink,
+                                               bool inline_leaf) {
   if (!IsContinuous(*stmt)) {
     return Status::InvalidArgument(
         "statement contains no basket expression; it is a one-time query "
@@ -102,8 +107,22 @@ Result<plan::BuiltQuery> Session::BuildFactory(const std::string& name,
   // statement's kernels and hands the result to the sink.
   ASSIGN_OR_RETURN(PreparedPtr prepared, executor_.Prepare(*stmt));
   plan::BuiltQuery built;
-  built.pipeline = Executor::Describe(*prepared);
+  if (inline_leaf && !Executor::PassThrough(*prepared)) return built;
+  built.pipeline = inline_leaf ? Executor::DescribeOver(*prepared)
+                               : Executor::Describe(*prepared);
   if (sink != nullptr) built.pipeline += " → sink";
+  if (inline_leaf) {
+    built.run = std::make_shared<const plan::LeafRun>(
+        [exec = executor_, stmt, prepared,
+         sink](const Table& rows) -> Result<size_t> {
+          ASSIGN_OR_RETURN(Table result, exec.RunOver(*prepared, rows));
+          if (sink != nullptr && result.num_rows() > 0) {
+            RETURN_NOT_OK(sink(result));
+          }
+          return result.num_rows();
+        });
+    return built;
+  }
   built.factory = std::make_shared<core::Factory>(
       name, [exec = executor_, stmt, prepared,
              sink](core::FactoryContext&) -> Status {

@@ -23,7 +23,8 @@ namespace datacell::sql {
 /// (the default) every query gets one direct factory; with
 /// set_sharing_enabled(true) queries inside the plannable subset compile
 /// into one shared subnet per source basket: a fused trie walk feeding
-/// per-query leaves.
+/// per-query leaves, most of which it runs inline. Destroying the session
+/// takes its queries down with it.
 class Session {
  public:
   explicit Session(core::Engine* engine)
@@ -32,9 +33,9 @@ class Session {
         optimizer_(engine,
                    [this](const std::string& name,
                           std::shared_ptr<Statement> stmt,
-                          core::Emitter::Sink sink) {
+                          core::Emitter::Sink sink, bool inline_leaf) {
                      return BuildFactory(name, std::move(stmt),
-                                         std::move(sink));
+                                         std::move(sink), inline_leaf);
                    }) {}
 
   core::Engine* engine() const { return engine_; }
@@ -86,10 +87,13 @@ class Session {
   /// Builds (without registering) the factory of one continuous statement
   /// — the optimizer's direct path and the leaf of a shared subnet. The
   /// statement is prepared here; each firing runs it and hands a SELECT's
-  /// non-empty result to `sink`.
+  /// non-empty result to `sink`. With `inline_leaf`, a PassThrough
+  /// statement gets only its chain after the `take`, which the fused
+  /// transition runs, and any other statement nothing.
   Result<plan::BuiltQuery> BuildFactory(const std::string& name,
                                         std::shared_ptr<Statement> stmt,
-                                        core::Emitter::Sink sink);
+                                        core::Emitter::Sink sink,
+                                        bool inline_leaf);
 
   /// Renders EXPLAIN output for a parsed target statement, one line per
   /// row in a single-column table. A header names the plan's shape; for a
@@ -97,8 +101,9 @@ class Session {
   /// with their standing counts, then residual ones) and the sharing mode
   /// follow. The last line is the operator chain the statement prepares
   /// to (Executor::Describe): in shared mode, the chain of the leaf the
-  /// query would run, reading its source basket. Binding errors surface
-  /// as they do from Execute; nothing is run or registered.
+  /// query would run, reading its source basket, or for a leaf the fused
+  /// transition would run inline, the operators after its `take`. Binding
+  /// errors surface as they do from Execute; nothing is run or registered.
   Result<Table> RenderPlan(const Statement& target);
 
   core::Engine* engine_;

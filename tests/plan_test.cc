@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
@@ -269,9 +271,9 @@ TEST_F(PlanFixture, IdenticalPrefixFactorsIntoOneSharedChain) {
                       "q3", "select * from [select * from s where a > 10]",
                       Collect(&r3))
                   .ok());
-  // One fused transition plus the three per-query leaves.
+  // One fused transition, which runs the three stateless leaves inline.
   EXPECT_EQ(CountTransitions("mqo."), 1u);
-  EXPECT_EQ(engine_.scheduler().num_transitions(), 4u);
+  EXPECT_EQ(engine_.scheduler().num_transitions(), 1u);
 
   Exec("insert into s values (5, 1), (11, 2), (20, 3)");
   ASSERT_TRUE(engine_.scheduler().RunUntilQuiescent().ok());
@@ -298,7 +300,7 @@ TEST_F(PlanFixture, SharedPrefixEvaluatesOncePerNode) {
                     .ok());
   }
   EXPECT_EQ(CountTransitions("mqo."), 1u);
-  EXPECT_EQ(engine_.scheduler().num_transitions(), 4u);
+  EXPECT_EQ(engine_.scheduler().num_transitions(), 1u);
   Exec("insert into s values (5, 1), (11, 1), (12, 2), (13, 2), (40, 3), "
        "(1, 2)");
   ASSERT_TRUE(engine_.scheduler().RunUntilQuiescent().ok());
@@ -328,14 +330,16 @@ TEST_F(PlanFixture, SharedPrefixEvaluatesOncePerNode) {
 }
 
 // A FactoryBuilder that runs each statement on its leaf basket, and fails
-// for the query named `*fail_for`.
+// for the query named `*fail_for`. It inlines nothing, so every shared
+// query gets a leaf basket and a leaf factory.
 QuerySetOptimizer::FactoryBuilder FailingBuilder(core::Engine* engine,
                                                  const std::string* fail_for) {
   return [engine, fail_for](const std::string& name,
                             std::shared_ptr<Statement> stmt,
-                            core::Emitter::Sink sink)
+                            core::Emitter::Sink sink, bool inline_leaf)
              -> Result<BuiltQuery> {
     if (name == *fail_for) return Status::Internal("injected build failure");
+    if (inline_leaf) return BuiltQuery{};
     ASSIGN_OR_RETURN(core::BasketPtr leaf, engine->GetBasket("mqo.q." + name));
     Executor exec(engine);
     ASSIGN_OR_RETURN(PreparedPtr prepared, exec.Prepare(*stmt));
@@ -346,7 +350,7 @@ QuerySetOptimizer::FactoryBuilder FailingBuilder(core::Engine* engine,
           return Status::OK();
         });
     f->AddInput(leaf, 1);
-    return BuiltQuery{f, Executor::Describe(*prepared)};
+    return BuiltQuery{f, nullptr, Executor::Describe(*prepared)};
   };
 }
 
@@ -471,12 +475,118 @@ TEST(FusedWalkTest, LevelFanOutMatchesOneWorkerAndScalar) {
   // The counters are process-wide; one worker adds none. With the fan-out
   // each node of the two wide levels (five under the root, b = 3 and b = 4
   // under a < 60000) is one task and its kernels run inline; without it
-  // the dense kernels would split their spans into 32k-row morsels.
-  EXPECT_EQ(fanned_morsels - one_worker_morsels, 7u);
+  // the dense kernels would split their spans into 32k-row morsels. That
+  // makes 7. The inlined leaves of the first level (q0, q1, q2 and q5,
+  // 112347 + 50000 + 64225 + 31072 rows) are one task each, 4 more; the
+  // two of the second level (b = 3 and b = 4, about 600 rows each) span
+  // less than a morsel and run on the firing thread. 11 in all.
+  EXPECT_EQ(fanned_morsels - one_worker_morsels, 11u);
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_FALSE(one[i].empty()) << queries[i];
     EXPECT_EQ(fanned[i], one[i]) << queries[i];
     EXPECT_EQ(scalar[i], one[i]) << queries[i];
+  }
+}
+
+// What a sink saw of one batch: the deliveries its rows came from (column
+// 0 holds the delivery index), its row count and a digest of its values.
+struct Batch {
+  int64_t first = 0;
+  int64_t last = 0;
+  size_t rows = 0;
+  uint64_t digest = 0;
+  bool operator==(const Batch&) const = default;
+};
+
+// A sink recording a Batch per call; every output column is an integer.
+core::Emitter::Sink Digest(std::vector<Batch>* out) {
+  return [out](const Table& t) -> Status {
+    Batch b;
+    b.rows = t.num_rows();
+    const auto d = t.column(0).ints();
+    b.first = d[0];
+    b.last = d[0];
+    uint64_t h = 14695981039346656037ull;
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      const auto v = t.column(c).ints();
+      for (size_t i = 0; i < t.num_rows(); ++i) {
+        h = (h ^ static_cast<uint64_t>(v[i])) * 1099511628211ull;
+      }
+    }
+    for (size_t i = 0; i < t.num_rows(); ++i) {
+      b.first = std::min(b.first, d[i]);
+      b.last = std::max(b.last, d[i]);
+    }
+    b.digest = h;
+    out->push_back(b);
+    return Status::OK();
+  };
+}
+
+// Bulk deliveries through a net of inlined leaves on three workers: the
+// leaves of a wide level run as pool tasks, yet each query's sink sees one
+// batch per delivery, in delivery order, byte-identical to one worker and
+// to the scalar kernels.
+TEST(FusedWalkTest, InlinedLeavesKeepDeliveryOrderOnThePool) {
+  const std::vector<std::string> queries = {
+      "select * from [select * from s]",
+      "select d, a, b from [select * from s where a % 7 <> 0]",
+      "select d, a from [select * from s where b > 50]",
+      "select d, a from [select * from s where a < 60000 and b = 3]",
+      "select d, a from [select * from s where a < 60000 and b = 4]",
+      "select d, b, count(*), sum(a) from [select * from s where "
+      "a >= 100000] group by d, b",
+  };
+  constexpr int64_t kRows = 131072;
+  constexpr int64_t kDeliveries = 4;
+  auto run = [&](size_t workers) {
+    core::Engine engine(SystemClock::Get(), workers);
+    Session session(&engine);
+    session.set_sharing_enabled(true);
+    EXPECT_TRUE(session.Execute("create basket s (d int, a int, b int)").ok());
+    std::vector<std::vector<Batch>> out(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto added = session.RegisterContinuousSelect(
+          "q" + std::to_string(i), queries[i], Digest(&out[i]));
+      EXPECT_TRUE(added.ok()) << queries[i];
+    }
+    core::Scheduler& sched = engine.scheduler();
+    EXPECT_EQ(sched.num_transitions(), 1u);
+    EXPECT_TRUE(sched.Start().ok());
+    auto s = engine.GetBasket("s");
+    EXPECT_TRUE(s.ok());
+    for (int64_t d = 0; d < kDeliveries; ++d) {
+      Table feed(Schema({{"d", DataType::kInt64},
+                         {"a", DataType::kInt64},
+                         {"b", DataType::kInt64}}));
+      for (int64_t i = 0; i < kRows; ++i) {
+        feed.column(0).AppendInt(d);
+        feed.column(1).AppendInt((i + d * 5) * 7919 % kRows);
+        feed.column(2).AppendInt((i + d) % 100);
+      }
+      EXPECT_TRUE((*s)->Append(feed, 0).ok());
+      for (int i = 0; i < 60000 && !((*s)->empty() && sched.Idle()); ++i) {
+        SystemClock::Get()->SleepFor(500);
+      }
+    }
+    sched.Stop();
+    EXPECT_TRUE(sched.last_error().ok());
+    return out;
+  };
+  const auto fanned = run(3);
+  const auto one = run(1);
+  simd::SetForceScalar(true);
+  const auto scalar = run(3);
+  simd::SetForceScalar(false);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    SCOPED_TRACE(queries[q]);
+    ASSERT_EQ(fanned[q].size(), static_cast<size_t>(kDeliveries));
+    for (size_t d = 0; d < fanned[q].size(); ++d) {
+      EXPECT_EQ(fanned[q][d].first, static_cast<int64_t>(d));
+      EXPECT_EQ(fanned[q][d].last, static_cast<int64_t>(d));
+    }
+    EXPECT_EQ(fanned[q], one[q]);
+    EXPECT_EQ(fanned[q], scalar[q]);
   }
 }
 
@@ -634,12 +744,13 @@ TEST_F(PlanFixture, ExplainRendersPlanAndSharing) {
     text += "\n";
   }
   // One line per shareable conjunct with its standing count; the chain is
-  // the leaf's, with both conjuncts evaluated upstream by the trie.
+  // the leaf's, with both conjuncts evaluated upstream by the trie, so the
+  // fused transition runs what follows its pass-through take inline.
   EXPECT_NE(text.find("shareable (a > 10) [fp "), std::string::npos) << text;
   EXPECT_NE(text.find("] sel 0.33 standing=3'"), std::string::npos) << text;
   EXPECT_NE(text.find("] sel 0.10 standing=1'"), std::string::npos) << text;
   EXPECT_NE(text.find("sharing: on"), std::string::npos) << text;
-  EXPECT_NE(text.find("chain: take s → project'"), std::string::npos)
+  EXPECT_NE(text.find("chain (inlined): project'"), std::string::npos)
       << text;
 
   // EXPLAIN of a one-time query renders the chain it prepares.
@@ -740,9 +851,16 @@ TEST_F(PlanFixture, PlansShowThePreparedPipeline) {
     return r.ok() && r->num_rows() == 1 ? r->GetRow(0)[0].string_value()
                                         : std::string();
   };
+  // g0's leaf is inlined: its row lists the operators after the take and
+  // names the node it runs under.
   EXPECT_EQ(detail("g0", "leaf"),
-            "take mqo.q.g0 → aggregate group by k [count(*), sum(payload)] "
-            "→ project → sink");
+            "aggregate group by k [count(*), sum(payload)] → project → sink");
+  auto stages = session_.Execute(
+      "select stage, kind from dc_plans where query = 'g0'");
+  ASSERT_TRUE(stages.ok()) << stages.status().ToString();
+  ASSERT_EQ(stages->num_rows(), 3u);  // root, payload >= 8000, leaf
+  EXPECT_EQ(stages->GetRow(2)[1].string_value(), "leaf");
+  EXPECT_EQ(stages->GetRow(2)[0], stages->GetRow(1)[0]);
   EXPECT_EQ(detail("j0", "direct"),
             "(take mqo.q.j0.s), (scan t) → hash join on k = k → project → "
             "sink");
@@ -768,7 +886,7 @@ TEST_F(PlanFixture, PlansVirtualTableListsStages) {
 // The dc_plans rows (minus the live row counts, which depend on history)
 // of the queries `names`, each `prefix` + a suffix, with `prefix` replaced
 // by "q_" in every column so two sessions' rows compare. (The registry is
-// process-wide: a destroyed session's rows stay behind.)
+// process-wide: it lists every live session's rows.)
 std::vector<std::string> PlanRows(Session& session, const std::string& prefix,
                                   const std::set<std::string>& names) {
   auto r = session.Execute(
@@ -797,10 +915,14 @@ std::vector<std::string> PlanRows(Session& session, const std::string& prefix,
 // net equals a fresh session that registers only the survivors, in its
 // trie and dc_plans rows (node names, levels, conjunct runs, attached
 // queries, shared_by, estimates) and in every query's results on the next
-// delivery.
+// delivery. Inlined leaves mix with stateful ones: a `top 1` window, a
+// residual predicate the trie cannot share (it names a session variable)
+// and an INSERT leaf, whose rows are drained from its target basket.
 TEST(IncrementalRegistrationTest, AddRemoveSequencesMatchAFreshSession) {
   const std::vector<std::string> atoms = {
       "a > 10", "a < 60", "b = 1", "b = 2", "b <> 3", "a % 3 = 0", "a >= 20"};
+  // Rows the stateful leaves (top 1, residual, insert) produced in all.
+  size_t stateful_rows[3] = {0, 0, 0};
   for (const bool factoring : {true, false}) {
     for (const uint64_t seed : {1u, 2u, 3u}) {
       Random rng(seed);
@@ -821,6 +943,13 @@ TEST(IncrementalRegistrationTest, AddRemoveSequencesMatchAFreshSession) {
       }
       pool.push_back("select * from [select * from s]");
       pool.push_back(
+          "select * from [select top 1 from s where a > 10 order by a desc]");
+      pool.push_back(
+          "select * from [select * from s where b <> 3 and a < lim]");
+      const size_t insert_at = pool.size();
+      pool.push_back(
+          "insert into o select a, b from [select * from s where a >= 20]");
+      pool.push_back(
           "select x.a, t.name from [select * from s] as x, t where x.b = t.b");
       auto name = [](const std::string& prefix, size_t i) {
         return prefix + (i < 10 ? "0" : "") + std::to_string(i);
@@ -829,9 +958,25 @@ TEST(IncrementalRegistrationTest, AddRemoveSequencesMatchAFreshSession) {
         session->set_sharing_enabled(true);
         session->optimizer().set_factoring_enabled(factoring);
         EXPECT_TRUE(session->Execute("create basket s (a int, b int)").ok());
+        EXPECT_TRUE(session->Execute("create basket o (a int, b int)").ok());
+        EXPECT_TRUE(session->Execute("declare lim int; set lim = 50").ok());
         EXPECT_TRUE(session->Execute("create table t (b int, name string)").ok());
         EXPECT_TRUE(
             session->Execute("insert into t values (1, 'one'), (2, 'two')").ok());
+      };
+      auto add = [&](Session* session, const std::string& query, size_t i,
+                     std::vector<std::string>* out) {
+        return i == insert_at
+                   ? session->RegisterContinuousQuery(query, pool[i])
+                   : session->RegisterContinuousSelect(query, pool[i],
+                                                       Collect(out));
+      };
+      auto drain = [](Session* session) {
+        std::vector<std::string> out;
+        auto r = session->Execute("select * from [select * from o]");
+        EXPECT_TRUE(r.ok()) << r.status().ToString();
+        if (r.ok()) Collect(&out)(*r).IgnoreError();
+        return out;
       };
       SimulatedClock clock(0);
       core::Engine engine(&clock);
@@ -853,11 +998,7 @@ TEST(IncrementalRegistrationTest, AddRemoveSequencesMatchAFreshSession) {
           ASSERT_TRUE(
               session.UnregisterContinuousQuery(name("qa_", pick)).ok());
         } else {
-          ASSERT_TRUE(session
-                          .RegisterContinuousSelect(name("qa_", pick),
-                                                    pool[pick],
-                                                    Collect(&got[pick]))
-                          .ok())
+          ASSERT_TRUE(add(&session, name("qa_", pick), pick, &got[pick]).ok())
               << pool[pick];
         }
         standing[pick] = !standing[pick];
@@ -872,9 +1013,7 @@ TEST(IncrementalRegistrationTest, AddRemoveSequencesMatchAFreshSession) {
           if (!standing[i]) continue;
           names.insert(name("qa_", i));
           ref_names.insert(name("qb_", i));
-          ASSERT_TRUE(ref.RegisterContinuousSelect(name("qb_", i), pool[i],
-                                                   Collect(&want[i]))
-                          .ok());
+          ASSERT_TRUE(add(&ref, name("qb_", i), i, &want[i]).ok());
         }
         SCOPED_TRACE("factoring " + std::to_string(factoring) + " seed " +
                      std::to_string(seed) + " step " + std::to_string(step));
@@ -884,6 +1023,9 @@ TEST(IncrementalRegistrationTest, AddRemoveSequencesMatchAFreshSession) {
         EXPECT_GE(rows.size(), 2 * names.size() - standing.back());
         EXPECT_EQ(rows, PlanRows(ref, "qb_", ref_names));
 
+        // With no query standing, rows would wait in `s` for the next
+        // registration, which a fresh session cannot replay.
+        if (names.empty()) continue;
         std::string feed = "insert into s values ";
         for (int r = 0; r < 6; ++r) {
           feed += (r > 0 ? ", (" : "(") + std::to_string(rng.Uniform(80)) +
@@ -895,6 +1037,12 @@ TEST(IncrementalRegistrationTest, AddRemoveSequencesMatchAFreshSession) {
         ASSERT_TRUE(ref.Execute(feed).ok());
         ASSERT_TRUE(engine.scheduler().RunUntilQuiescent().ok());
         ASSERT_TRUE(ref_engine.scheduler().RunUntilQuiescent().ok());
+        const std::vector<std::string> inserted = drain(&session);
+        EXPECT_EQ(inserted, drain(&ref));
+        stateful_rows[2] += inserted.size();
+        for (size_t i = insert_at - 2; i < insert_at; ++i) {
+          stateful_rows[i + 2 - insert_at] += got[i].size() - before[i];
+        }
         for (size_t i = 0; i < pool.size(); ++i) {
           if (!standing[i]) continue;
           EXPECT_EQ(std::vector<std::string>(got[i].begin() + before[i],
@@ -905,20 +1053,23 @@ TEST(IncrementalRegistrationTest, AddRemoveSequencesMatchAFreshSession) {
       }
     }
   }
+  for (const size_t rows : stateful_rows) EXPECT_GT(rows, 0u);
 }
 
-// Another query's registration or removal leaves a standing query's leaf
-// factory and its scheduler registration as they were: only the fused
-// root is swapped, so the transition count moves by exactly one.
+// Another query's registration or removal leaves a standing stateful
+// query's leaf factory and its scheduler registration as they were: only
+// the fused root is swapped, so with `top 2` leaves, which keep state and
+// so keep their baskets and factories, the transition count moves by
+// exactly one.
 TEST_F(PlanFixture, StandingLeafKeepsItsFactoryAndRegistration) {
   Exec("create basket s (a int, b int)");
   session_.set_sharing_enabled(true);
   std::vector<std::string> r1, r2, r3;
   auto q1 = session_.RegisterContinuousSelect(
-      "q1", "select * from [select * from s where a > 10 and b = 1]",
-      Collect(&r1));
+      "q1", "select * from [select top 2 from s where a > 10]", Collect(&r1));
   ASSERT_TRUE(q1.ok());
   const core::FactoryPtr leaf = *q1;
+  EXPECT_EQ(leaf->name(), "q1");
   core::Scheduler& sched = engine_.scheduler();
   size_t transitions = sched.num_transitions();
   uint64_t firings = leaf->stats().firings;
@@ -935,14 +1086,15 @@ TEST_F(PlanFixture, StandingLeafKeepsItsFactoryAndRegistration) {
   };
   ASSERT_TRUE(session_
                   .RegisterContinuousSelect(
-                      "q2", "select * from [select * from s where a > 10]",
+                      "q2", "select * from [select top 2 from s where a > 10]",
                       Collect(&r2))
                   .ok());
   check("add q2", 1);
   ASSERT_TRUE(session_
                   .RegisterContinuousSelect(
                       "q3",
-                      "select * from [select * from s where a > 10 and b = 2]",
+                      "select * from [select top 2 from s where a > 10 and "
+                      "b = 2]",
                       Collect(&r3))
                   .ok());
   check("add q3", 1);
@@ -950,10 +1102,62 @@ TEST_F(PlanFixture, StandingLeafKeepsItsFactoryAndRegistration) {
   check("remove q2", -1);
   ASSERT_TRUE(session_.UnregisterContinuousQuery("q3").ok());
   check("remove q3", -1);
-  EXPECT_EQ(r1.size(), 4u);
+  EXPECT_EQ(r1.size(), 8u);
   // Still registered: unregistering it succeeds exactly once.
   EXPECT_TRUE(sched.Unregister(leaf).ok());
   EXPECT_EQ(sched.Unregister(leaf).code(), StatusCode::kNotFound);
+}
+
+// The inlined twin: a stateless leaf has no transition of its own. Its
+// registration returns the fused root of the moment, which the next change
+// to the net replaces; the query keeps producing its rows across other
+// queries' adds and removes, inlined or stateful.
+TEST_F(PlanFixture, InlinedLeafKeepsRunningAcrossAddsAndRemoves) {
+  Exec("create basket s (a int, b int)");
+  session_.set_sharing_enabled(true);
+  std::vector<std::string> r1, r2, r3;
+  core::Scheduler& sched = engine_.scheduler();
+  auto q1 = session_.RegisterContinuousSelect(
+      "q1", "select * from [select * from s where a > 10 and b = 1]",
+      Collect(&r1));
+  ASSERT_TRUE(q1.ok());
+  EXPECT_EQ((*q1)->name(), "mqo.s.root");
+  EXPECT_EQ(sched.num_transitions(), 1u);
+  EXPECT_FALSE(engine_.HasBasket("mqo.q.q1"));
+  size_t want = 0;
+  auto check = [&](const char* after, size_t transitions) {
+    SCOPED_TRACE(after);
+    EXPECT_EQ(sched.num_transitions(), transitions);
+    Exec("insert into s values (11, 1), (12, 2), (5, 1), (13, 1)");
+    ASSERT_TRUE(sched.RunUntilQuiescent().ok());
+    want += 2;
+    EXPECT_EQ(r1.size(), want);
+  };
+  check("alone", 1);
+  ASSERT_TRUE(session_
+                  .RegisterContinuousSelect(
+                      "q2", "select * from [select * from s where a > 10]",
+                      Collect(&r2))
+                  .ok());
+  // q1's registration returned a root that is gone now.
+  EXPECT_EQ(sched.Unregister(*q1).code(), StatusCode::kNotFound);
+  check("add inlined q2", 1);
+  ASSERT_TRUE(session_
+                  .RegisterContinuousSelect(
+                      "q3", "select * from [select top 2 from s where b = 2]",
+                      Collect(&r3))
+                  .ok());
+  EXPECT_TRUE(engine_.HasBasket("mqo.q.q3"));
+  check("add stateful q3", 2);
+  ASSERT_TRUE(session_.UnregisterContinuousQuery("q2").ok());
+  check("remove inlined q2", 2);
+  ASSERT_TRUE(session_.UnregisterContinuousQuery("q3").ok());
+  check("remove stateful q3", 1);
+  for (size_t i = 0; i < r1.size(); ++i) {
+    EXPECT_EQ(r1[i], i % 2 == 0 ? "11|1" : "13|1") << i;
+  }
+  EXPECT_EQ(r2.size(), 6u);  // three deliveries of three rows
+  EXPECT_EQ(r3.size(), 2u);  // one `top 2` window of b = 2 rows
 }
 
 // Queries come and go while a started scheduler fires deliveries on its
@@ -1037,6 +1241,118 @@ TEST(IncrementalRegistrationTest, RegisterWhileThreadedSchedulerFires) {
   for (size_t i = 0; i < standing.size(); ++i) {
     EXPECT_EQ(got[i], want[i]) << standing[i].sql;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Teardown
+// ---------------------------------------------------------------------------
+
+// A session's queries end with it. Destroying it while its engine lives on
+// and is fed, with a threaded scheduler firing, unregisters every
+// transition it registered (fused roots, a stateful leaf, direct and
+// replicated factories), drops its mqo.* baskets and retracts its dc_plans
+// rows: no sink of it runs again, and another session's query on the same
+// engine keeps running.
+TEST(SessionTeardownTest, DestroyedSessionTakesItsQueriesDown) {
+  core::Engine engine(SystemClock::Get(), 2);
+  Session keeper(&engine);
+  ASSERT_TRUE(keeper.Execute("create basket s (a int, b int)").ok());
+  ASSERT_TRUE(keeper.Execute("create basket e (a int, b int)").ok());
+  ASSERT_TRUE(keeper.Execute("create basket k (a int, b int)").ok());
+  ASSERT_TRUE(keeper.Execute("create basket o (a int, b int)").ok());
+  ASSERT_TRUE(keeper.Execute("create table t (b int, name string)").ok());
+  ASSERT_TRUE(keeper.Execute("insert into t values (1, 'one')").ok());
+  std::vector<std::string> kept;
+  ASSERT_TRUE(keeper
+                  .RegisterContinuousSelect(
+                      "td_keep", "select * from [select * from k]",
+                      Collect(&kept))
+                  .ok());
+  core::Scheduler& sched = engine.scheduler();
+  const size_t transitions = sched.num_transitions();
+  const size_t baskets = engine.ListBaskets().size();
+  auto calls = std::make_shared<std::atomic<uint64_t>>(0);
+  auto sink = [calls](const Table&) -> Status {
+    calls->fetch_add(1, std::memory_order_relaxed);
+    return Status::OK();
+  };
+  Table batch(Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}}));
+  for (int64_t i = 0; i < 64; ++i) {
+    batch.column(0).AppendInt(i);
+    batch.column(1).AppendInt(i % 4);
+  }
+  auto feed = [&](const char* name) {
+    auto b = engine.GetBasket(name);
+    EXPECT_TRUE(b.ok() && (*b)->Append(batch, 0).ok()) << name;
+  };
+  ASSERT_TRUE(sched.Start().ok());
+  std::atomic<bool> stop{false};
+  std::thread feeder;
+  {
+    Session session(&engine);
+    // Sharing off: a direct factory on e.
+    ASSERT_TRUE(session
+                    .RegisterContinuousSelect(
+                        "td_direct", "select * from [select * from e]", sink)
+                    .ok());
+    session.set_sharing_enabled(true);
+    const char* shared[] = {
+        "select * from [select * from s where a > 10]",
+        "select b, count(*) from [select * from s where a > 20] group by b",
+        "select * from [select top 2 from s where b = 1]",
+        "select x.a, t.name from [select * from s] as x, t where x.b = t.b",
+    };
+    for (size_t i = 0; i < std::size(shared); ++i) {
+      ASSERT_TRUE(session
+                      .RegisterContinuousSelect("td_q" + std::to_string(i),
+                                                shared[i], sink)
+                      .ok());
+    }
+    ASSERT_TRUE(session
+                    .RegisterContinuousQuery(
+                        "td_ins",
+                        "insert into o select a, b from [select * from s "
+                        "where a < 5]")
+                    .ok());
+    EXPECT_GT(sched.num_transitions(), transitions);
+    EXPECT_GT(engine.ListBaskets().size(), baskets);
+    feeder = std::thread([&] {
+      while (!stop.load()) {
+        feed("s");
+        feed("e");
+        SystemClock::Get()->SleepFor(100);
+      }
+    });
+    for (int i = 0; i < 20000 && calls->load() == 0; ++i) {
+      SystemClock::Get()->SleepFor(100);
+    }
+    EXPECT_GT(calls->load(), 0u);
+  }  // The session ends here, fed all the while.
+  const uint64_t at_end = calls->load();
+  stop.store(true);
+  feeder.join();
+  EXPECT_EQ(sched.num_transitions(), transitions);
+  EXPECT_EQ(engine.ListBaskets().size(), baskets);
+  auto plans = keeper.Execute("select query from dc_plans");
+  ASSERT_TRUE(plans.ok()) << plans.status().ToString();
+  for (size_t i = 0; i < plans->num_rows(); ++i) {
+    const std::string query = plans->GetRow(i)[0].string_value();
+    if (query.rfind("td_", 0) == 0) {
+      EXPECT_EQ(query, "td_keep");
+    }
+  }
+  feed("s");
+  feed("e");
+  feed("k");
+  auto k = engine.GetBasket("k");
+  ASSERT_TRUE(k.ok());
+  for (int i = 0; i < 20000 && !((*k)->empty() && sched.Idle()); ++i) {
+    SystemClock::Get()->SleepFor(100);
+  }
+  sched.Stop();
+  EXPECT_TRUE(sched.last_error().ok());
+  EXPECT_EQ(calls->load(), at_end);
+  EXPECT_EQ(kept.size(), 64u);
 }
 
 }  // namespace

@@ -1027,8 +1027,10 @@ std::string ReplaceAll(std::string text, const std::string& from,
 // EXPLAIN's chain line is the chain the registered query `name` runs, as
 // its dc_plans row lists it minus a trailing sink: the direct factory's,
 // or in shared mode the leaf's, which reads the leaf basket mqo.q.<name>
-// in place of the source basket. A direct query in shared mode reads a
-// replica leaf mqo.q.<name>.<basket> for each basket.
+// in place of the source basket. An inlined leaf's line is marked
+// `chain (inlined):` and lists the operators after its take, which the
+// fused transition runs. A direct query in shared mode reads a replica
+// leaf mqo.q.<name>.<basket> for each basket.
 void ExpectExplainChainRuns(Session* session, const std::string& name,
                             const std::string& sql) {
   SCOPED_TRACE(name);
@@ -1038,7 +1040,9 @@ void ExpectExplainChainRuns(Session* session, const std::string& name,
   const std::string head = plan->GetRow(0)[0].string_value();
   const std::string chain_line =
       plan->GetRow(plan->num_rows() - 1)[0].string_value();
-  const std::string prefix = "  chain: ";
+  const std::string inlined = "  chain (inlined): ";
+  const bool is_inlined = chain_line.rfind(inlined, 0) == 0;
+  const std::string prefix = is_inlined ? inlined : "  chain: ";
   ASSERT_EQ(chain_line.rfind(prefix, 0), 0u) << chain_line;
   auto rows = session->Execute(
       "select kind, detail from dc_plans where query = '" + name +
@@ -1054,7 +1058,10 @@ void ExpectExplainChainRuns(Session* session, const std::string& name,
   }
   detail = ReplaceAll(detail, "mqo.q." + name + ".", "");
   const std::string source_head = "continuous plan (source basket '";
-  if (session->sharing_enabled() && head.rfind(source_head, 0) == 0) {
+  if (is_inlined) {
+    EXPECT_TRUE(session->sharing_enabled());
+    EXPECT_EQ(kind, "leaf");
+  } else if (session->sharing_enabled() && head.rfind(source_head, 0) == 0) {
     EXPECT_EQ(kind, "leaf");
     const size_t begin = source_head.size();
     const std::string source =
