@@ -433,17 +433,24 @@ BENCHMARK(BM_RegisterQuerySet)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
-// The n-th registration on a fresh Session with sharing on, after n - 1
-// standing queries: n = 32 is perfbench's query set (its last group-by),
-// n = 1024 Fig 5b's disjoint range queries. Only the n-th is timed; it
-// reports `allocs_per_registration` (its heap allocations) and
+// Query i of a set whose leaves keep state: a `top 2` window over the
+// survivors of its own predicate, so each gets a leaf basket and factory.
+bool RegisterTopQuery(sql::Session& session, int i) {
+  std::string name = "t";
+  name += std::to_string(i);
+  std::string sql = "select * from [select top 2 * from s where payload > ";
+  sql += std::to_string(i);
+  sql += "]";
+  return session.RegisterContinuousSelect(name, sql, nullptr).ok();
+}
+
+// The n-th registration of `add`'s queries on a fresh Session with sharing
+// on, after n - 1 standing ones. Only the n-th is timed; it reports
+// `allocs_per_registration` (its heap allocations) and
 // `all_registrations_ms` (all n registrations, untimed by the harness).
-void BM_RegisterNth(benchmark::State& state) {
+template <typename Add>
+void RegisterNth(benchmark::State& state, const Add& add) {
   const int n = static_cast<int>(state.range(0));
-  auto add = [n](sql::Session& session, int i) {
-    return n == 32 ? RegisterSetQuery(session, i, nullptr)
-                   : RegisterRangeQuery(session, i);
-  };
   uint64_t allocs = 0;
   double all_ms = 0;
   for (auto _ : state) {
@@ -474,8 +481,26 @@ void BM_RegisterNth(benchmark::State& state) {
   state.counters["all_registrations_ms"] =
       benchmark::Counter(all_ms, benchmark::Counter::kAvgIterations);
 }
+
+// n = 32 is perfbench's query set (its last group-by), n = 1024 Fig 5b's
+// disjoint range queries.
+void BM_RegisterNth(benchmark::State& state) {
+  RegisterNth(state, [n = state.range(0)](sql::Session& session, int i) {
+    return n == 32 ? RegisterSetQuery(session, i, nullptr)
+                   : RegisterRangeQuery(session, i);
+  });
+}
+// Stateful leaves: each registration prepares its leaf statement once.
+void BM_RegisterNthStateful(benchmark::State& state) {
+  RegisterNth(state, RegisterTopQuery);
+}
 // Each iteration registers n - 1 queries untimed, so the iteration count
 // is fixed rather than grown to fill the harness's minimum time.
+BENCHMARK(BM_RegisterNthStateful)
+    ->Arg(32)
+    ->Iterations(200)
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RegisterNth)
     ->Arg(32)
     ->Iterations(200)

@@ -397,6 +397,31 @@ void Column::ErasePrefix(size_t n) {
 
 void Column::Clear() { ResetBuffers(); }
 
+void Column::Refill(DataType type) {
+  if (type != type_ || Large() || Shared()) {
+    type_ = type;
+    ResetBuffers();
+    return;
+  }
+  std::visit(
+      [](auto& buf) {
+        if (buf != nullptr) buf->clear();
+      },
+      data_);
+  valid_.reset();
+  head_ = 0;
+}
+
+bool Column::Large() const {
+  return std::visit(
+      [](const auto& buf) {
+        using T = typename std::decay_t<decltype(buf)>::element_type::value_type;
+        return buf != nullptr &&
+               buf->capacity() * sizeof(T) >= recycler::kMinBytes;
+      },
+      data_);
+}
+
 std::string Column::ValueToString(size_t i) const {
   return GetValue(i).ToString();
 }

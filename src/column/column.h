@@ -181,6 +181,21 @@ class Column {
   /// the old buffer; this column starts a fresh one).
   void Clear();
 
+  /// Empties the column to be filled again with values of `type`, for an
+  /// operator that keeps its columns from one call to the next. A buffer
+  /// no other Column shares, below the recycler's large size, keeps its
+  /// storage, so refilling it up to its capacity allocates nothing. Any
+  /// other buffer is let go as Clear lets it go.
+  void Refill(DataType type);
+
+  /// True when another Column shares either buffer.
+  bool Shared() const;
+
+  /// Whether the data buffer is one the recycler takes back
+  /// (recycler::kMinBytes of capacity or more): an operator keeping the
+  /// column between calls clears it instead.
+  bool Large() const;
+
   /// Rendering of row i for the codec and debugging.
   std::string ValueToString(size_t i) const;
 
@@ -220,9 +235,6 @@ class Column {
     if (buf == nullptr || SharedBuffer(buf)) Detach(/*compact=*/false);
     return *buf;
   }
-
-  // True when another Column shares either buffer.
-  bool Shared() const;
 
   // Shared() for the data buffer `buf` already dispatched on.
   template <typename P>

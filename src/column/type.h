@@ -88,6 +88,13 @@ class Schema {
     return fields_ == other.fields_ || fields() == other.fields();
   }
 
+  /// Whether both share one field list: equal in O(1), and copies of one
+  /// Schema always do. A caller that keeps a copy pins the list, so a
+  /// later list cannot reuse its address and pass for it.
+  bool SharesFields(const Schema& other) const {
+    return fields_ == other.fields_;
+  }
+
  private:
   static const std::vector<Field>& Empty();
 

@@ -53,6 +53,14 @@ Factory& Factory::AddOutput(BasketPtr basket) {
   return *this;
 }
 
+Factory& Factory::Reserve(size_t inputs, size_t outputs) {
+  locks_.reserve(locks_.size() + inputs + outputs);
+  inputs_.reserve(inputs_.size() + inputs);
+  min_tuples_.reserve(min_tuples_.size() + inputs);
+  outputs_.reserve(outputs_.size() + outputs);
+  return *this;
+}
+
 bool Factory::CanFire(Micros) const {
   // Petri-net firing rule: every input place holds tokens (≥ its
   // batch/window threshold).

@@ -123,6 +123,9 @@ class Factory : public Transition {
   /// threshold, §4.1).
   Factory& AddInput(BasketPtr basket, size_t min_tuples = 1);
   Factory& AddOutput(BasketPtr basket);
+  /// Makes room for `inputs` and `outputs` more places, so a transition
+  /// wired with many places grows its lists once.
+  Factory& Reserve(size_t inputs, size_t outputs);
 
   const std::string& name() const override { return name_; }
   bool CanFire(Micros now) const override;

@@ -1163,17 +1163,25 @@ Status SelectWhere(const Table& table, const Expr& expr,
   if (std::optional<IntChainCmp> chain = MatchIntChainCmp(table, expr)) {
     return SelectIntChain(*chain, candidates, out);
   }
-  // Generic fallback: evaluate a boolean column, then filter candidates.
-  ASSIGN_OR_RETURN(Handle h, EvalRec(table, expr, ctx));
+  // Generic fallback: evaluate a boolean column over the candidate rows
+  // (gathered first, so the cost follows the candidates, not the table),
+  // then keep the candidates it holds true.
+  Table picked;
+  if (candidates != nullptr) picked = table.Take(*candidates);
+  ASSIGN_OR_RETURN(Handle h,
+                   EvalRec(candidates != nullptr ? picked : table, expr, ctx));
   const Column& b = h.get();
   if (b.type() != DataType::kBool) {
     return Status::TypeMismatch("predicate is not boolean: " + expr.ToString());
   }
   const auto bits = b.bools();
-  recycler::Reserve(out, out->size() + NumCandidates(candidates, b.size()));
-  ForCandidates(candidates, b.size(), [&](uint32_t r) {
-    if (b.IsValid(r) && bits[r] != 0) out->push_back(r);
-  });
+  recycler::Reserve(out, out->size() + b.size());
+  for (size_t i = 0; i < b.size(); ++i) {
+    if (b.IsValid(i) && bits[i] != 0) {
+      out->push_back(candidates != nullptr ? (*candidates)[i]
+                                           : static_cast<uint32_t>(i));
+    }
+  }
   return Status::OK();
 }
 

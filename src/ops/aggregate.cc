@@ -8,6 +8,7 @@
 
 #include "column/recycler.h"
 #include "ops/kernels.h"
+#include "ops/project.h"
 #include "util/logging.h"
 #include "util/strings.h"
 
@@ -74,25 +75,38 @@ Result<DataType> AggOutputType(AggFunc func, DataType arg) {
   return Status::Internal("unreachable");
 }
 
+// Empties `*v` and makes room for `n` elements: in its own storage when
+// that is large enough, else in a vector from the recycler (the old
+// storage goes back to it).
+template <typename T>
+void Fit(std::vector<T>* v, size_t n) {
+  v->clear();
+  if (v->capacity() >= n) return;
+  recycler::Park(v);
+  *v = recycler::Take<T>(n);
+}
+
 // Group ids for a single int64/timestamp key: an open-addressing table
 // keyed by the raw int64 (linear probing, Fibonacci hash, kept at most
 // half full), with NULL as a group of its own. Ids are handed out in
 // first-seen order, exactly as the encoded-key map does. The table starts
 // at twice the row count, capped at 2^16 slots, so a batch of mostly
 // distinct keys never rehashes and a large batch of few keys stays small.
-// The slot arrays come from the recycler.
+// The slot arrays are the caller's; growing them draws on the recycler.
 void AssignIntGroups(const Column& key, uint32_t* row_group,
-                     std::vector<uint32_t>* group_rep) {
+                     std::vector<uint32_t>* group_rep,
+                     std::vector<int64_t>* slot_keys,
+                     std::vector<uint32_t>* slot_gids) {
   constexpr uint32_t kEmpty = UINT32_MAX;
   const size_t n = key.size();
   const int64_t* k = key.ints().data();
   const uint8_t* valid = key.raw_validity();
   int bits = 4;
   while (bits < 16 && (size_t{1} << bits) < 2 * n) ++bits;
-  recycler::Scratch<int64_t> keys_buf(size_t{1} << bits);
-  recycler::Scratch<uint32_t> gids_buf(size_t{1} << bits);
-  std::vector<int64_t>& keys = *keys_buf;
-  std::vector<uint32_t>& gids = *gids_buf;
+  std::vector<int64_t>& keys = *slot_keys;
+  std::vector<uint32_t>& gids = *slot_gids;
+  Fit(&keys, size_t{1} << bits);
+  Fit(&gids, size_t{1} << bits);
   keys.resize(size_t{1} << bits);
   gids.assign(size_t{1} << bits, kEmpty);
   auto home = [](int64_t v, int b) {
@@ -166,24 +180,23 @@ void AssignEncodedGroups(const std::vector<Column>& key_cols,
 }
 
 // The per-group folds below are shared by every group-id scheme. Each
-// runs one typed loop over the rows and returns the finished output
-// column; NULL arguments are skipped, and a group that folded nothing
-// outputs NULL (counts output 0). Outputs and per-group counts draw their
-// storage from the recycler.
+// runs one typed loop over the rows and refills `*out` with the finished
+// output column (Column::Refill); NULL arguments are skipped, and a group
+// that folded nothing outputs NULL (counts output 0). New outputs and
+// per-group counts draw their storage from the recycler.
 
 // count(*) when `valid` is null, count(x) otherwise.
-Column CountGroups(const uint8_t* valid, const std::vector<uint32_t>& rg,
-                   size_t groups) {
-  Column out(DataType::kInt64);
-  out.Reserve(groups);
-  std::vector<int64_t>& count = out.ints();
+void CountGroups(const uint8_t* valid, const std::vector<uint32_t>& rg,
+                 size_t groups, Column* out) {
+  out->Refill(DataType::kInt64);
+  out->Reserve(groups);
+  std::vector<int64_t>& count = out->ints();
   count.assign(groups, 0);
   if (valid == nullptr) {
     for (uint32_t g : rg) ++count[g];
   } else {
     for (size_t i = 0; i < rg.size(); ++i) count[rg[i]] += valid[i] != 0;
   }
-  return out;
 }
 
 // Marks the groups of a fold's output that folded no value as NULL. The
@@ -198,13 +211,13 @@ void SetFolded(const std::vector<int64_t>& count, Column* out) {
 
 // sum over int64: wraps mod 2^64 (through uint64, never signed-overflow
 // UB), like the global SIMD fold.
-Column SumIntGroups(const Column& arg, const std::vector<uint32_t>& rg,
-                   size_t groups) {
+void SumIntGroups(const Column& arg, const std::vector<uint32_t>& rg,
+                  size_t groups, Column* out) {
   const int64_t* x = arg.ints().data();
   const uint8_t* valid = arg.raw_validity();
-  Column out(DataType::kInt64);
-  out.Reserve(groups);
-  std::vector<int64_t>& o = out.ints();
+  out->Refill(DataType::kInt64);
+  out->Reserve(groups);
+  std::vector<int64_t>& o = out->ints();
   o.assign(groups, 0);
   auto add = [&o](uint32_t g, int64_t v) {
     o[g] = static_cast<int64_t>(static_cast<uint64_t>(o[g]) +
@@ -214,7 +227,7 @@ Column SumIntGroups(const Column& arg, const std::vector<uint32_t>& rg,
   // one row every group folded a value and none needs counting.
   if (valid == nullptr && !rg.empty()) {
     for (size_t i = 0; i < rg.size(); ++i) add(rg[i], x[i]);
-    return out;
+    return;
   }
   recycler::Scratch<int64_t> count(groups);
   count->assign(groups, 0);
@@ -223,19 +236,18 @@ Column SumIntGroups(const Column& arg, const std::vector<uint32_t>& rg,
     add(rg[i], ok ? x[i] : 0);
     (*count)[rg[i]] += ok;
   }
-  SetFolded(*count, &out);
-  return out;
+  SetFolded(*count, out);
 }
 
 // sum over double, or avg over either numeric type (the double running
 // sum of the values, divided by their count).
 template <typename T>
-Column SumF64Groups(const T* x, const uint8_t* valid,
-                    const std::vector<uint32_t>& rg, size_t groups,
-                    bool avg) {
-  Column out(DataType::kDouble);
-  out.Reserve(groups);
-  std::vector<double>& sum = out.doubles();
+void SumF64Groups(const T* x, const uint8_t* valid,
+                  const std::vector<uint32_t>& rg, size_t groups, bool avg,
+                  Column* out) {
+  out->Refill(DataType::kDouble);
+  out->Reserve(groups);
+  std::vector<double>& sum = out->doubles();
   sum.assign(groups, 0);
   recycler::Scratch<int64_t> count(groups);
   count->assign(groups, 0);
@@ -249,15 +261,14 @@ Column SumF64Groups(const T* x, const uint8_t* valid,
       if ((*count)[g] > 0) sum[g] /= static_cast<double>((*count)[g]);
     }
   }
-  SetFolded(*count, &out);
-  return out;
+  SetFolded(*count, out);
 }
 
 // min/max in the argument's own type: int64 compares exactly, double by
 // `<` (a leading NaN sticks), strings lexicographically, false < true.
 template <typename T, typename View>
-Column MinMaxGroups(const Column& arg, View x, const std::vector<uint32_t>& rg,
-                    size_t groups, bool want_max) {
+void MinMaxGroups(const Column& arg, View x, const std::vector<uint32_t>& rg,
+                  size_t groups, bool want_max, Column* out) {
   const uint8_t* valid = arg.raw_validity();
   std::vector<T> best = recycler::Take<T>(groups);
   best.resize(groups);
@@ -270,52 +281,61 @@ Column MinMaxGroups(const Column& arg, View x, const std::vector<uint32_t>& rg,
       best[g] = x[i];
     }
   }
-  Column out(arg.type());
+  out->Refill(arg.type());
   if constexpr (std::is_same_v<T, int64_t>) {
-    out.ints() = std::move(best);
+    out->ints() = std::move(best);
   } else if constexpr (std::is_same_v<T, double>) {
-    out.doubles() = std::move(best);
+    out->doubles() = std::move(best);
   } else if constexpr (std::is_same_v<T, uint8_t>) {
-    out.bools() = std::move(best);
+    out->bools() = std::move(best);
   } else {
-    out.strings() = std::move(best);
+    out->strings() = std::move(best);
   }
-  SetFolded(*count, &out);
-  return out;
+  SetFolded(*count, out);
 }
 
-Result<Column> FoldGroups(const AggItem& item, const Column& arg,
-                          const std::vector<uint32_t>& rg, size_t groups) {
+Status FoldGroups(const AggItem& item, const Column& arg,
+                  const std::vector<uint32_t>& rg, size_t groups,
+                  Column* out) {
   const bool want_max = item.func == AggFunc::kMax;
   switch (item.func) {
     case AggFunc::kCountStar:
-      return CountGroups(nullptr, rg, groups);
+      CountGroups(nullptr, rg, groups, out);
+      return Status::OK();
     case AggFunc::kCount:
-      return CountGroups(arg.raw_validity(), rg, groups);
+      CountGroups(arg.raw_validity(), rg, groups, out);
+      return Status::OK();
     case AggFunc::kSum:
     case AggFunc::kAvg: {
       const bool avg = item.func == AggFunc::kAvg;
       if (arg.type() == DataType::kDouble) {
-        return SumF64Groups(arg.doubles().data(), arg.raw_validity(), rg,
-                            groups, avg);
+        SumF64Groups(arg.doubles().data(), arg.raw_validity(), rg, groups,
+                     avg, out);
+      } else if (!avg) {
+        SumIntGroups(arg, rg, groups, out);
+      } else {
+        SumF64Groups(arg.ints().data(), arg.raw_validity(), rg, groups,
+                     /*avg=*/true, out);
       }
-      if (!avg) return SumIntGroups(arg, rg, groups);
-      return SumF64Groups(arg.ints().data(), arg.raw_validity(), rg, groups,
-                          /*avg=*/true);
+      return Status::OK();
     }
     case AggFunc::kMin:
     case AggFunc::kMax:
       switch (arg.type()) {
         case DataType::kInt64:
         case DataType::kTimestamp:
-          return MinMaxGroups<int64_t>(arg, arg.ints(), rg, groups, want_max);
+          MinMaxGroups<int64_t>(arg, arg.ints(), rg, groups, want_max, out);
+          return Status::OK();
         case DataType::kDouble:
-          return MinMaxGroups<double>(arg, arg.doubles(), rg, groups, want_max);
+          MinMaxGroups<double>(arg, arg.doubles(), rg, groups, want_max, out);
+          return Status::OK();
         case DataType::kBool:
-          return MinMaxGroups<uint8_t>(arg, arg.bools(), rg, groups, want_max);
+          MinMaxGroups<uint8_t>(arg, arg.bools(), rg, groups, want_max, out);
+          return Status::OK();
         case DataType::kString:
-          return MinMaxGroups<std::string>(arg, arg.strings(), rg, groups,
-                                           want_max);
+          MinMaxGroups<std::string>(arg, arg.strings(), rg, groups, want_max,
+                                    out);
+          return Status::OK();
       }
       break;
   }
@@ -325,50 +345,49 @@ Result<Column> FoldGroups(const AggItem& item, const Column& arg,
 // One-row output (of type `out_t`) of a global aggregate over a numeric
 // argument, from the columnar fold kernel: morsel-gridded SIMD
 // count/sum/min/max with partials merged in morsel order (DESIGN.md §12).
-// Int avg derives from the exact integer sum.
-Column FoldGlobalNumeric(const AggItem& item, const Column& arg,
-                         DataType out_t) {
+// Int avg derives from the exact integer sum. Refills `*out`.
+void FoldGlobalNumeric(const AggItem& item, const Column& arg, DataType out_t,
+                       Column* out) {
   const simd::FoldState f = kern::FoldNumeric(arg);
   const bool is_double = arg.type() == DataType::kDouble;
   const int64_t count = static_cast<int64_t>(f.count);
   const bool want_max = item.func == AggFunc::kMax;
-  Column out(out_t);
+  out->Refill(out_t);
   switch (item.func) {
     case AggFunc::kCountStar:
     case AggFunc::kCount:
-      out.AppendInt(count);
+      out->AppendInt(count);
       break;
     case AggFunc::kSum:
       if (count == 0) {
-        out.AppendNull();
+        out->AppendNull();
       } else if (is_double) {
-        out.AppendDouble(f.dsum);
+        out->AppendDouble(f.dsum);
       } else {
-        out.AppendInt(static_cast<int64_t>(f.isum));
+        out->AppendInt(static_cast<int64_t>(f.isum));
       }
       break;
     case AggFunc::kAvg:
       if (count == 0) {
-        out.AppendNull();
+        out->AppendNull();
       } else {
         const double sum = is_double ? f.dsum
                                      : static_cast<double>(
                                            static_cast<int64_t>(f.isum));
-        out.AppendDouble(sum / static_cast<double>(count));
+        out->AppendDouble(sum / static_cast<double>(count));
       }
       break;
     case AggFunc::kMin:
     case AggFunc::kMax:
       if (!f.seen) {
-        out.AppendNull();
+        out->AppendNull();
       } else if (is_double) {
-        out.AppendDouble(want_max ? f.dmax : f.dmin);
+        out->AppendDouble(want_max ? f.dmax : f.dmin);
       } else {
-        out.AppendInt(want_max ? f.imax : f.imin);
+        out->AppendInt(want_max ? f.imax : f.imin);
       }
       break;
   }
-  return out;
 }
 
 }  // namespace
@@ -386,75 +405,112 @@ Result<AggFunc> AggFuncFromName(const std::string& name, bool star) {
 
 Result<Table> Aggregate(const Table& table, const std::vector<GroupItem>& groups,
                         const std::vector<AggItem>& aggs,
-                        const EvalContext& ctx) {
-  const size_t n = table.num_rows();
+                        const EvalContext& ctx, const SelVector* sel,
+                        AggregateState* state) {
+  AggregateState local;
+  AggregateState& st = state != nullptr ? *state : local;
+  // On every exit no column of the input stays referenced, and large
+  // storage goes back to the recycler (the outputs' once the consumer lets
+  // go of them).
+  struct Release {
+    AggregateState& st;
+    ~Release() {
+      for (std::vector<Column>* cols : {&st.key_cols, &st.arg_cols, &st.outs}) {
+        for (Column& c : *cols) {
+          if (c.Large() || (cols != &st.outs && c.Shared())) c.Clear();
+        }
+      }
+      recycler::Park(&st.row_group);
+      recycler::Park(&st.group_rep);
+      recycler::Park(&st.slot_keys);
+      recycler::Park(&st.slot_gids);
+    }
+  } release{st};
+  SelectedRows rows(table, sel);
+  const size_t n = rows.num_rows();
 
   // Evaluate group keys and aggregate arguments once, vectorized.
-  std::vector<Column> key_cols;
-  key_cols.reserve(groups.size());
-  for (const GroupItem& g : groups) {
-    ASSIGN_OR_RETURN(Column c, EvalScalar(table, *g.expr, ctx));
-    key_cols.push_back(std::move(c));
+  std::vector<Column>& key_cols = st.key_cols;
+  key_cols.resize(groups.size(), Column(DataType::kInt64));
+  for (size_t g = 0; g < groups.size(); ++g) {
+    RETURN_NOT_OK(rows.EvalInto(*groups[g].expr, ctx, &key_cols[g]));
   }
-  std::vector<Column> arg_cols;  // parallel to aggs; empty column for count(*)
-  arg_cols.reserve(aggs.size());
-  for (const AggItem& a : aggs) {
+  std::vector<Column>& arg_cols = st.arg_cols;
+  arg_cols.resize(aggs.size(), Column(DataType::kInt64));
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    const AggItem& a = aggs[i];
     if (a.func == AggFunc::kCountStar) {
-      arg_cols.emplace_back(DataType::kInt64);
+      arg_cols[i].Refill(DataType::kInt64);
       continue;
     }
-    ASSIGN_OR_RETURN(Column c, EvalScalar(table, *a.arg, ctx));
+    RETURN_NOT_OK(rows.EvalInto(*a.arg, ctx, &arg_cols[i]));
+    const DataType t = arg_cols[i].type();
     if ((a.func == AggFunc::kSum || a.func == AggFunc::kAvg) &&
-        !IsNumeric(c.type())) {
+        !IsNumeric(t)) {
       return Status::TypeMismatch("aggregate '" + a.name +
                                   "' requires a numeric argument, got " +
-                                  DataTypeName(c.type()));
+                                  DataTypeName(t));
     }
-    arg_cols.push_back(std::move(c));
   }
 
   // Group id per input row; groups 0..k-1 in first-seen order. Only this
   // step depends on the key: a single integer key probes an int64 table,
   // any other key list the encoded-key map.
-  recycler::Scratch<uint32_t> row_group(n);
-  row_group->resize(n);
+  std::vector<uint32_t>& row_group = st.row_group;
+  Fit(&row_group, n);
+  row_group.resize(n);
   // Representative row per group.
-  recycler::Scratch<uint32_t> group_rep(groups.empty() ? 0 : n);
+  std::vector<uint32_t>& group_rep = st.group_rep;
+  Fit(&group_rep, groups.empty() ? 0 : n);
   if (groups.size() == 1 && IsIntegerPhysical(key_cols[0].type())) {
-    AssignIntGroups(key_cols[0], row_group->data(), &*group_rep);
+    AssignIntGroups(key_cols[0], row_group.data(), &group_rep, &st.slot_keys,
+                    &st.slot_gids);
   } else if (!groups.empty()) {
-    AssignEncodedGroups(key_cols, row_group->data(), &*group_rep);
+    AssignEncodedGroups(key_cols, row_group.data(), &group_rep);
   }
-  const size_t num_groups = groups.empty() ? 1 : group_rep->size();
+  const size_t num_groups = groups.empty() ? 1 : group_rep.size();
 
   // Output: group columns (the representative rows' keys), then one folded
-  // column per aggregate.
+  // column per aggregate. The schema is built again only when a key or
+  // argument type differs from the last call's.
+  bool same_types = st.types.size() == groups.size() + aggs.size();
+  for (size_t i = 0; same_types && i < st.types.size(); ++i) {
+    same_types = st.types[i] == (i < groups.size()
+                                     ? key_cols[i].type()
+                                     : arg_cols[i - groups.size()].type());
+  }
   std::vector<Field> fields;
-  std::vector<Column> out_cols;
-  fields.reserve(groups.size() + aggs.size());
-  out_cols.reserve(groups.size() + aggs.size());
+  if (!same_types) fields.reserve(groups.size() + aggs.size());
+  std::vector<Column>& outs = st.outs;
+  outs.resize(groups.size() + aggs.size(), Column(DataType::kInt64));
   for (size_t g = 0; g < groups.size(); ++g) {
-    fields.push_back({groups[g].name, key_cols[g].type()});
-    out_cols.push_back(key_cols[g].Take(*group_rep));
+    const DataType t = key_cols[g].type();
+    if (!same_types) fields.push_back({groups[g].name, t});
+    outs[g].Refill(t);
+    RETURN_NOT_OK(outs[g].AppendColumnRows(key_cols[g], group_rep));
   }
   for (size_t a = 0; a < aggs.size(); ++a) {
     const AggItem& item = aggs[a];
     const Column& arg = arg_cols[a];
+    Column* out = &outs[groups.size() + a];
     DataType arg_t =
         item.func == AggFunc::kCountStar ? DataType::kInt64 : arg.type();
     ASSIGN_OR_RETURN(DataType out_t, AggOutputType(item.func, arg_t));
-    fields.push_back({item.name, out_t});
+    if (!same_types) fields.push_back({item.name, out_t});
     if (groups.empty() && item.func != AggFunc::kCountStar &&
         IsNumeric(arg.type())) {
-      out_cols.push_back(FoldGlobalNumeric(item, arg, out_t));
+      FoldGlobalNumeric(item, arg, out_t, out);
       continue;
     }
-    ASSIGN_OR_RETURN(Column c, FoldGroups(item, arg, *row_group, num_groups));
-    out_cols.push_back(std::move(c));
+    RETURN_NOT_OK(FoldGroups(item, arg, row_group, num_groups, out));
   }
-  ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(fields)));
-  Table out(std::move(schema), std::move(out_cols));
-  return out;
+  if (!same_types) {
+    ASSIGN_OR_RETURN(st.schema, Schema::Make(std::move(fields)));
+    st.types.clear();
+    for (const Column& c : key_cols) st.types.push_back(c.type());
+    for (const Column& c : arg_cols) st.types.push_back(c.type());
+  }
+  return Table(st.schema, std::vector<Column>(outs.begin(), outs.end()));
 }
 
 }  // namespace datacell::ops

@@ -290,18 +290,22 @@ std::string AggText(const ops::AggItem& a) {
 
 struct Chain;
 
-// One run of a prepared statement: one EvalContext (one clock read), the
-// session variables when some bound expression may name one, and the
-// scalar subqueries' values.
+// One run of a prepared statement: one EvalContext (now() is the run's
+// `now`), the session variables when some bound expression may name one,
+// and the scalar subqueries' values.
 struct Runner {
-  Runner(core::Engine* e, const PreparedStatement* prepared);
+  Runner(core::Engine* e, const PreparedStatement* prepared, Micros now);
 
   Result<Table> Stmt(const PreparedStmt& s);
 
   // Passes a table down the chain, each operator taking the previous one's.
   Result<Table> Run(const Chain& chain);
-  // Passes `in` down the chain's operators from `first` on.
-  Result<Table> Run(const Chain& chain, size_t first, const Table& in);
+  // Passes the rows of `in` that `sel` selects (all when null) down the
+  // chain's operators from `first` on. The first operator reads the
+  // selection itself when it can (kReadsSelection); else they are gathered
+  // for it.
+  Result<Table> Run(const Chain& chain, size_t first, const Table& in,
+                    const SelVector* sel);
 
   // Evaluates the scalar subqueries `ids` into `values`.
   Status Subqueries(const std::vector<size_t>& ids);
@@ -498,26 +502,30 @@ struct FilterOp {
   ExprPtr pred;
   bool having = false;
 
-  Result<Table> Run(const Table& in, Runner& r) const {
+  Result<Table> Run(const Table& in, const SelVector* sel, Runner& r) const {
     ExprPtr copy;
-    ASSIGN_OR_RETURN(SelVector sel,
-                     EvalPredicate(in, *r.Bound(pred, &copy), r.eval));
-    return in.Take(sel);
+    SelVector kept;
+    RETURN_NOT_OK(
+        EvalPredicateInto(in, *r.Bound(pred, &copy), sel, r.eval, &kept));
+    return in.Take(kept);
   }
   std::string Describe() const {
     return having ? "having" : "filter " + pred->ToString();
   }
 };
 
+// The working storage of `state` and `ProjectOp::state` lasts across
+// runs: a prepared statement runs on one thread at a time (Executor).
 struct AggregateOp {
   std::vector<ops::GroupItem> groups;
   std::vector<ops::AggItem> aggs;
+  mutable ops::AggregateState state = {};
 
-  Result<Table> Run(const Table& in, Runner& r) const {
+  Result<Table> Run(const Table& in, const SelVector* sel, Runner& r) const {
     std::vector<ops::GroupItem> g;
     std::vector<ops::AggItem> a;
-    return ops::Aggregate(in, r.Bound(groups, &g), r.Bound(aggs, &a),
-                          r.eval);
+    return ops::Aggregate(in, r.Bound(groups, &g), r.Bound(aggs, &a), r.eval,
+                          sel, &state);
   }
   std::string Describe() const {
     std::string out = "aggregate";
@@ -543,10 +551,11 @@ struct SortOp {
 
 struct ProjectOp {
   std::vector<ops::ProjectionItem> items;
+  mutable ops::ProjectState state = {};
 
-  Result<Table> Run(const Table& in, Runner& r) const {
+  Result<Table> Run(const Table& in, const SelVector* sel, Runner& r) const {
     std::vector<ops::ProjectionItem> copy;
-    return ops::Project(in, r.Bound(items, &copy), r.eval);
+    return ops::Project(in, r.Bound(items, &copy), r.eval, sel, &state);
   }
   std::string Describe() const { return "project"; }
 };
@@ -603,6 +612,13 @@ struct InsertOp {
 using Op = std::variant<TakeOp, MergeOp, PeekOp, ReadOp, ScanOp, RowOp,
                         ValuesOp, JoinOp, FilterOp, AggregateOp, SortOp,
                         ProjectOp, DistinctOp, TopOp, InsertOp>;
+
+// Whether operator type O reads a selection over its input itself.
+template <typename O>
+constexpr bool kReadsSelection =
+    requires(const O& op, const Table& in, const SelVector* sel, Runner& r) {
+      op.Run(in, sel, r);
+    };
 
 struct Chain {
   std::vector<Op> ops;
@@ -1314,9 +1330,10 @@ Result<PreparedStmt> Binder::Stmt(const Statement& stmt) {
 
 // --- Run ---------------------------------------------------------------------
 
-Runner::Runner(core::Engine* e, const PreparedStatement* prepared)
+Runner::Runner(core::Engine* e, const PreparedStatement* prepared,
+               Micros now)
     : engine(e), p(prepared) {
-  eval.now = engine->Now();
+  eval.now = now;
   if (p->needs_vars) {
     vars = engine->VariablesSnapshot();
     eval.variables = &vars;
@@ -1324,22 +1341,31 @@ Runner::Runner(core::Engine* e, const PreparedStatement* prepared)
 }
 
 Result<Table> Runner::Run(const Chain& chain) {
-  return Run(chain, 0, Table());
+  return Run(chain, 0, Table(), nullptr);
 }
 
-Result<Table> Runner::Run(const Chain& chain, size_t first, const Table& in) {
-  if (first >= chain.ops.size()) return in;
+Result<Table> Runner::Run(const Chain& chain, size_t first, const Table& in,
+                          const SelVector* sel) {
+  if (first >= chain.ops.size()) return sel == nullptr ? in : in.Take(*sel);
   const Table* cur = &in;
   Table t;
   for (size_t i = first; i < chain.ops.size(); ++i) {
     // Scalar subqueries run after FROM: a consuming FROM acts first.
     if (i == chain.from) RETURN_NOT_OK(Subqueries(chain.subqueries));
     Result<Table> out = std::visit(
-        [&](const auto& op) { return op.Run(*cur, *this); },
+        [&](const auto& op) -> Result<Table> {
+          if constexpr (kReadsSelection<std::decay_t<decltype(op)>>) {
+            return op.Run(*cur, sel, *this);
+          } else {
+            if (sel == nullptr) return op.Run(*cur, *this);
+            return op.Run(cur->Take(*sel), *this);
+          }
+        },
         chain.ops[i]);
     if (!out.ok()) return out.status();
     t = std::move(*out);
     cur = &t;
+    sel = nullptr;
   }
   return t;
 }
@@ -1452,7 +1478,7 @@ Result<Table> Executor::Run(PreparedStatement& prepared) const {
     ASSIGN_OR_RETURN(PreparedPtr fresh, Prepare(*prepared.ast));
     prepared = std::move(*fresh);
   }
-  Runner runner(engine_, &prepared);
+  Runner runner(engine_, &prepared, engine_->Now());
   return runner.Stmt(prepared.root);
 }
 
@@ -1471,9 +1497,10 @@ bool Executor::PassThrough(const PreparedStatement& prepared) {
 }
 
 Result<Table> Executor::RunOver(const PreparedStatement& prepared,
-                                const Table& rows) const {
-  Runner runner(engine_, &prepared);
-  return runner.Run(prepared.root.chain, 1, rows);
+                                const Table& rows, const SelVector* sel,
+                                Micros now) const {
+  Runner runner(engine_, &prepared, now);
+  return runner.Run(prepared.root.chain, 1, rows, sel);
 }
 
 std::string Executor::Describe(const PreparedStatement& prepared) {

@@ -48,7 +48,11 @@ struct FactoryPlaces {
 /// The executor itself holds no per-statement state, so one executor may
 /// run different prepared statements concurrently. A prepared statement is
 /// run by one thread at a time (a factory never fires concurrently with
-/// itself).
+/// itself, nor a fused transition whose walk runs an inlined leaf's
+/// chain). Its operators rely on that: a projection keeps its resolved
+/// columns and output schema, and an aggregation its working storage and
+/// output schema, from one run to the next (ops::ProjectState,
+/// ops::AggregateState).
 class Executor {
  public:
   explicit Executor(core::Engine* engine) : engine_(engine) {}
@@ -74,11 +78,15 @@ class Executor {
   /// chain may run over any rows handed over in the basket's place.
   static bool PassThrough(const PreparedStatement& prepared);
 
-  /// Runs a PassThrough statement's operators after its `take` over
-  /// `rows`, which stand in for what the take would consume. Like Run, one
-  /// thread at a time per prepared statement.
-  Result<Table> RunOver(const PreparedStatement& prepared,
-                        const Table& rows) const;
+  /// Runs a PassThrough statement's operators after its `take` over the
+  /// rows of `rows` that `sel` selects (every row when null), which stand
+  /// in for what the take would consume. Its first operator (a filter,
+  /// aggregation or projection) reads the selection itself and gathers
+  /// only the columns it reads. `now` is the value of now(): a
+  /// caller running several statements in one firing passes the firing's
+  /// time to each. Like Run, one thread at a time per prepared statement.
+  Result<Table> RunOver(const PreparedStatement& prepared, const Table& rows,
+                        const SelVector* sel, Micros now) const;
 
   /// The operator chain the prepared statement runs, for example
   /// "take s → aggregate group by k [count(*)] → project": each operator's

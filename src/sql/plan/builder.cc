@@ -197,9 +197,21 @@ Result<std::shared_ptr<Statement>> MakeLeafStatement(
 
   // Redirect the consume to the shared leaf basket; keeping the original
   // binding name means every remaining column reference still resolves.
-  inner.from[0].relation = leaf_basket;
   inner.from[0].alias = binding;
+  RetargetLeaf(clone.get(), leaf_basket);
   return clone;
+}
+
+bool PassThroughLeaf(const Statement& leaf) {
+  if (leaf.kind != Statement::Kind::kSelect) return false;
+  const SelectStmt& inner = *BodySelect(leaf)->from[0].basket_query;
+  return inner.where == nullptr && inner.order_by.empty() &&
+         !inner.top_n.has_value();
+}
+
+void RetargetLeaf(Statement* leaf, const std::string& leaf_basket) {
+  MutableBodySelect(*leaf)->from[0].basket_query->from[0].relation =
+      leaf_basket;
 }
 
 namespace {

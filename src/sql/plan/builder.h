@@ -58,6 +58,17 @@ Result<std::shared_ptr<Statement>> MakeLeafStatement(
     core::Engine* engine, const CompiledQuery& q,
     const std::string& leaf_basket, const std::set<std::string>& strip_fps);
 
+/// Whether a leaf statement MakeLeafStatement built keeps no state across
+/// firings: a SELECT whose window has no WHERE, ORDER BY or TOP left, so it
+/// reads its rows with a pass-through `take` (Executor::PassThrough) and
+/// may run inside the fused root over its node's survivors. Decided from
+/// the statement alone, before anything is prepared.
+bool PassThroughLeaf(const Statement& leaf);
+
+/// Points the window of a leaf statement MakeLeafStatement built at
+/// `leaf_basket` instead, under the same binding name.
+void RetargetLeaf(Statement* leaf, const std::string& leaf_basket);
+
 /// Clones `stmt` with every basket-expression source that `leaf_of` maps
 /// (source basket -> replica leaf basket) reading the leaf instead. Each
 /// source keeps its binding name, so every column reference still

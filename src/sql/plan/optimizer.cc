@@ -64,54 +64,71 @@ QuerySetOptimizer::~QuerySetOptimizer() {
   }
 }
 
-// Takes every delivered row once and walks the trie level by level. Once a
-// level's nodes are done, every leaf basket of the level gets exactly one
-// AppendAligned, from the firing thread, and every inlined chain of the
-// level runs once on its node's survivors.
+// Takes every delivered row once and walks the trie level by level. A
+// node's survivors are a selection over the delivered batch, and its
+// children evaluate their conjuncts over the batch with it as candidates.
+// Once a level's nodes are done, every leaf basket of the level gets
+// exactly one AppendAligned, from the firing thread, and every inlined
+// chain of the level runs once on its node's survivors, reading the
+// selection. A node's rows are gathered into a table once, and only for
+// its leaf baskets.
 Status QuerySetOptimizer::Walk(const Trie& trie, WalkScratch* scratch,
                                core::FactoryContext& ctx) {
   const std::vector<Trie::Node>& nodes = trie.nodes;
   const Table batch = ctx.input(0).TakeAll();
   if (batch.num_rows() == 0) return Status::OK();
+  // One clock read per firing: every conjunct and chain sees its time.
   const EvalContext ectx = ctx.eval();
-  std::vector<Table>& out = scratch->out;
-  std::vector<SelVector>& sel = scratch->sel;
-  if (out.size() != nodes.size()) {
-    out.assign(nodes.size(), Table());
-    sel.assign(2 * nodes.size(), SelVector());
+  WalkScratch& w = *scratch;
+  if (w.kept.size() != nodes.size()) {
+    w.sel.assign(2 * nodes.size(), SelVector());
+    w.kept.assign(nodes.size(), Kept());
+    w.out.assign(nodes.size(), Table());
+    w.steps.assign(trie.steps.size(), StepRows());
+    w.feeds.assign(trie.num_conjuncts, StepRows());
   }
-  auto input_of = [&](size_t i) -> const Table& {
-    return i == 0 ? batch : out[nodes[i].parent];
+  auto input_of = [&](size_t i) {
+    return i == 0 ? Kept{nullptr, batch.num_rows()} : w.kept[nodes[i].parent];
   };
-  auto eval = [&](size_t i) {
-    return EvalNode(nodes[i], trie.conjuncts(nodes[i]), input_of(i), ectx,
-                    &sel[2 * i], &sel[2 * i + 1], &out[i]);
+  auto eval = [&](size_t i) -> Status {
+    const Trie::Node& node = nodes[i];
+    RETURN_NOT_OK(EvalNode(node, trie.conjuncts(node), batch, input_of(i),
+                           ectx, &w.sel[2 * i], &w.sel[2 * i + 1],
+                           w.steps.data() + node.steps, &w.kept[i]));
+    const Kept& kept = w.kept[i];
+    if (node.gathers && kept.rows > 0) {
+      w.out[i] = kept.sel == nullptr ? batch : batch.Take(*kept.sel);
+    }
+    return Status::OK();
   };
-  // Survivor tables share the leaves' buffers once appended, so none may
+  // Gathered tables share the leaves' buffers once appended, so none may
   // outlive the firing: a leaf's next write would copy them instead.
   // Small selections keep their capacity for the next firing; a bulk
   // delivery's large ones go back to the recycler, where the next bulk
   // delivery (of this or any other transition) takes them again.
   auto release = [&]() {
-    for (Table& t : out) {
+    for (Table& t : w.out) {
       if (t.num_columns() > 0) t = Table();
     }
-    for (SelVector& v : sel) recycler::Park(&v);
+    for (SelVector& v : w.sel) recycler::Park(&v);
+    PublishSteps(trie, &w);
   };
   // An inlined chain reads only its node's survivors and takes no basket
   // lock, and each query has one chain per firing, so its sink sees its
   // batches in delivery order.
   auto run_inlined = [&](size_t k) -> Status {
     const Trie::Inlined& leaf = trie.inlined[k];
-    const Table& rows = out[leaf.node];
-    if (rows.num_rows() == 0) return Status::OK();
-    leaf.counters->rows_in.fetch_add(rows.num_rows(),
-                                     std::memory_order_relaxed);
-    ASSIGN_OR_RETURN(const size_t emitted, (*leaf.run)(rows));
-    leaf.counters->rows_out.fetch_add(emitted, std::memory_order_relaxed);
+    const Kept& kept = w.kept[leaf.node];
+    if (kept.rows == 0) return Status::OK();
+    leaf.counters->rows_in.fetch_add(kept.rows, std::memory_order_relaxed);
+    ASSIGN_OR_RETURN(const size_t emitted,
+                     (*leaf.run)(batch, kept.sel, ectx.now));
+    if (emitted > 0) {
+      leaf.counters->rows_out.fetch_add(emitted, std::memory_order_relaxed);
+    }
     return Status::OK();
   };
-  // Tasks that only read tables the walk no longer writes and write their
+  // Tasks that only read what the walk no longer writes and write their
   // own slots: `n` of them over `rows` rows in all run on the scheduler's
   // pool when there is more than one and they span a morsel or more.
   auto fan_out = [](size_t n, size_t rows, const auto& task) -> Status {
@@ -126,20 +143,21 @@ Status QuerySetOptimizer::Walk(const Trie& trie, WalkScratch* scratch,
     return Status::OK();
   };
   Status st = Status::OK();
-  for (size_t begin = 0, prev = 0, end = 0; st.ok() && begin < nodes.size();
-       prev = begin, begin = end) {
+  for (size_t begin = 0, end = 0; st.ok() && begin < nodes.size();
+       begin = end) {
     size_t rows = 0;
     for (end = begin; end < nodes.size() &&
                       nodes[end].level == nodes[begin].level;
          ++end) {
-      rows += input_of(end).num_rows();
+      rows += input_of(end).rows;
     }
-    // Siblings only read their parents' tables and write their own slot.
+    // Siblings only read their parents' selections and write their own
+    // slots.
     st = fan_out(end - begin, rows, [&](size_t m) { return eval(begin + m); });
     for (size_t i = begin; i < end && st.ok(); ++i) {
-      if (out[i].num_rows() == 0) continue;
+      if (w.kept[i].rows == 0) continue;
       for (core::Basket* leaf : trie.leaves_of(nodes[i])) {
-        Result<size_t> appended = leaf->AppendAligned(out[i], ctx.now());
+        Result<size_t> appended = leaf->AppendAligned(w.out[i], ectx.now);
         if (!appended.ok()) {
           st = appended.status();
           break;
@@ -150,15 +168,16 @@ Status QuerySetOptimizer::Walk(const Trie& trie, WalkScratch* scratch,
     const size_t last = nodes[end - 1].inlined_end;
     size_t inlined_rows = 0;
     for (size_t k = first; k < last; ++k) {
-      inlined_rows += out[trie.inlined[k].node].num_rows();
+      inlined_rows += w.kept[trie.inlined[k].node].rows;
     }
     if (st.ok()) {
       st = fan_out(last - first, inlined_rows,
                    [&](size_t m) { return run_inlined(first + m); });
     }
-    // The previous level's survivors have no readers left.
-    for (size_t i = prev; i < begin; ++i) {
-      if (out[i].num_columns() > 0) out[i] = Table();
+    // The level's gathered survivors have no readers left: children read
+    // the selections.
+    for (size_t i = begin; i < end; ++i) {
+      if (w.out[i].num_columns() > 0) w.out[i] = Table();
     }
   }
   release();
@@ -167,32 +186,48 @@ Status QuerySetOptimizer::Walk(const Trie& trie, WalkScratch* scratch,
 
 Status QuerySetOptimizer::EvalNode(const Trie::Node& node,
                                    std::span<const Trie::Step> conjuncts,
-                                   const Table& in, const EvalContext& ectx,
-                                   SelVector* a, SelVector* b, Table* out) {
-  const size_t n = in.num_rows();
-  if (n == 0) return Status::OK();
-  node.counters->rows_in.fetch_add(n, std::memory_order_relaxed);
-  // While every row survives, the next conjunct runs over the whole table,
-  // where the dense compare kernel applies; compact with one Take only
-  // when a conjunct dropped rows. `a` holds the latest selection.
-  bool all = true;
-  for (size_t k = 0; k < conjuncts.size() && (all || !a->empty()); ++k) {
-    obs::PlanCounters& c = *conjuncts[k].counters;
-    const Expr& e = *conjuncts[k].expr;
-    c.rows_in.fetch_add(all ? n : a->size(), std::memory_order_relaxed);
-    RETURN_NOT_OK(EvalPredicateInto(in, e, all ? nullptr : a, ectx, b));
+                                   const Table& batch, Kept in,
+                                   const EvalContext& ectx, SelVector* a,
+                                   SelVector* b, StepRows* rows, Kept* out) {
+  *out = Kept();
+  if (in.rows == 0) return Status::OK();
+  node.counters->rows_in.fetch_add(in.rows, std::memory_order_relaxed);
+  // While every row of the batch survives, the next conjunct runs over the
+  // whole batch, where the dense compare kernel applies; after that, over
+  // the latest selection as candidates, which `a` never is.
+  Kept cur = in;
+  for (size_t k = 0; k < conjuncts.size() && cur.rows > 0; ++k) {
+    rows[k].in = cur.rows;
+    RETURN_NOT_OK(
+        EvalPredicateInto(batch, *conjuncts[k].expr, cur.sel, ectx, a));
+    cur = Kept{a->size() == batch.num_rows() ? nullptr : a, a->size()};
     std::swap(a, b);
-    all = a->size() == n;
-    c.rows_out.fetch_add(a->size(), std::memory_order_relaxed);
+    rows[k].out = cur.rows;
   }
-  const size_t kept = all ? n : a->size();
-  node.counters->rows_out.fetch_add(kept, std::memory_order_relaxed);
-  if (all) {
-    *out = in;
-  } else if (kept > 0) {
-    *out = in.Take(*a);
+  if (cur.rows > 0) {
+    node.counters->rows_out.fetch_add(cur.rows, std::memory_order_relaxed);
   }
+  *out = cur;
   return Status::OK();
+}
+
+void QuerySetOptimizer::PublishSteps(const Trie& trie, WalkScratch* scratch) {
+  std::vector<StepRows>& steps = scratch->steps;
+  std::vector<StepRows>& feeds = scratch->feeds;
+  for (size_t k = 0; k < steps.size(); ++k) {
+    feeds[trie.steps[k].id].in += steps[k].in;
+    feeds[trie.steps[k].id].out += steps[k].out;
+    steps[k] = StepRows();
+  }
+  for (const Trie::Step& step : trie.steps) {
+    StepRows& f = feeds[step.id];
+    if (f.in == 0) continue;
+    step.counters->rows_in.fetch_add(f.in, std::memory_order_relaxed);
+    if (f.out > 0) {
+      step.counters->rows_out.fetch_add(f.out, std::memory_order_relaxed);
+    }
+    f = StepRows();
+  }
 }
 
 Result<core::FactoryPtr> QuerySetOptimizer::AddQuery(
@@ -295,26 +330,29 @@ Status QuerySetOptimizer::AddShared(const std::string& name, QueryInfo info) {
   if (factoring_enabled_) {
     for (const Conjunct& c : info.cq.shared) strip.insert(c.fp);
   }
-  // Prepared over the source first: a leaf that keeps no state needs no
-  // basket of its own, and the root runs its chain.
-  ASSIGN_OR_RETURN(std::shared_ptr<Statement> inline_stmt,
+  // The leaf statement decides, before anything is prepared, whether the
+  // leaf keeps state across firings. One that keeps none needs no basket
+  // of its own: the root runs its chain. Either way it is prepared once.
+  ASSIGN_OR_RETURN(std::shared_ptr<Statement> leaf_stmt,
                    MakeLeafStatement(engine_, info.cq, basket, strip));
-  ASSIGN_OR_RETURN(BuiltQuery built,
-                   build_factory_(name, inline_stmt, info.sink, true));
+  const bool pass_through = PassThroughLeaf(*leaf_stmt);
+  BuiltQuery built;
+  if (pass_through) {
+    ASSIGN_OR_RETURN(built, build_factory_(name, leaf_stmt, info.sink, true));
+  }
   if (built.run != nullptr) {
     info.run = std::move(built.run);
     info.run_counters = std::make_shared<obs::PlanCounters>();
     info.run_counters->shared_by.store(1, std::memory_order_relaxed);
   } else {
+    // A builder that inlined nothing may keep the statement it was given.
+    if (pass_through) leaf_stmt = CloneStatement(*leaf_stmt);
+    RetargetLeaf(leaf_stmt.get(), LeafBasketName(name));
     ASSIGN_OR_RETURN(
         info.leaf,
         engine_->CreateBasket(LeafBasketName(name), source->schema(),
                               /*add_arrival_ts=*/false));
-    Result<std::shared_ptr<Statement>> leaf_stmt =
-        MakeLeafStatement(engine_, info.cq, LeafBasketName(name), strip);
-    Result<BuiltQuery> leaf =
-        leaf_stmt.ok() ? build_factory_(name, *leaf_stmt, info.sink, false)
-                       : leaf_stmt.status();
+    Result<BuiltQuery> leaf = build_factory_(name, leaf_stmt, info.sink, false);
     if (!leaf.ok()) {
       // The old net was never touched: only the new leaf basket is undone.
       if (Status st = engine_->DropBasket(LeafBasketName(name)); !st.ok()) {
@@ -548,6 +586,7 @@ void QuerySetOptimizer::Unplace(Subnet* net, const std::string& name,
 void QuerySetOptimizer::LayOut(Subnet* net, Trie* trie,
                                std::vector<Proto*>* ends) {
   const bool open_root = !net->replicas.empty();
+  trie->num_conjuncts = net->conjs.size();
   trie->nodes.reserve(net->protos);
   trie->steps.reserve(net->protos - 1);
   trie->leaves.reserve(net->members.size() + net->replicas.size());
@@ -593,6 +632,7 @@ void QuerySetOptimizer::LayOut(Subnet* net, Trie* trie,
     }
     node.leaves_end = trie->leaves.size();
     node.inlined_end = trie->inlined.size();
+    node.gathers = node.leaves_end > node.leaves;
     trie->nodes.push_back(std::move(node));
     ends->push_back(n);
     for (auto& [fp, kid] : n->kids) queue.emplace_back(&kid, idx);
@@ -616,6 +656,7 @@ void QuerySetOptimizer::SwapRoot(const std::string& basket,
                            core::FactoryContext& ctx) mutable {
           return Walk(*trie, &scratch, ctx);
         });
+    root->Reserve(1, trie->leaves.size());
     root->AddInput(source, 1);
     // Every leaf basket is an output place, so no leaf fires while the walk
     // runs. Inlined leaves have none: the root locks the source alone.

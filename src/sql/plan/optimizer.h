@@ -60,9 +60,13 @@
 namespace datacell::sql::plan {
 
 /// An inlined leaf's chain: runs the operators after the leaf statement's
-/// pass-through `take` over `rows`, hands a non-empty result to the sink,
-/// and returns the result's row count.
-using LeafRun = std::function<Result<size_t>(const Table& rows)>;
+/// pass-through `take` over the rows of `rows` that `sel` selects (every
+/// row when null), with `now` as the value of now(); hands a non-empty
+/// result to the sink and returns the result's row count. The chain's
+/// first operator reads the selection, gathering only the columns it
+/// reads (Executor::RunOver).
+using LeafRun = std::function<Result<size_t>(
+    const Table& rows, const SelVector* sel, Micros now)>;
 
 /// What the factory builder returns: the (unregistered) factory that runs a
 /// statement each firing, or for an inlined leaf only its chain; and the
@@ -77,9 +81,9 @@ class QuerySetOptimizer {
  public:
   /// Builds (without registering) the factory of one statement — injected
   /// by the session so this layer needs no executor dependency. With
-  /// `inline_leaf` it builds only the chain `run` of a leaf that keeps no
-  /// state across firings, and neither a chain nor a factory for any
-  /// other statement.
+  /// `inline_leaf` (given only for a PassThroughLeaf statement) it builds
+  /// only the leaf's chain `run`, or neither a chain nor a factory when it
+  /// inlines nothing; the optimizer then gives the leaf a basket.
   using FactoryBuilder = std::function<Result<BuiltQuery>(
       const std::string& name, std::shared_ptr<Statement> stmt,
       core::Emitter::Sink sink, bool inline_leaf)>;
@@ -194,8 +198,10 @@ class QuerySetOptimizer {
   struct Trie {
     struct Step {
       ExprPtr expr;
-      std::shared_ptr<obs::PlanCounters> counters;  // the conjunct's feed
-      uint32_t id = 0;                              // SharedConjunct
+      /// The conjunct's feed: one per SharedConjunct, which several nodes
+      /// may evaluate.
+      std::shared_ptr<obs::PlanCounters> counters;
+      uint32_t id = 0;  // SharedConjunct
     };
     /// An attached query's inlined chain and the node whose survivors it
     /// runs on. The trie shares ownership of the chain (and its sink), so
@@ -211,10 +217,13 @@ class QuerySetOptimizer {
       size_t steps = 0, steps_end = 0;    // its conjuncts in `steps`
       size_t leaves = 0, leaves_end = 0;  // its leaf baskets in `leaves`
       size_t inlined = 0, inlined_end = 0;  // its chains in `inlined`
+      /// Its survivors are gathered into a table: it feeds a leaf basket.
+      bool gathers = false;
       std::shared_ptr<obs::PlanCounters> counters;
     };
     std::vector<Node> nodes;
     std::vector<Step> steps;
+    size_t num_conjuncts = 0;  // bound on Step::id
     /// Attached stateful queries' leaves and replicas; the fused
     /// transition's output places own them.
     std::vector<core::Basket*> leaves;
@@ -292,27 +301,45 @@ class QuerySetOptimizer {
   static void PublishDirect(const std::string& name,
                             const std::string& pipeline);
 
+  /// A node's survivors in one firing: the rows of the delivered batch
+  /// that `sel` selects (every row when null), `rows` of them.
+  struct Kept {
+    const SelVector* sel = nullptr;
+    size_t rows = 0;
+  };
+  /// Rows into and out of one conjunct in one firing.
+  struct StepRows {
+    uint64_t in = 0;
+    uint64_t out = 0;
+  };
   /// The fused transition's body: one walk of `trie` over everything the
   /// source holds.
   /// Per-node working state one fused transition keeps across firings:
-  /// slot i is written only by node i's evaluation, so a level's nodes can
-  /// run on the pool side by side. Sized on the first firing, emptied of
-  /// tables after every firing; between firings small selections keep
-  /// their capacity and large ones are parked in the column kernel's
-  /// recycler (column/recycler.h).
+  /// node i's slots are written only by node i's evaluation, so a level's
+  /// nodes can run on the pool side by side. Sized on the first firing,
+  /// emptied of tables after every firing; between firings small
+  /// selections keep their capacity and large ones are parked in the
+  /// column kernel's recycler (column/recycler.h).
   struct WalkScratch {
-    std::vector<Table> out;      // node i's survivors
     std::vector<SelVector> sel;  // node i's selections: 2i and 2i + 1
+    std::vector<Kept> kept;      // node i's survivors, into `sel`
+    std::vector<Table> out;      // node i's survivors gathered (gathers)
+    std::vector<StepRows> steps;  // per Trie::Step, this firing
+    std::vector<StepRows> feeds;  // per SharedConjunct id, when published
   };
   static Status Walk(const Trie& trie, WalkScratch* scratch,
                      core::FactoryContext& ctx);
-  /// Evaluates one node's conjunct run over its parent's survivors `in`,
-  /// ping-ponging between the selections `a` and `b`; leaves `*out` empty
-  /// when no row survives.
+  /// Evaluates one node's conjunct run over `in`, its parent's survivors
+  /// in `batch`, ping-ponging between the selections `a` and `b`, and
+  /// counts each conjunct's rows into `rows` (parallel to `conjuncts`).
+  /// Sets `*out` to the node's survivors.
   static Status EvalNode(const Trie::Node& node,
-                         std::span<const Trie::Step> conjuncts, const Table& in,
-                         const EvalContext& ectx, SelVector* a, SelVector* b,
-                         Table* out);
+                         std::span<const Trie::Step> conjuncts,
+                         const Table& batch, Kept in, const EvalContext& ectx,
+                         SelVector* a, SelVector* b, StepRows* rows, Kept* out);
+  /// Adds one firing's conjunct rows to their feeds: one relaxed RMW per
+  /// counter, none for a conjunct that got no rows. Zeroes `scratch`'s.
+  static void PublishSteps(const Trie& trie, WalkScratch* scratch);
 
   core::Engine* engine_;
   FactoryBuilder build_factory_;

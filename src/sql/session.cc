@@ -77,7 +77,7 @@ Result<Table> Session::RenderPlan(const Statement& target) {
               std::to_string(in.min_tuples) + " tuple(s))\n";
     }
   }
-  if (chain_of != nullptr && Executor::PassThrough(*prepared)) {
+  if (chain_of != nullptr && plan::PassThroughLeaf(*chain_of)) {
     text += "  chain (inlined): " + Executor::DescribeOver(*prepared) + "\n";
   } else {
     text += "  chain: " + Executor::Describe(*prepared) + "\n";
@@ -107,15 +107,22 @@ Result<plan::BuiltQuery> Session::BuildFactory(const std::string& name,
   // statement's kernels and hands the result to the sink.
   ASSIGN_OR_RETURN(PreparedPtr prepared, executor_.Prepare(*stmt));
   plan::BuiltQuery built;
-  if (inline_leaf && !Executor::PassThrough(*prepared)) return built;
+  // plan::PassThroughLeaf chose to inline the statement; its prepared
+  // chain must agree, or RunOver would skip a take that keeps state.
+  if (inline_leaf && !Executor::PassThrough(*prepared)) {
+    return Status::Internal("leaf of '" + name + "' keeps state: " +
+                            Executor::Describe(*prepared));
+  }
   built.pipeline = inline_leaf ? Executor::DescribeOver(*prepared)
                                : Executor::Describe(*prepared);
   if (sink != nullptr) built.pipeline += " → sink";
   if (inline_leaf) {
     built.run = std::make_shared<const plan::LeafRun>(
-        [exec = executor_, stmt, prepared,
-         sink](const Table& rows) -> Result<size_t> {
-          ASSIGN_OR_RETURN(Table result, exec.RunOver(*prepared, rows));
+        [exec = executor_, stmt, prepared, sink](
+            const Table& rows, const SelVector* sel,
+            Micros now) -> Result<size_t> {
+          ASSIGN_OR_RETURN(Table result,
+                           exec.RunOver(*prepared, rows, sel, now));
           if (sink != nullptr && result.num_rows() > 0) {
             RETURN_NOT_OK(sink(result));
           }

@@ -87,9 +87,9 @@ class Session {
   /// Builds (without registering) the factory of one continuous statement
   /// — the optimizer's direct path and the leaf of a shared subnet. The
   /// statement is prepared here; each firing runs it and hands a SELECT's
-  /// non-empty result to `sink`. With `inline_leaf`, a PassThrough
-  /// statement gets only its chain after the `take`, which the fused
-  /// transition runs, and any other statement nothing.
+  /// non-empty result to `sink`. With `inline_leaf` (a
+  /// plan::PassThroughLeaf statement) it gets only its chain after the
+  /// `take`, which the fused transition runs.
   Result<plan::BuiltQuery> BuildFactory(const std::string& name,
                                         std::shared_ptr<Statement> stmt,
                                         core::Emitter::Sink sink,

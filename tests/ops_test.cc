@@ -3,9 +3,11 @@
 #include <atomic>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 
+#include "column/recycler.h"
 #include "ops/aggregate.h"
 #include "ops/join.h"
 #include "ops/kernels.h"
@@ -879,6 +881,119 @@ TEST(RecycledBufferTest, RepeatedBulkFiringsAreByteIdentical) {
   const Table pooled_second = FilterThenGroup(t);
   ExpectTablesByteIdentical(serial_first, pooled_first);
   ExpectTablesByteIdentical(serial_first, pooled_second);
+}
+
+// One AggregateState carried through a sequence of calls (a standing
+// group-by's deliveries) gives, call by call, the bytes a stateless call
+// gives: 3000 distinct keys, 2 keys, NULL keys, a two-column key, a
+// 131072-row call and an 8-row one, each with and without a selection.
+// States carried on a three-worker morsel pool and with the scalar
+// kernels give the same bytes. After the bulk call no large buffer stays
+// in any state.
+TEST(AggregateStateTest, StateCarriedAcrossCallsMatchesFreshCalls) {
+  EvalContext ctx;
+  const std::vector<GroupItem> one = {{Expr::Col("k"), "k"}};
+  const std::vector<GroupItem> two = {{Expr::Col("k"), "k"},
+                                      {Expr::Col("v"), "v"}};
+  auto distinct = [] {
+    Table t = KeyedRows(DataType::kInt64, 3000, 5);
+    for (size_t i = 0; i < t.num_rows(); ++i) {
+      t.column(0).ints()[i] = static_cast<int64_t>(i);
+    }
+    return t;
+  };
+  auto few = [] {
+    Table t = KeyedRows(DataType::kInt64, 8, 6);
+    for (size_t i = 0; i < t.num_rows(); ++i) {
+      t.column(0).ints()[i] = static_cast<int64_t>(i % 2);
+    }
+    return t;
+  };
+  const std::vector<Table> calls = {distinct(),
+                                    few(),
+                                    KeyedRows(DataType::kInt64, 40, 7),
+                                    KeyedRows(DataType::kInt64, 131072, 8),
+                                    KeyedRows(DataType::kInt64, 8, 9)};
+  for (const auto* groups : {&one, &two, static_cast<const std::vector<GroupItem>*>(nullptr)}) {
+    const std::vector<GroupItem> g = groups == nullptr ? std::vector<GroupItem>{}
+                                                       : *groups;
+    ops::AggregateState state;
+    ops::AggregateState state_sel;
+    ops::AggregateState state_pool;
+    ops::AggregateState state_scalar;
+    for (const Table& t : calls) {
+      SelVector odd;
+      for (uint32_t i = 1; i < t.num_rows(); i += 2) odd.push_back(i);
+      auto fresh = ops::Aggregate(t, g, AllAggs(), ctx);
+      auto kept = ops::Aggregate(t, g, AllAggs(), ctx, nullptr, &state);
+      ASSERT_TRUE(fresh.ok() && kept.ok()) << fresh.status().ToString();
+      ExpectTablesByteIdentical(*kept, *fresh);
+      auto fresh_sel = ops::Aggregate(t.Take(odd), g, AllAggs(), ctx);
+      auto kept_sel = ops::Aggregate(t, g, AllAggs(), ctx, &odd, &state_sel);
+      ASSERT_TRUE(fresh_sel.ok() && kept_sel.ok());
+      ExpectTablesByteIdentical(*kept_sel, *fresh_sel);
+      {
+        ops::PoolMorselExecutor pool(3);
+        ops::ScopedMorselExecutor scoped(&pool);
+        auto pooled = ops::Aggregate(t, g, AllAggs(), ctx, nullptr, &state_pool);
+        ASSERT_TRUE(pooled.ok());
+        ExpectTablesByteIdentical(*pooled, *fresh);
+      }
+      simd::SetForceScalar(true);
+      auto scalar = ops::Aggregate(t, g, AllAggs(), ctx, &odd, &state_scalar);
+      simd::SetForceScalar(false);
+      ASSERT_TRUE(scalar.ok());
+      ExpectTablesByteIdentical(*scalar, *fresh_sel);
+      for (const ops::AggregateState* st :
+           {&state, &state_sel, &state_pool, &state_scalar}) {
+        EXPECT_LT(st->row_group.capacity() * sizeof(uint32_t),
+                  recycler::kMinBytes);
+        EXPECT_LT(st->slot_keys.capacity() * sizeof(int64_t),
+                  recycler::kMinBytes);
+        for (const Column& c : st->outs) EXPECT_FALSE(c.Large());
+      }
+    }
+  }
+}
+
+// A projection with state resolves bare columns once per input schema,
+// reads a selection, falls back to evaluation for a name that is a
+// session variable, and resolves again when the input schema changes.
+TEST(ProjectStateTest, ResolvesOncePerSchemaAndFallsBackForVariables) {
+  Table t = Orders();
+  std::map<std::string, Value> vars = {{"lim", Value(7)}};
+  EvalContext ctx;
+  ctx.variables = &vars;
+  const std::vector<ProjectionItem> bare = {{Expr::Col("amount"), "amount"},
+                                            {Expr::Col("id"), "id"}};
+  ops::ProjectState state;
+  SelVector sel{1, 3};
+  for (int round = 0; round < 2; ++round) {
+    auto kept = ops::Project(t, bare, ctx, &sel, &state);
+    auto fresh = ops::Project(t.Take(sel), bare, ctx);
+    ASSERT_TRUE(kept.ok() && fresh.ok());
+    ExpectTablesByteIdentical(*kept, *fresh);
+    EXPECT_EQ(kept->schema(), fresh->schema());
+    EXPECT_EQ(state.positions, (std::vector<size_t>{2, 0}));
+  }
+  const std::vector<ProjectionItem> with_var = {{Expr::Col("id"), "id"},
+                                                {Expr::Col("lim"), "lim"}};
+  ops::ProjectState var_state;
+  auto out = ops::Project(t, with_var, ctx, &sel, &var_state);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_TRUE(var_state.positions.empty());
+  ASSERT_EQ(out->num_rows(), 2u);
+  EXPECT_EQ(out->GetRow(0)[1], Value(7));
+  // Another field list (a rebuilt schema with the columns reordered):
+  // positions follow it.
+  Table swapped(Schema({{"amount", DataType::kDouble},
+                        {"cust", DataType::kString},
+                        {"id", DataType::kInt64}}),
+                {t.column(2), t.column(1), t.column(0)});
+  auto again = ops::Project(swapped, bare, ctx, nullptr, &state);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(state.positions, (std::vector<size_t>{0, 2}));
+  ExpectTablesByteIdentical(*again, *ops::Project(t, bare, ctx));
 }
 
 }  // namespace

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <map>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -1353,6 +1357,328 @@ TEST(SessionTeardownTest, DestroyedSessionTakesItsQueriesDown) {
   EXPECT_TRUE(sched.last_error().ok());
   EXPECT_EQ(calls->load(), at_end);
   EXPECT_EQ(kept.size(), 64u);
+}
+
+// ---------------------------------------------------------------------------
+// Fixed cost per firing: selections through the trie, operator-owned state
+// ---------------------------------------------------------------------------
+
+// Every value of `t`, column by column, after its schema: two tables
+// render equal exactly when their schemas, types and values are equal.
+std::string Render(const Table& t) {
+  std::string out = t.schema().ToString();
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    out += "\n";
+    for (size_t i = 0; i < t.num_rows(); ++i) {
+      const Value v = t.column(c).GetValue(i);
+      if (v.is_double()) {
+        // Every bit of a double: %.17g round-trips it exactly.
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.17g", v.double_value());
+        out += buf;
+      } else {
+        out += v.ToString();
+      }
+      out += ",";
+    }
+  }
+  return out;
+}
+
+// A sink keeping the rendering of every table it is handed.
+core::Emitter::Sink Keep(std::vector<std::string>* out) {
+  return [out](const Table& t) -> Status {
+    out->push_back(Render(t));
+    return Status::OK();
+  };
+}
+
+// Two inlined queries under one fused root project now() on a wall-clock
+// engine: within a firing both see the firing's time.
+TEST(FixedCostTest, NowIsOneValuePerFiring) {
+  core::Engine engine(SystemClock::Get());
+  Session session(&engine);
+  session.set_sharing_enabled(true);
+  ASSERT_TRUE(session.Execute("create basket s (a int)").ok());
+  std::vector<std::string> r1, r2;
+  ASSERT_TRUE(session
+                  .RegisterContinuousSelect(
+                      "now1", "select a, now() from [select * from s where a >= 0]",
+                      Collect(&r1))
+                  .ok());
+  ASSERT_TRUE(session
+                  .RegisterContinuousSelect(
+                      "now2",
+                      "select a, now() from [select * from s where a < 1000000]",
+                      Collect(&r2))
+                  .ok());
+  ASSERT_EQ(engine.scheduler().num_transitions(), 1u);
+  auto s = engine.GetBasket("s");
+  ASSERT_TRUE(s.ok());
+  for (int64_t d = 0; d < 200; ++d) {
+    Table one(Schema({{"a", DataType::kInt64}}));
+    ASSERT_TRUE(one.AppendRow({Value(d)}).ok());
+    ASSERT_TRUE((*s)->Append(one, 0).ok());
+    ASSERT_TRUE(engine.scheduler().RunUntilQuiescent().ok());
+  }
+  ASSERT_EQ(r1.size(), 200u);
+  EXPECT_EQ(r1, r2);
+}
+
+// One standing query of each aggregation shape (a single integer key, a
+// two-column encoded key, no key) keeps its operator state across
+// deliveries of 3000 distinct keys, 2 keys, NULL keys, a 131072-row
+// delivery and an 8-row one. Each firing's result is byte-identical to a
+// one-time Execute of the same SELECT over the same rows.
+TEST(FixedCostTest, StandingGroupByMatchesOneTimeExecute) {
+  core::Engine engine(SystemClock::Get());
+  Session session(&engine);
+  session.set_sharing_enabled(true);
+  ASSERT_TRUE(session.Execute("create basket s (k int, j int, v int)").ok());
+  ASSERT_TRUE(session.Execute("create basket r (k int, j int, v int)").ok());
+  const std::vector<std::string> queries = {
+      "select k, count(*), sum(v), min(v) from [select * from <b> where v >= "
+      "0] group by k",
+      "select k, j, count(*), avg(v) from [select * from <b> where v >= 0] "
+      "group by k, j",
+      "select count(*), sum(v), max(v) from [select * from <b> where v >= 0]",
+      "select j, k from [select * from <b> where v >= 0]",
+  };
+  auto over = [](std::string sql, const std::string& basket) {
+    sql.replace(sql.find("<b>"), 3, basket);
+    return sql;
+  };
+  std::vector<std::vector<std::string>> got(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_TRUE(session
+                    .RegisterContinuousSelect("agg" + std::to_string(q),
+                                              over(queries[q], "s"),
+                                              Keep(&got[q]))
+                    .ok());
+  }
+  ASSERT_EQ(engine.scheduler().num_transitions(), 1u);
+  auto s = engine.GetBasket("s");
+  auto r = engine.GetBasket("r");
+  ASSERT_TRUE(s.ok() && r.ok());
+  const Schema schema({{"k", DataType::kInt64},
+                       {"j", DataType::kInt64},
+                       {"v", DataType::kInt64}});
+  auto rows = [&](size_t n, auto&& row) {
+    Table t(schema);
+    for (size_t i = 0; i < n; ++i) EXPECT_TRUE(t.AppendRow(row(i)).ok());
+    return t;
+  };
+  auto v = [](int64_t x) { return Value(x); };
+  const std::vector<Table> deliveries = {
+      rows(3000, [&](size_t i) -> Row {
+        return {v(i), v(i % 7), v(i % 5 == 0 ? -1 : int64_t(i))};
+      }),
+      rows(8, [&](size_t i) -> Row {
+        return {v(1 + i % 2), v(i % 3), v(int64_t(i) - 2)};
+      }),
+      rows(9, [&](size_t i) -> Row {
+        return {i % 3 == 0 ? Value::Null() : v(i % 2), v(i % 2),
+                v(i % 4 == 1 ? -5 : int64_t(i))};
+      }),
+      rows(131072, [&](size_t i) -> Row {
+        return {v(i % 4000), v(i % 3), v(int64_t(i % 1000) - 100)};
+      }),
+      rows(8, [&](size_t i) -> Row {
+        return {v(i % 3), v(i % 2), v(int64_t(i) * 11)};
+      }),
+  };
+  for (size_t d = 0; d < deliveries.size(); ++d) {
+    ASSERT_TRUE((*s)->Append(deliveries[d], 0).ok());
+    ASSERT_TRUE(engine.scheduler().RunUntilQuiescent().ok());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      ASSERT_TRUE((*r)->Append(deliveries[d], 0).ok());
+      auto once = session.Execute(over(queries[q], "r"));
+      ASSERT_TRUE(once.ok()) << once.status().ToString();
+      ASSERT_EQ(got[q].size(), d + 1) << queries[q];
+      EXPECT_EQ(got[q][d], Render(*once)) << queries[q] << " delivery " << d;
+    }
+  }
+}
+
+// A projection of bare names, one of which is a session variable and no
+// column: it is evaluated as such, and sees the variable's current value.
+TEST(FixedCostTest, BareNameOfAVariableIsEvaluated) {
+  core::Engine engine(SystemClock::Get());
+  Session session(&engine);
+  session.set_sharing_enabled(true);
+  ASSERT_TRUE(
+      session.Execute("create basket s (a int); declare lim int; set lim = 7")
+          .ok());
+  std::vector<std::string> out;
+  ASSERT_TRUE(session
+                  .RegisterContinuousSelect(
+                      "var1", "select a, lim from [select * from s where a > 1]",
+                      Collect(&out))
+                  .ok());
+  ASSERT_EQ(engine.scheduler().num_transitions(), 1u);
+  ASSERT_TRUE(session.Execute("insert into s values (1), (2), (3)").ok());
+  ASSERT_TRUE(engine.scheduler().RunUntilQuiescent().ok());
+  ASSERT_TRUE(session.Execute("set lim = 8").ok());
+  ASSERT_TRUE(session.Execute("insert into s values (4)").ok());
+  ASSERT_TRUE(engine.scheduler().RunUntilQuiescent().ok());
+  EXPECT_EQ(out, (std::vector<std::string>{"2|7", "3|7", "4|8"}));
+}
+
+// Conjuncts with no column-versus-constant kernel (`a + b <> 10`) under a
+// shared parent `a > 0`: the child evaluates them over the parent's
+// survivors as candidates. Their estimated selectivities (0.67, 0.9) are
+// above the parent's (0.33), so the parent comes first in every query.
+// Parent selections keeping most rows, few rows, none, and rows whose `b`
+// is NULL all give the rows a hand count gives, with a comparison against
+// NULL false (docs/SQL.md). A one-time Execute is no oracle here: its
+// WHERE runs the same candidate form.
+TEST(FixedCostTest, GenericConjunctUnderASharedParent) {
+  core::Engine engine(SystemClock::Get());
+  Session session(&engine);
+  session.set_sharing_enabled(true);
+  ASSERT_TRUE(session.Execute("create basket s (a int, b int)").ok());
+  struct Query {
+    std::string sql;
+    std::function<bool(int64_t a, int64_t b)> cmp;  // the comparison
+    bool negated;  // under NOT
+    bool project_b;
+  };
+  const std::vector<Query> queries = {
+      {"select a, b from [select * from s where a > 0 and not (a + b <= 3)]",
+       [](int64_t a, int64_t b) { return a + b <= 3; }, true, true},
+      {"select a, b from [select * from s where a > 0 and a + b <> 10]",
+       [](int64_t a, int64_t b) { return a + b != 10; }, false, true},
+      {"select a from [select * from s where a > 0 and not (a * b > 12)]",
+       [](int64_t a, int64_t b) { return a * b > 12; }, true, false},
+  };
+  std::vector<std::vector<std::string>> got(queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_TRUE(session
+                    .RegisterContinuousSelect("gen" + std::to_string(q),
+                                              queries[q].sql, Collect(&got[q]))
+                    .ok());
+  }
+  ASSERT_EQ(engine.scheduler().num_transitions(), 1u);
+  auto s = engine.GetBasket("s");
+  ASSERT_TRUE(s.ok());
+  // Rows with a > 0: 15 of 16, 2 of 16, 0 of 4, and 6 of 6 with every
+  // other b NULL.
+  using Pair = std::pair<int64_t, std::optional<int64_t>>;
+  std::vector<std::vector<Pair>> deliveries(4);
+  for (int64_t i = 0; i < 16; ++i) deliveries[0].push_back({i, i % 5});
+  for (int64_t i = 0; i < 16; ++i) {
+    deliveries[1].push_back({i % 8 == 3 ? 9 : -i, i});
+  }
+  for (int64_t i = 0; i < 4; ++i) deliveries[2].push_back({-i, i});
+  for (int64_t i = 0; i < 6; ++i) {
+    deliveries[3].push_back({i + 1, i % 2 == 0 ? std::nullopt
+                                               : std::optional<int64_t>(i)});
+  }
+  std::vector<std::vector<std::string>> want(queries.size());
+  for (const std::vector<Pair>& rows : deliveries) {
+    Table t(Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}}));
+    for (const auto& [a, b] : rows) {
+      ASSERT_TRUE(
+          t.AppendRow({Value(a), b.has_value() ? Value(*b) : Value::Null()})
+              .ok());
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const bool cmp = b.has_value() && queries[q].cmp(a, *b);
+        if (a > 0 && cmp != queries[q].negated) {
+          const std::string b_text = b ? std::to_string(*b) : "NULL";
+          want[q].push_back(std::to_string(a) +
+                            (queries[q].project_b ? "|" + b_text : ""));
+        }
+      }
+    }
+    ASSERT_TRUE((*s)->Append(t, 0).ok());
+    ASSERT_TRUE(engine.scheduler().RunUntilQuiescent().ok());
+  }
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_FALSE(want[q].empty()) << queries[q].sql;
+    EXPECT_EQ(got[q], want[q]) << queries[q].sql;
+  }
+}
+
+// After a seeded run, every dc_plans node and leaf row of a two-branch
+// trie holds exactly the rows a hand count over the deliveries gives.
+TEST_F(PlanFixture, PlanCountersMatchHandCounts) {
+  Exec("create basket s (a int, b int)");
+  session_.set_sharing_enabled(true);
+  const std::vector<std::pair<std::string, std::string>> queries = {
+      {"hc1", "select * from [select * from s where a > 10 and b = 1]"},
+      {"hc2", "select * from [select * from s where a > 10 and b = 2]"},
+      {"hc3",
+       "select b, count(*) from [select * from s where a > 10 and b = 3] "
+       "group by b"},
+      {"hc4", "select * from [select * from s where a < 5]"},
+  };
+  for (const auto& [name, sql] : queries) {
+    ASSERT_TRUE(session_.RegisterContinuousSelect(name, sql, nullptr).ok());
+  }
+  ASSERT_EQ(engine_.scheduler().num_transitions(), 1u);
+  auto s = engine_.GetBasket("s");
+  ASSERT_TRUE(s.ok());
+  Random rng(32);
+  int64_t total = 0, over10 = 0, under5 = 0, firings3 = 0;
+  int64_t b_eq[4] = {0, 0, 0, 0};
+  for (int d = 0; d < 40; ++d) {
+    Table t(Schema({{"a", DataType::kInt64}, {"b", DataType::kInt64}}));
+    const size_t n = 1 + rng.Uniform(50);
+    bool any3 = false;
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t a = static_cast<int64_t>(rng.Uniform(20));
+      const int64_t b = static_cast<int64_t>(rng.Uniform(4));
+      ASSERT_TRUE(t.AppendRow({Value(a), Value(b)}).ok());
+      ++total;
+      under5 += a < 5;
+      if (a > 10) {
+        ++over10;
+        ++b_eq[b];
+        any3 = any3 || b == 3;
+      }
+    }
+    firings3 += any3;
+    ASSERT_TRUE((*s)->Append(t, 0).ok());
+    ASSERT_TRUE(engine_.scheduler().RunUntilQuiescent().ok());
+  }
+  // {rows_in, rows_out} of each of the query's rows, by kind and detail.
+  auto counts = [&](const std::string& query) {
+    std::map<std::string, std::vector<int64_t>> out;
+    auto r = session_.Execute(
+        "select kind, detail, rows_in, rows_out from dc_plans where query = "
+        "'" + query + "'");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    for (size_t i = 0; r.ok() && i < r->num_rows(); ++i) {
+      const Row row = r->GetRow(i);
+      out[row[0].string_value() + ":" + row[1].string_value()] = {
+          row[2].int_value(), row[3].int_value()};
+    }
+    return out;
+  };
+  using Counts = std::vector<int64_t>;
+  for (int b = 1; b <= 3; ++b) {
+    const std::string q = "hc" + std::to_string(b);
+    auto c = counts(q);
+    EXPECT_EQ(c["node:replicate"], (Counts{total, total})) << q;
+    EXPECT_EQ(c["node:(a > 10)"], (Counts{total, over10})) << q;
+    EXPECT_EQ(c["node:(b = " + std::to_string(b) + ")"],
+              (Counts{over10, b_eq[b]}))
+        << q;
+  }
+  // The one leaf row of a query.
+  auto leaf = [&](const std::string& query) {
+    Counts out;
+    for (const auto& [key, value] : counts(query)) {
+      if (key.rfind("leaf:", 0) == 0) out = value;
+    }
+    return out;
+  };
+  EXPECT_EQ(leaf("hc1"), (Counts{b_eq[1], b_eq[1]}));
+  EXPECT_EQ(leaf("hc2"), (Counts{b_eq[2], b_eq[2]}));
+  // One group per firing that had a row for it.
+  EXPECT_EQ(leaf("hc3"), (Counts{b_eq[3], firings3}));
+  EXPECT_EQ(counts("hc4")["node:(a < 5)"], (Counts{total, under5}));
+  EXPECT_EQ(leaf("hc4"), (Counts{under5, under5}));
 }
 
 }  // namespace
